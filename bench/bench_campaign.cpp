@@ -40,8 +40,8 @@ namespace {
 telemetry::Histogram& phase_hist(const char* phase) {
   return telemetry::histogram(
       "winofault_campaign_phase_us",
-      "microseconds per campaign phase unit (wave golden build, per-cell "
-      "replay or scratch inject)",
+      "microseconds per campaign phase unit (golden build, per-cell replay "
+      "or scratch inject)",
       std::string("phase=\"") + phase + "\"");
 }
 

@@ -8,11 +8,10 @@
 // cached incremental replay trial next to a scratch forward.
 //
 // On top of the google-benchmark table, main() hand-times the SIMD
-// dispatch levels (scalar vs AVX2 vs AVX-512 GEMM) and the batched golden
-// build (batch-4 vs batch-1) and writes the numbers to BENCH_kernels.json
-// for the CI perf trajectory. Each timed comparison doubles as a
-// bit-identity oracle — the process exits non-zero if any ISA level or the
-// batched path diverges from the reference output.
+// dispatch levels (scalar vs AVX2 vs AVX-512 GEMM) and writes the numbers
+// to BENCH_kernels.json for the CI perf trajectory. Each timed level
+// doubles as a bit-identity oracle — the process exits non-zero if any ISA
+// level diverges from the reference output.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -195,55 +194,6 @@ void BM_TrialCachedReplay(benchmark::State& state) {
   }
 }
 
-// Deep tower for the batched-golden comparison: most of its MACs sit in
-// 4x4/2x2-extent convolutions (VGG-19's deep half), where a single image
-// offers fewer GEMM columns than one vector register holds — the regime
-// wave-batched golden builds exist for. Shallow nets (trial_net) see no
-// gain: their per-image column counts already saturate the SIMD width.
-Network deep_net() {
-  Network net("bench-deep", DType::kInt16);
-  Rng rng(43);
-  int x = net.add_input(Shape{1, 3, 32, 32});
-  x = net.add_conv(x, 32, 3, 1, 1, rng);
-  x = net.add_maxpool(x, 2, 2);
-  x = net.add_conv(x, 64, 3, 1, 1, rng);
-  x = net.add_maxpool(x, 2, 2);
-  x = net.add_conv(x, 96, 3, 1, 1, rng);
-  x = net.add_maxpool(x, 2, 2);
-  x = net.add_conv(x, 128, 3, 1, 1, rng);
-  x = net.add_maxpool(x, 2, 2);
-  x = net.add_conv(x, 160, 3, 1, 1, rng);
-  x = net.add_conv(x, 160, 3, 1, 1, rng);
-  x = net.add_conv(x, 160, 3, 1, 1, rng);
-  x = net.add_conv(x, 160, 3, 1, 1, rng);
-  x = net.add_global_avgpool(x);
-  x = net.add_flatten(x);
-  x = net.add_linear(x, 10, rng);
-  net.set_output(x);
-  net.calibrate(make_images(net.input_shape(), 2, 12));
-  return net;
-}
-
-// Golden build throughput at a given batch size (arg 0): batch-1 loops
-// make_golden per image, larger batches run the one-wide-GEMM-per-layer
-// path the campaign runner primes waves through.
-void BM_GoldenBuildBatch(benchmark::State& state) {
-  const Network net = deep_net();
-  const std::int64_t batch = state.range(0);
-  const std::vector<TensorF> images =
-      make_images(net.input_shape(), static_cast<int>(batch), 9);
-  for (auto _ : state) {
-    if (batch == 1) {
-      benchmark::DoNotOptimize(
-          net.make_golden(images[0], ConvPolicy::kDirect));
-    } else {
-      benchmark::DoNotOptimize(
-          net.make_golden_batch(images, ConvPolicy::kDirect));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-
 BENCHMARK(BM_DirectConvRef)->Args({16, 32})->Args({64, 16});
 BENCHMARK(BM_DirectConvGemm)->Args({16, 32})->Args({64, 16});
 BENCHMARK(BM_DirectConvGemmIsa)
@@ -255,7 +205,6 @@ BENCHMARK(BM_WinogradF4)->Args({16, 32})->Args({64, 16});
 BENCHMARK(BM_Direct5x5)->Args({16, 16});
 BENCHMARK(BM_Dwm5x5)->Args({16, 16});
 BENCHMARK(BM_WinogradFaultReplay);
-BENCHMARK(BM_GoldenBuildBatch)->Arg(1)->Arg(4);
 BENCHMARK(BM_TrialScratch);
 BENCHMARK(BM_TrialCachedReplay);
 
@@ -282,8 +231,8 @@ double time_per_call(Fn&& fn, double min_s = 0.2) {
   }
 }
 
-// Per-ISA GEMM GMAC/s + batched-vs-batch-1 golden builds/s, with every
-// compared output checked bit-identical to the reference. Returns false
+// Per-ISA GEMM GMAC/s, with every compared output checked bit-identical
+// to the reference. Returns false
 // (and the process exits 1) on any divergence — the perf file must never
 // report throughput of a kernel that computes different bits.
 bool write_bench_kernels_json() {
@@ -321,45 +270,6 @@ bool write_bench_kernels_json() {
   }
   set_gemm_isa(best);
 
-  // Batched golden build (the campaign wave-priming path) vs batch-1, on
-  // the deep tower whose small-extent layers are the path's raison d'etre.
-  const Network net = deep_net();
-  constexpr int kBatch = 4;
-  const std::vector<TensorF> images =
-      make_images(net.input_shape(), kBatch, 9);
-  const std::vector<GoldenCache> batched =
-      net.make_golden_batch(images, ConvPolicy::kDirect);
-  for (int b = 0; b < kBatch; ++b) {
-    const GoldenCache single =
-        net.make_golden(images[static_cast<std::size_t>(b)],
-                        ConvPolicy::kDirect);
-    const GoldenCache& wide = batched[static_cast<std::size_t>(b)];
-    bool equal = single.logits() == wide.logits() &&
-                 single.prediction() == wide.prediction();
-    for (int n = 0; equal && n < net.num_nodes(); ++n) {
-      equal = single.node_output(n).tensor == wide.node_output(n).tensor;
-    }
-    if (!equal) {
-      std::fprintf(stderr,
-                   "FAIL: batched golden image %d diverges from batch-1\n",
-                   b);
-      ok = false;
-    }
-  }
-  const double batch1_s = time_per_call([&] {
-    for (const TensorF& image : images) {
-      benchmark::DoNotOptimize(net.make_golden(image, ConvPolicy::kDirect));
-    }
-  });
-  const double batchn_s = time_per_call([&] {
-    benchmark::DoNotOptimize(
-        net.make_golden_batch(images, ConvPolicy::kDirect));
-  });
-  json.field("golden_batch1_builds_per_s",
-             static_cast<double>(kBatch) / batch1_s);
-  json.field("golden_batch4_builds_per_s",
-             static_cast<double>(kBatch) / batchn_s);
-  json.field("golden_batch_speedup", batch1_s / batchn_s);
   json.field("bit_identity_ok", static_cast<std::int64_t>(ok ? 1 : 0));
   json.write("BENCH_kernels.json");
   return ok;

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <list>
+#include <mutex>
 #include <thread>
 
 #include "common/env.h"
@@ -67,19 +69,24 @@ bool fault_applies(Fault fault, OpClass op) {
   return false;
 }
 
-// Process-wide schedule pointer. Leaked on replacement: a raw atomic keeps
-// the chaos-off fast path to one relaxed load, and schedules are installed
-// at most a handful of times per process (env init + test seams).
+// Process-wide schedule pointer: a raw atomic keeps the chaos-off fast path
+// to one relaxed load. It points into the list install_schedule keeps.
 std::atomic<FaultSchedule*> g_schedule{nullptr};
 std::once_flag g_env_once;
 
 void install_schedule(std::optional<FaultSchedule> schedule) {
+  // Every schedule ever installed stays alive and reachable in this list
+  // until exit: another thread may be mid-decide on the one being
+  // replaced, and schedules are installed a handful of times per process
+  // at most (env init + test seams). The list is never destroyed, so a
+  // thread still deciding during static destruction stays safe.
+  static std::mutex mu;
+  static auto* installed = new std::list<FaultSchedule>;
   FaultSchedule* next = nullptr;
   if (schedule.has_value()) {
-    next = new FaultSchedule(std::move(*schedule));
+    std::lock_guard<std::mutex> lock(mu);
+    next = &installed->emplace_back(std::move(*schedule));
   }
-  // The old schedule leaks: another thread may be mid-decide on it, and
-  // test seams swap a handful of times per process at most.
   g_schedule.store(next, std::memory_order_release);
 }
 
@@ -161,8 +168,10 @@ std::optional<FaultSchedule> FaultSchedule::parse(const std::string& spec,
   FaultSchedule schedule;
   schedule.spec_ = spec;
   {
+    // Named: `end` points into this string, so it must outlive the check.
+    const std::string seed_text = spec.substr(0, colon);
     char* end = nullptr;
-    schedule.seed_ = std::strtoull(spec.substr(0, colon).c_str(), &end, 10);
+    schedule.seed_ = std::strtoull(seed_text.c_str(), &end, 10);
     if (end == nullptr || *end != '\0') return fail("seed is not an integer");
   }
 

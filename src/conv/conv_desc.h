@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "tensor/quantize.h"
@@ -56,13 +55,6 @@ struct ConvData {
   // across forwards; when null the engine transforms on the fly.
   const std::vector<std::int64_t>* wg_bank_f2 = nullptr;
   const std::vector<std::int64_t>* wg_bank_f4 = nullptr;
-
-  // Batched golden path (direct_forward_gemm_batch): when non-empty, the
-  // call computes these N same-shape images as one wide GEMM; `input` must
-  // alias batch_inputs[0]. All images share the layer's static operands,
-  // quantization, and acc_scale (per-node quant is image-independent), and
-  // each image's output is bit-identical to its own batch-1 call.
-  std::span<const TensorI32* const> batch_inputs;
 };
 
 }  // namespace winofault

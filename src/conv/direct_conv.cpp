@@ -55,28 +55,28 @@ std::vector<std::int32_t> im2col(const ConvDesc& desc, const TensorI32& input) {
 // disjoint data. The per-tile accumulation runs in the ISA-dispatched
 // microkernel (conv/gemm_kernel.h) — bit-identical across scalar, AVX2 and
 // AVX-512, so the instrumented reference stays the oracle at every level.
-// `e_total` lets the batched path run several images' column matrices as
-// one wider GEMM (direct_forward_gemm_batch).
 template <typename Sink>
-void gemm_acc_cols(const ConvDesc& desc, const ConvData& data,
-                   const std::int32_t* col, std::int64_t e_total,
-                   Sink&& sink) {
+void gemm_acc(const ConvDesc& desc, const ConvData& data, Sink&& sink) {
   constexpr std::int64_t kOcBlock = 4;
   constexpr std::int64_t kEBlock = 512;
   // Below the widest vector width the tile kernel runs scalar; the dot
   // kernel (window-axis vectorization over a transposed column matrix)
   // keeps deep 1x1/2x2-extent layers on SIMD. Same bits either way.
   constexpr std::int64_t kDotMaxE = 16;
+  const std::int64_t e_count = desc.out_h() * desc.out_w();
   const std::int64_t window = desc.in_c * desc.kh * desc.kw;
+  const std::vector<std::int32_t> col_store = im2col(desc, *data.input);
+  const std::int32_t* col =
+      col_store.empty() ? data.input->data() : col_store.data();
   const std::int32_t* weights = data.weights->data();
   const std::int64_t oc_blocks = (desc.out_c + kOcBlock - 1) / kOcBlock;
   std::vector<std::int32_t> colT;
-  if (e_total < kDotMaxE) {
-    colT.resize(static_cast<std::size_t>(window * e_total));
+  if (e_count < kDotMaxE) {
+    colT.resize(static_cast<std::size_t>(window * e_count));
     for (std::int64_t r = 0; r < window; ++r) {
-      for (std::int64_t e = 0; e < e_total; ++e) {
+      for (std::int64_t e = 0; e < e_count; ++e) {
         colT[static_cast<std::size_t>(e * window + r)] =
-            col[r * e_total + e];
+            col[r * e_count + e];
       }
     }
   }
@@ -84,8 +84,8 @@ void gemm_acc_cols(const ConvDesc& desc, const ConvData& data,
     const std::int64_t oc0 = ob * kOcBlock;
     const std::int64_t oc1 = std::min(oc0 + kOcBlock, desc.out_c);
     std::int64_t acc[kOcBlock][kEBlock];
-    for (std::int64_t e0 = 0; e0 < e_total; e0 += kEBlock) {
-      const std::int64_t eb = std::min(kEBlock, e_total - e0);
+    for (std::int64_t e0 = 0; e0 < e_count; e0 += kEBlock) {
+      const std::int64_t eb = std::min(kEBlock, e_count - e0);
       for (std::int64_t oc = oc0; oc < oc1; ++oc) {
         const std::int64_t init =
             desc.has_bias ? (*data.bias)[static_cast<std::size_t>(oc)] : 0;
@@ -97,7 +97,7 @@ void gemm_acc_cols(const ConvDesc& desc, const ConvData& data,
                              window);
       } else {
         gemm_microkernel(acc[0], kEBlock, static_cast<int>(oc1 - oc0), eb,
-                         col + e0, e_total, weights + oc0 * window, window,
+                         col + e0, e_count, weights + oc0 * window, window,
                          window);
       }
       for (std::int64_t oc = oc0; oc < oc1; ++oc) {
@@ -106,15 +106,6 @@ void gemm_acc_cols(const ConvDesc& desc, const ConvData& data,
       }
     }
   });
-}
-
-template <typename Sink>
-void gemm_acc(const ConvDesc& desc, const ConvData& data, Sink&& sink) {
-  const std::vector<std::int32_t> col_store = im2col(desc, *data.input);
-  const std::int32_t* col =
-      col_store.empty() ? data.input->data() : col_store.data();
-  gemm_acc_cols(desc, data, col, desc.out_h() * desc.out_w(),
-                std::forward<Sink>(sink));
 }
 
 }  // namespace
@@ -135,50 +126,6 @@ TensorI32 direct_forward_gemm(const ConvDesc& desc, const ConvData& data) {
              }
            });
   return out;
-}
-
-std::vector<TensorI32> direct_forward_gemm_batch(const ConvDesc& desc,
-                                                 const ConvData& data) {
-  WF_CHECK(!data.batch_inputs.empty() && data.weights);
-  WF_CHECK(!desc.has_bias || data.bias);
-  const std::int64_t batch =
-      static_cast<std::int64_t>(data.batch_inputs.size());
-  const std::int64_t e_count = desc.out_h() * desc.out_w();
-  const std::int64_t window = desc.in_c * desc.kh * desc.kw;
-  const std::int64_t e_total = batch * e_count;
-  // Per-image column matrices concatenated along e (image b occupies
-  // columns [b*E, (b+1)*E)). The 1x1 passthrough is materialized here —
-  // the concatenation needs one contiguous matrix.
-  std::vector<std::int32_t> col(static_cast<std::size_t>(window * e_total));
-  for (std::int64_t b = 0; b < batch; ++b) {
-    const TensorI32& input = *data.batch_inputs[static_cast<std::size_t>(b)];
-    WF_CHECK(input.shape() == desc.in_shape());
-    const std::vector<std::int32_t> one = im2col(desc, input);
-    const std::int32_t* src = one.empty() ? input.data() : one.data();
-    for (std::int64_t r = 0; r < window; ++r) {
-      std::copy(src + r * e_count, src + (r + 1) * e_count,
-                col.data() + r * e_total + b * e_count);
-    }
-  }
-  std::vector<TensorI32> outs;
-  outs.reserve(static_cast<std::size_t>(batch));
-  for (std::int64_t b = 0; b < batch; ++b) outs.emplace_back(desc.out_shape());
-  gemm_acc_cols(desc, data, col.data(), e_total,
-                [&](std::int64_t oc, std::int64_t e0,
-                    std::span<const std::int64_t> accs) {
-                  // An e-block may straddle image boundaries; route each
-                  // accumulator to its image's output.
-                  for (std::size_t k = 0; k < accs.size(); ++k) {
-                    const std::int64_t g = e0 + static_cast<std::int64_t>(k);
-                    const std::int64_t b = g / e_count;
-                    const std::int64_t e = g % e_count;
-                    outs[static_cast<std::size_t>(b)]
-                        .data()[oc * e_count + e] =
-                        requantize_value(accs[k], data.acc_scale,
-                                         data.out_quant);
-                  }
-                });
-  return outs;
 }
 
 std::int64_t direct_acc_absmax(const ConvDesc& desc, const ConvData& data) {

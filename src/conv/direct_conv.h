@@ -33,16 +33,6 @@ class DirectConvEngine final : public ConvEngine {
 // exactness reference.
 TensorI32 direct_forward_gemm(const ConvDesc& desc, const ConvData& data);
 
-// Batched fault-free fast path over data.batch_inputs: the per-image column
-// matrices are laid side by side in the e axis and run as ONE blocked GEMM,
-// amortizing the weight-tile streaming across images. Each output element's
-// accumulation consumes exactly the terms of its own batch-1 GEMM (column
-// blocking never mixes elements), so every image's result is bit-identical
-// to direct_forward_gemm on that image alone. Golden builds only — fault
-// semantics stay per-inference, batch 1.
-std::vector<TensorI32> direct_forward_gemm_batch(const ConvDesc& desc,
-                                                 const ConvData& data);
-
 // The pre-GEMM reference loop (one direct_output_acc per output element);
 // kept for exactness tests and as a micro-benchmark baseline.
 TensorI32 direct_forward_reference(const ConvDesc& desc, const ConvData& data);

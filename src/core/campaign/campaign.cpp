@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <chrono>
 #include <csignal>
@@ -86,9 +85,13 @@ std::optional<EvalResult> destruction_short_circuit(
 telemetry::Histogram& phase_metric(const char* phase) {
   return telemetry::histogram(
       "winofault_campaign_phase_us",
-      "microseconds per campaign phase unit (wave golden build, per-cell "
-      "replay or scratch inject)",
+      "microseconds per campaign phase unit (golden build, per-cell replay "
+      "or scratch inject)",
       std::string("phase=\"") + phase + "\"");
+}
+telemetry::Histogram& phase_golden_build_metric() {
+  static telemetry::Histogram& h = phase_metric("golden_build");
+  return h;
 }
 telemetry::Histogram& phase_replay_metric() {
   static telemetry::Histogram& h = phase_metric("replay");
@@ -97,11 +100,6 @@ telemetry::Histogram& phase_replay_metric() {
 telemetry::Histogram& phase_inject_metric() {
   static telemetry::Histogram& h = phase_metric("inject");
   return h;
-}
-telemetry::Counter& waves_metric() {
-  static telemetry::Counter& c = telemetry::counter(
-      "winofault_campaign_waves_total", "image waves scheduled");
-  return c;
 }
 telemetry::Counter& cells_metric() {
   static telemetry::Counter& c = telemetry::counter(
@@ -312,28 +310,6 @@ std::vector<std::size_t> resolve_active_points(const Network& network,
   return active;
 }
 
-// Default GoldenLru capacity — ONE formula for both execution paths: the
-// wave working set (one entry per live (image, policy)) plus slack for
-// shards straddling a wave boundary.
-std::size_t default_golden_capacity(const std::vector<CampaignPoint>& points,
-                                    const std::vector<std::size_t>& active,
-                                    std::int64_t images, int threads) {
-  std::int64_t npol = 0;
-  bool seen[3] = {false, false, false};
-  for (const std::size_t p : active) {
-    if (points[p].reuse_golden && !seen[static_cast<int>(points[p].policy)]) {
-      seen[static_cast<int>(points[p].policy)] = true;
-      ++npol;
-    }
-  }
-  const std::int64_t wave_width =
-      std::min<std::int64_t>(images, std::max(threads, 1));
-  return std::max<std::size_t>(
-      static_cast<std::size_t>(wave_width * std::max<std::int64_t>(npol, 1) +
-                               threads),
-      2);
-}
-
 }  // namespace
 
 void GoldenLru::ensure_capacity(std::size_t capacity) {
@@ -425,7 +401,9 @@ GoldenLru::Ptr GoldenLru::get_or_build(
       golden_metric("builds_total", "golden activation builds", variant)
           .add(1);
       telemetry::TraceSpan span("golden_build", "campaign");
+      const std::int64_t t0 = telemetry::now_us();
       ptr = std::make_shared<const GoldenCache>(build());
+      phase_golden_build_metric().observe(telemetry::now_us() - t0);
     }
   } catch (...) {
     // Propagate the real error to concurrent waiters and drop the entry so
@@ -458,131 +436,6 @@ GoldenLru::Ptr GoldenLru::get_or_build(
     if (!still_cached) store->save(image, policy, *ptr, variant);
   }
   return ptr;
-}
-
-void GoldenLru::prime(std::span<const std::int64_t> images, ConvPolicy policy,
-                      const std::function<std::vector<GoldenCache>(
-                          std::span<const std::int64_t>)>& build_batch) {
-  GoldenStore* const store = store_.load();
-  // Claim every absent key under ONE lock acquisition, running the same
-  // eviction-spill dance as get_or_build. Keys already present (ready or in
-  // flight) belong to their builder and are skipped without an LRU bump —
-  // the wave's execute_cell lookups will bump them.
-  struct Claim {
-    std::int64_t image;
-    Key key;
-    std::uint64_t owner;
-    std::promise<Ptr> promise;
-  };
-  std::vector<Claim> claims;
-  std::vector<std::pair<Key, Ptr>> spill;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::int64_t image : images) {
-      // Wave priming serves the clean-silicon tier only; variant goldens
-      // (permanent-fault points) build on demand through get_or_build.
-      const Key key{pack_golden_key(image, policy), 0};
-      if (map_.find(key) != map_.end()) continue;
-      Claim claim;
-      claim.image = image;
-      claim.key = key;
-      claim.owner = ++next_owner_;
-      std::shared_future<Ptr> future = claim.promise.get_future().share();
-      lru_.push_front(key);
-      map_.emplace(key, Entry{future, lru_.begin(), claim.owner});
-      claims.push_back(std::move(claim));
-      while (map_.size() > capacity_) {
-        const Key victim = lru_.back();
-        const auto vit = map_.find(victim);
-        if (store != nullptr &&
-            vit->second.future.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready) {
-          try {
-            if (Ptr ready = vit->second.future.get()) {
-              spill.emplace_back(victim, std::move(ready));
-            }
-          } catch (...) {
-            // failed build: nothing to spill
-          }
-        }
-        map_.erase(vit);
-        lru_.pop_back();
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        golden_metric("evictions_total", "GoldenLru capacity evictions",
-                      victim.variant)
-            .add(1);
-      }
-    }
-  }
-  for (auto& [victim, ready] : spill) {
-    store->save(golden_key_image(victim.base), golden_key_policy(victim.base),
-                *ready, victim.variant);
-  }
-  if (claims.empty()) return;
-  // Resolves one claim: publish to waiters, then — exactly as in
-  // get_or_build — spill to the store if the entry was evicted while
-  // unready (the evictor could not).
-  const auto finish = [&](Claim& claim, Ptr ptr) {
-    claim.promise.set_value(ptr);
-    if (store != nullptr) {
-      bool still_cached;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = map_.find(claim.key);
-        still_cached = it != map_.end() && it->second.owner == claim.owner;
-      }
-      if (!still_cached) store->save(claim.image, policy, *ptr);
-    }
-  };
-  std::vector<bool> resolved(claims.size(), false);
-  try {
-    // Tier-2 restores first; only true misses reach the batched build.
-    std::vector<std::int64_t> miss_images;
-    std::vector<std::size_t> miss_idx;
-    for (std::size_t k = 0; k < claims.size(); ++k) {
-      if (store != nullptr) {
-        if (std::optional<GoldenCache> restored =
-                store->load(claims[k].image, policy)) {
-          finish(claims[k],
-                 std::make_shared<const GoldenCache>(std::move(*restored)));
-          resolved[k] = true;
-          continue;
-        }
-      }
-      miss_images.push_back(claims[k].image);
-      miss_idx.push_back(k);
-    }
-    if (!miss_images.empty()) {
-      builds_.fetch_add(static_cast<std::int64_t>(miss_images.size()),
-                        std::memory_order_relaxed);
-      golden_metric("builds_total", "golden activation builds", 0)
-          .add(static_cast<std::int64_t>(miss_images.size()));
-      telemetry::TraceSpan span("golden_build_batch", "campaign");
-      std::vector<GoldenCache> built = build_batch(miss_images);
-      WF_CHECK(built.size() == miss_images.size());
-      for (std::size_t j = 0; j < miss_idx.size(); ++j) {
-        finish(claims[miss_idx[j]],
-               std::make_shared<const GoldenCache>(std::move(built[j])));
-        resolved[miss_idx[j]] = true;
-      }
-    }
-  } catch (...) {
-    // Propagate the real error to concurrent waiters of every unresolved
-    // claim and drop those entries so later lookups retry (owner check as
-    // in get_or_build).
-    const std::exception_ptr error = std::current_exception();
-    for (std::size_t k = 0; k < claims.size(); ++k) {
-      if (resolved[k]) continue;
-      claims[k].promise.set_exception(error);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (const auto it = map_.find(claims[k].key);
-          it != map_.end() && it->second.owner == claims[k].owner) {
-        lru_.erase(it->second.lru_it);
-        map_.erase(it);
-      }
-    }
-    throw;
-  }
 }
 
 std::int64_t GoldenLru::flush_to_store() {
@@ -620,55 +473,140 @@ std::uint64_t CampaignRunner::env_hash() const {
   return h;
 }
 
-CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
-  WF_CHECK(network_.calibrated());
-  WF_CHECK(!dataset_.images.empty());
-  for (const CampaignPoint& point : spec.points) WF_CHECK(point.trials >= 1);
+namespace {
 
-  // Service clients route campaigns to a resident daemon here; the daemon
-  // side never installs a hook, so its own runs fall through. Results are
-  // bit-identical either way (the daemon executes this same function
-  // against an identically-built environment — tests/service_test.cpp).
-  if (const CampaignSubmitHook& hook = submit_hook_ref()) {
-    if (std::optional<CampaignResult> remote = hook(network_, dataset_, spec)) {
-      return *std::move(remote);
-    }
+// One (image, point) cell to execute; `a` indexes CellPlan::active.
+struct Unit {
+  std::int64_t image;
+  std::uint32_t a;
+};
+
+// What a campaign derives before it executes a cell, the same for a local
+// run and a dist worker: the points left after the destruction
+// short-circuit, their hashes and overlays, the store handles, the golden
+// LRU, and the pending units. Cells the journal already holds seed the
+// tallies instead of becoming pending: every cell is a pure function of
+// (point, image) within this environment, so resumed totals are
+// bit-identical to an uninterrupted run (proved in store_test).
+struct CellPlan {
+  CellPlan(const Network& network, const Dataset& dataset,
+           const CampaignSpec& spec, bool distributed, std::uint64_t env,
+           CampaignResult& result);
+
+  // The one cell loop: runs pending[begin, end) through parallel_for. Each
+  // unit this process has not tallied yet executes, appends to `sink` (a
+  // no-op once the sink refuses appends) and joins its point's tallies, so
+  // a unit counts once however often a dist worker re-runs its bucket.
+  // `before()` runs ahead of each cell and returns false to skip it;
+  // `after(n)` follows each cell, n counting the cells executed so far.
+  template <typename Before, typename After>
+  void execute(std::size_t begin, std::size_t end, Before&& before,
+               After&& after) {
+    parallel_for(static_cast<std::int64_t>(end - begin), threads,
+                 [&](std::int64_t k) {
+      const std::size_t u = begin + static_cast<std::size_t>(k);
+      if (tallied[u] || !before()) return;
+      const std::size_t p = active[pending[u].a];
+      JournalCost cost;
+      const JournalCell cell =
+          execute_cell(network, dataset, spec.points[p], point_hashes[p],
+                       pending[u].image, *lru, overlays[p].get(), &cost);
+      if (sink != nullptr) {
+        sink->append(cell, spec.store.cost_ledger ? &cost : nullptr);
+      }
+      tally(u, cell);
+      inferences.fetch_add(spec.points[p].trials, std::memory_order_relaxed);
+      after(executed.fetch_add(1, std::memory_order_relaxed) + 1);
+    });
   }
 
-  if (spec.store.enabled() && spec.store.dist.enabled()) {
-    if (spec.store.journal) return run_distributed(spec);
-    WF_WARN << "campaign: distributed execution requires the result "
-               "journal; falling back to a local run";
+  void tally(std::size_t u, const JournalCell& cell) {
+    tallied[u] = 1;
+    correct[pending[u].a].fetch_add(cell.correct, std::memory_order_relaxed);
+    flips[pending[u].a].fetch_add(cell.flips, std::memory_order_relaxed);
   }
 
-  const int threads =
-      spec.threads > 0 ? spec.threads : default_thread_count();
-  const std::int64_t images =
-      static_cast<std::int64_t>(dataset_.images.size());
+  // Writes the per-point results and this run's stats into `result`.
+  void finalize();
 
-  CampaignResult result;
+  const Network& network;
+  const Dataset& dataset;
+  const CampaignSpec& spec;
+  CampaignResult& result;
+  const std::uint64_t env;
+  const std::int64_t images;
+  const int threads;
+  std::vector<std::uint64_t> point_hashes;  // parallel to spec.points
+  std::vector<std::size_t> active;          // the points that schedule
+  std::vector<std::unique_ptr<FaultOverlay>> overlays;  // parallel to points
+  // Seeds the pending set. A local run appends to it; a dist worker opens
+  // it read-only and appends to its own segment instead.
+  std::shared_ptr<ResultJournal> journal;
+  std::shared_ptr<GoldenStore> golden_store;
+  std::shared_ptr<ResultJournal> sink;  // where executed cells append
+  // Reused (cached) handles and a shared warm LRU carry activity from
+  // earlier campaigns; per-run stats are relative to these baselines.
+  std::int64_t sink_base = 0;
+  std::int64_t spills_base = 0;
+  std::int64_t restores_base = 0;
+  std::int64_t builds_base = 0;
+  std::int64_t hits_base = 0;
+  std::int64_t evictions_base = 0;
+  std::unique_ptr<GoldenLru> local_lru;  // null when serving a warm tier
+  GoldenLru* lru = nullptr;
+  // Pending units, image-major: a contiguous slice (a pool worker's range,
+  // a dist bucket) covers a few images across all their points, so one
+  // golden per (image, policy) serves the whole slice.
+  std::vector<Unit> pending;
+  std::vector<char> tallied;                       // parallel to pending
+  std::vector<std::atomic<std::int64_t>> correct;  // parallel to active
+  std::vector<std::atomic<std::int64_t>> flips;    // parallel to active
+  std::atomic<std::int64_t> executed{0};
+  std::atomic<std::int64_t> inferences{0};
+};
+
+CellPlan::CellPlan(const Network& network, const Dataset& dataset,
+                   const CampaignSpec& spec, bool distributed,
+                   std::uint64_t env, CampaignResult& result)
+    : network(network),
+      dataset(dataset),
+      spec(spec),
+      result(result),
+      env(env),
+      images(static_cast<std::int64_t>(dataset.images.size())),
+      // Workers of a local coordinator run side by side on one machine and
+      // split it evenly; a hand-started shard on its own host uses all of
+      // it.
+      threads(spec.threads > 0 ? spec.threads
+              : distributed && spec.store.dist.share_host
+                  ? std::max(1, default_thread_count() /
+                                    spec.store.dist.shard_count)
+                  : default_thread_count()) {
   result.points.resize(spec.points.size());
+  point_hashes.reserve(spec.points.size());
+  for (const CampaignPoint& point : spec.points) {
+    point_hashes.push_back(campaign_point_hash(point));
+  }
 
   // Persistent store (core/store): both tiers are keyed by content hashes
   // of the (network, dataset) environment and of each point, so recovered
   // journal cells and restored goldens can never come from different
-  // state than this campaign would compute.
-  std::shared_ptr<ResultJournal> journal;
-  std::shared_ptr<GoldenStore> golden_store;
-  std::vector<std::uint64_t> point_hashes;
+  // state than this campaign would compute. Dist workers never write the
+  // canonical journal (the merge step owns it), so N workers can recover
+  // it concurrently without racing on its repair path.
   if (spec.store.enabled()) {
-    const std::uint64_t env = env_hash();
-    point_hashes.resize(spec.points.size());
-    for (std::size_t p = 0; p < spec.points.size(); ++p) {
-      point_hashes[p] = campaign_point_hash(spec.points[p]);
-    }
+    const ResultJournal::Mode mode = distributed
+                                         ? ResultJournal::Mode::kReadOnly
+                                         : ResultJournal::Mode::kAppend;
     if (spec.store.reuse_handles) {
-      const StoreHandles handles = acquire_store_handles(spec.store, env);
+      const StoreHandles handles =
+          acquire_store_handles(spec.store, env, mode);
       journal = handles.journal;
       golden_store = handles.goldens;
     } else {
       if (spec.store.journal) {
-        journal = std::make_shared<ResultJournal>(spec.store.dir, env);
+        journal =
+            std::make_shared<ResultJournal>(spec.store.dir, env, mode);
       }
       if (spec.store.spill_goldens) {
         golden_store = std::make_shared<GoldenStore>(
@@ -676,256 +614,155 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
       }
     }
   }
+  if (!distributed && journal != nullptr) {
+    sink = journal;
+    sink_base = journal->appended_cells();
+  }
+  if (golden_store != nullptr) {
+    spills_base = golden_store->spills();
+    restores_base = golden_store->restores();
+  }
 
-  // Reused (cached) handles carry activity from earlier campaigns in this
-  // process; per-run accounting is relative to these baselines.
-  const std::int64_t journal_base =
-      journal != nullptr ? journal->appended_cells() : 0;
-  const std::int64_t spills_base =
-      golden_store != nullptr ? golden_store->spills() : 0;
-  const std::int64_t restores_base =
-      golden_store != nullptr ? golden_store->restores() : 0;
+  active = resolve_active_points(network, dataset, spec, &result);
+  if (active.empty()) return;
+  overlays = build_point_overlays(network, spec, active);
 
-  // Resolve destruction short-circuits up front; only surviving points are
-  // scheduled.
-  const std::vector<std::size_t> active =
-      resolve_active_points(network_, dataset_, spec, &result);
-  if (active.empty()) return result;
-
-  const std::vector<std::unique_ptr<FaultOverlay>> overlays =
-      build_point_overlays(network_, spec, active);
-
-  // Wave width: how many images are "live" at once. Concurrent shards land
-  // on distinct images of the wave, so golden builds parallelize across
-  // the pool instead of serializing on one image's key.
-  const std::int64_t wave_width =
-      std::min<std::int64_t>(images, std::max(threads, 1));
-
+  // Default LRU capacity: one entry per (image, live policy) for the
+  // min(images, threads) images the pool works on at once, plus
+  // one-per-worker slack for a thief that starts on a fresh image.
+  std::int64_t policies = 0;
+  bool seen[3] = {false, false, false};  // one per ConvPolicy value
+  for (const std::size_t p : active) {
+    const int policy = static_cast<int>(spec.points[p].policy);
+    if (spec.points[p].reuse_golden && !seen[policy]) {
+      seen[policy] = true;
+      ++policies;
+    }
+  }
+  policies = std::max<std::int64_t>(policies, 1);
   const std::size_t capacity =
       spec.golden_capacity > 0
           ? spec.golden_capacity
-          : default_golden_capacity(spec.points, active, images, threads);
-  // External warm tier (core/service): serve goldens from the caller's
-  // shared cross-campaign LRU instead of a campaign-local one. Its spill
-  // target and end-of-run flush belong to its owner; stats below are
-  // reported relative to the baselines so a long-lived LRU's history does
-  // not leak into this run's numbers.
-  GoldenLru local_lru(capacity, golden_store.get());
-  GoldenLru& lru =
-      spec.warm_goldens != nullptr ? *spec.warm_goldens : local_lru;
+          : static_cast<std::size_t>(std::max<std::int64_t>(
+                std::min<std::int64_t>(images, threads) * policies + threads,
+                2));
   if (spec.warm_goldens != nullptr) {
-    // A cross-submission warm tier exists to serve the NEXT submission,
-    // so it must retain this campaign's full golden set — the wave-sized
-    // `capacity` above only covers one pass and would evict everything a
-    // resident daemon keeps warm (images stream through it).
-    std::int64_t npol = 0;
-    bool seen[3] = {false, false, false};
-    for (const std::size_t p : active) {
-      const int policy = static_cast<int>(spec.points[p].policy);
-      if (spec.points[p].reuse_golden && !seen[policy]) {
-        seen[policy] = true;
-        ++npol;
-      }
-    }
-    lru.ensure_capacity(std::max(
-        capacity, static_cast<std::size_t>(
-                      images * std::max<std::int64_t>(npol, 1) + threads)));
+    // External warm tier (core/service): the caller's cross-campaign LRU
+    // exists to serve the NEXT submission, so it must retain this
+    // campaign's full golden set — `capacity` only covers the images in
+    // flight and would evict everything a resident daemon keeps warm. Its
+    // spill target and end-of-run flush belong to its owner.
+    lru = spec.warm_goldens;
+    lru->ensure_capacity(std::max(
+        capacity, static_cast<std::size_t>(images * policies + threads)));
+  } else {
+    local_lru = std::make_unique<GoldenLru>(capacity, golden_store.get());
+    lru = local_lru.get();
   }
-  const std::int64_t lru_builds_base = lru.builds();
-  const std::int64_t lru_hits_base = lru.hits();
-  const std::int64_t lru_evictions_base = lru.evictions();
+  builds_base = lru->builds();
+  hits_base = lru->hits();
+  evictions_base = lru->evictions();
 
-  // Per-active-point tallies; integer sums make the result independent of
-  // the schedule.
-  std::vector<std::atomic<std::int64_t>> correct(active.size());
-  std::vector<std::atomic<std::int64_t>> flips(active.size());
-
-  // One unit = (image, point). Units are ordered in image waves of
-  // `wave_width`, point-major inside a wave (image varies fastest): the
-  // pool streams through bounded image windows — the access pattern the
-  // LRU retains — while neighbouring units touch different images, so the
-  // expensive golden builds spread across workers instead of funnelling
-  // through one in-flight future. Every point of a wave image that shares
-  // a policy reuses a single golden build.
-  //
-  // Cells already journaled by a previous run seed the tallies directly;
-  // only the remainder is scheduled. Because every cell is a pure function
-  // of (point, image) within this environment, the resumed totals are
-  // bit-identical to an uninterrupted run (proved in store_test).
-  struct Unit {
-    std::int64_t image;
-    std::uint32_t a;  // index into `active`
-  };
-  std::vector<Unit> units;
-  // End offset of each wave's unit slice: wave k owns
-  // units[wave_bounds[k-1], wave_bounds[k]). Slices are contiguous by
-  // construction (units append wave by wave) and drive the per-wave
-  // batched golden priming below.
-  std::vector<std::size_t> wave_bounds;
-  units.reserve(static_cast<std::size_t>(images) * active.size());
-  for (std::int64_t wave = 0; wave < images; wave += wave_width) {
-    const std::int64_t wave_end = std::min(images, wave + wave_width);
+  correct = std::vector<std::atomic<std::int64_t>>(active.size());
+  flips = std::vector<std::atomic<std::int64_t>>(active.size());
+  for (std::int64_t i = 0; i < images; ++i) {
     for (std::size_t a = 0; a < active.size(); ++a) {
-      for (std::int64_t i = wave; i < wave_end; ++i) {
-        if (journal != nullptr) {
-          JournalCell cell;
-          if (journal->lookup(point_hashes[active[a]], i, &cell)) {
-            correct[a].fetch_add(cell.correct, std::memory_order_relaxed);
-            flips[a].fetch_add(cell.flips, std::memory_order_relaxed);
-            ++result.stats.journal_cells_loaded;
-            continue;
-          }
-        }
-        units.push_back(Unit{i, static_cast<std::uint32_t>(a)});
+      JournalCell cell;
+      if (journal != nullptr &&
+          journal->lookup(point_hashes[active[a]], i, &cell)) {
+        correct[a] += cell.correct;
+        flips[a] += cell.flips;
+        ++result.stats.journal_cells_loaded;
+      } else {
+        pending.push_back(Unit{i, static_cast<std::uint32_t>(a)});
       }
     }
-    wave_bounds.push_back(units.size());
   }
+
   // The budget only applies when an appendable journal exists to pick up
   // the deferred cells: without one (store disabled, or the journal file
   // unwritable) a truncated run could never be resumed, so the budget
   // would silently lose cells instead of checkpointing them.
-  if (journal != nullptr && journal->can_append() &&
-      spec.store.cell_budget > 0 &&
-      static_cast<std::int64_t>(units.size()) > spec.store.cell_budget) {
+  const std::int64_t budget = spec.store.cell_budget;
+  if (budget > 0 && distributed) {
+    WF_WARN << "campaign: cell_budget is ignored under distributed "
+               "execution (workers cooperate to finish every cell)";
+  } else if (budget > 0 && journal != nullptr && journal->can_append() &&
+             static_cast<std::int64_t>(pending.size()) > budget) {
     result.stats.cells_deferred =
-        static_cast<std::int64_t>(units.size()) - spec.store.cell_budget;
-    units.resize(static_cast<std::size_t>(spec.store.cell_budget));
+        static_cast<std::int64_t>(pending.size()) - budget;
+    pending.resize(static_cast<std::size_t>(budget));
     // Partial tallies flow into the returned accuracies, so no consumer
     // may mistake a budgeted checkpoint run for finished results.
     WF_WARN << "campaign: cell budget deferred "
             << result.stats.cells_deferred << " of "
-            << result.stats.cells_deferred + spec.store.cell_budget
+            << result.stats.cells_deferred + budget
             << " pending cells; reported point results are PARTIAL until a "
                "resume finishes them";
   }
+  tallied.assign(pending.size(), 0);
+}
 
-  // Progress/cancel bookkeeping (core/service): `done` feeds on_progress
-  // snapshots; `cancelled` counts cells skipped after the cancel flag
-  // flipped — they join cells_deferred, so a cancelled stored job is
-  // exactly a budget-truncated one (resubmitting resumes from the
-  // journal). `inferences` counts executed cells only.
-  const std::int64_t cells_total = static_cast<std::int64_t>(units.size());
-  std::atomic<std::int64_t> done{0};
+void CellPlan::finalize() {
+  for (std::size_t a = 0; a < active.size(); ++a) {
+    const double runs = static_cast<double>(images) *
+                        static_cast<double>(spec.points[active[a]].trials);
+    EvalResult& r = result.points[active[a]];
+    r.images = static_cast<int>(images);
+    r.accuracy = static_cast<double>(correct[a].load()) / runs;
+    r.avg_flips = static_cast<double>(flips[a].load()) / runs;
+  }
+  result.stats.inferences = inferences.load();
+  // A shared warm tier outlives this campaign: flushing (and the decision
+  // when to) belongs to its owner — the daemon flushes at drain.
+  if (local_lru != nullptr) {
+    result.stats.golden_flushed = local_lru->flush_to_store();
+  }
+  result.stats.golden_builds = lru->builds() - builds_base;
+  result.stats.golden_hits = lru->hits() - hits_base;
+  result.stats.golden_evictions = lru->evictions() - evictions_base;
+  if (sink != nullptr) {
+    result.stats.journal_cells_written = sink->appended_cells() - sink_base;
+  }
+  if (golden_store != nullptr) {
+    result.stats.golden_spills = golden_store->spills() - spills_base;
+    result.stats.golden_restores = golden_store->restores() - restores_base;
+  }
+}
+
+// Local execution: this process runs every pending unit. `cancelled`
+// counts cells skipped after the cancel flag flipped — they join
+// cells_deferred, so a cancelled stored job is exactly a budget-truncated
+// one (resubmitting resumes from the journal).
+void run_local(CellPlan& plan) {
+  const CampaignSpec& spec = plan.spec;
+  CampaignResult& result = plan.result;
+  const std::int64_t cells_total =
+      static_cast<std::int64_t>(plan.pending.size());
   std::atomic<std::int64_t> cancelled{0};
-  std::atomic<std::int64_t> inferences{0};
   const auto emit_progress = [&] {
     if (!spec.on_progress) return;
     CampaignProgress progress;
     progress.cells_total = cells_total;
-    progress.cells_done = done.load(std::memory_order_relaxed);
+    progress.cells_done = plan.executed.load(std::memory_order_relaxed);
     progress.cells_loaded = result.stats.journal_cells_loaded;
     progress.cells_deferred = result.stats.cells_deferred +
                               cancelled.load(std::memory_order_relaxed);
     spec.on_progress(progress);
   };
   emit_progress();  // totals up front, even for fully journal-served runs
-
-  // Wave-sliced execution. Before a wave's cells run, every (image, policy)
-  // golden the wave will reuse is primed through ONE batched golden build
-  // per policy (Network::make_golden_batch — bit-identical to per-image
-  // builds), so conv layers amortize their im2col/GEMM launch cost across
-  // the whole image wave instead of paying it once per image. Keys another
-  // thread already holds (warm daemon tier) and tier-2 restores are honored
-  // by prime; execute_cell's get_or_build then hits ready futures. A wave
-  // truncated by the cell budget primes only the cells it actually kept.
-  std::size_t wave_begin = 0;
-  telemetry::TraceSpan run_span("campaign_run", "campaign");
-  for (const std::size_t bound : wave_bounds) {
-    const std::size_t wave_end = std::min(bound, units.size());
-    if (wave_begin >= wave_end) continue;
-    waves_metric().add(1);
-    telemetry::TraceSpan wave_span("campaign_wave", "campaign");
-    const bool cancel_now = spec.cancel != nullptr &&
-                            spec.cancel->load(std::memory_order_relaxed);
-    if (!cancel_now) {
-      telemetry::TraceSpan prime_span("wave_golden_prime", "campaign");
-      const std::int64_t prime_t0 = telemetry::now_us();
-      // Distinct wave images per policy; 3 mirrors `seen[3]` above (the
-      // ConvPolicy value count).
-      std::array<std::vector<std::int64_t>, 3> wave_images;
-      for (std::size_t u = wave_begin; u < wave_end; ++u) {
-        const std::size_t p = active[units[u].a];
-        const CampaignPoint& point = spec.points[p];
-        // Overlay points use variant goldens, which prime cannot serve —
-        // they build on demand inside execute_cell.
-        if (!point.reuse_golden || overlays[p] != nullptr) continue;
-        wave_images[static_cast<int>(point.policy)].push_back(units[u].image);
-      }
-      for (int pol = 0; pol < 3; ++pol) {
-        std::vector<std::int64_t>& imgs = wave_images[pol];
-        if (imgs.empty()) continue;
-        std::sort(imgs.begin(), imgs.end());
-        imgs.erase(std::unique(imgs.begin(), imgs.end()), imgs.end());
-        const ConvPolicy policy = static_cast<ConvPolicy>(pol);
-        lru.prime(imgs, policy, [&](std::span<const std::int64_t> miss) {
-          std::vector<TensorF> batch;
-          batch.reserve(miss.size());
-          for (const std::int64_t m : miss) {
-            batch.push_back(dataset_.images[static_cast<std::size_t>(m)]);
-          }
-          return network_.make_golden_batch(batch, policy);
-        });
-      }
-      phase_metric("golden_build").observe(telemetry::now_us() - prime_t0);
-    }
-    telemetry::TraceSpan exec_span("wave_exec", "campaign");
-    parallel_for(static_cast<std::int64_t>(wave_end - wave_begin), threads,
-                 [&, wave_begin](std::int64_t w) {
-      const std::size_t u = wave_begin + static_cast<std::size_t>(w);
-      if (spec.cancel != nullptr &&
-          spec.cancel->load(std::memory_order_relaxed)) {
+  plan.execute(
+      0, plan.pending.size(),
+      [&] {
+        if (spec.cancel == nullptr ||
+            !spec.cancel->load(std::memory_order_relaxed)) {
+          return true;
+        }
         cancelled.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      const std::int64_t i = units[u].image;
-      const std::size_t a = units[u].a;
-      const std::size_t p = active[a];
-      JournalCost cost;
-      const JournalCell cell =
-          execute_cell(network_, dataset_, spec.points[p],
-                       point_hashes.empty() ? 0 : point_hashes[p], i, lru,
-                       overlays[p].get(), &cost);
-      if (journal != nullptr) {
-        journal->append(cell, spec.store.cost_ledger ? &cost : nullptr);
-      }
-      correct[a].fetch_add(cell.correct, std::memory_order_relaxed);
-      flips[a].fetch_add(cell.flips, std::memory_order_relaxed);
-      inferences.fetch_add(spec.points[p].trials, std::memory_order_relaxed);
-      done.fetch_add(1, std::memory_order_relaxed);
-      emit_progress();
-    });
-    wave_begin = wave_end;
-  }
+        return false;
+      },
+      [&](std::int64_t) { emit_progress(); });
   result.stats.cells_deferred += cancelled.load();
-
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    const CampaignPoint& point = spec.points[active[a]];
-    const double inferences = static_cast<double>(images) *
-                              static_cast<double>(point.trials);
-    EvalResult& r = result.points[active[a]];
-    r.images = static_cast<int>(images);
-    r.accuracy = static_cast<double>(correct[a].load()) / inferences;
-    r.avg_flips = static_cast<double>(flips[a].load()) / inferences;
-  }
-  result.stats.inferences = inferences.load();
-  // A shared warm tier outlives this campaign: flushing (and the decision
-  // when to) belongs to its owner — the daemon flushes at drain.
-  if (spec.warm_goldens == nullptr) {
-    result.stats.golden_flushed = lru.flush_to_store();
-  }
-  result.stats.golden_builds = lru.builds() - lru_builds_base;
-  result.stats.golden_hits = lru.hits() - lru_hits_base;
-  result.stats.golden_evictions = lru.evictions() - lru_evictions_base;
-  if (journal != nullptr) {
-    result.stats.journal_cells_written =
-        journal->appended_cells() - journal_base;
-  }
-  if (golden_store != nullptr) {
-    result.stats.golden_spills = golden_store->spills() - spills_base;
-    result.stats.golden_restores = golden_store->restores() - restores_base;
-  }
-  return result;
 }
 
 // Distributed execution (core/dist). This process is worker shard_index of
@@ -945,9 +782,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
 //      from canonical cells + the union of all segments. The totals are
 //      integer sums of deterministic cells, so the assembled result is
 //      bit-identical to a single-process run (tests/dist_test.cpp).
-CampaignResult CampaignRunner::run_distributed(
-    const CampaignSpec& spec) const {
-  telemetry::TraceSpan run_span("campaign_run_distributed", "dist");
+void run_distributed(CellPlan& plan) {
   static telemetry::Counter& claims_metric = telemetry::counter(
       "winofault_dist_buckets_claimed_total",
       "cost buckets this process claimed from the board");
@@ -960,129 +795,20 @@ CampaignResult CampaignRunner::run_distributed(
   static telemetry::Counter& healed_metric = telemetry::counter(
       "winofault_dist_cells_healed_total",
       "cells missing from every segment and re-executed locally");
+  const CampaignSpec& spec = plan.spec;
   const DistOptions& dist = spec.store.dist;
-  WF_CHECK(dist.shard_index >= 0 && dist.shard_index < dist.shard_count);
-  const std::uint64_t env = env_hash();
+  CampaignResult& result = plan.result;
+  const std::vector<Unit>& pending = plan.pending;
+  const std::vector<std::size_t>& active = plan.active;
+  if (pending.empty()) return;
   std::string tag = sanitize_worker_tag(dist.worker_tag);
   if (tag.empty()) tag = default_worker_tag();
-
-  // Workers of a local coordinator run side by side on one machine and
-  // split it evenly; a hand-started shard on its own host uses all of it.
-  const int threads =
-      spec.threads > 0
-          ? spec.threads
-          : (dist.share_host
-                 ? std::max(1, default_thread_count() / dist.shard_count)
-                 : default_thread_count());
-
-  CampaignResult result;
-  result.points.resize(spec.points.size());
-
-  std::vector<std::uint64_t> point_hashes(spec.points.size());
-  for (std::size_t p = 0; p < spec.points.size(); ++p) {
-    point_hashes[p] = campaign_point_hash(spec.points[p]);
-  }
-
-  const std::vector<std::size_t> active =
-      resolve_active_points(network_, dataset_, spec, &result);
-  if (active.empty()) return result;
-
-  // Overlays are derived, not communicated: every worker computes the
-  // identical per-point defect sets from the spec alone.
-  const std::vector<std::unique_ptr<FaultOverlay>> overlays =
-      build_point_overlays(network_, spec, active);
-
-  if (spec.store.cell_budget > 0) {
-    WF_WARN << "campaign: cell_budget is ignored under distributed "
-               "execution (workers cooperate to finish every cell)";
-  }
-
-  // Canonical journal, read-only: workers never write it (the merge step
-  // owns it), so N workers can recover it concurrently without racing on
-  // its repair path.
-  std::shared_ptr<ResultJournal> canonical;
-  std::shared_ptr<GoldenStore> golden_store;
-  if (spec.store.reuse_handles) {
-    const StoreHandles handles = acquire_store_handles(
-        spec.store, env, ResultJournal::Mode::kReadOnly);
-    canonical = handles.journal;
-    golden_store = handles.goldens;
-  } else {
-    canonical = std::make_shared<ResultJournal>(
-        spec.store.dir, env, ResultJournal::Mode::kReadOnly);
-    if (spec.store.spill_goldens) {
-      golden_store = std::make_shared<GoldenStore>(
-          spec.store.dir, env, spec.store.golden_disk_budget);
-    }
-  }
-  // Reused (cached) handles carry activity from earlier campaigns in this
-  // process; per-run accounting is relative to these baselines.
-  const std::int64_t spills_base =
-      golden_store != nullptr ? golden_store->spills() : 0;
-  const std::int64_t restores_base =
-      golden_store != nullptr ? golden_store->restores() : 0;
-
-  // Pending units, image-major: contiguous bucket slices then cover a few
-  // images across all their points, so one golden per (image, policy)
-  // serves a whole slice.
-  const std::int64_t images =
-      static_cast<std::int64_t>(dataset_.images.size());
-  struct Unit {
-    std::int64_t image;
-    std::uint32_t a;
-  };
-  std::vector<Unit> pending;
-  std::vector<std::uint64_t> pending_keys;
-  std::vector<std::atomic<std::int64_t>> correct(active.size());
-  std::vector<std::atomic<std::int64_t>> flips(active.size());
-  for (std::int64_t i = 0; i < images; ++i) {
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      JournalCell cell;
-      if (canonical->lookup(point_hashes[active[a]], i, &cell)) {
-        correct[a].fetch_add(cell.correct, std::memory_order_relaxed);
-        flips[a].fetch_add(cell.flips, std::memory_order_relaxed);
-        ++result.stats.journal_cells_loaded;
-        continue;
-      }
-      pending.push_back(Unit{i, static_cast<std::uint32_t>(a)});
-      pending_keys.push_back(
-          journal_cell_key(point_hashes[active[a]], i));
-    }
-  }
-
-  const auto finalize = [&](GoldenLru* lru, std::int64_t cells_written) {
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const CampaignPoint& point = spec.points[active[a]];
-      const double inferences = static_cast<double>(images) *
-                                static_cast<double>(point.trials);
-      EvalResult& r = result.points[active[a]];
-      r.images = static_cast<int>(images);
-      r.accuracy = static_cast<double>(correct[a].load()) / inferences;
-      r.avg_flips = static_cast<double>(flips[a].load()) / inferences;
-    }
-    if (lru != nullptr) {
-      result.stats.golden_flushed = lru->flush_to_store();
-      result.stats.golden_builds = lru->builds();
-      result.stats.golden_hits = lru->hits();
-      result.stats.golden_evictions = lru->evictions();
-    }
-    result.stats.journal_cells_written = cells_written;
-    if (golden_store != nullptr) {
-      result.stats.golden_spills = golden_store->spills() - spills_base;
-      result.stats.golden_restores =
-          golden_store->restores() - restores_base;
-    }
-  };
-  if (pending.empty()) {
-    finalize(nullptr, 0);
-    return result;
-  }
 
   // Cost-aware buckets + claim board: identical in every worker because
   // both derive from the canonical pending set alone.
   std::vector<double> point_weight(active.size());
   for (std::size_t a = 0; a < active.size(); ++a) {
-    point_weight[a] = cell_cost_weight(network_, spec.points[active[a]]);
+    point_weight[a] = cell_cost_weight(plan.network, spec.points[active[a]]);
   }
   // Prefer MEASURED costs from the canonical journal's cost ledger (cells
   // of the same point finished in earlier runs/resumes): a point with
@@ -1094,12 +820,12 @@ CampaignResult CampaignRunner::run_distributed(
   // identical bucket partition. Weights steer scheduling only; results are
   // pure functions of the cell key either way.
   {
-    const auto measured = canonical->point_costs();
+    const auto measured = plan.journal->point_costs();
     std::vector<double> mean_us(active.size(), 0.0);
     double measured_sum = 0.0, estimate_sum = 0.0;
     std::size_t measured_points = 0;
     for (std::size_t a = 0; a < active.size(); ++a) {
-      const auto it = measured.find(point_hashes[active[a]]);
+      const auto it = measured.find(plan.point_hashes[active[a]]);
       if (it == measured.end() || it->second.cells <= 0) continue;
       mean_us[a] = std::max(static_cast<double>(it->second.wall_us) /
                                 static_cast<double>(it->second.cells),
@@ -1123,8 +849,11 @@ CampaignResult CampaignRunner::run_distributed(
     }
   }
   std::vector<double> weights(pending.size());
+  std::vector<std::uint64_t> pending_keys(pending.size());
   for (std::size_t u = 0; u < pending.size(); ++u) {
     weights[u] = point_weight[pending[u].a];
+    pending_keys[u] = journal_cell_key(
+        plan.point_hashes[active[pending[u].a]], pending[u].image);
   }
   const std::size_t target_buckets =
       std::min(pending.size(),
@@ -1135,259 +864,262 @@ CampaignResult CampaignRunner::run_distributed(
       make_cost_buckets(weights, target_buckets);
   const int bucket_count = static_cast<int>(buckets.size());
   ClaimBoard board(spec.store.dir,
-                   dist_board_key(env, pending_keys, buckets.size()), tag,
-                   dist.claim_stale_ms);
+                   dist_board_key(plan.env, pending_keys, buckets.size()),
+                   tag, dist.claim_stale_ms);
 
-  // This worker's own journal segment. If it cannot take appends, claimed
-  // work would be lost to every other worker — degrade to a local run of
-  // all pending cells (correct, just not cooperative). Cached under
-  // reuse_handles so a sequential-adaptive consumer (TMR planner checks)
-  // does not re-read its own growing segment per campaign.
+  // This worker's own journal segment, cached under reuse_handles so a
+  // sequential-adaptive consumer (TMR planner checks) does not re-read its
+  // own growing segment per campaign.
   std::shared_ptr<ResultJournal> segment;
   if (spec.store.reuse_handles) {
-    segment = acquire_store_handles(spec.store, env,
+    segment = acquire_store_handles(spec.store, plan.env,
                                     ResultJournal::Mode::kAppend, tag)
                   .journal;
   }
   if (segment == nullptr) {
     segment = std::make_shared<ResultJournal>(
-        spec.store.dir, env, ResultJournal::Mode::kAppend, tag);
+        spec.store.dir, plan.env, ResultJournal::Mode::kAppend, tag);
   }
-  // A reused handle carries appends from earlier campaigns; all per-run
-  // accounting below is relative to this baseline.
-  const std::int64_t segment_base = segment->appended_cells();
-  const std::size_t capacity =
-      spec.golden_capacity > 0
-          ? spec.golden_capacity
-          : default_golden_capacity(spec.points, active, images, threads);
-  GoldenLru lru(capacity, golden_store.get());
+  plan.sink = segment;
+  plan.sink_base = segment->appended_cells();
 
-  std::atomic<std::int64_t> executed{0};
-  std::atomic<std::int64_t> inferences{0};
   std::atomic<std::int64_t> last_heartbeat_ms{0};
   const auto now_ms = [] {
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
   };
-  const auto execute_unit = [&](const Unit& unit) {
-    const std::size_t p = active[unit.a];
-    JournalCost cost;
-    const JournalCell cell =
-        execute_cell(network_, dataset_, spec.points[p], point_hashes[p],
-                     unit.image, lru, overlays[p].get(), &cost);
-    // no-op if the segment is unwritable
-    segment->append(cell, spec.store.cost_ledger ? &cost : nullptr);
-    inferences.fetch_add(spec.points[p].trials, std::memory_order_relaxed);
-    const std::int64_t n =
-        executed.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (dist.die_after_cells > 0 && n >= dist.die_after_cells) {
+  const auto die_switch = [&](std::int64_t executed) {
+    if (dist.die_after_cells > 0 && executed >= dist.die_after_cells) {
       // Deterministic crash simulation for tests/CI: die exactly like a
       // kill -9 — no cleanup, claims left to go stale and be stolen.
       WF_WARN << "campaign: worker " << tag << " self-SIGKILL after "
               << dist.die_after_cells << " cells (die_after_cells)";
       std::raise(SIGKILL);
     }
-    return cell;
   };
   const auto execute_bucket = [&](int b) {
     const CostBucket& bucket = buckets[static_cast<std::size_t>(b)];
     last_heartbeat_ms.store(now_ms(), std::memory_order_relaxed);
-    parallel_for(static_cast<std::int64_t>(bucket.end - bucket.begin),
-                 threads, [&](std::int64_t k) {
-      // Freshen the claim BEFORE the (possibly long) cell so the mtime is
-      // at worst one cell old; rate-limited to a fraction of the
-      // staleness window. A single cell longer than claim_stale_ms can
-      // still be presumed abandoned and stolen — wasted duplicate work,
-      // never divergence — so size the window above the heaviest cell.
-      const std::int64_t now = now_ms();
-      std::int64_t last = last_heartbeat_ms.load(std::memory_order_relaxed);
-      if (now - last >= std::max<std::int64_t>(dist.claim_stale_ms / 4, 1) &&
-          last_heartbeat_ms.compare_exchange_strong(last, now)) {
-        board.heartbeat(b);
-      }
-      execute_unit(pending[bucket.begin + static_cast<std::size_t>(k)]);
-    });
+    plan.execute(
+        bucket.begin, bucket.end,
+        [&] {
+          // Freshen the claim BEFORE the (possibly long) cell so the mtime
+          // is at worst one cell old; rate-limited to a fraction of the
+          // staleness window. A single cell longer than claim_stale_ms can
+          // still be presumed abandoned and stolen — wasted duplicate
+          // work, never divergence — so size the window above the
+          // heaviest cell.
+          const std::int64_t now = now_ms();
+          std::int64_t last =
+              last_heartbeat_ms.load(std::memory_order_relaxed);
+          if (now - last >=
+                  std::max<std::int64_t>(dist.claim_stale_ms / 4, 1) &&
+              last_heartbeat_ms.compare_exchange_strong(last, now)) {
+            board.heartbeat(b);
+          }
+          return true;
+        },
+        die_switch);
   };
 
   if (!segment->can_append()) {
+    // Claimed work would be lost to every other worker: degrade to running
+    // every pending cell here, off the board (correct, just not
+    // cooperative). The executor tallies them, so assembly finds nothing
+    // left to resolve.
     WF_WARN << "campaign: worker segment " << segment->path()
             << " is unwritable; executing all pending cells locally "
                "(results stay correct but are not shared)";
-    // Same per-cell bookkeeping (execution counter, die switch) as the
-    // cooperative path, but tallied directly — there is no assembly pass
-    // down here.
-    parallel_for(static_cast<std::int64_t>(pending.size()), threads,
-                 [&](std::int64_t u) {
-      const Unit& unit = pending[static_cast<std::size_t>(u)];
-      const JournalCell cell = execute_unit(unit);
-      correct[unit.a].fetch_add(cell.correct, std::memory_order_relaxed);
-      flips[unit.a].fetch_add(cell.flips, std::memory_order_relaxed);
-    });
-    result.stats.dist_cells_executed = executed.load();
-    result.stats.inferences = inferences.load();
-    finalize(&lru, 0);
-    return result;
-  }
-
-  // Claim / steal / wait until every bucket is done. `order` rotates the
-  // heaviest-first preference per shard so workers fan out instead of
-  // racing on the same bucket.
-  const std::vector<int> order =
-      bucket_claim_order(buckets, dist.shard_index, dist.shard_count);
-  int fruitless_rounds = 0;  // no progress AND no live claim anywhere
-  while (true) {
-    int done = 0;
-    bool progressed = false;
-    for (const int b : order) {
-      if (board.is_done(b)) {
-        ++done;
-        continue;
-      }
-      if (board.try_claim(b)) {
-        execute_bucket(b);
-        board.mark_done(b);
-        ++result.stats.dist_buckets_claimed;
-        claims_metric.add(1);
-        ++done;
-        progressed = true;
-      }
-    }
-    if (done >= bucket_count) break;
-    if (!progressed) {
-      // Every unfinished bucket is claimed by a rival: steal the stale
-      // ones (dead workers), otherwise wait for the live ones.
+    plan.execute(0, pending.size(), [] { return true; }, die_switch);
+  } else {
+    // Claim / steal / wait until every bucket is done. `order` rotates the
+    // heaviest-first preference per shard so workers fan out instead of
+    // racing on the same bucket.
+    const std::vector<int> order =
+        bucket_claim_order(buckets, dist.shard_index, dist.shard_count);
+    int fruitless_rounds = 0;  // no progress AND no live claim anywhere
+    while (true) {
+      int done = 0;
+      bool progressed = false;
       for (const int b : order) {
-        if (!board.is_done(b) && board.try_steal(b)) {
-          if (telemetry::events_enabled()) {
-            telemetry::emit_event("dist_steal", {{"worker", tag}},
-                                  {{"bucket", b}});
-          }
+        if (board.is_done(b)) {
+          ++done;
+          continue;
+        }
+        if (board.try_claim(b)) {
           execute_bucket(b);
           board.mark_done(b);
           ++result.stats.dist_buckets_claimed;
-          ++result.stats.dist_buckets_stolen;
           claims_metric.add(1);
-          steals_metric.add(1);
+          ++done;
           progressed = true;
         }
       }
-    }
-    if (!progressed) {
-      // Liveness guard: if our claims fail while NO unfinished bucket has
-      // a claim either, nobody can be making progress — the board is
-      // unusable (directory uncreatable, or deleted out from under live
-      // workers by a premature merge). Waiting would hang forever;
-      // execute the remainder non-cooperatively instead (duplicate work
-      // at worst, never divergence).
-      bool any_claim = false;
-      for (const int b : order) {
-        if (!board.is_done(b) && board.has_claim(b)) {
-          any_claim = true;
+      if (done >= bucket_count) break;
+      if (!progressed) {
+        // Every unfinished bucket is claimed by a rival: steal the stale
+        // ones (dead workers), otherwise wait for the live ones.
+        for (const int b : order) {
+          if (!board.is_done(b) && board.try_steal(b)) {
+            if (telemetry::events_enabled()) {
+              telemetry::emit_event("dist_steal", {{"worker", tag}},
+                                    {{"bucket", b}});
+            }
+            execute_bucket(b);
+            board.mark_done(b);
+            ++result.stats.dist_buckets_claimed;
+            ++result.stats.dist_buckets_stolen;
+            claims_metric.add(1);
+            steals_metric.add(1);
+            progressed = true;
+          }
+        }
+      }
+      if (!progressed) {
+        // Liveness guard: if our claims fail while NO unfinished bucket
+        // has a claim either, nobody can be making progress — the board is
+        // unusable (directory uncreatable, or deleted out from under live
+        // workers by a premature merge). Waiting would hang forever;
+        // execute the remainder non-cooperatively instead (duplicate work
+        // at worst, never divergence).
+        bool any_claim = false;
+        for (const int b : order) {
+          if (!board.is_done(b) && board.has_claim(b)) {
+            any_claim = true;
+            break;
+          }
+        }
+        fruitless_rounds = any_claim ? 0 : fruitless_rounds + 1;
+        if (!board.usable() || fruitless_rounds >= 3) {
+          WF_WARN << "campaign: claim board " << board.dir()
+                  << " is unusable; executing remaining buckets without "
+                     "coordination";
+          for (const int b : order) {
+            if (board.is_done(b)) continue;
+            execute_bucket(b);
+            board.mark_done(b);  // best-effort
+            ++result.stats.dist_buckets_claimed;
+            claims_metric.add(1);
+          }
           break;
         }
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            std::max<std::int64_t>(dist.poll_ms, 1)));
       }
-      fruitless_rounds = any_claim ? 0 : fruitless_rounds + 1;
-      if (!board.usable() || fruitless_rounds >= 3) {
-        WF_WARN << "campaign: claim board " << board.dir()
-                << " is unusable; executing remaining buckets without "
-                   "coordination";
-        for (const int b : order) {
-          if (board.is_done(b)) continue;
-          execute_bucket(b);
-          board.mark_done(b);  // best-effort
-          ++result.stats.dist_buckets_claimed;
-          claims_metric.add(1);
-        }
-        break;
-      }
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::max<std::int64_t>(dist.poll_ms, 1)));
     }
   }
 
   // Assembly: every pending cell is durable in some segment (done markers
-  // imply flushed appends). Own cells first — everything this worker
-  // executed is already in its segment handle's in-memory map, no disk —
-  // then rival segments (and leftovers of crashed workers of earlier
-  // generations) only for the cells still unaccounted for. A worker that
-  // executed everything, and a sequential-adaptive consumer re-entering
-  // with a cached segment handle, never re-read the directory.
+  // imply flushed appends). Cells this worker executed are tallied
+  // already. Its own segment comes next — cells an earlier campaign or
+  // process with this tag left there are in the handle's in-memory map, no
+  // disk — then rival segments (and leftovers of crashed workers of
+  // earlier generations) only for the cells still unaccounted for. A
+  // worker that executed everything, and a sequential-adaptive consumer
+  // re-entering with a cached segment handle, never re-read the directory.
   std::vector<std::size_t> unresolved;
   for (std::size_t u = 0; u < pending.size(); ++u) {
-    const Unit& unit = pending[u];
+    if (plan.tallied[u]) continue;
     JournalCell cell;
-    if (segment->lookup(point_hashes[active[unit.a]], unit.image, &cell)) {
-      correct[unit.a].fetch_add(cell.correct, std::memory_order_relaxed);
-      flips[unit.a].fetch_add(cell.flips, std::memory_order_relaxed);
+    if (segment->lookup(plan.point_hashes[active[pending[u].a]],
+                        pending[u].image, &cell)) {
+      plan.tally(u, cell);
     } else {
       unresolved.push_back(u);
     }
   }
-  std::vector<Unit> missing;
+  std::int64_t recovered = 0;
   if (!unresolved.empty()) {
     std::unordered_map<std::uint64_t, JournalCell> durable;
     for (const ResultJournal::SegmentRef& seg :
          ResultJournal::list_segments(spec.store.dir)) {
-      if (seg.env_hash != env || seg.path == segment->path()) continue;
+      if (seg.env_hash != plan.env || seg.path == segment->path()) continue;
       // Rival segments go through the process-wide read cache: only the
       // suffix appended since the last campaign is parsed, so
       // sequential-adaptive consumers (TMR planner checks) are O(new
       // cells), not O(all rival cells), per campaign. Torn tails are
       // tolerated exactly as with a direct read.
       std::vector<JournalCell> cells;
-      if (!read_segment_cells_cached(seg.path, env, &cells)) continue;
+      if (!read_segment_cells_cached(seg.path, plan.env, &cells)) continue;
       for (const JournalCell& cell : cells) {
         durable.emplace(journal_cell_key(cell.point_hash, cell.image), cell);
       }
     }
     for (const std::size_t u : unresolved) {
-      const Unit& unit = pending[u];
       const auto it = durable.find(pending_keys[u]);
       // journal_cell_key is a lossy 64-bit hash: verify the full identity
       // (as ResultJournal::lookup does) so a key collision counts as
       // missing and self-heals instead of tallying the wrong cell.
-      if (it == durable.end() ||
-          it->second.point_hash != point_hashes[active[unit.a]] ||
-          it->second.image != unit.image) {
-        missing.push_back(unit);
-        continue;
+      if (it != durable.end() &&
+          it->second.point_hash == plan.point_hashes[active[pending[u].a]] &&
+          it->second.image == pending[u].image) {
+        plan.tally(u, it->second);
+        ++recovered;
       }
-      correct[unit.a].fetch_add(it->second.correct,
-                                std::memory_order_relaxed);
-      flips[unit.a].fetch_add(it->second.flips, std::memory_order_relaxed);
     }
   }
-  result.stats.dist_cells_recovered =
-      static_cast<std::int64_t>(unresolved.size() - missing.size());
-  recovered_metric.add(result.stats.dist_cells_recovered);
-  if (!missing.empty()) {
+  result.stats.dist_cells_recovered = recovered;
+  recovered_metric.add(recovered);
+  result.stats.dist_cells_executed = plan.executed.load();
+  const std::int64_t missing =
+      static_cast<std::int64_t>(unresolved.size()) - recovered;
+  if (missing > 0) {
     // Self-heal: a done marker without durable cells (e.g. a segment hit
     // disk-full after its bucket was marked) — execute the gap locally.
-    WF_WARN << "campaign: " << missing.size()
+    // The executor skips every unit already tallied, so only the gap runs.
+    WF_WARN << "campaign: " << missing
             << " cell(s) missing from every segment; re-executing locally";
     if (telemetry::events_enabled()) {
-      telemetry::emit_event(
-          "dist_heal", {{"worker", tag}},
-          {{"cells", static_cast<std::int64_t>(missing.size())}});
+      telemetry::emit_event("dist_heal", {{"worker", tag}},
+                            {{"cells", missing}});
     }
-    for (const Unit& unit : missing) {
-      const std::size_t p = active[unit.a];
-      JournalCost cost;
-      const JournalCell cell =
-          execute_cell(network_, dataset_, spec.points[p], point_hashes[p],
-                       unit.image, lru, overlays[p].get(), &cost);
-      segment->append(cell, spec.store.cost_ledger ? &cost : nullptr);
-      inferences.fetch_add(spec.points[p].trials, std::memory_order_relaxed);
-      correct[unit.a].fetch_add(cell.correct, std::memory_order_relaxed);
-      flips[unit.a].fetch_add(cell.flips, std::memory_order_relaxed);
-      ++result.stats.dist_cells_healed;
-      healed_metric.add(1);
+    plan.execute(0, pending.size(), [] { return true; },
+                 [](std::int64_t) {});
+    result.stats.dist_cells_healed = missing;
+    healed_metric.add(missing);
+  }
+}
+
+}  // namespace
+
+CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
+  WF_CHECK(network_.calibrated());
+  WF_CHECK(!dataset_.images.empty());
+  for (const CampaignPoint& point : spec.points) WF_CHECK(point.trials >= 1);
+
+  // Service clients route campaigns to a resident daemon here; the daemon
+  // side never installs a hook, so its own runs fall through. Results are
+  // bit-identical either way (the daemon executes this same function
+  // against an identically-built environment — tests/service_test.cpp).
+  if (const CampaignSubmitHook& hook = submit_hook_ref()) {
+    if (std::optional<CampaignResult> remote = hook(network_, dataset_, spec)) {
+      return *std::move(remote);
     }
   }
-  result.stats.dist_cells_executed = executed.load();
-  result.stats.inferences = inferences.load();
-  finalize(&lru, segment->appended_cells() - segment_base);
+
+  bool distributed = spec.store.enabled() && spec.store.dist.enabled();
+  if (distributed && !spec.store.journal) {
+    WF_WARN << "campaign: distributed execution requires the result "
+               "journal; falling back to a local run";
+    distributed = false;
+  }
+  WF_CHECK(!distributed ||
+           (spec.store.dist.shard_index >= 0 &&
+            spec.store.dist.shard_index < spec.store.dist.shard_count));
+  telemetry::TraceSpan run_span(
+      distributed ? "campaign_run_distributed" : "campaign_run",
+      distributed ? "dist" : "campaign");
+  CampaignResult result;
+  CellPlan plan(network_, dataset_, spec, distributed,
+                spec.store.enabled() ? env_hash() : 0, result);
+  if (plan.active.empty()) return result;
+  if (distributed) {
+    run_distributed(plan);
+  } else {
+    run_local(plan);
+  }
+  plan.finalize();
   return result;
 }
 

@@ -41,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,10 +93,10 @@ struct CampaignSpec {
   std::vector<CampaignPoint> points;
   int threads = 0;  // 0 => hardware concurrency
   // Max live GoldenCache entries — one entry is the full activation set of
-  // one (image, policy). 0 => auto: the wave working set, wave width
-  // (min(images, threads)) x live policies, plus one-per-worker slack for
-  // shards straddling a wave boundary — enough for the wave schedule to
-  // hit while large datasets stream.
+  // one (image, policy). 0 => auto: the images the pool works on at once
+  // (min(images, threads)) x live policies, plus one-per-worker slack —
+  // enough for the image-major schedule to hit while large datasets
+  // stream.
   std::size_t golden_capacity = 0;
   // Persistent campaign store (core/store): result journal for
   // checkpoint/resume + incremental regeneration, and disk spill for
@@ -107,8 +106,8 @@ struct CampaignSpec {
 
   // ---- Resident-service hooks (core/service). None of these fields can
   // change any result (none joins a hash): they change who executes and
-  // what is observed, never what is computed. All apply to the local
-  // execution path only. ----
+  // what is observed, never what is computed. `on_progress` and `cancel`
+  // apply to the local execution path only. ----
 
   // External cross-campaign golden tier: when set, the runner serves
   // goldens from this shared LRU (growing its capacity to at least this
@@ -180,18 +179,6 @@ class GoldenLru {
                    const std::function<GoldenCache()>& build,
                    std::uint64_t variant = 0);
 
-  // Wave prebuild: claims every (image, policy) pair not already cached or
-  // in flight, restores what the tier-2 store holds, and computes the
-  // remaining misses through ONE `build_batch(missing)` call (the batched
-  // golden path, Network::make_golden_batch). build_batch must return one
-  // cache per requested image, in order, each bit-identical to a batch-1
-  // build — concurrent get_or_build callers wait on the same futures and
-  // cannot observe the difference. Thread-safe; a pair another thread is
-  // already building is left to that builder.
-  void prime(std::span<const std::int64_t> images, ConvPolicy policy,
-             const std::function<std::vector<GoldenCache>(
-                 std::span<const std::int64_t>)>& build_batch);
-
   // Spill-on-shutdown: writes every still-resident *ready* entry to the
   // attached tier-2 store (no-op without one; existing shards are cheap
   // dedup hits inside GoldenStore::save). Eviction spills cover streaming
@@ -201,8 +188,8 @@ class GoldenLru {
 
   // Grows capacity to at least `capacity` (never shrinks): a shared
   // cross-campaign tier (CampaignSpec::warm_goldens) must fit the largest
-  // working set among the campaigns it serves or it would thrash on every
-  // wave of the largest one.
+  // working set among the campaigns it serves or it would thrash on the
+  // largest one.
   void ensure_capacity(std::size_t capacity);
 
   // (Re)binds the tier-2 spill/restore target; nullptr detaches. The
@@ -269,8 +256,6 @@ class CampaignRunner {
   std::uint64_t env_hash() const;
 
  private:
-  CampaignResult run_distributed(const CampaignSpec& spec) const;
-
   const Network& network_;
   const Dataset& dataset_;
   // 0 = not yet computed (a true hash of 0 just recomputes — benign).

@@ -165,36 +165,6 @@ TensorI32 ConvLayer::forward_weight_faulted(
   return direct_forward_gemm(desc_, data);
 }
 
-std::vector<TensorI32> ConvLayer::forward_batch(
-    std::span<const NodeOutput* const> ins, const QuantParams& out_quant,
-    ConvPolicy policy) const {
-  WF_CHECK(!ins.empty());
-  if (seed_equivalent_kernels() || ins.size() == 1) {
-    std::vector<TensorI32> outs;
-    outs.reserve(ins.size());
-    ExecContext ctx;
-    ctx.policy = policy;
-    for (const NodeOutput* in : ins) {
-      outs.push_back(forward({&in, 1}, out_quant, ctx, -1));
-    }
-    return outs;
-  }
-  std::vector<const TensorI32*> inputs;
-  inputs.reserve(ins.size());
-  for (const NodeOutput* in : ins) {
-    // One acc_scale serves the whole batch: per-node quant is static.
-    WF_CHECK(in->quant.scale == ins[0]->quant.scale);
-    inputs.push_back(&in->tensor);
-  }
-  std::vector<std::int64_t> bias_acc;
-  ConvData data = make_data(*ins[0], out_quant, bias_acc);
-  data.batch_inputs = inputs;
-  // Golden builds are fault-free, so the fastest path serves every policy
-  // (fault-free outputs are bit-identical across engines — the project's
-  // core invariant; `policy` only matters for the seed-mode fallback).
-  return direct_forward_gemm_batch(desc_, data);
-}
-
 void ConvLayer::attach_wg_bank(ConvData& data,
                                const ConvEngine& engine) const {
   if (&engine == &winograd_engine(2)) {

@@ -30,15 +30,6 @@ class ConvLayer final : public Layer {
                     const QuantParams& out_quant, ExecContext& ctx,
                     int prot_index) const override;
 
-  // Fault-free batched forward for golden builds: `ins` holds one
-  // activation per image of the SAME node input (identical shape and
-  // quant), computed as one wide GEMM (direct_forward_gemm_batch).
-  // outs[b] is bit-identical to forward() on image b alone; in
-  // seed-equivalent mode it falls back to per-image forwards so the seed
-  // baseline measures the seed kernels.
-  std::vector<TensorI32> forward_batch(std::span<const NodeOutput* const> ins,
-                                       const QuantParams& out_quant,
-                                       ConvPolicy policy) const;
   TensorI32 forward_replay(std::span<const NodeOutput* const> ins,
                            const QuantParams& out_quant, ConvPolicy policy,
                            std::span<const FaultSite> sites,

@@ -311,56 +311,6 @@ GoldenCache Network::make_golden(const TensorF& image, ConvPolicy policy,
   return cache;
 }
 
-std::vector<GoldenCache> Network::make_golden_batch(
-    std::span<const TensorF> images, ConvPolicy policy) const {
-  WF_CHECK(calibrated_);
-  const std::size_t batch = images.size();
-  std::vector<GoldenCache> caches(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    caches[b].policy_ = policy;
-    caches[b].acts_.resize(nodes_.size());
-    caches[b].acts_[0].tensor = quantize_input(images[b]);
-    caches[b].acts_[0].quant = input_quant_;
-  }
-  ExecContext ctx;
-  ctx.policy = policy;
-  for (std::size_t id = 1; id < nodes_.size(); ++id) {
-    const Node& node = nodes_[id];
-    if (const auto* conv = dynamic_cast<const ConvLayer*>(node.layer.get())) {
-      std::vector<const NodeOutput*> ins;
-      ins.reserve(batch);
-      const std::size_t in_id = static_cast<std::size_t>(node.inputs[0]);
-      for (std::size_t b = 0; b < batch; ++b) {
-        ins.push_back(&caches[b].acts_[in_id]);
-      }
-      std::vector<TensorI32> outs = conv->forward_batch(ins, node.quant,
-                                                        policy);
-      for (std::size_t b = 0; b < batch; ++b) {
-        caches[b].acts_[id].tensor = std::move(outs[b]);
-        caches[b].acts_[id].quant = node.quant;
-      }
-    } else {
-      for (std::size_t b = 0; b < batch; ++b) {
-        std::vector<const NodeOutput*> ins;
-        ins.reserve(node.inputs.size());
-        for (const int in : node.inputs) {
-          ins.push_back(&caches[b].acts_[static_cast<std::size_t>(in)]);
-        }
-        caches[b].acts_[id].tensor =
-            node.layer->forward(ins, node.quant, ctx, node.prot_index);
-        caches[b].acts_[id].quant = node.quant;
-      }
-    }
-  }
-  for (std::size_t b = 0; b < batch; ++b) {
-    caches[b].logits_ =
-        caches[b].acts_[static_cast<std::size_t>(output_node_)].tensor;
-    apply_logit_centering(caches[b].logits_);
-    caches[b].prediction_ = argmax_logit(caches[b].logits_);
-  }
-  return caches;
-}
-
 TensorI32 Network::forward_replay(const GoldenCache& golden,
                                   FaultSession& session) const {
   WF_CHECK(calibrated_);

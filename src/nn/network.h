@@ -82,15 +82,6 @@ class Network {
   // clean-silicon replay.
   GoldenCache make_golden(const TensorF& image, ConvPolicy policy,
                           const FaultOverlay* overlay = nullptr) const;
-  // Batched golden build: runs the graph once with every conv layer
-  // computing all images as one wide GEMM (ConvLayer::forward_batch);
-  // non-conv layers loop per image. result[b] is bit-identical to
-  // make_golden(images[b], policy) — batching changes arithmetic cost, not
-  // a single activation bit — so caches stay per-image keyed and replay
-  // semantics are untouched. The campaign runner primes each image wave
-  // through this path.
-  std::vector<GoldenCache> make_golden_batch(std::span<const TensorF> images,
-                                             ConvPolicy policy) const;
   // One injection trial against the cache: pre-samples the session's faults
   // (consuming its RNG exactly as a scratch forward would), reuses cached
   // activations upstream of the earliest faulted layer, and recomputes only

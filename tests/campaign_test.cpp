@@ -142,13 +142,12 @@ TEST(Campaign, GoldenBuildsSharedPerImagePolicy) {
   spec.threads = 1;  // deterministic hit/miss accounting
   spec.golden_capacity = 64;
   const CampaignResult campaign = run_campaign(f.net, f.data, spec);
-  // 7 reuse_golden points over 2 policies: one build per (image, policy).
+  // 7 reuse_golden points over 2 policies: one build per (image, policy),
+  // and the other 5 lookups per image hit it.
   EXPECT_EQ(campaign.stats.golden_builds,
             static_cast<std::int64_t>(f.data.size()) * 2);
-  // Wave priming batch-builds every (image, policy) golden before its
-  // wave's cells run, so ALL (image, reuse-point) lookups are hits.
   EXPECT_EQ(campaign.stats.golden_hits,
-            static_cast<std::int64_t>(f.data.size()) * 7);
+            static_cast<std::int64_t>(f.data.size()) * 5);
   EXPECT_EQ(campaign.stats.golden_evictions, 0);
   EXPECT_EQ(campaign.stats.short_circuited_points, 0);
 }
@@ -435,18 +434,18 @@ TEST(Campaign, TelemetryTracingPreservesBitIdentity) {
   const Json* events = doc->find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  // The campaign run emits wave + cell spans; at least one of each tier.
-  bool saw_wave = false, saw_cell = false;
+  // The campaign run emits run + cell spans; at least one of each tier.
+  bool saw_run = false, saw_cell = false;
   for (const Json& event : events->elements()) {
     const Json* name = event.find("name");
     if (name == nullptr) continue;
-    if (name->as_string() == "campaign_wave") saw_wave = true;
+    if (name->as_string() == "campaign_run") saw_run = true;
     if (name->as_string() == "cell_replay" ||
         name->as_string() == "cell_inject") {
       saw_cell = true;
     }
   }
-  EXPECT_TRUE(saw_wave);
+  EXPECT_TRUE(saw_run);
   EXPECT_TRUE(saw_cell);
   std::filesystem::remove(trace_path);
 }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/iofault/iofault.h"
+#include "common/telemetry/telemetry.h"
 #include "core/campaign/campaign.h"
 #include "core/dist/buckets.h"
 #include "core/dist/claim_board.h"
@@ -429,6 +430,54 @@ TEST(Dist, InjectedClaimLinkFailureReadsAsLosingTheRace) {
   EXPECT_TRUE(a.has_claim(0));
 }
 
+// ---- (c'') degraded execution paths ----
+
+// Every claim link fails, so no claim is ever held anywhere: after its
+// fruitless rounds the worker runs every bucket without coordination.
+TEST(Dist, UnusableClaimBoardRunsEveryBucketUncoordinated) {
+  const Fixture f = make_fixture();
+  CampaignSpec plain;
+  plain.points = small_grid();
+  plain.threads = 1;
+  const CampaignResult reference = run_campaign(f.net, f.data, plain);
+  const std::int64_t cells =
+      static_cast<std::int64_t>(f.data.images.size() * plain.points.size());
+
+  const std::string dir = fresh_dir("chaos_board_unusable");
+  CampaignResult r;
+  {
+    ScopedChaos chaos("5:eio@link:*.claim#1+");
+    r = run_campaign(f.net, f.data, worker_spec(dir, 0, 2, "wA", 60000));
+  }
+  expect_same_results(reference, r);
+  EXPECT_EQ(r.stats.dist_cells_executed, cells);
+  EXPECT_EQ(r.stats.journal_cells_written, cells);
+  EXPECT_EQ(r.stats.dist_cells_healed, 0);
+}
+
+// The worker's own segment refuses every write, so claimed work could never
+// be shared: the worker runs every pending cell itself, off the board.
+TEST(Dist, UnwritableSegmentRunsEveryCellLocally) {
+  const Fixture f = make_fixture();
+  CampaignSpec plain;
+  plain.points = small_grid();
+  plain.threads = 1;
+  const CampaignResult reference = run_campaign(f.net, f.data, plain);
+  const std::int64_t cells =
+      static_cast<std::int64_t>(f.data.images.size() * plain.points.size());
+
+  const std::string dir = fresh_dir("chaos_segment_unwritable");
+  CampaignResult r;
+  {
+    ScopedChaos chaos("5:eio@write:*.seg*#1+");
+    r = run_campaign(f.net, f.data, worker_spec(dir, 0, 2, "wA", 60000));
+  }
+  expect_same_results(reference, r);
+  EXPECT_EQ(r.stats.dist_cells_executed, cells);
+  EXPECT_EQ(r.stats.journal_cells_written, 0);
+  EXPECT_EQ(r.stats.dist_buckets_claimed, 0);
+}
+
 // ---- (d) cost buckets ----
 
 TEST(Dist, CostBucketsCoverEveryUnitOnceAndBalanceWeight) {
@@ -614,6 +663,49 @@ TEST(Dist, CostlessSegmentsMergeCleanlyIntoLedgeredCanonical) {
   ResultJournal canonical(dir, env, ResultJournal::Mode::kReadOnly);
   EXPECT_EQ(canonical.recovered_cells(), cells + extra_cells);
   EXPECT_EQ(canonical.cost_records(), cells);
+}
+
+// ---- (f) golden-build timing on both execution paths ----
+
+std::int64_t golden_build_timings() {
+  for (const telemetry::SeriesSample& s : telemetry::snapshot()) {
+    if (s.name == "winofault_campaign_phase_us" &&
+        s.labels == "phase=\"golden_build\"") {
+      return s.value;
+    }
+  }
+  return 0;
+}
+
+// GoldenLru::get_or_build is the one place goldens are built, so the
+// golden_build phase series gains one observation per reported build, on a
+// local run and on dist workers alike.
+TEST(Dist, GoldenBuildPhaseTimesEveryBuildLocalAndDistributed) {
+  const Fixture f = make_fixture();
+  const auto expect_timed = [&](const CampaignSpec& spec) {
+    const std::int64_t before = golden_build_timings();
+    const CampaignResult r = run_campaign(f.net, f.data, spec);
+    EXPECT_GT(r.stats.golden_builds, 0);
+    EXPECT_EQ(golden_build_timings() - before, r.stats.golden_builds);
+  };
+  CampaignSpec plain;
+  plain.points = small_grid();
+  plain.threads = 1;
+  expect_timed(plain);
+
+  // Two sequential workers. Spill is off, so the second cannot restore the
+  // first one's goldens; its extra point changes the pending set, so it
+  // claims a fresh board and runs every cell again.
+  const std::string dir = fresh_dir("phase");
+  CampaignSpec first = worker_spec(dir, 0, 2, "wA", 0);
+  first.store.spill_goldens = false;
+  expect_timed(first);
+  CampaignSpec second = worker_spec(dir, 1, 2, "wB", 60000);
+  second.store.spill_goldens = false;
+  CampaignPoint extra = second.points.back();
+  extra.seed = 41;
+  second.points.push_back(extra);
+  expect_timed(second);
 }
 
 }  // namespace

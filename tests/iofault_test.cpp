@@ -66,6 +66,7 @@ TEST(IofaultParse, RejectsMalformedSpecsWithDiagnostics) {
       "",                        // empty
       "eio@write#1",             // missing seed
       "x:eio@write#1",           // non-integer seed
+      "12x:eio@write#1",         // seed digits, then junk
       "1:eio#1",                 // missing @opclass
       "1:eio@write",             // missing #trigger
       "1:zap@write#1",           // unknown fault

@@ -846,7 +846,7 @@ TEST(Service, MetricsVerbServesCrossTierPrometheusText) {
 
   // One representative series per tier.
   EXPECT_NE(text.find("winofault_pool_jobs_total"), std::string::npos);
-  EXPECT_NE(text.find("winofault_campaign_waves_total"), std::string::npos);
+  EXPECT_NE(text.find("winofault_campaign_cells_total"), std::string::npos);
   EXPECT_NE(text.find("winofault_golden_builds_total"), std::string::npos);
   EXPECT_NE(text.find("winofault_store_journal_appends_total"),
             std::string::npos);

@@ -1,11 +1,10 @@
-// Exactness matrix for the explicit SIMD GEMM microkernel and the batched
-// golden path: every dispatch level (scalar / AVX2 / AVX-512, forced via
-// set_gemm_isa) must be bit-identical to the instrumented reference on
-// shapes covering the tile kernel, its e-tails, and the small-extent dot
-// kernel; batched golden builds must be bit-identical to batch-1 builds at
-// every level. Plus the work-stealing determinism contract of parallel_for:
-// each index runs exactly once and results never depend on the thread
-// count or steal interleaving.
+// Exactness matrix for the explicit SIMD GEMM microkernel: every dispatch
+// level (scalar / AVX2 / AVX-512, forced via set_gemm_isa) must be
+// bit-identical to the instrumented reference on shapes covering the tile
+// kernel, its e-tails, and the small-extent dot kernel. Plus the
+// work-stealing determinism contract of parallel_for: each index runs
+// exactly once and results never depend on the thread count or steal
+// interleaving.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,8 +14,6 @@
 #include "common/rng.h"
 #include "conv/direct_conv.h"
 #include "conv/gemm_kernel.h"
-#include "nn/dataset.h"
-#include "nn/network.h"
 #include "test_util.h"
 
 namespace winofault {
@@ -88,67 +85,6 @@ TEST(SimdKernel, ForcingAboveCpuCapabilityClampsDown) {
   // full-AVX-512 machines this degenerates to an exact-match check.
   EXPECT_LE(set_gemm_isa(GemmIsa::kAvx512), best);
   EXPECT_EQ(set_gemm_isa(GemmIsa::kScalar), GemmIsa::kScalar);
-}
-
-// Small mixed tower whose tail convs run at 2x2 spatial extent — the
-// regime where the batched column matrix (batch * e_count) changes which
-// microkernel runs, which must never change the bits.
-Network batch_net() {
-  Network net("batch-test", DType::kInt16);
-  Rng rng(77);
-  int x = net.add_input(Shape{1, 3, 16, 16});
-  x = net.add_conv(x, 12, 3, 1, 1, rng);
-  x = net.add_maxpool(x, 2, 2);
-  x = net.add_conv(x, 24, 3, 1, 1, rng);
-  x = net.add_maxpool(x, 2, 2);
-  x = net.add_conv(x, 32, 3, 1, 1, rng);
-  x = net.add_maxpool(x, 2, 2);
-  x = net.add_conv(x, 32, 3, 1, 1, rng);
-  x = net.add_global_avgpool(x);
-  x = net.add_flatten(x);
-  x = net.add_linear(x, 10, rng);
-  net.set_output(x);
-  net.calibrate(make_images(net.input_shape(), 2, 5));
-  return net;
-}
-
-TEST(SimdKernel, BatchedGoldenBitIdenticalToBatch1AtEveryIsa) {
-  IsaGuard guard;
-  const Network net = batch_net();
-  const std::vector<TensorF> images = make_images(net.input_shape(), 5, 21);
-  for (const GemmIsa isa : supported_isas()) {
-    ASSERT_EQ(set_gemm_isa(isa), isa);
-    for (const ConvPolicy policy :
-         {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
-      const std::vector<GoldenCache> batched =
-          net.make_golden_batch(images, policy);
-      ASSERT_EQ(batched.size(), images.size());
-      for (std::size_t b = 0; b < images.size(); ++b) {
-        SCOPED_TRACE(std::string("isa=") + gemm_isa_name(isa) +
-                     " policy=" + std::to_string(static_cast<int>(policy)) +
-                     " image=" + std::to_string(b));
-        const GoldenCache single = net.make_golden(images[b], policy);
-        ASSERT_EQ(batched[b].prediction(), single.prediction());
-        expect_tensors_equal(batched[b].logits(), single.logits(),
-                             "batched logits");
-        for (int n = 0; n < net.num_nodes(); ++n) {
-          expect_tensors_equal(batched[b].node_output(n).tensor,
-                               single.node_output(n).tensor,
-                               "batched node activation");
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernel, BatchOfOneIsTheBatch1Path) {
-  const Network net = batch_net();
-  const std::vector<TensorF> images = make_images(net.input_shape(), 1, 33);
-  const std::vector<GoldenCache> batched =
-      net.make_golden_batch(images, ConvPolicy::kDirect);
-  const GoldenCache single = net.make_golden(images[0], ConvPolicy::kDirect);
-  ASSERT_EQ(batched.size(), 1u);
-  expect_tensors_equal(batched[0].logits(), single.logits(), "logits");
 }
 
 // ---- Work-stealing determinism -------------------------------------------
