@@ -273,41 +273,41 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  JsonObject json;
-  json.field("benchmark", std::string("fi_campaign_vgg19_int16_oplevel"))
-      .field("images", static_cast<std::int64_t>(m.data.size()))
-      .field("trials_per_image", static_cast<std::int64_t>(trials))
-      .field("ber_points", static_cast<std::int64_t>(bers.size()))
-      .field("sweep_points", static_cast<std::int64_t>(deep.size()))
-      .field("inferences", inferences, 0)
-      .field("campaign_wall_s", campaign_s)
+  Json json = Json::object();
+  json.set("benchmark", Json::str("fi_campaign_vgg19_int16_oplevel"))
+      .set("images", Json::integer(m.data.size()))
+      .set("trials_per_image", Json::integer(trials))
+      .set("ber_points", Json::integer(bers.size()))
+      .set("sweep_points", Json::integer(deep.size()))
+      .set("inferences", Json::number(inferences))
+      .set("campaign_wall_s", Json::number(campaign_s))
       // Phase breakdown of the deep campaign run (cpu-seconds summed
       // across workers — exec_s can exceed campaign_wall_s on multi-core).
-      .field("golden_build_s", golden_build_s)
-      .field("exec_s", exec_s)
-      .field("cached_wall_s", percall_s)
-      .field("scratch_wall_s", scratch_s)
-      .field("seed_equiv_wall_s", seed_s)
-      .field("campaign_inferences_per_s", campaign_ips, 2)
-      .field("cached_inferences_per_s", percall_ips, 2)
-      .field("scratch_inferences_per_s", scratch_ips, 2)
-      .field("seed_equiv_inferences_per_s", seed_ips, 2)
-      .field("sweep_campaign_wall_s", sweep_campaign_s)
-      .field("sweep_percall_wall_s", sweep_percall_s)
-      .field("model_transient_wall_s", model_transient_s)
-      .field("model_transient_inferences_per_s",
-             sweep_inferences / model_transient_s, 2)
-      .field("model_permanent_wall_s", model_permanent_s)
-      .field("model_permanent_inferences_per_s",
-             sweep_inferences / model_permanent_s, 2)
-      .field("golden_builds", stats.golden_builds)
-      .field("golden_hits", stats.golden_hits)
-      .field("speedup_vs_percall", speedup_vs_percall, 3)
-      .field("speedup_vs_scratch", speedup_vs_scratch, 3)
-      .field("speedup_vs_seed", speedup_vs_seed, 3)
-      .field("sweep_speedup_vs_percall", sweep_speedup, 3)
-      .field("noise_runs", static_cast<std::int64_t>(kNoiseRuns))
-      .field("noise_cv", noise_cv, 4);
-  json.write("BENCH_campaign.json");
+      .set("golden_build_s", Json::number(golden_build_s))
+      .set("exec_s", Json::number(exec_s))
+      .set("cached_wall_s", Json::number(percall_s))
+      .set("scratch_wall_s", Json::number(scratch_s))
+      .set("seed_equiv_wall_s", Json::number(seed_s))
+      .set("campaign_inferences_per_s", Json::number(campaign_ips))
+      .set("cached_inferences_per_s", Json::number(percall_ips))
+      .set("scratch_inferences_per_s", Json::number(scratch_ips))
+      .set("seed_equiv_inferences_per_s", Json::number(seed_ips))
+      .set("sweep_campaign_wall_s", Json::number(sweep_campaign_s))
+      .set("sweep_percall_wall_s", Json::number(sweep_percall_s))
+      .set("model_transient_wall_s", Json::number(model_transient_s))
+      .set("model_transient_inferences_per_s",
+           Json::number(sweep_inferences / model_transient_s))
+      .set("model_permanent_wall_s", Json::number(model_permanent_s))
+      .set("model_permanent_inferences_per_s",
+           Json::number(sweep_inferences / model_permanent_s))
+      .set("golden_builds", Json::integer(stats.golden_builds))
+      .set("golden_hits", Json::integer(stats.golden_hits))
+      .set("speedup_vs_percall", Json::number(speedup_vs_percall))
+      .set("speedup_vs_scratch", Json::number(speedup_vs_scratch))
+      .set("speedup_vs_seed", Json::number(speedup_vs_seed))
+      .set("sweep_speedup_vs_percall", Json::number(sweep_speedup))
+      .set("noise_runs", Json::integer(kNoiseRuns))
+      .set("noise_cv", Json::number(noise_cv));
+  write_bench_json("BENCH_campaign.json", json);
   return 0;
 }

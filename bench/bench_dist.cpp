@@ -128,14 +128,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  JsonObject json;
-  json.field("images", static_cast<std::int64_t>(m.data.size()))
-      .field("points", static_cast<std::int64_t>(plain.points.size()))
-      .field("trials", static_cast<std::int64_t>(trials))
-      .field("cells", cells)
-      .field("hardware_threads",
-             static_cast<std::int64_t>(default_thread_count()))
-      .field("single_process_s", single_s);
+  Json json = Json::object();
+  json.set("images", Json::integer(m.data.size()))
+      .set("points", Json::integer(plain.points.size()))
+      .set("trials", Json::integer(trials))
+      .set("cells", Json::integer(cells))
+      .set("hardware_threads", Json::integer(default_thread_count()))
+      .set("single_process_s", Json::number(single_s));
 
   ::setenv("WINOFAULT_BENCH_DIST_CHILD", "1", 1);
   ::setenv("WINOFAULT_DIST_SHARE_HOST", "1", 1);  // workers split this host
@@ -181,13 +180,15 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  json.field("dist_1w_s", dist_s[0])
-      .field("dist_2w_s", dist_s[1])
-      .field("dist_4w_s", dist_s[2])
-      .field("merge_s", merge_s)
-      .field("speedup_2w", dist_s[1] > 0 ? single_s / dist_s[1] : 0.0)
-      .field("speedup_4w", dist_s[2] > 0 ? single_s / dist_s[2] : 0.0);
-  json.write("BENCH_dist.json");
+  json.set("dist_1w_s", Json::number(dist_s[0]))
+      .set("dist_2w_s", Json::number(dist_s[1]))
+      .set("dist_4w_s", Json::number(dist_s[2]))
+      .set("merge_s", Json::number(merge_s))
+      .set("speedup_2w",
+           Json::number(dist_s[1] > 0 ? single_s / dist_s[1] : 0.0))
+      .set("speedup_4w",
+           Json::number(dist_s[2] > 0 ? single_s / dist_s[2] : 0.0));
+  write_bench_json("BENCH_dist.json", json);
   std::printf(
       "single %.3f s | 1w %.3f s | 2w %.3f s (%.2fx) | 4w %.3f s (%.2fx) "
       "on %d hardware thread(s)\n",

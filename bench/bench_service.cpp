@@ -204,28 +204,27 @@ int main(int argc, char** argv) {
                  warm_speedup);
   }
 
-  JsonObject json;
-  json.field("model", model)
-      .field("images", static_cast<std::int64_t>(env.images))
-      .field("trials", static_cast<std::int64_t>(trials))
-      .field("points", static_cast<std::int64_t>(spec.points.size()))
-      .field("direct_s", direct_s)
-      .field("cold_submit_s", cold_s)
-      .field("warm_submit_s", warm_s)
-      .field("stored_submit_s", stored_cold_s)
-      .field("stored_replay_s", stored_warm_s)
-      .field("warm_speedup", warm_speedup)
-      .field("stored_replay_speedup", replay_speedup)
-      .field("queue_latency_ms", queue_latency_ms, 3)
-      .field("queue_latency_p95_ms", queue_latency_p95_ms, 3)
-      .field("cold_golden_builds", cold_stats.golden_builds)
-      .field("warm_golden_builds", warm_stats.golden_builds)
-      .field("warm_golden_hits", warm_stats.golden_hits)
-      .field("replay_journal_cells_loaded",
-             stored_stats.journal_cells_loaded)
-      .field("hardware_threads",
-             static_cast<std::int64_t>(default_thread_count()));
-  json.write("BENCH_service.json");
+  Json json = Json::object();
+  json.set("model", Json::str(model))
+      .set("images", Json::integer(env.images))
+      .set("trials", Json::integer(trials))
+      .set("points", Json::integer(spec.points.size()))
+      .set("direct_s", Json::number(direct_s))
+      .set("cold_submit_s", Json::number(cold_s))
+      .set("warm_submit_s", Json::number(warm_s))
+      .set("stored_submit_s", Json::number(stored_cold_s))
+      .set("stored_replay_s", Json::number(stored_warm_s))
+      .set("warm_speedup", Json::number(warm_speedup))
+      .set("stored_replay_speedup", Json::number(replay_speedup))
+      .set("queue_latency_ms", Json::number(queue_latency_ms))
+      .set("queue_latency_p95_ms", Json::number(queue_latency_p95_ms))
+      .set("cold_golden_builds", Json::integer(cold_stats.golden_builds))
+      .set("warm_golden_builds", Json::integer(warm_stats.golden_builds))
+      .set("warm_golden_hits", Json::integer(warm_stats.golden_hits))
+      .set("replay_journal_cells_loaded",
+           Json::integer(stored_stats.journal_cells_loaded))
+      .set("hardware_threads", Json::integer(default_thread_count()));
+  write_bench_json("BENCH_service.json", json);
 
   // Drain: running jobs are done; warm goldens spill to the stored
   // submission's tier-2 (visible as golden_*.shard files).

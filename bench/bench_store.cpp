@@ -178,28 +178,30 @@ int main(int argc, char** argv) {
       static_cast<long long>(thrash_cold_result.stats.golden_spills),
       static_cast<long long>(thrash_warm_result.stats.golden_restores));
 
-  JsonObject json;
-  json.field("benchmark", std::string("store_vgg19_int16_oplevel"))
-      .field("images", static_cast<std::int64_t>(m.data.size()))
-      .field("cells", cells)
-      .field("golden_rebuild_s", rebuild_s)
-      .field("golden_spill_save_s", save_s)
-      .field("golden_spill_restore_s", restore_s)
-      .field("restore_speedup_vs_rebuild", restore_speedup, 3)
-      .field("campaign_in_ram_s", mem_s)
-      .field("campaign_store_cold_s", cold_s)
-      .field("campaign_store_warm_s", warm_s)
-      .field("journal_overhead_pct", journal_overhead_pct, 2)
-      .field("resume_speedup", resume_speedup, 3)
-      .field("thrash_in_ram_s", thrash_mem_s)
-      .field("thrash_store_cold_s", thrash_cold_s)
-      .field("thrash_store_warm_s", thrash_warm_s)
-      .field("spill_speedup_vs_rebuild", thrash_speedup, 3)
-      .field("golden_spills", thrash_cold_result.stats.golden_spills)
-      .field("golden_restores", thrash_warm_result.stats.golden_restores)
-      .field("journal_cells_loaded",
-             warm_result.stats.journal_cells_loaded);
-  json.write("BENCH_store.json");
+  Json json = Json::object();
+  json.set("benchmark", Json::str("store_vgg19_int16_oplevel"))
+      .set("images", Json::integer(m.data.size()))
+      .set("cells", Json::integer(cells))
+      .set("golden_rebuild_s", Json::number(rebuild_s))
+      .set("golden_spill_save_s", Json::number(save_s))
+      .set("golden_spill_restore_s", Json::number(restore_s))
+      .set("restore_speedup_vs_rebuild", Json::number(restore_speedup))
+      .set("campaign_in_ram_s", Json::number(mem_s))
+      .set("campaign_store_cold_s", Json::number(cold_s))
+      .set("campaign_store_warm_s", Json::number(warm_s))
+      .set("journal_overhead_pct", Json::number(journal_overhead_pct))
+      .set("resume_speedup", Json::number(resume_speedup))
+      .set("thrash_in_ram_s", Json::number(thrash_mem_s))
+      .set("thrash_store_cold_s", Json::number(thrash_cold_s))
+      .set("thrash_store_warm_s", Json::number(thrash_warm_s))
+      .set("spill_speedup_vs_rebuild", Json::number(thrash_speedup))
+      .set("golden_spills",
+           Json::integer(thrash_cold_result.stats.golden_spills))
+      .set("golden_restores",
+           Json::integer(thrash_warm_result.stats.golden_restores))
+      .set("journal_cells_loaded",
+           Json::integer(warm_result.stats.journal_cells_loaded));
+  write_bench_json("BENCH_store.json", json);
 
   std::filesystem::remove_all(scratch);
   return 0;

@@ -54,6 +54,7 @@
 
 #include "common/csv.h"
 #include "common/env.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "core/campaign/campaign.h"
 #include "core/dist/dist.h"
@@ -64,7 +65,6 @@
 #include "core/store/hash.h"
 #include "core/store/store.h"
 #include "fault/models/model_spec.h"
-#include "fault/models/storage_bridge.h"
 #include "nn/dataset.h"
 #include "nn/models/zoo.h"
 
@@ -155,10 +155,9 @@ inline void print_usage(const char* prog, std::FILE* to) {
       "                   spec adds a curve set). Grammar:\n"
       "                   model[(arg)]@target[#persistence] — e.g. flip@op\n"
       "                   (the default), stuck0@weight#perm, toggle@accum,\n"
-      "                   stuck1(0.001)@weight#perm. @store specs (slow,\n"
-      "                   flip, medium) configure the storage fault tier\n"
-      "                   instead of joining the sweep. Also via the\n"
-      "                   WINOFAULT_FAULT_MODEL environment variable\n"
+      "                   stuck1(0.001)@weight#perm. Also via the\n"
+      "                   WINOFAULT_FAULT_MODEL environment variable;\n"
+      "                   storage faults are WINOFAULT_CHAOS rules\n"
       "env knobs: WINOFAULT_IMAGES, WINOFAULT_FULL, WINOFAULT_SEED,\n"
       "           WINOFAULT_WIDTH, WINOFAULT_STORE, WINOFAULT_CELL_BUDGET,\n"
       "           WINOFAULT_CLAIM_STALE_MS, WINOFAULT_DAEMON,\n"
@@ -305,43 +304,18 @@ inline CliOptions parse_cli(int argc, char** argv) {
   return cli;
 }
 
-// Resolves the validated --fault-model specs into the driver's silicon
-// model list. @store specs are routed to the storage-tier bridge
-// (fault/models/storage_bridge.h) — they change how the campaign store
-// behaves, not what the silicon computes — and do not join the list. With
-// no CLI silicon spec the list is the process default (the
+// Resolves the validated --fault-model specs into the driver's model
+// list. With no CLI spec the list is the process default (the
 // WINOFAULT_FAULT_MODEL knob, else the builtin flip@op), so every driver
 // sweeps exactly one model by default and its outputs stay byte-identical
 // to the pre-registry ones.
 inline std::vector<FaultModelSpec> resolve_fault_models(
     const CliOptions& cli) {
   std::vector<FaultModelSpec> models;
-  const auto add = [&](const FaultModelSpec& spec) {
-    if (spec.target == FaultTarget::kStore) {
-      std::string error;
-      if (!install_storage_fault_model(spec, &error)) {
-        std::fprintf(stderr, "fault-model: %s\n", error.c_str());
-        std::exit(2);
-      }
-      return;
-    }
-    models.push_back(spec);
-  };
   for (const std::string& raw : cli.fault_models) {
-    add(*FaultModelSpec::parse(raw));  // validated by parse_cli
+    models.push_back(*FaultModelSpec::parse(raw));  // validated by parse_cli
   }
-  if (models.empty()) {
-    // env @store specs install the bridge here too; process_default()
-    // then falls back to the builtin silicon model for the sweeps.
-    const std::string env_spec = env_string("WINOFAULT_FAULT_MODEL", "");
-    if (!env_spec.empty()) {
-      if (const auto parsed = FaultModelSpec::parse(env_spec);
-          parsed.has_value() && parsed->target == FaultTarget::kStore) {
-        add(*parsed);
-      }
-    }
-    models.push_back(FaultModelSpec::process_default());
-  }
+  if (models.empty()) models.push_back(FaultModelSpec::process_default());
   return models;
 }
 
@@ -735,79 +709,21 @@ inline void emit(const Table& table, const std::string& title,
   std::fflush(stdout);
 }
 
-// Flat JSON-object emitter for perf-trajectory files (BENCH_*.json): CI
-// diffs these between runs, so field values are raw numbers, not strings.
-// String values (tags, paths) are escaped, so no input can emit a file
-// json parsers reject.
-class JsonObject {
- public:
-  // JSON string escaping: quotes, backslashes, and every control
-  // character (named escapes where JSON has them, \u00XX otherwise).
-  static std::string escape(const std::string& raw) {
-    std::string out;
-    out.reserve(raw.size());
-    for (const char c : raw) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\b': out += "\\b"; break;
-        case '\f': out += "\\f"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(c)));
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    return out;
-  }
-
-  JsonObject& field(const std::string& name, const std::string& literal) {
-    fields_.emplace_back(name, "\"" + escape(literal) + "\"");
-    return *this;
-  }
-  JsonObject& field(const std::string& name, double value,
-                    int precision = 4) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-    fields_.emplace_back(name, buf);
-    return *this;
-  }
-  JsonObject& field(const std::string& name, std::int64_t value) {
-    fields_.emplace_back(name, std::to_string(value));
-    return *this;
-  }
-
-  bool write(const std::string& name) const {
-    if (worker_mode_ref()) {
-      std::printf("[worker] %s: emission suppressed (coordinator emits)\n",
-                  name.c_str());
-      return true;
-    }
-    const std::string path = out_path(name);
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f, "{\n");
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      std::fprintf(f, "  \"%s\": %s%s\n", escape(fields_[i].first).c_str(),
-                   fields_[i].second.c_str(),
-                   i + 1 < fields_.size() ? "," : "");
-    }
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("[json] %s\n", path.c_str());
+// Writes a perf-trajectory file (BENCH_*.json) as one JSON line. CI diffs
+// these between runs, so field values are raw numbers, not strings.
+inline bool write_bench_json(const std::string& name, const Json& json) {
+  if (worker_mode_ref()) {
+    std::printf("[worker] %s: emission suppressed (coordinator emits)\n",
+                name.c_str());
     return true;
   }
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
+  const std::string path = out_path(name);
+  FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  std::fprintf(f, "%s\n", json.dump().c_str());
+  std::fclose(f);
+  std::printf("[json] %s\n", path.c_str());
+  return true;
+}
 
 }  // namespace winofault::bench

@@ -237,9 +237,9 @@ double time_per_call(Fn&& fn, double min_s = 0.2) {
 // report throughput of a kernel that computes different bits.
 bool write_bench_kernels_json() {
   bool ok = true;
-  bench::JsonObject json;
+  Json json = Json::object();
   const GemmIsa best = best_supported_gemm_isa();
-  json.field("best_isa", std::string(gemm_isa_name(best)));
+  json.set("best_isa", Json::str(gemm_isa_name(best)));
 
   // GEMM dispatch levels on the VGG-ish shape (64c 16x16 3x3).
   const Problem p = make_problem(64, 16, 3);
@@ -252,7 +252,7 @@ bool write_bench_kernels_json() {
     const std::string key =
         std::string("gemm_") + gemm_isa_name(isa) + "_gmacs";
     if (isa > best) {
-      json.field(key, 0.0);
+      json.set(key, Json::number(0.0));
       continue;
     }
     set_gemm_isa(isa);
@@ -262,16 +262,16 @@ bool write_bench_kernels_json() {
                    gemm_isa_name(isa));
       ok = false;
     }
-    json.field(key, gmacs_scale /
-                        time_per_call([&] {
-                          benchmark::DoNotOptimize(
-                              direct_forward_gemm(p.desc, p.data()));
-                        }));
+    json.set(key, Json::number(gmacs_scale /
+                               time_per_call([&] {
+                                 benchmark::DoNotOptimize(
+                                     direct_forward_gemm(p.desc, p.data()));
+                               })));
   }
   set_gemm_isa(best);
 
-  json.field("bit_identity_ok", static_cast<std::int64_t>(ok ? 1 : 0));
-  json.write("BENCH_kernels.json");
+  json.set("bit_identity_ok", Json::integer(ok ? 1 : 0));
+  bench::write_bench_json("BENCH_kernels.json", json);
   return ok;
 }
 

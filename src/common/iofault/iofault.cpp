@@ -264,7 +264,6 @@ std::optional<FaultSchedule> FaultSchedule::parse(const std::string& spec,
     schedule.rules_[i].rng.reseed(schedule.seed_ * 0x9e3779b97f4a7c15ULL +
                                   i + 1);
   }
-  schedule.log_file_ = env_string("WINOFAULT_CHAOS_LOG", "");
   return schedule;
 }
 
@@ -272,8 +271,7 @@ FaultSchedule::FaultSchedule(FaultSchedule&& other) noexcept
     : spec_(std::move(other.spec_)),
       seed_(other.seed_),
       rules_(std::move(other.rules_)),
-      log_(std::move(other.log_)),
-      log_file_(std::move(other.log_file_)) {}
+      log_(std::move(other.log_)) {}
 
 FaultSchedule& FaultSchedule::operator=(FaultSchedule&& other) noexcept {
   if (this != &other) {
@@ -281,7 +279,6 @@ FaultSchedule& FaultSchedule::operator=(FaultSchedule&& other) noexcept {
     seed_ = other.seed_;
     rules_ = std::move(other.rules_);
     log_ = std::move(other.log_);
-    log_file_ = std::move(other.log_file_);
   }
   return *this;
 }
@@ -306,9 +303,7 @@ Decision FaultSchedule::decide(OpClass op, const std::string& path) {
     if (!fire) continue;
     {
       // Injection accounting on the telemetry registry (one series per
-      // rule), exposed through the daemon `metrics` verb. The on-disk
-      // WINOFAULT_CHAOS_LOG line format below is byte-frozen — CI replay
-      // diffs depend on it — so the counters ride alongside, never in it.
+      // rule), exposed through the daemon `metrics` verb.
       char labels[32];
       std::snprintf(labels, sizeof(labels), "rule=\"%d\"",
                     static_cast<int>(i));
@@ -324,30 +319,16 @@ Decision FaultSchedule::decide(OpClass op, const std::string& path) {
     injection.arg = rule.arg;
     injection.path = path;
     log_.push_back(injection);
-    if (!log_file_.empty()) {
-      // Plain stdio on purpose: the injection log must never be subject to
-      // injection itself. Appended per record so a SIGKILL'd chaos run
-      // still leaves every fault it saw on disk.
-      if (std::FILE* f = std::fopen(log_file_.c_str(), "a")) {
-        std::fprintf(f, "rule=%d match=%lld fault=%s op=%s arg=%lld path=%s\n",
-                     injection.rule,
-                     static_cast<long long>(injection.match),
-                     fault_name(injection.fault), op_class_name(injection.op),
-                     static_cast<long long>(injection.arg),
-                     injection.path.c_str());
-        std::fclose(f);
-      }
-    }
     if (telemetry::events_enabled()) {
-      // Flight-recorder mirror of the injection; the byte-frozen
-      // WINOFAULT_CHAOS_LOG format above stays the replay-diff source of
-      // truth, this just places the fault on the event timeline.
+      // The on-disk injection record: every field of the Injection, so two
+      // runs of one schedule can be compared from their event logs.
       telemetry::emit_event("chaos_injected",
                             {{"fault", fault_name(rule.fault)},
                              {"op", op_class_name(op)},
                              {"path", path}},
                             {{"rule", static_cast<std::int64_t>(i)},
-                             {"match", rule.matches}});
+                             {"match", rule.matches},
+                             {"arg", rule.arg}});
     }
     WF_WARN << "iofault: injecting " << fault_name(rule.fault) << " into "
             << op_class_name(op) << " " << path << " (rule " << i

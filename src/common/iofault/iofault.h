@@ -113,7 +113,7 @@ class FaultSchedule {
 
   // Canonical log rendering, one "rule=I match=N fault=F op=C arg=A
   // path=P" line per injection. `with_paths=false` omits the path field —
-  // the stable form CI diffs when a rule's glob spans thread-interleaved
+  // the stable form to compare when a rule's glob spans thread-interleaved
   // files (per-rule ordinals are deterministic; landing paths need not
   // be).
   std::string log_text(bool with_paths = true) const;
@@ -143,15 +143,14 @@ class FaultSchedule {
   mutable std::mutex mu_;  // guards rules_ counters/rngs and log_
   std::vector<Rule> rules_;
   std::vector<Injection> log_;
-  std::string log_file_;  // WINOFAULT_CHAOS_LOG: appended per injection
 };
 
 // Shell-style glob match (`*`, `?`) against `text` or its basename —
 // exposed for tests.
 bool glob_match(const std::string& glob, const std::string& text);
 
-// Process-wide schedule. Lazily configured from WINOFAULT_CHAOS (and
-// WINOFAULT_CHAOS_LOG) on first access; null when chaos is off.
+// Process-wide schedule. Lazily configured from WINOFAULT_CHAOS on first
+// access; null when chaos is off.
 FaultSchedule* schedule();
 
 // Installs (or clears, with nullopt) the process-wide schedule. Test seam;

@@ -8,6 +8,7 @@
 #include <mutex>
 
 #include "common/env.h"
+#include "common/json.h"
 
 namespace winofault::telemetry {
 namespace {
@@ -39,27 +40,6 @@ void init_events_from_env() {
     event_state().path = path;
     g_events.store(true, std::memory_order_release);
   });
-}
-
-void append_escaped(std::string* out, const std::string& value) {
-  for (const char c : value) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 std::int64_t wall_epoch_ms() {
@@ -96,32 +76,16 @@ void emit_event(
     std::initializer_list<std::pair<const char*, std::int64_t>> nums) {
   if (!events_enabled()) return;
   // Build the line outside any file operation; one allocation-churny
-  // string per event is fine — events are rare lifecycle transitions, not
+  // object per event is fine — events are rare lifecycle transitions, not
   // per-cell traffic.
-  std::string line;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "{\"ts_ms\":%lld,\"pid\":%lld,",
-                static_cast<long long>(wall_epoch_ms()),
-                static_cast<long long>(::getpid()));
-  line += buf;
-  line += "\"event\":\"";
-  append_escaped(&line, type);
-  line += "\"";
-  for (const auto& [key, value] : fields) {
-    line += ",\"";
-    append_escaped(&line, key);
-    line += "\":\"";
-    append_escaped(&line, value);
-    line += "\"";
-  }
-  for (const auto& [key, value] : nums) {
-    line += ",\"";
-    append_escaped(&line, key);
-    std::snprintf(buf, sizeof(buf), "\":%lld",
-                  static_cast<long long>(value));
-    line += buf;
-  }
-  line += "}\n";
+  Json event = Json::object();
+  event.set("ts_ms", Json::integer(wall_epoch_ms()));
+  event.set("pid", Json::integer(::getpid()));
+  event.set("event", Json::str(type));
+  for (const auto& [key, value] : fields) event.set(key, Json::str(value));
+  for (const auto& [key, value] : nums) event.set(key, Json::integer(value));
+  std::string line = event.dump();
+  line += '\n';
 
   EventState& state = event_state();
   std::lock_guard<std::mutex> lock(state.mu);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/json.h"
 
 namespace winofault::telemetry {
 namespace {
@@ -482,17 +483,21 @@ void flush_trace() {
   if (std::fseek(f, static_cast<long>(state.sink_tail), SEEK_SET) != 0) {
     return;
   }
-  const long long pid = static_cast<long long>(::getpid());
+  const std::int64_t pid = ::getpid();
   for (const std::shared_ptr<ThreadBuffer>& buffer : state.buffers) {
     std::lock_guard<std::mutex> buffer_lock(buffer->mu);
     for (std::size_t i = buffer->flushed; i < buffer->events.size(); ++i) {
       const TraceEvent& e = buffer->events[i];
-      std::fprintf(f,
-                   "%s\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                   "\"ts\":%lld,\"dur\":%lld,\"pid\":%lld,\"tid\":%u}",
-                   state.sink_has_events ? "," : "", e.name, e.cat,
-                   static_cast<long long>(e.ts_us),
-                   static_cast<long long>(e.dur_us), pid, buffer->tid);
+      Json event = Json::object();
+      event.set("name", Json::str(e.name));
+      event.set("cat", Json::str(e.cat));
+      event.set("ph", Json::str("X"));
+      event.set("ts", Json::integer(e.ts_us));
+      event.set("dur", Json::integer(e.dur_us));
+      event.set("pid", Json::integer(pid));
+      event.set("tid", Json::unsigned_integer(buffer->tid));
+      std::fprintf(f, "%s\n%s", state.sink_has_events ? "," : "",
+                   event.dump().c_str());
       state.sink_has_events = true;
     }
     buffer->flushed = buffer->events.size();

@@ -6,9 +6,9 @@
 // before a single requantization — so the result is bit-identical to direct
 // 5x5 convolution, preserving the paper's "no accuracy penalty" property.
 //
-// DWM is provided as an extension for golden execution and op accounting
-// (ablation bench); fault injection on 5x5 layers runs through the direct
-// engine (ConvPolicy falls back automatically).
+// DWM is provided as an extension for golden execution and op accounting;
+// only micro_kernels and dwm_test reach it. select_engine never picks it, so
+// 5x5 layers run (and take faults) on the direct engine under every policy.
 #pragma once
 
 #include "conv/conv_desc.h"

@@ -23,14 +23,9 @@ bool parse_kind(const std::string& token, FaultModelKind* kind,
     *kind = FaultModelKind::kStuck1;
   } else if (token == "toggle") {
     *kind = FaultModelKind::kToggle;
-  } else if (token == "slow") {
-    *kind = FaultModelKind::kSlow;
-  } else if (token == "medium") {
-    *kind = FaultModelKind::kMedium;
   } else {
     return fail(error, "unknown fault kind '" + token +
-                           "' (expected flip|stuck0|stuck1|toggle|slow|"
-                           "medium)");
+                           "' (expected flip|stuck0|stuck1|toggle)");
   }
   return true;
 }
@@ -43,34 +38,14 @@ bool parse_target(const std::string& token, FaultTarget* target,
     *target = FaultTarget::kWeight;
   } else if (token == "accum") {
     *target = FaultTarget::kAccum;
-  } else if (token == "store") {
-    *target = FaultTarget::kStore;
   } else {
     return fail(error, "unknown fault target '" + token +
-                           "' (expected op|weight|accum|store)");
+                           "' (expected op|weight|accum)");
   }
   return true;
 }
 
 bool validate(const FaultModelSpec& spec, bool has_arg, std::string* error) {
-  const bool storage_kind = spec.kind == FaultModelKind::kSlow ||
-                            spec.kind == FaultModelKind::kMedium;
-  if (spec.target == FaultTarget::kStore) {
-    if (storage_kind || spec.kind == FaultModelKind::kFlip) {
-      if (has_arg && spec.kind != FaultModelKind::kSlow) {
-        return fail(error, "only slow@store takes an argument (delay ms)");
-      }
-      if (spec.arg < 0.0) {
-        return fail(error, "slow@store delay must be >= 0 ms");
-      }
-      return true;
-    }
-    return fail(error, "@store supports slow(ms), flip, and medium only");
-  }
-  if (storage_kind) {
-    return fail(error, std::string(fault_kind_name(spec.kind)) +
-                           " is a storage-tier kind; use @store");
-  }
   if (spec.target == FaultTarget::kOp) {
     if (spec.kind == FaultModelKind::kStuck0 ||
         spec.kind == FaultModelKind::kStuck1) {
@@ -116,10 +91,6 @@ const char* fault_kind_name(FaultModelKind kind) {
       return "stuck1";
     case FaultModelKind::kToggle:
       return "toggle";
-    case FaultModelKind::kSlow:
-      return "slow";
-    case FaultModelKind::kMedium:
-      return "medium";
   }
   return "?";
 }
@@ -132,8 +103,6 @@ const char* fault_target_name(FaultTarget target) {
       return "weight";
     case FaultTarget::kAccum:
       return "accum";
-    case FaultTarget::kStore:
-      return "store";
   }
   return "?";
 }
@@ -239,12 +208,6 @@ const FaultModelSpec& FaultModelSpec::process_default() {
         FaultModelSpec::parse(env, &error);
     if (!parsed.has_value()) {
       WF_WARN << "WINOFAULT_FAULT_MODEL '" << env << "' ignored: " << error;
-      return FaultModelSpec{};
-    }
-    if (parsed->target == FaultTarget::kStore) {
-      WF_WARN << "WINOFAULT_FAULT_MODEL '" << env
-              << "' is a storage-tier model; bench drivers install it via "
-                 "the iofault bridge, the silicon injector stays default";
       return FaultModelSpec{};
     }
     return *parsed;

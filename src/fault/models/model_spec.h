@@ -5,12 +5,11 @@
 //
 //   spec        := kind [ "(" arg ")" ] "@" target [ "#" persistence ]
 //   kind        := "flip" | "stuck0" | "stuck1" | "toggle"
-//                | "slow" | "medium"              (storage tier only)
-//   target      := "op" | "weight" | "accum" | "store"
+//   target      := "op" | "weight" | "accum"
 //   persistence := "trans" | "transient" | "perm" | "permanent"
 //
 // Examples: "flip@op" (the built-in default — bit-identical to seed
-// semantics), "stuck0@weight#perm", "toggle@accum", "slow(5)@store".
+// semantics), "stuck0@weight#perm", "toggle@accum".
 //
 // Semantics by target:
 //   op      transient bit flips on operation results in the datapath —
@@ -28,15 +27,14 @@
 //           upsets on output elements while resident in their register.
 //           Permanent: per-register stuck/toggled bits applied to every
 //           output element the register produces.
-//   store   storage-tier faults (AchillesBench's slow-disk / bit-flip /
-//           medium-error menu) bridged onto the common/iofault chaos rules
-//           rather than the silicon injector; see storage_bridge.h. Not a
-//           campaign axis.
 //
-// `arg` is the slow-disk delay in ms for "slow", and for permanent
-// silicon models an optional per-bit defect probability overriding the
-// point's BER. The built-in default model keeps every hash, journal, and
-// figure byte-identical to pre-registry output.
+// Storage faults (slow disk, read bit flips, medium errors) are not models:
+// they are WINOFAULT_CHAOS rules (common/iofault), e.g. "slow(5)@any#1+",
+// "flip@read#1", "eio@read#1".
+//
+// `arg` is, for permanent models, an optional per-bit defect probability
+// overriding the point's BER. The built-in default model keeps every hash,
+// journal, and figure byte-identical to pre-registry output.
 #pragma once
 
 #include <cstdint>
@@ -52,15 +50,12 @@ enum class FaultModelKind : std::uint8_t {
   kStuck0 = 1,
   kStuck1 = 2,
   kToggle = 3,
-  kSlow = 4,    // storage tier only: delayed IO, arg = milliseconds
-  kMedium = 5,  // storage tier only: medium error (EIO on read)
 };
 
 enum class FaultTarget : std::uint8_t {
   kOp = 0,
   kWeight = 1,
   kAccum = 2,
-  kStore = 3,
 };
 
 enum class FaultPersistence : std::uint8_t {
@@ -109,9 +104,9 @@ struct FaultModelSpec {
   std::string slug() const;
 
   // The process-wide default model: WINOFAULT_FAULT_MODEL if set and
-  // parseable as a silicon model, else the built-in flip@op. Read once;
-  // malformed or @store values warn and fall back to the built-in (bench
-  // drivers validate the env separately and exit(2) on typos).
+  // parseable, else the built-in flip@op. Read once; malformed values warn
+  // and fall back to the built-in (bench drivers validate the env
+  // separately and exit(2) on typos).
   static const FaultModelSpec& process_default();
 
   friend bool operator==(const FaultModelSpec& a, const FaultModelSpec& b) {

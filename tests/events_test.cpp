@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/telemetry/events.h"
-#include "core/service/protocol.h"
 
 namespace winofault {
 namespace {
@@ -84,6 +84,10 @@ TEST_F(EventsTest, HostileStringValuesNeverBreakFraming) {
   telemetry::emit_event("job_done", {{"job", "j-2"}});
   const std::vector<std::string> all = lines();
   ASSERT_EQ(all.size(), 2u);  // the embedded newline was escaped, not raw
+  // The exact bytes after the ts_ms and pid members.
+  EXPECT_EQ(all[0].substr(all[0].find(",\"event\"")),
+            ",\"event\":\"session_evicted\",\"env\":\"quote\\\" backslash\\\\ "
+            "newline\\n tab\\t ctrl\\u0001 end\"}");
   const std::optional<Json> doc = Json::parse(all[0]);
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("env")->as_string(),

@@ -7,15 +7,13 @@
 //       (reuse_golden) and scratch execution — transient weight/accum
 //       models re-sample per trial, permanent ones ride the overlay;
 //   (d) permanent overlays are deterministic in (model, seed) and persist
-//       across every image and trial of a point;
-//   (e) the storage bridge renders the documented iofault rules.
+//       across every image and trial of a point.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/iofault/iofault.h"
 #include "conv/engine.h"
 #include "core/campaign/campaign.h"
 #include "core/service/protocol.h"
@@ -23,7 +21,6 @@
 #include "fault/fault_model.h"
 #include "fault/models/model_spec.h"
 #include "fault/models/overlay.h"
-#include "fault/models/storage_bridge.h"
 #include "nn/models/zoo.h"
 
 namespace winofault {
@@ -76,12 +73,6 @@ TEST(FaultModelSpecTest, GrammarAccepts) {
        FaultPersistence::kTransient, 0.0},
       {"stuck0@accum#perm", FaultModelKind::kStuck0, FaultTarget::kAccum,
        FaultPersistence::kPermanent, 0.0},
-      {"slow(5)@store", FaultModelKind::kSlow, FaultTarget::kStore,
-       FaultPersistence::kTransient, 5.0},
-      {"flip@store#perm", FaultModelKind::kFlip, FaultTarget::kStore,
-       FaultPersistence::kPermanent, 0.0},
-      {"medium@store", FaultModelKind::kMedium, FaultTarget::kStore,
-       FaultPersistence::kTransient, 0.0},
   };
   for (const Case& c : cases) {
     std::string error;
@@ -123,9 +114,12 @@ TEST(FaultModelSpecTest, GrammarRejects) {
       "stuck0(0.1)@weight",      // arg only valid with #perm
       "stuck0(2.0)@weight#perm", // defect probability out of (0, 1]
       "stuck0(-1)@weight#perm",  // ditto
-      "slow(5)@weight",          // storage kind off the storage tier
+      "slow(5)@weight",          // storage faults are WINOFAULT_CHAOS rules
       "medium@op",               // ditto
-      "stuck0@store",            // stuck-at is not a storage model
+      "slow(5)@store",           // ditto
+      "flip@store",              // ditto
+      "medium@store#perm",       // ditto
+      "stuck0@store",            // ditto
       "flip@op trailing",        // trailing garbage
       "flip@op#trans#perm",      // double persistence
   };
@@ -307,31 +301,6 @@ TEST(FaultModelProtocolTest, CampaignSpecRoundTripsModels) {
   CampaignSpec rejected;
   EXPECT_FALSE(decode_campaign_spec(*bad, &rejected, &error));
   EXPECT_NE(error.find("fault_model"), std::string::npos) << error;
-}
-
-TEST(StorageBridgeTest, RendersDocumentedRules) {
-  const std::pair<const char*, const char*> cases[] = {
-      {"slow(5)@store", "slow(5)@any#1+"},
-      {"slow@store", "slow(5)@any#1+"},  // default delay
-      {"flip@store", "flip@read#1"},
-      {"flip@store#perm", "flip@read#1+"},
-      {"medium@store", "eio@read#1"},
-      {"medium@store#perm", "eio@read#1+"},
-  };
-  for (const auto& [spec, rule] : cases) {
-    const auto parsed = FaultModelSpec::parse(spec);
-    ASSERT_TRUE(parsed.has_value()) << spec;
-    EXPECT_EQ(storage_fault_rule(*parsed), rule) << spec;
-  }
-}
-
-TEST(StorageBridgeTest, InstallsParseableSchedule) {
-  std::string error;
-  EXPECT_TRUE(install_storage_fault_model(
-      *FaultModelSpec::parse("flip@store"), &error))
-      << error;
-  EXPECT_NE(iofault::schedule(), nullptr);
-  iofault::set_schedule(std::nullopt);  // do not leak into other tests
 }
 
 }  // namespace

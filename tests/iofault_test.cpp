@@ -4,20 +4,26 @@
 //       un-chaosed campaign);
 //   (b) triggers (#N, #N+, #pP) fire as pure functions of the per-rule
 //       match ordinal: two schedules parsed from the same spec produce
-//       bit-identical injection logs over the same op stream;
+//       bit-identical injection logs over the same op stream, and the same
+//       chaos_injected events in the event log;
 //   (c) the checked_* shims inject real observable faults — torn writes
 //       truncate at the byte offset, flips corrupt exactly one bit of a
 //       read — and pass through untouched when no schedule is installed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/iofault/iofault.h"
+#include "common/json.h"
+#include "common/telemetry/events.h"
 
 namespace winofault::iofault {
 namespace {
@@ -99,6 +105,19 @@ TEST(IofaultGlob, MatchesPathOrBasename) {
 
 // ---- (b) trigger determinism ----
 
+// The spec and op stream the two replay tests below drive.
+const std::string kReplaySpec =
+    "9:eio@read:*.shard#p0.5;torn(8)@write:*.journal#2;slow(3)@any#p0.1";
+const struct {
+  OpClass op;
+  const char* path;
+} kReplayStream[] = {
+    {OpClass::kRead, "g1.shard"},  {OpClass::kWrite, "c.journal"},
+    {OpClass::kRead, "g2.shard"},  {OpClass::kWrite, "c.journal"},
+    {OpClass::kFsync, "c.journal"}, {OpClass::kRead, "g1.shard"},
+    {OpClass::kWrite, "c.journal"}, {OpClass::kRead, "g3.shard"},
+};
+
 TEST(IofaultTrigger, NthFiresExactlyOnce) {
   std::string error;
   auto schedule = FaultSchedule::parse("3:eio@write:*.x#2", &error);
@@ -128,23 +147,12 @@ TEST(IofaultTrigger, SameSpecSameOpStreamSameInjectionLog) {
   // Probability triggers included: the per-rule RNG is forked from
   // (seed, rule index), so replaying the spec over the same op stream
   // reproduces the injection sequence bit-for-bit. This is the
-  // determinism contract CI's chaos log diff relies on.
-  const std::string spec =
-      "9:eio@read:*.shard#p0.5;torn(8)@write:*.journal#2;slow(1)@any#p0.1";
+  // determinism contract CI's chaos smoke relies on.
   std::string error;
-  auto a = FaultSchedule::parse(spec, &error);
-  auto b = FaultSchedule::parse(spec, &error);
+  auto a = FaultSchedule::parse(kReplaySpec, &error);
+  auto b = FaultSchedule::parse(kReplaySpec, &error);
   ASSERT_TRUE(a.has_value() && b.has_value()) << error;
-  const struct {
-    OpClass op;
-    const char* path;
-  } stream[] = {
-      {OpClass::kRead, "g1.shard"},  {OpClass::kWrite, "c.journal"},
-      {OpClass::kRead, "g2.shard"},  {OpClass::kWrite, "c.journal"},
-      {OpClass::kFsync, "c.journal"}, {OpClass::kRead, "g1.shard"},
-      {OpClass::kWrite, "c.journal"}, {OpClass::kRead, "g3.shard"},
-  };
-  for (const auto& op : stream) {
+  for (const auto& op : kReplayStream) {
     const Decision da = a->decide(op.op, op.path);
     const Decision db = b->decide(op.op, op.path);
     EXPECT_EQ(da.fault, db.fault);
@@ -152,6 +160,51 @@ TEST(IofaultTrigger, SameSpecSameOpStreamSameInjectionLog) {
   }
   EXPECT_EQ(a->log_text(), b->log_text());
   EXPECT_GT(a->injections(), 0);  // the torn #2 rule fired at least
+}
+
+// The event log is the on-disk injection record: two runs of one schedule
+// over one op stream leave the same (rule, match, fault, op, arg) sequence
+// of chaos_injected events, and each run's sequence is its in-memory log.
+TEST(IofaultTrigger, SameSpecSameOpStreamSameChaosEvents) {
+  const std::string events = temp_file("events.ndjson");
+  telemetry::set_events_path(events);
+  std::vector<std::string> logged;
+  for (int run = 0; run < 2; ++run) {
+    std::string error;
+    auto schedule = FaultSchedule::parse(kReplaySpec, &error);
+    ASSERT_TRUE(schedule.has_value()) << error;
+    for (const auto& op : kReplayStream) schedule->decide(op.op, op.path);
+    for (const Injection& i : schedule->log()) {
+      logged.push_back(std::to_string(i.rule) + " " +
+                       std::to_string(i.match) + " " + fault_name(i.fault) +
+                       " " + op_class_name(i.op) + " " +
+                       std::to_string(i.arg));
+    }
+  }
+  telemetry::set_events_path("");
+
+  std::vector<std::string> recorded;
+  std::ifstream in(events);
+  for (std::string line; std::getline(in, line);) {
+    const std::optional<Json> e = Json::parse(line);
+    ASSERT_TRUE(e.has_value()) << line;
+    ASSERT_EQ(e->find("event")->as_string(), "chaos_injected");
+    ASSERT_NE(e->find("arg"), nullptr) << line;
+    recorded.push_back(std::to_string(e->find("rule")->as_int()) + " " +
+                       std::to_string(e->find("match")->as_int()) + " " +
+                       e->find("fault")->as_string() + " " +
+                       e->find("op")->as_string() + " " +
+                       std::to_string(e->find("arg")->as_int()));
+  }
+  fs::remove(events);
+  EXPECT_EQ(recorded, logged);
+  ASSERT_EQ(recorded.size() % 2, 0u);
+  const std::size_t half = recorded.size() / 2;
+  EXPECT_GT(half, 0u);
+  EXPECT_TRUE(std::equal(recorded.begin(), recorded.begin() + half,
+                         recorded.begin() + half));
+  EXPECT_NE(std::find(recorded.begin(), recorded.end(), "1 2 torn write 8"),
+            recorded.end());
 }
 
 // ---- (c) shim behavior ----

@@ -7,20 +7,25 @@
 //   (c) prometheus_text() renders well-formed exposition: HELP/TYPE per
 //       name, histogram _bucket/_sum/_count with monotone cumulative
 //       counts;
-//   (d) trace files are valid JSON (parsed with the service protocol's
-//       parser) whose events carry name/ph/ts/dur, and tracing toggled
-//       on/off never touches metric values.
+//   (d) trace files are valid JSON (parsed with common/json) whose events
+//       carry name/ph/ts/dur, and tracing toggled on/off never touches
+//       metric values;
+//   (e) event-log lines emitted from pool threads never interleave.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/json.h"
 #include "common/parallel.h"
+#include "common/telemetry/events.h"
 #include "common/telemetry/telemetry.h"
-#include "core/service/protocol.h"
 
 namespace winofault {
 namespace {
@@ -285,6 +290,33 @@ TEST_F(TelemetryTest, IncrementalFlushAppendsAndStaysValidJson) {
   telemetry::flush_trace();
   EXPECT_EQ(parse_events(), base + 2);
   telemetry::set_trace_path("");
+  fs::remove(path);
+}
+
+TEST_F(TelemetryTest, EventsFromPoolThreadsNeverInterleave) {
+  const std::string path =
+      ::testing::TempDir() + "winofault_telemetry_events.ndjson";
+  fs::remove(path);
+  telemetry::set_events_path(path);
+  constexpr std::int64_t kN = 2000;
+  parallel_for(kN, 4, [&](std::int64_t i) {
+    telemetry::emit_event("pool_event", {{"path", "a \"quoted\"\npath"}},
+                          {{"i", i}});
+  });
+  telemetry::set_events_path("");
+
+  std::ifstream in(path);
+  std::vector<bool> seen(kN, false);
+  std::int64_t lines = 0;
+  for (std::string line; std::getline(in, line); ++lines) {
+    const std::optional<Json> doc = Json::parse(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    const std::int64_t i = doc->find("i")->as_int(-1);
+    ASSERT_TRUE(i >= 0 && i < kN) << line;
+    seen[static_cast<std::size_t>(i)] = true;
+  }
+  EXPECT_EQ(lines, kN);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), kN);
   fs::remove(path);
 }
 

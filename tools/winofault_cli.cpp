@@ -6,13 +6,12 @@
 //   winofault-cli --socket PATH status JOB
 //   winofault-cli --socket PATH cancel JOB
 //   winofault-cli --socket PATH drain
-//   winofault-cli --socket PATH stats [--raw] [--watch N]
+//   winofault-cli --socket PATH stats [--raw]
 //   winofault-cli --socket PATH top [--once] [--interval N]
 //
 // `stats` fetches the daemon's `metrics` verb (the cross-tier telemetry
 // registry) and renders it as a table; --raw prints the Prometheus text
-// exposition verbatim, suitable for piping into a scrape file; --watch N
-// refreshes the table in place every N seconds until interrupted.
+// exposition verbatim, suitable for piping into a scrape file.
 //
 // `top` is the live flight-recorder dashboard: it combines the `history`
 // verb (the daemon's sampler ring) with `ping` to render jobs, sessions,
@@ -30,8 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "core/service/client.h"
-#include "core/service/protocol.h"
 
 namespace {
 
@@ -42,7 +41,7 @@ void usage(const char* prog, std::FILE* to) {
   std::fprintf(
       to,
       "usage: %s --socket PATH "
-      "<ping|drain|stats [--raw] [--watch N]|top [--once] [--interval N]|"
+      "<ping|drain|stats [--raw]|top [--once] [--interval N]|"
       "status JOB|cancel JOB>\n",
       prog);
 }
@@ -144,7 +143,7 @@ double last_or_zero(const std::vector<double>& track) {
 }
 
 // One dashboard frame. Returns false when the daemon stopped answering
-// (the watch loop then exits with an error instead of spinning).
+// (the refresh loop then exits with an error instead of spinning).
 bool top_frame(ServiceClient& client, const std::string& socket_path,
                bool ansi, std::string* error) {
   Json history_req = Json::object();
@@ -229,7 +228,6 @@ int main(int argc, char** argv) {
   std::string job;
   bool raw = false;
   bool once = false;
-  long watch_s = 0;     // stats --watch cadence; 0 = single shot
   long interval_s = 2;  // top refresh cadence
   const char* prog = argc > 0 ? argv[0] : "winofault-cli";
   for (int i = 1; i < argc; ++i) {
@@ -242,12 +240,6 @@ int main(int argc, char** argv) {
       raw = true;
     } else if (std::strcmp(argv[i], "--once") == 0) {
       once = true;
-    } else if (std::strcmp(argv[i], "--watch") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --watch requires a value\n", prog);
-        return 2;
-      }
-      watch_s = positive_arg(prog, "--watch", argv[++i]);
     } else if (std::strcmp(argv[i], "--interval") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s: --interval requires a value\n", prog);
@@ -291,10 +283,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: --raw only applies to 'stats'\n", prog);
     return 2;
   }
-  if (watch_s > 0 && verb != "stats") {
-    std::fprintf(stderr, "%s: --watch only applies to 'stats'\n", prog);
-    return 2;
-  }
   if (once && verb != "top") {
     std::fprintf(stderr, "%s: --once only applies to 'top'\n", prog);
     return 2;
@@ -317,29 +305,6 @@ int main(int argc, char** argv) {
       }
       if (once) return 0;
       ::sleep(static_cast<unsigned>(interval_s));
-    }
-  }
-
-  if (verb == "stats" && watch_s > 0) {
-    for (;;) {
-      Json request = Json::object();
-      request.set("op", Json::str("metrics"));
-      const std::optional<Json> response = client.request(request, &error);
-      if (!response.has_value()) {
-        std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-        return 1;
-      }
-      const Json* ok = response->find("ok");
-      if (ok == nullptr || !ok->as_bool(false)) {
-        std::printf("%s\n", response->dump().c_str());
-        return 1;
-      }
-      const Json* metrics = response->find("metrics");
-      std::fputs("\x1b[H\x1b[J", stdout);
-      print_metrics_table(metrics != nullptr ? metrics->as_string()
-                                             : std::string());
-      std::fflush(stdout);
-      ::sleep(static_cast<unsigned>(watch_s));
     }
   }
 
