@@ -1,10 +1,9 @@
 // Fault-sweep campaign throughput: a fig1-style operation-level injection
-// campaign (BER x policy grid) timed end-to-end in four modes:
+// campaign (BER x policy grid) timed end-to-end in three modes:
 //   campaign        one CampaignSpec over the whole grid — goldens shared
 //                   per (image, policy) across every point, one schedule
 //   per_call_cache  point-by-point evaluate() (PR 1: golden cache per call)
 //   scratch         point-by-point, every trial recomputed from scratch
-//   seed_equivalent scratch on the seed revision's kernel algorithms
 // and in two regimes:
 //   deep    WINOFAULT_TRIALS trials per (image, point): the golden build
 //           amortizes across trials even per call, so this isolates the
@@ -138,7 +137,7 @@ int main(int argc, char** argv) {
   const double sweep_inferences = static_cast<double>(m.data.size()) *
                                   static_cast<double>(bers.size()) * 2.0;
 
-  double campaign_sum = 0, percall_sum = 0, scratch_sum = 0, seed_sum = 0;
+  double campaign_sum = 0, percall_sum = 0, scratch_sum = 0;
   double sweep_campaign_sum = 0, sweep_percall_sum = 0;
   CampaignStats stats;
   // Phase attribution for the deep campaign run: histogram-sum deltas
@@ -161,12 +160,6 @@ int main(int argc, char** argv) {
   const double scratch_s = timed(
       [&] { return run_per_call(m.net, m.data, deep_scratch); },
       &scratch_sum);
-  // Seed-equivalent execution: scratch trials on the seed revision's
-  // kernels (reference direct loop, per-forward Winograd filter transform).
-  set_seed_equivalent_kernels(true);
-  const double seed_s = timed(
-      [&] { return run_per_call(m.net, m.data, deep_scratch); }, &seed_sum);
-  set_seed_equivalent_kernels(false);
   // Sweep regime: the fig-driver shape (1 trial per grid point).
   const double sweep_campaign_s = timed(
       [&] { return run_unified(m.net, m.data, sweep, nullptr); },
@@ -215,10 +208,8 @@ int main(int argc, char** argv) {
   const double campaign_ips = inferences / campaign_s;
   const double percall_ips = inferences / percall_s;
   const double scratch_ips = inferences / scratch_s;
-  const double seed_ips = inferences / seed_s;
   const double speedup_vs_percall = percall_s / campaign_s;
   const double speedup_vs_scratch = scratch_s / campaign_s;
-  const double speedup_vs_seed = seed_s / campaign_s;
   const double sweep_speedup = sweep_percall_s / sweep_campaign_s;
 
   Table table({"regime", "mode", "wall_s", "inferences_per_s",
@@ -229,8 +220,6 @@ int main(int argc, char** argv) {
                  Table::fmt(percall_ips, 1), Table::fmt(percall_sum, 6)});
   table.add_row({"deep", "scratch", Table::fmt(scratch_s, 3),
                  Table::fmt(scratch_ips, 1), Table::fmt(scratch_sum, 6)});
-  table.add_row({"deep", "seed_equivalent", Table::fmt(seed_s, 3),
-                 Table::fmt(seed_ips, 1), Table::fmt(seed_sum, 6)});
   table.add_row({"sweep", "campaign", Table::fmt(sweep_campaign_s, 3),
                  Table::fmt(sweep_inferences / sweep_campaign_s, 1),
                  Table::fmt(sweep_campaign_sum, 6)});
@@ -245,13 +234,13 @@ int main(int argc, char** argv) {
                  Table::fmt(sweep_inferences / model_permanent_s, 1),
                  Table::fmt(model_permanent_sum, 6)});
   emit(table, "Campaign throughput: unified campaign vs per-call cache vs "
-              "scratch vs seed kernels (VGG19 int16, op-level FI)",
+              "scratch (VGG19 int16, op-level FI)",
        "bench_campaign");
   std::printf(
-      "deep  (%d trials): %.2fx vs per-call cache, %.2fx vs scratch, %.2fx "
-      "vs seed kernels (%zu images, %zu BER points x 2 policies)\n",
-      trials, speedup_vs_percall, speedup_vs_scratch, speedup_vs_seed,
-      m.data.size(), bers.size());
+      "deep  (%d trials): %.2fx vs per-call cache, %.2fx vs scratch "
+      "(%zu images, %zu BER points x 2 policies)\n",
+      trials, speedup_vs_percall, speedup_vs_scratch, m.data.size(),
+      bers.size());
   std::printf(
       "sweep (1 trial):   %.2fx vs per-call cache over %zu grid points\n",
       sweep_speedup, sweep.size());
@@ -267,7 +256,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(stats.golden_hits),
       static_cast<long long>(stats.golden_evictions));
   if (campaign_sum != percall_sum || campaign_sum != scratch_sum ||
-      campaign_sum != seed_sum ||
       sweep_campaign_sum != sweep_percall_sum) {
     std::printf("ERROR: campaign modes disagree\n");
     return 1;
@@ -287,11 +275,9 @@ int main(int argc, char** argv) {
       .set("exec_s", Json::number(exec_s))
       .set("cached_wall_s", Json::number(percall_s))
       .set("scratch_wall_s", Json::number(scratch_s))
-      .set("seed_equiv_wall_s", Json::number(seed_s))
       .set("campaign_inferences_per_s", Json::number(campaign_ips))
       .set("cached_inferences_per_s", Json::number(percall_ips))
       .set("scratch_inferences_per_s", Json::number(scratch_ips))
-      .set("seed_equiv_inferences_per_s", Json::number(seed_ips))
       .set("sweep_campaign_wall_s", Json::number(sweep_campaign_s))
       .set("sweep_percall_wall_s", Json::number(sweep_percall_s))
       .set("model_transient_wall_s", Json::number(model_transient_s))
@@ -304,7 +290,6 @@ int main(int argc, char** argv) {
       .set("golden_hits", Json::integer(stats.golden_hits))
       .set("speedup_vs_percall", Json::number(speedup_vs_percall))
       .set("speedup_vs_scratch", Json::number(speedup_vs_scratch))
-      .set("speedup_vs_seed", Json::number(speedup_vs_seed))
       .set("sweep_speedup_vs_percall", Json::number(sweep_speedup))
       .set("noise_runs", Json::integer(kNoiseRuns))
       .set("noise_cv", Json::number(noise_cv));

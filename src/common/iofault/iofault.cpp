@@ -235,10 +235,12 @@ std::optional<FaultSchedule> FaultSchedule::parse(const std::string& spec,
     if (trigger.empty()) return fail("rule '" + text + "': empty trigger");
     if (trigger[0] == 'p') {
       rule.trigger = TriggerKind::kProbability;
+      const char* digits = trigger.c_str() + 1;
       char* end = nullptr;
-      rule.probability = std::strtod(trigger.c_str() + 1, &end);
-      if (end == nullptr || *end != '\0' || rule.probability < 0.0 ||
-          rule.probability > 1.0) {
+      rule.probability = std::strtod(digits, &end);
+      // Written as a range check that NaN fails; `#p` alone parses no digits.
+      if (end == digits || *end != '\0' ||
+          !(rule.probability >= 0.0 && rule.probability <= 1.0)) {
         return fail("rule '" + text + "': bad probability '" + trigger + "'");
       }
     } else {

@@ -176,7 +176,6 @@ OpSpace DirectConvEngine::op_space(const ConvDesc& desc, DType dtype) const {
 
 TensorI32 DirectConvEngine::forward(const ConvDesc& desc,
                                     const ConvData& data) const {
-  if (seed_equivalent_kernels()) return direct_forward_reference(desc, data);
   return direct_forward_gemm(desc, data);
 }
 

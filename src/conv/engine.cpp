@@ -1,29 +1,10 @@
 #include "conv/engine.h"
 
-#include <atomic>
-
-#include "common/env.h"
 #include "common/logging.h"
 #include "conv/direct_conv.h"
 #include "conv/winograd_conv.h"
 
 namespace winofault {
-namespace {
-
-std::atomic<bool>& seed_equiv_flag() {
-  static std::atomic<bool> flag{env_bool("WINOFAULT_SEED_EQUIV", false)};
-  return flag;
-}
-
-}  // namespace
-
-void set_seed_equivalent_kernels(bool on) {
-  seed_equiv_flag().store(on, std::memory_order_relaxed);
-}
-
-bool seed_equivalent_kernels() {
-  return seed_equiv_flag().load(std::memory_order_relaxed);
-}
 
 const char* conv_policy_name(ConvPolicy policy) {
   switch (policy) {

@@ -49,14 +49,4 @@ const ConvEngine& select_engine(ConvPolicy policy, const ConvDesc& desc);
 const ConvEngine& direct_engine();
 const ConvEngine& winograd_engine(int m);  // m = 2 or 4
 
-// Perf-comparison support (bench_campaign): routes the direct engine's
-// forward through the pre-GEMM reference loop and disables the cached
-// Winograd filter banks — the seed revision's kernel *algorithms*. The
-// persistent thread pool and tile parallelism stay active, so a measured
-// speedup over this mode understates the true gain over the seed (the
-// comparison is conservative). Results are bit-identical either way; only
-// the wall-clock changes. Initialized from WINOFAULT_SEED_EQUIV (off).
-void set_seed_equivalent_kernels(bool on);
-bool seed_equivalent_kernels();
-
 }  // namespace winofault

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -98,31 +97,6 @@ class Layer {
   virtual TensorI32 forward_weight_faulted(
       std::span<const NodeOutput* const> ins, const QuantParams& out_quant,
       FaultModelKind kind, std::span<const WeightFault> faults) const;
-
-  // Index-propagating sparse replay (Network::forward_replay, for
-  // non-protectable layers in a faulted cone). `in_changed[k]` lists the
-  // flat indices where ins[k] differs from its golden activation (sorted
-  // ascending, unique; an empty span marks a clean input) and `golden` is
-  // this layer's cached fault-free output. On success the layer copies
-  // `golden`, recomputes ONLY the outputs reachable from the changed
-  // inputs, appends those output indices — sorted ascending, unique — to
-  // `candidates`, and returns the patched tensor, so replay cost scales
-  // with the fault footprint instead of the layer size. The result must be
-  // bit-identical to forward() on the same inputs (outputs outside the
-  // candidate set are functions of unchanged inputs only, so the cached
-  // values already equal a dense recompute). Returning nullopt means "no
-  // sparse path here" — the caller falls back to a dense recompute and a
-  // full-tensor diff; layers may use it as a dense-is-cheaper bailout when
-  // the changed region covers most of the input.
-  virtual std::optional<TensorI32> replay_sparse(
-      std::span<const NodeOutput* const> ins,
-      std::span<const std::span<const std::int64_t>> in_changed,
-      const QuantParams& out_quant, const TensorI32& golden,
-      std::vector<std::int64_t>* candidates) const {
-    (void)ins, (void)in_changed, (void)out_quant, (void)golden,
-        (void)candidates;
-    return std::nullopt;
-  }
 };
 
 }  // namespace winofault

@@ -21,21 +21,6 @@ TensorI32 ReluLayer::forward(std::span<const NodeOutput* const> ins,
   return out;
 }
 
-std::optional<TensorI32> ReluLayer::replay_sparse(
-    std::span<const NodeOutput* const> ins,
-    std::span<const std::span<const std::int64_t>> in_changed,
-    const QuantParams&, const TensorI32& golden,
-    std::vector<std::int64_t>* candidates) const {
-  const TensorI32& in = ins[0]->tensor;
-  TensorI32 out = golden;
-  for (const std::int64_t idx : in_changed[0]) {
-    const std::int32_t v = in[idx];
-    out[idx] = v > 0 ? v : 0;
-    candidates->push_back(idx);
-  }
-  return out;
-}
-
 Shape FlattenLayer::infer_shape(std::span<const Shape> in) const {
   WF_CHECK(in.size() == 1);
   return Shape{1, in[0].numel(), 1, 1};
@@ -51,20 +36,6 @@ TensorI32 FlattenLayer::forward(std::span<const NodeOutput* const> ins,
   const TensorI32& in = ins[0]->tensor;
   TensorI32 out(Shape{1, in.numel(), 1, 1},
                 std::vector<std::int32_t>(in.flat().begin(), in.flat().end()));
-  return out;
-}
-
-std::optional<TensorI32> FlattenLayer::replay_sparse(
-    std::span<const NodeOutput* const> ins,
-    std::span<const std::span<const std::int64_t>> in_changed,
-    const QuantParams&, const TensorI32& golden,
-    std::vector<std::int64_t>* candidates) const {
-  const TensorI32& in = ins[0]->tensor;
-  TensorI32 out = golden;
-  for (const std::int64_t idx : in_changed[0]) {
-    out[idx] = in[idx];
-    candidates->push_back(idx);
-  }
   return out;
 }
 

@@ -15,12 +15,6 @@ class ReluLayer final : public Layer {
   TensorI32 forward(std::span<const NodeOutput* const> ins,
                     const QuantParams& out_quant, ExecContext& ctx,
                     int prot_index) const override;
-  // Elementwise: changed inputs map to the same flat output indices.
-  std::optional<TensorI32> replay_sparse(
-      std::span<const NodeOutput* const> ins,
-      std::span<const std::span<const std::int64_t>> in_changed,
-      const QuantParams& out_quant, const TensorI32& golden,
-      std::vector<std::int64_t>* candidates) const override;
 };
 
 class FlattenLayer final : public Layer {
@@ -32,12 +26,6 @@ class FlattenLayer final : public Layer {
   TensorI32 forward(std::span<const NodeOutput* const> ins,
                     const QuantParams& out_quant, ExecContext& ctx,
                     int prot_index) const override;
-  // Pure reshape: flat indices carry over unchanged.
-  std::optional<TensorI32> replay_sparse(
-      std::span<const NodeOutput* const> ins,
-      std::span<const std::span<const std::int64_t>> in_changed,
-      const QuantParams& out_quant, const TensorI32& golden,
-      std::vector<std::int64_t>* candidates) const override;
 };
 
 }  // namespace winofault

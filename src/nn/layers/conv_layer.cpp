@@ -52,7 +52,6 @@ Shape ConvLayer::infer_shape(std::span<const Shape> in) const {
 }
 
 const std::vector<std::int64_t>* ConvLayer::wg_bank(int m) const {
-  if (seed_equivalent_kernels()) return nullptr;
   if (!(desc_.kh == 3 && desc_.kw == 3 && desc_.stride == 1)) return nullptr;
   const int slot = m == 2 ? 0 : 1;
   std::call_once(wg_once_[slot], [&] {
@@ -130,8 +129,7 @@ TensorI32 ConvLayer::forward(std::span<const NodeOutput* const> ins,
     // project's core invariant), so the base forward always takes the
     // fastest path; session->apply re-derives any faulted outputs in the
     // policy engine's own domain on top.
-    out = seed_equivalent_kernels() ? engine.forward(desc_, data)
-                                    : direct_forward_gemm(desc_, data);
+    out = direct_forward_gemm(desc_, data);
   }
   if (ctx.overlay != nullptr && prot_index >= 0 &&
       !ctx.overlay->accum_bits.empty()) {

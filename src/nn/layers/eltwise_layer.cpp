@@ -45,41 +45,6 @@ TensorI32 AddLayer::forward(std::span<const NodeOutput* const> ins,
   return out;
 }
 
-std::optional<TensorI32> AddLayer::replay_sparse(
-    std::span<const NodeOutput* const> ins,
-    std::span<const std::span<const std::int64_t>> in_changed,
-    const QuantParams& out_quant, const TensorI32& golden,
-    std::vector<std::int64_t>* candidates) const {
-  const NodeOutput& a = *ins[0];
-  const NodeOutput& b = *ins[1];
-  const double ra = a.quant.scale / out_quant.scale;
-  const double rb = b.quant.scale / out_quant.scale;
-  TensorI32 out = golden;
-  const auto patch = [&](std::int64_t idx) {
-    const std::int64_t sum =
-        static_cast<std::int64_t>(std::llround(a.tensor[idx] * ra)) +
-        static_cast<std::int64_t>(std::llround(b.tensor[idx] * rb));
-    out[idx] = clamp_to(out_quant.dtype, sum);
-    candidates->push_back(idx);
-  };
-  // Sorted-merge of the two changed sets keeps the candidate list sorted
-  // and unique without a sort pass.
-  const std::span<const std::int64_t> ca = in_changed[0];
-  const std::span<const std::int64_t> cb = in_changed[1];
-  std::size_t i = 0, j = 0;
-  while (i < ca.size() || j < cb.size()) {
-    if (j >= cb.size() || (i < ca.size() && ca[i] < cb[j])) {
-      patch(ca[i++]);
-    } else if (i >= ca.size() || cb[j] < ca[i]) {
-      patch(cb[j++]);
-    } else {
-      patch(ca[i++]);
-      ++j;
-    }
-  }
-  return out;
-}
-
 Shape ConcatLayer::infer_shape(std::span<const Shape> in) const {
   WF_CHECK(!in.empty());
   Shape out = in[0];
@@ -120,29 +85,6 @@ TensorI32 ConcatLayer::forward(std::span<const NodeOutput* const> ins,
       }
     }
     c_base += s.c;
-  }
-  return out;
-}
-
-std::optional<TensorI32> ConcatLayer::replay_sparse(
-    std::span<const NodeOutput* const> ins,
-    std::span<const std::span<const std::int64_t>> in_changed,
-    const QuantParams& out_quant, const TensorI32& golden,
-    std::vector<std::int64_t>* candidates) const {
-  TensorI32 out = golden;
-  std::int64_t base = 0;  // flat offset of input k's first element
-  for (std::size_t k = 0; k < ins.size(); ++k) {
-    const NodeOutput& in = *ins[k];
-    const double ratio = in.quant.scale / out_quant.scale;
-    // Input k's [c][y][x] block lands at out channel base + c, so flat
-    // indices shift by one constant; per-input lists stay sorted and the
-    // bases increase, so the concatenated candidate list is sorted too.
-    for (const std::int64_t idx : in_changed[k]) {
-      const std::int64_t oidx = base + idx;
-      out[oidx] = rescale(in.tensor[idx], ratio, out_quant.dtype);
-      candidates->push_back(oidx);
-    }
-    base += in.tensor.numel();
   }
   return out;
 }

@@ -17,12 +17,6 @@ class AddLayer final : public Layer {
   TensorI32 forward(std::span<const NodeOutput* const> ins,
                     const QuantParams& out_quant, ExecContext& ctx,
                     int prot_index) const override;
-  // Elementwise over two inputs: candidates = merge of both changed sets.
-  std::optional<TensorI32> replay_sparse(
-      std::span<const NodeOutput* const> ins,
-      std::span<const std::span<const std::int64_t>> in_changed,
-      const QuantParams& out_quant, const TensorI32& golden,
-      std::vector<std::int64_t>* candidates) const override;
 };
 
 class ConcatLayer final : public Layer {
@@ -35,13 +29,6 @@ class ConcatLayer final : public Layer {
   TensorI32 forward(std::span<const NodeOutput* const> ins,
                     const QuantParams& out_quant, ExecContext& ctx,
                     int prot_index) const override;
-  // Channel concat: input k's flat index idx maps to idx + c_base(k)*h*w,
-  // so a fault cone crossing the concat keeps its spatial footprint.
-  std::optional<TensorI32> replay_sparse(
-      std::span<const NodeOutput* const> ins,
-      std::span<const std::span<const std::int64_t>> in_changed,
-      const QuantParams& out_quant, const TensorI32& golden,
-      std::vector<std::int64_t>* candidates) const override;
 };
 
 }  // namespace winofault

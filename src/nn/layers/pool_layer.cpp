@@ -69,58 +69,6 @@ TensorI32 PoolLayer::forward(std::span<const NodeOutput* const> ins,
   return out;
 }
 
-std::optional<TensorI32> PoolLayer::replay_sparse(
-    std::span<const NodeOutput* const> ins,
-    std::span<const std::span<const std::int64_t>> in_changed,
-    const QuantParams&, const TensorI32& golden,
-    std::vector<std::int64_t>* candidates) const {
-  const TensorI32& in = ins[0]->tensor;
-  const Shape in_shape = in.shape();
-  const Shape out_shape = golden.shape();
-  const std::int64_t ohw = out_shape.h * out_shape.w;
-  // Upper bound on distinct affected windows: each changed input element
-  // reaches at most ceil(kernel/stride)^2 outputs. Past half the output the
-  // dense recompute is cheaper than marking + sorting.
-  const std::int64_t per = (kernel_ + stride_ - 1) / stride_;
-  if (static_cast<std::int64_t>(in_changed[0].size()) * per * per * 2 >=
-      golden.numel()) {
-    return std::nullopt;
-  }
-  std::vector<std::int64_t> marked;
-  for (const std::int64_t idx : in_changed[0]) {
-    const std::int64_t c = idx / (in_shape.h * in_shape.w);
-    const std::int64_t rem = idx % (in_shape.h * in_shape.w);
-    const std::int64_t iy = rem / in_shape.w;
-    const std::int64_t ix = rem % in_shape.w;
-    // Output rows/cols whose windows read (iy, ix): the receptive-field
-    // arithmetic of ConvLayer::replay_delta with kh = kw = kernel.
-    const std::int64_t ylo = iy + pad_ - kernel_ + 1;
-    const std::int64_t oy0 = ylo <= 0 ? 0 : (ylo + stride_ - 1) / stride_;
-    const std::int64_t oy1 =
-        std::min(out_shape.h - 1, (iy + pad_) / stride_);
-    const std::int64_t xlo = ix + pad_ - kernel_ + 1;
-    const std::int64_t ox0 = xlo <= 0 ? 0 : (xlo + stride_ - 1) / stride_;
-    const std::int64_t ox1 =
-        std::min(out_shape.w - 1, (ix + pad_) / stride_);
-    for (std::int64_t oy = oy0; oy <= oy1; ++oy) {
-      for (std::int64_t ox = ox0; ox <= ox1; ++ox) {
-        marked.push_back(c * ohw + oy * out_shape.w + ox);
-      }
-    }
-  }
-  std::sort(marked.begin(), marked.end());
-  marked.erase(std::unique(marked.begin(), marked.end()), marked.end());
-  TensorI32 out = golden;
-  for (const std::int64_t o : marked) {
-    const std::int64_t c = o / ohw;
-    const std::int64_t oy = (o % ohw) / out_shape.w;
-    const std::int64_t ox = o % out_shape.w;
-    out[o] = pool_window(in, in_shape, c, oy, ox);
-    candidates->push_back(o);
-  }
-  return out;
-}
-
 Shape GlobalAvgPoolLayer::infer_shape(std::span<const Shape> in) const {
   WF_CHECK(in.size() == 1);
   return Shape{1, in[0].c, 1, 1};
@@ -144,31 +92,6 @@ TensorI32 GlobalAvgPoolLayer::forward(std::span<const NodeOutput* const> ins,
       for (std::int64_t x = 0; x < s.w; ++x) sum += in.at(0, c, y, x);
     out.at(0, c, 0, 0) = static_cast<std::int32_t>(
         sum >= 0 ? (sum + count / 2) / count : -((-sum + count / 2) / count));
-  }
-  return out;
-}
-
-std::optional<TensorI32> GlobalAvgPoolLayer::replay_sparse(
-    std::span<const NodeOutput* const> ins,
-    std::span<const std::span<const std::int64_t>> in_changed,
-    const QuantParams&, const TensorI32& golden,
-    std::vector<std::int64_t>* candidates) const {
-  const TensorI32& in = ins[0]->tensor;
-  const Shape s = in.shape();
-  const std::int64_t hw = s.h * s.w;
-  std::vector<char> channel(static_cast<std::size_t>(s.c), 0);
-  for (const std::int64_t idx : in_changed[0]) {
-    channel[static_cast<std::size_t>(idx / hw)] = 1;
-  }
-  TensorI32 out = golden;
-  for (std::int64_t c = 0; c < s.c; ++c) {
-    if (!channel[static_cast<std::size_t>(c)]) continue;
-    std::int64_t sum = 0;
-    for (std::int64_t y = 0; y < s.h; ++y)
-      for (std::int64_t x = 0; x < s.w; ++x) sum += in.at(0, c, y, x);
-    out[c] = static_cast<std::int32_t>(
-        sum >= 0 ? (sum + hw / 2) / hw : -((-sum + hw / 2) / hw));
-    candidates->push_back(c);
   }
   return out;
 }

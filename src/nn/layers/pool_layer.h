@@ -29,18 +29,9 @@ class PoolLayer final : public Layer {
   // already covered by kind().
   void hash_params(Fnv64& h) const override;
 
-  // Changed input positions map to the output windows that read them; only
-  // those windows are recomputed. Bails to dense (nullopt) when the
-  // affected region would cover most of the output.
-  std::optional<TensorI32> replay_sparse(
-      std::span<const NodeOutput* const> ins,
-      std::span<const std::span<const std::int64_t>> in_changed,
-      const QuantParams& out_quant, const TensorI32& golden,
-      std::vector<std::int64_t>* candidates) const override;
-
  private:
-  // One output window: the shared kernel of forward and replay_sparse, so
-  // the two paths cannot diverge on rounding.
+  // One output window at (c, oy, ox): the max, or the rounded mean of the
+  // in-bounds taps (padding is skipped, not zero-filled).
   std::int32_t pool_window(const TensorI32& in, const Shape& in_shape,
                            std::int64_t c, std::int64_t oy,
                            std::int64_t ox) const;
@@ -61,12 +52,6 @@ class GlobalAvgPoolLayer final : public Layer {
   TensorI32 forward(std::span<const NodeOutput* const> ins,
                     const QuantParams& out_quant, ExecContext& ctx,
                     int prot_index) const override;
-  // Only channels holding a changed element re-average.
-  std::optional<TensorI32> replay_sparse(
-      std::span<const NodeOutput* const> ins,
-      std::span<const std::span<const std::int64_t>> in_changed,
-      const QuantParams& out_quant, const TensorI32& golden,
-      std::vector<std::int64_t>* candidates) const override;
 };
 
 }  // namespace winofault

@@ -1,7 +1,6 @@
 #include "nn/network.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/hash.h"
@@ -17,8 +16,6 @@
 namespace winofault {
 namespace {
 
-std::atomic<bool> g_sparse_replay{true};
-
 int argmax_logit(const TensorI32& logits) {
   int best = 0;
   for (std::int64_t i = 1; i < logits.numel(); ++i) {
@@ -28,14 +25,6 @@ int argmax_logit(const TensorI32& logits) {
 }
 
 }  // namespace
-
-void set_sparse_replay_enabled(bool enabled) {
-  g_sparse_replay.store(enabled, std::memory_order_relaxed);
-}
-
-bool sparse_replay_enabled() {
-  return g_sparse_replay.load(std::memory_order_relaxed);
-}
 
 TensorF he_init_conv(std::int64_t out_c, std::int64_t in_c, std::int64_t k,
                      Rng& rng) {
@@ -321,10 +310,6 @@ TensorI32 Network::forward_replay(const GoldenCache& golden,
 
   const int width = bit_width(dtype_);
   const FaultModelSpec& model = session.config().model;
-  // Op-site replay machinery only serves op-datapath models; weight/accum
-  // targets route through the branches below regardless of `mode`.
-  const bool op_level = session.config().mode == InjectionMode::kOpLevel &&
-                        model.target == FaultTarget::kOp;
   std::vector<NodeOutput> replay(nodes_.size());
   // Flat indices where a dirty node's output differs from its golden
   // activation; drives the sparse conv recompute and prunes the dirty cone
@@ -350,109 +335,63 @@ TensorI32 Network::forward_replay(const GoldenCache& golden,
       const std::size_t i = static_cast<std::size_t>(in);
       ins.push_back(dirty[i] ? &replay[i] : &golden.acts_[i]);
     }
+    const TensorI32& gold = golden.acts_[id].tensor;
     TensorI32 out;
-    bool computed = false;
-    // Output positions that could differ from golden (sorted, unique).
-    // When known, the post-recompute diff touches only these instead of
-    // scanning the whole activation.
-    std::vector<std::int64_t> candidates;
-    bool have_candidates = false;
+    // Neuron or accumulator flips on an otherwise-clean node: only the
+    // flipped indices can differ from golden, so only they are diffed.
+    const bool patch_only = !inputs_dirty && faults->sites.empty() &&
+                            faults->weights.empty();
     if (faults != nullptr && !faults->weights.empty()) {
       // Transient weight-memory faults: dense recompute on a corrupted
-      // weight copy (the whole output can shift, so the diff below scans
-      // the full tensor).
+      // weight copy (the whole output can shift).
       out = node.layer->forward_weight_faulted(ins, node.quant, model.kind,
                                                faults->weights);
-    } else if (op_level && node.prot_index >= 0) {
-      const std::span<const FaultSite> sites(faults->sites);
-      if (const auto* conv =
-              dynamic_cast<const ConvLayer*>(node.layer.get())) {
-        // Sparse incremental path: outputs outside the changed inputs'
-        // receptive fields keep their cached values; sites apply on top.
-        const std::size_t in_id = static_cast<std::size_t>(node.inputs[0]);
-        out = conv->replay_delta(
-            *ins[0], node.quant, golden.policy_, sites,
-            golden.acts_[id].tensor,
-            dirty[in_id] ? std::span<const std::int64_t>(changed[in_id])
-                         : std::span<const std::int64_t>());
-      } else {
-        // Linear classifier: dense recompute (or cached patch when clean).
-        const TensorI32* cached =
-            inputs_dirty ? nullptr : &golden.acts_[id].tensor;
-        out = node.layer->forward_replay(ins, node.quant, golden.policy_,
-                                         sites, cached);
-      }
+    } else if (patch_only) {
+      out = gold;
+    } else if (const auto* conv =
+                   dynamic_cast<const ConvLayer*>(node.layer.get())) {
+      // Outputs outside the changed inputs' receptive fields keep their
+      // cached values; op sites (sampled only under op-level @op models)
+      // apply on top.
+      const std::size_t in_id = static_cast<std::size_t>(node.inputs[0]);
+      out = conv->replay_delta(
+          *ins[0], node.quant, golden.policy_, faults->sites, gold,
+          dirty[in_id] ? std::span<const std::int64_t>(changed[in_id])
+                       : std::span<const std::int64_t>());
+    } else if (faults != nullptr) {
+      // Linear classifier: dense recompute (or cached patch when clean).
+      out = node.layer->forward_replay(ins, node.quant, golden.policy_,
+                                       faults->sites,
+                                       inputs_dirty ? nullptr : &gold);
     } else {
-      const bool sparse = sparse_replay_enabled();
-      if (!inputs_dirty && node.prot_index >= 0) {
-        // Faults on an otherwise-clean node: start from the cached
-        // activation; only the flipped neurons can differ from golden.
-        out = golden.acts_[id].tensor;
-        computed = true;
-        have_candidates = sparse;
-      } else if (sparse) {
-        if (const auto* conv =
-                dynamic_cast<const ConvLayer*>(node.layer.get())) {
-          // Dirty-input conv in neuron mode: the op-level delta engine with
-          // no sites is a bit-identical sparse forward (only outputs whose
-          // receptive field touches a changed input recompute).
-          const std::size_t in_id = static_cast<std::size_t>(node.inputs[0]);
-          out = conv->replay_delta(
-              *ins[0], node.quant, golden.policy_, {},
-              golden.acts_[id].tensor,
-              std::span<const std::int64_t>(changed[in_id]));
-          computed = true;
-        } else {
-          std::vector<std::span<const std::int64_t>> in_ch;
-          in_ch.reserve(node.inputs.size());
-          for (const int in : node.inputs) {
-            const std::size_t i = static_cast<std::size_t>(in);
-            in_ch.push_back(dirty[i]
-                                ? std::span<const std::int64_t>(changed[i])
-                                : std::span<const std::int64_t>());
-          }
-          if (auto patched = node.layer->replay_sparse(
-                  ins, in_ch, node.quant, golden.acts_[id].tensor,
-                  &candidates)) {
-            out = std::move(*patched);
-            computed = true;
-            have_candidates = true;
-          }
-        }
+      ExecContext ctx;
+      ctx.policy = golden.policy_;
+      out = node.layer->forward(ins, node.quant, ctx, -1);
+    }
+    std::vector<std::int64_t> candidates;
+    if (faults != nullptr) {
+      // Neuron-level flips land on the stored activations, in draw order
+      // (successive flips of one neuron compose, as in NeuronInjector).
+      for (const NeuronFault& f : faults->neurons) {
+        out[f.index] = static_cast<std::int32_t>(
+            flip_bit(out[f.index], f.bit, width));
+        if (patch_only) candidates.push_back(f.index);
       }
-      if (!computed) {
-        ExecContext ctx;
-        ctx.policy = golden.policy_;
-        out = node.layer->forward(ins, node.quant, ctx, -1);
-      }
-      if (faults != nullptr) {
-        // Neuron-level flips land on the stored activations, in draw order
-        // (successive flips of one neuron compose, as in NeuronInjector).
-        for (const NeuronFault& f : faults->neurons) {
-          out[f.index] = static_cast<std::int32_t>(
-              flip_bit(out[f.index], f.bit, width));
-          if (have_candidates) candidates.push_back(f.index);
-        }
-        // Transient accumulator upsets patch the stored outputs the same
-        // way, under the model's fault kind (stuck/flip/toggle).
-        for (const NeuronFault& f : faults->accums) {
-          out[f.index] = static_cast<std::int32_t>(
-              apply_fault_kind(model.kind, out[f.index], f.bit, width));
-          if (have_candidates) candidates.push_back(f.index);
-        }
-        if (have_candidates &&
-            !(faults->neurons.empty() && faults->accums.empty())) {
-          std::sort(candidates.begin(), candidates.end());
-          candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                           candidates.end());
-        }
+      // Transient accumulator upsets patch the stored outputs the same
+      // way, under the model's fault kind (stuck/flip/toggle).
+      for (const NeuronFault& f : faults->accums) {
+        out[f.index] = static_cast<std::int32_t>(
+            apply_fault_kind(model.kind, out[f.index], f.bit, width));
+        if (patch_only) candidates.push_back(f.index);
       }
     }
     // Diff against the golden activation: an empty diff means every
     // perturbation requantized away and the node is clean after all.
-    const TensorI32& gold = golden.acts_[id].tensor;
     std::vector<std::int64_t> delta;
-    if (have_candidates) {
+    if (patch_only) {
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
       for (const std::int64_t i : candidates) {
         if (out[i] != gold[i]) delta.push_back(i);
       }

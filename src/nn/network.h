@@ -148,13 +148,4 @@ class Network {
 TensorF he_init_conv(std::int64_t out_c, std::int64_t in_c, std::int64_t k,
                      Rng& rng);
 
-// Process-wide switch for the index-propagating sparse replay paths in
-// forward_replay (Layer::replay_sparse + the neuron-mode conv delta).
-// Enabled by default; results are bit-identical either way (the sparse
-// paths patch exactly the outputs a dense recompute could change —
-// tests/sparse_replay_test.cpp diffs both). Exists so tests and A/B
-// debugging can force the dense path.
-void set_sparse_replay_enabled(bool enabled);
-bool sparse_replay_enabled();
-
 }  // namespace winofault

@@ -7,10 +7,13 @@
 //       (reuse_golden) and scratch execution — transient weight/accum
 //       models re-sample per trial, permanent ones ride the overlay;
 //   (d) permanent overlays are deterministic in (model, seed) and persist
-//       across every image and trial of a point.
+//       across every image and trial of a point;
+//   (e) seeded mutants of the documented specs never crash the parser and
+//       every accepted one round-trips through to_string.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "fault/models/model_spec.h"
 #include "fault/models/overlay.h"
 #include "nn/models/zoo.h"
+#include "test_util.h"
 
 namespace winofault {
 namespace {
@@ -46,35 +50,38 @@ Fixture make_fixture(int images = 8) {
   return Fixture{std::move(net), std::move(data)};
 }
 
+// The documented model menu: the GrammarAccepts table and the seeds of the
+// mutation pass.
+struct AcceptCase {
+  const char* spec;
+  FaultModelKind kind;
+  FaultTarget target;
+  FaultPersistence persistence;
+  double arg;
+};
+const AcceptCase kAcceptCases[] = {
+    {"flip@op", FaultModelKind::kFlip, FaultTarget::kOp,
+     FaultPersistence::kTransient, 0.0},
+    {"toggle@op", FaultModelKind::kToggle, FaultTarget::kOp,
+     FaultPersistence::kTransient, 0.0},
+    {"flip@op#trans", FaultModelKind::kFlip, FaultTarget::kOp,
+     FaultPersistence::kTransient, 0.0},
+    {"stuck0@weight", FaultModelKind::kStuck0, FaultTarget::kWeight,
+     FaultPersistence::kTransient, 0.0},
+    {"stuck1@weight#perm", FaultModelKind::kStuck1, FaultTarget::kWeight,
+     FaultPersistence::kPermanent, 0.0},
+    {"stuck0@weight#permanent", FaultModelKind::kStuck0,
+     FaultTarget::kWeight, FaultPersistence::kPermanent, 0.0},
+    {"stuck1(0.001)@weight#perm", FaultModelKind::kStuck1,
+     FaultTarget::kWeight, FaultPersistence::kPermanent, 0.001},
+    {"toggle@accum", FaultModelKind::kToggle, FaultTarget::kAccum,
+     FaultPersistence::kTransient, 0.0},
+    {"stuck0@accum#perm", FaultModelKind::kStuck0, FaultTarget::kAccum,
+     FaultPersistence::kPermanent, 0.0},
+};
+
 TEST(FaultModelSpecTest, GrammarAccepts) {
-  struct Case {
-    const char* spec;
-    FaultModelKind kind;
-    FaultTarget target;
-    FaultPersistence persistence;
-    double arg;
-  };
-  const Case cases[] = {
-      {"flip@op", FaultModelKind::kFlip, FaultTarget::kOp,
-       FaultPersistence::kTransient, 0.0},
-      {"toggle@op", FaultModelKind::kToggle, FaultTarget::kOp,
-       FaultPersistence::kTransient, 0.0},
-      {"flip@op#trans", FaultModelKind::kFlip, FaultTarget::kOp,
-       FaultPersistence::kTransient, 0.0},
-      {"stuck0@weight", FaultModelKind::kStuck0, FaultTarget::kWeight,
-       FaultPersistence::kTransient, 0.0},
-      {"stuck1@weight#perm", FaultModelKind::kStuck1, FaultTarget::kWeight,
-       FaultPersistence::kPermanent, 0.0},
-      {"stuck0@weight#permanent", FaultModelKind::kStuck0,
-       FaultTarget::kWeight, FaultPersistence::kPermanent, 0.0},
-      {"stuck1(0.001)@weight#perm", FaultModelKind::kStuck1,
-       FaultTarget::kWeight, FaultPersistence::kPermanent, 0.001},
-      {"toggle@accum", FaultModelKind::kToggle, FaultTarget::kAccum,
-       FaultPersistence::kTransient, 0.0},
-      {"stuck0@accum#perm", FaultModelKind::kStuck0, FaultTarget::kAccum,
-       FaultPersistence::kPermanent, 0.0},
-  };
-  for (const Case& c : cases) {
+  for (const AcceptCase& c : kAcceptCases) {
     std::string error;
     const auto parsed = FaultModelSpec::parse(c.spec, &error);
     ASSERT_TRUE(parsed.has_value()) << c.spec << ": " << error;
@@ -128,6 +135,48 @@ TEST(FaultModelSpecTest, GrammarRejects) {
     EXPECT_FALSE(FaultModelSpec::parse(spec, &error).has_value()) << spec;
     EXPECT_FALSE(error.empty()) << spec;
   }
+}
+
+// Seeded mutation pass over the spec parser, which reads --fault-model,
+// WINOFAULT_FAULT_MODEL and the wire protocol's campaign specs: byte flips,
+// truncations and splices of the documented specs, from a fixed seed and a
+// fixed budget. No mutant crashes the parser (the sanitizer builds run this
+// suite), every rejected one carries a diagnostic, and every accepted one
+// is a fixed point of printing: parse(m.to_string()) == m.
+TEST(FaultModelSpecTest, SeededMutantsNeverCrashAndAcceptedOnesRoundTrip) {
+  std::vector<std::string> seeds;
+  for (const AcceptCase& c : kAcceptCases) seeds.emplace_back(c.spec);
+  constexpr int kMutantsPerSeed = 3000;
+  Rng rng(20261017);
+  int accepted = 0;
+  int failures = 0;
+  for (const std::string& seed : seeds) {
+    for (int m = 0; m < kMutantsPerSeed && failures < 10; ++m) {
+      const std::string text =
+          testing::mutate_bytes(seed, rng.next_below(3), seeds, rng);
+      std::string error;
+      const std::optional<FaultModelSpec> model =
+          FaultModelSpec::parse(text, &error);
+      if (!model.has_value()) {
+        EXPECT_FALSE(error.empty()) << "rejected without a diagnostic: "
+                                    << text;
+        failures += error.empty();
+        continue;
+      }
+      ++accepted;
+      const std::string printed = model->to_string();
+      const std::optional<FaultModelSpec> again =
+          FaultModelSpec::parse(printed, &error);
+      const bool fixed_point = again.has_value() && *again == *model;
+      EXPECT_TRUE(fixed_point) << "input: " << text << "\nprinted: "
+                               << printed << "\nerror: " << error;
+      failures += !fixed_point;
+    }
+  }
+  EXPECT_EQ(failures, 0);
+  // The budget is only meaningful if mutants reach both outcomes.
+  EXPECT_GT(accepted, 500);
+  EXPECT_LT(accepted, static_cast<int>(seeds.size()) * kMutantsPerSeed / 2);
 }
 
 TEST(FaultModelSpecTest, ApplyFaultKindMatchesScratchReference) {

@@ -1,7 +1,8 @@
 // Deterministic fault-injection shim (common/iofault):
 //   (a) the schedule grammar parses the documented forms and rejects every
 //       malformed spec with a diagnostic (a typo must never silently run an
-//       un-chaosed campaign);
+//       un-chaosed campaign), and seeded mutants of the documented forms
+//       never crash the parser;
 //   (b) triggers (#N, #N+, #pP) fire as pure functions of the per-rule
 //       match ordinal: two schedules parsed from the same spec produce
 //       bit-identical injection logs over the same op stream, and the same
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "common/iofault/iofault.h"
 #include "common/json.h"
 #include "common/telemetry/events.h"
+#include "test_util.h"
 
 namespace winofault::iofault {
 namespace {
@@ -51,20 +54,20 @@ std::string temp_file(const std::string& name) {
 
 // ---- (a) grammar ----
 
+// The documented forms: AcceptsDocumentedForms and the seeds of the
+// mutation pass.
+const char* const kDocumentedForms[] = {
+    "7:torn(13)@write:*.journal#2",
+    "0:eio@read#1;drop@send:client:*#3+",
+    "42:flip(5)@recv#p0.25",
+    "1:enospc@any#1+",
+};
+
 TEST(IofaultParse, AcceptsDocumentedForms) {
-  std::string error;
-  EXPECT_TRUE(FaultSchedule::parse("7:torn(13)@write:*.journal#2", &error)
-                  .has_value())
-      << error;
-  EXPECT_TRUE(
-      FaultSchedule::parse("0:eio@read#1;drop@send:client:*#3+", &error)
-          .has_value())
-      << error;
-  EXPECT_TRUE(FaultSchedule::parse("42:flip(5)@recv#p0.25", &error)
-                  .has_value())
-      << error;
-  EXPECT_TRUE(FaultSchedule::parse("1:enospc@any#1+", &error).has_value())
-      << error;
+  for (const char* spec : kDocumentedForms) {
+    std::string error;
+    EXPECT_TRUE(FaultSchedule::parse(spec, &error).has_value()) << error;
+  }
 }
 
 TEST(IofaultParse, RejectsMalformedSpecsWithDiagnostics) {
@@ -79,6 +82,8 @@ TEST(IofaultParse, RejectsMalformedSpecsWithDiagnostics) {
       "1:eio@teleport#1",        // unknown op class
       "1:eio@write#0",           // trigger below 1
       "1:eio@write#p1.5",        // probability out of range
+      "7:eio@read#p",            // probability with no number
+      "7:eio@read#pnan",         // non-finite probability
       "1:torn(4)@read#1",        // torn cannot fire on reads
       "1:flip@write#1",          // flip cannot fire on writes
       "1:drop@write#1",          // drop is socket-only
@@ -91,6 +96,72 @@ TEST(IofaultParse, RejectsMalformedSpecsWithDiagnostics) {
         << "accepted: " << spec;
     EXPECT_FALSE(error.empty()) << spec;
   }
+}
+
+// Every op class against paths the documented forms' globs match and
+// miss, three rounds over, so #N, #N+ and #p triggers all see repeated
+// matches; returns the decision for each op in order.
+std::vector<Decision> decide_fixed_stream(FaultSchedule& schedule) {
+  const OpClass ops[] = {OpClass::kWrite, OpClass::kRead,  OpClass::kRename,
+                         OpClass::kLink,  OpClass::kFsync, OpClass::kSend,
+                         OpClass::kRecv,  OpClass::kConnect};
+  const char* paths[] = {"/s/campaign_ab.journal", "/s/golden_3.shard",
+                         "client:/tmp/wf.sock", "b3.claim"};
+  std::vector<Decision> decisions;
+  for (int round = 0; round < 3; ++round) {
+    for (const OpClass op : ops) {
+      for (const char* path : paths) {
+        decisions.push_back(schedule.decide(op, path));
+      }
+    }
+  }
+  return decisions;
+}
+
+// Seeded mutation pass over the schedule parser, which reads
+// WINOFAULT_CHAOS: byte flips, truncations and splices of the documented
+// forms, from a fixed seed and a fixed budget. No mutant crashes the
+// parser (the sanitizer builds run this suite), every rejected one carries
+// a diagnostic, and every accepted one parses again, from its spec(), to
+// a schedule that makes the same decisions over a fixed op stream.
+TEST(IofaultParse, SeededMutantsNeverCrashAndAcceptedOnesReplay) {
+  const std::vector<std::string> seeds(std::begin(kDocumentedForms),
+                                       std::end(kDocumentedForms));
+  constexpr int kMutantsPerSeed = 3000;
+  Rng rng(20261017);
+  int accepted = 0;
+  int failures = 0;
+  for (const std::string& seed : seeds) {
+    for (int m = 0; m < kMutantsPerSeed && failures < 10; ++m) {
+      const std::string text =
+          testing::mutate_bytes(seed, rng.next_below(3), seeds, rng);
+      std::string error;
+      std::optional<FaultSchedule> first = FaultSchedule::parse(text, &error);
+      if (!first.has_value()) {
+        EXPECT_FALSE(error.empty()) << "rejected without a diagnostic: "
+                                    << text;
+        failures += error.empty();
+        continue;
+      }
+      ++accepted;
+      std::optional<FaultSchedule> again =
+          FaultSchedule::parse(first->spec(), &error);
+      bool same = again.has_value();
+      if (same) {
+        const std::vector<Decision> a = decide_fixed_stream(*first);
+        const std::vector<Decision> b = decide_fixed_stream(*again);
+        for (std::size_t i = 0; i < a.size() && same; ++i) {
+          same = a[i].fault == b[i].fault && a[i].arg == b[i].arg;
+        }
+      }
+      EXPECT_TRUE(same) << "input: " << text << "\nerror: " << error;
+      failures += !same;
+    }
+  }
+  EXPECT_EQ(failures, 0);
+  // The budget is only meaningful if mutants reach both outcomes.
+  EXPECT_GT(accepted, 500);
+  EXPECT_LT(accepted, static_cast<int>(seeds.size()) * kMutantsPerSeed / 2);
 }
 
 TEST(IofaultGlob, MatchesPathOrBasename) {

@@ -24,6 +24,7 @@
 #include "common/telemetry/events.h"
 #include "common/telemetry/telemetry.h"
 #include "core/service/protocol.h"
+#include "test_util.h"
 
 namespace winofault {
 namespace {
@@ -153,38 +154,13 @@ TEST(JsonParse, SeededMutantsNeverCrashAndAcceptedOnesRoundTrip) {
   int failures = 0;
   for (const std::string& seed : seeds) {
     for (int m = 0; m < kMutantsPerSeed && failures < 10; ++m) {
-      std::string text = seed;
-      const auto pick = [&](std::size_t n) {
-        return static_cast<std::size_t>(rng.next_below(n == 0 ? 1 : n));
-      };
-      switch (rng.next_below(4)) {
-        case 0: {  // byte flips: 1-4 positions, one random bit or byte each
-          const std::size_t flips = 1 + pick(4);
-          for (std::size_t f = 0; f < flips && !text.empty(); ++f) {
-            const std::size_t at = pick(text.size());
-            if (rng.next_below(2) == 0) {
-              text[at] = static_cast<char>(text[at] ^ (1 << pick(8)));
-            } else {
-              text[at] = static_cast<char>(rng.next_below(256));
-            }
-          }
-          break;
-        }
-        case 1:  // truncation
-          text.resize(pick(text.size() + 1));
-          break;
-        case 2: {  // splice: a slice of any seed replaces a slice of this one
-          const std::string& donor = seeds[pick(seeds.size())];
-          const std::size_t from = pick(donor.size());
-          const std::string slice = donor.substr(from, pick(64) + 1);
-          const std::size_t at = pick(text.size() + 1);
-          text.replace(at, pick(16), slice);
-          break;
-        }
-        default:  // deep nesting around the limit
-          text = nest(text, static_cast<int>(pick(2 * kMaxDepth)) + 1);
-          break;
-      }
+      // Byte flips, truncations and splices, plus deep nesting around the
+      // limit.
+      const std::uint64_t kind = rng.next_below(4);
+      const std::string text =
+          kind == 3 ? nest(seed, static_cast<int>(
+                                     rng.next_below(2 * kMaxDepth)) + 1)
+                    : testing::mutate_bytes(seed, kind, seeds, rng);
       if (Json::parse(text).has_value()) ++accepted;
       if (!round_trips(text)) ++failures;
     }

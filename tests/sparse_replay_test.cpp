@@ -1,13 +1,14 @@
-// Equivalence proofs for index-propagating sparse replay: forward_replay
-// with the sparse paths enabled (changed-index sets flowing through relu /
-// pool / eltwise / concat, and conv patching via replay_delta) must be
-// bit-identical to BOTH the dense-recompute replay (sparse disabled) and a
-// scratch forward with the same fault session — on graphs where the dirty
-// cone crosses pooling, residual Adds, and channel-concatenations.
+// Equivalence proofs for incremental replay: forward_replay (cached
+// activations upstream of the first fault, conv receptive-field recompute
+// via replay_delta, dense recompute of the non-conv layers, diff pruning)
+// must be bit-identical to a scratch forward with the same fault session —
+// on graphs where the dirty cone crosses pooling, residual Adds, and
+// channel-concatenations, under op-level, neuron-level, transient
+// accumulator and transient weight-memory faults.
 #include <gtest/gtest.h>
 
-#include <vector>
 #include <cstdlib>
+#include <vector>
 
 #include "nn/dataset.h"
 #include "nn/evaluator.h"
@@ -20,7 +21,8 @@ namespace {
 // This suite asserts the numeric semantics of the built-in flip@op
 // injector (expected flip counts, degradation curves). Pin the built-in
 // model so the registry-model CI leg (WINOFAULT_FAULT_MODEL) can run the
-// full suite without changing what this file tests.
+// full suite without changing what this file tests; the registry-model
+// cases below name their model explicitly.
 const bool kBuiltinModelPinned = [] {
   unsetenv("WINOFAULT_FAULT_MODEL");
   return true;
@@ -28,14 +30,9 @@ const bool kBuiltinModelPinned = [] {
 
 using testing::expect_tensors_equal;
 
-// Restores the process-wide default even when an assertion bails out of a
-// test mid-loop.
-struct SparseGuard {
-  ~SparseGuard() { set_sparse_replay_enabled(true); }
-};
-
 // Residual graph: the cone from the trunk conv reaches the Add through two
-// paths of different depth, and pooling shrinks the index sets downstream.
+// paths of different depth, and pooling shrinks the changed region that
+// the next conv recomputes.
 Network eltwise_net() {
   Network net("sparse-eltwise", DType::kInt16);
   Rng rng(171);
@@ -55,9 +52,9 @@ Network eltwise_net() {
 }
 
 // Concat graph: two conv branches of different widths merge channel-wise,
-// so a dirty cone entering from branch B must re-base its indices by A's
-// channel count — the concat edge case the index propagation must get
-// right. Branch convs are most of the protectable layers, so nearly every
+// so a dirty cone entering from branch B lands behind A's channels, and
+// the conv after the concat must recompute the right receptive fields.
+// Branch convs are most of the protectable layers, so nearly every
 // faulted trial drives a cone across the concat.
 Network concat_net() {
   Network net("sparse-concat", DType::kInt16);
@@ -77,8 +74,8 @@ Network concat_net() {
   return net;
 }
 
-// Pool-heavy graph: max, avg, and global-avg pooling back to back, with
-// padding so window marking must respect edge clamping.
+// Pool-heavy graph: max, avg, and global-avg pooling back to back, with a
+// padded max pool.
 Network pool_net() {
   Network net("sparse-pool", DType::kInt16);
   Rng rng(177);
@@ -96,13 +93,12 @@ Network pool_net() {
   return net;
 }
 
-// For each (policy, image, seed): scratch forward, dense replay (sparse
-// disabled), and sparse replay must all be bit-identical with identical
-// flip accounting. Returns how many trials actually flipped bits, so
-// callers can assert the sweep wasn't vacuously fault-free.
-int check_sparse_dense_scratch(const Network& net, const FaultConfig& config,
-                               int seeds, const char* what) {
-  SparseGuard guard;
+// For each (policy, image, seed): scratch forward and cached replay must
+// be bit-identical with identical flip accounting. Returns how many trials
+// actually flipped bits, so callers can assert the sweep wasn't vacuously
+// fault-free.
+int check_replay_scratch(const Network& net, const FaultConfig& config,
+                         int seeds, const char* what) {
   int faulted_trials = 0;
   const std::vector<TensorF> images = make_images(net.input_shape(), 2, 91);
   for (const ConvPolicy policy :
@@ -116,19 +112,13 @@ int check_sparse_dense_scratch(const Network& net, const FaultConfig& config,
         ctx.session = &scratch_session;
         const TensorI32 scratch = net.forward(image, ctx);
 
-        set_sparse_replay_enabled(false);
-        FaultSession dense_session(config, static_cast<std::uint64_t>(seed));
-        const TensorI32 dense = net.forward_replay(golden, dense_session);
+        FaultSession replay_session(config, static_cast<std::uint64_t>(seed));
+        const TensorI32 replay = net.forward_replay(golden, replay_session);
 
-        set_sparse_replay_enabled(true);
-        FaultSession sparse_session(config, static_cast<std::uint64_t>(seed));
-        const TensorI32 sparse = net.forward_replay(golden, sparse_session);
-
-        expect_tensors_equal(scratch, dense, what);
-        expect_tensors_equal(dense, sparse, what);
-        EXPECT_EQ(dense_session.total_flips(), sparse_session.total_flips())
+        expect_tensors_equal(scratch, replay, what);
+        EXPECT_EQ(scratch_session.total_flips(), replay_session.total_flips())
             << what << " flip accounting (seed " << seed << ")";
-        faulted_trials += sparse_session.total_flips() > 0;
+        faulted_trials += replay_session.total_flips() > 0;
       }
     }
   }
@@ -140,15 +130,14 @@ TEST(SparseReplay, EltwiseGraphNeuronFaults) {
   FaultConfig config;
   config.ber = 1e-4;
   config.mode = InjectionMode::kNeuronLevel;
-  EXPECT_GT(check_sparse_dense_scratch(net, config, 12, "eltwise neuron"),
-            20);
+  EXPECT_GT(check_replay_scratch(net, config, 12, "eltwise neuron"), 20);
 }
 
 TEST(SparseReplay, EltwiseGraphOpFaults) {
   const Network net = eltwise_net();
   FaultConfig config;
   config.ber = 1e-6;
-  EXPECT_GT(check_sparse_dense_scratch(net, config, 12, "eltwise op"), 10);
+  EXPECT_GT(check_replay_scratch(net, config, 12, "eltwise op"), 10);
 }
 
 TEST(SparseReplay, ConeCrossesConcat) {
@@ -156,15 +145,14 @@ TEST(SparseReplay, ConeCrossesConcat) {
   FaultConfig config;
   config.ber = 1e-4;
   config.mode = InjectionMode::kNeuronLevel;
-  EXPECT_GT(check_sparse_dense_scratch(net, config, 16, "concat neuron"),
-            25);
+  EXPECT_GT(check_replay_scratch(net, config, 16, "concat neuron"), 25);
 }
 
 TEST(SparseReplay, ConcatGraphOpFaults) {
   const Network net = concat_net();
   FaultConfig config;
   config.ber = 1e-6;
-  EXPECT_GT(check_sparse_dense_scratch(net, config, 12, "concat op"), 10);
+  EXPECT_GT(check_replay_scratch(net, config, 12, "concat op"), 10);
 }
 
 TEST(SparseReplay, PoolGraphBothModes) {
@@ -172,29 +160,49 @@ TEST(SparseReplay, PoolGraphBothModes) {
   FaultConfig neuron;
   neuron.ber = 1e-4;
   neuron.mode = InjectionMode::kNeuronLevel;
-  EXPECT_GT(check_sparse_dense_scratch(net, neuron, 10, "pool neuron"), 15);
+  EXPECT_GT(check_replay_scratch(net, neuron, 10, "pool neuron"), 15);
   FaultConfig op;
   op.ber = 1e-6;
-  EXPECT_GT(check_sparse_dense_scratch(net, op, 10, "pool op"), 8);
+  EXPECT_GT(check_replay_scratch(net, op, 10, "pool op"), 8);
 }
 
 TEST(SparseReplay, HighFootprintFallsBackDenseAndStaysExact) {
-  // A destruction-adjacent BER makes nearly every index dirty: the sparse
-  // paths must bail to dense recomputes without changing a bit.
+  // A destruction-adjacent BER makes nearly every index dirty: the conv
+  // replay must bail to dense recomputes without changing a bit.
   const Network net = pool_net();
   FaultConfig config;
   config.ber = 1e-3;
   config.mode = InjectionMode::kNeuronLevel;
-  EXPECT_GT(check_sparse_dense_scratch(net, config, 6, "high footprint"),
-            30);
+  EXPECT_GT(check_replay_scratch(net, config, 6, "high footprint"), 30);
 }
 
-TEST(SparseReplay, ToggleRoundTrip) {
-  EXPECT_TRUE(sparse_replay_enabled());
-  set_sparse_replay_enabled(false);
-  EXPECT_FALSE(sparse_replay_enabled());
-  set_sparse_replay_enabled(true);
-  EXPECT_TRUE(sparse_replay_enabled());
+// Registry targets that skip the op-site machinery: transient accumulator
+// upsets patch stored outputs, transient weight upsets recompute the layer
+// on a corrupted weight copy. Either way every dirty node downstream —
+// Add, concat, max/avg/global pooling — goes through the same dispatch.
+FaultConfig registry_config(const char* spec, double ber) {
+  FaultConfig config;
+  config.ber = ber;
+  config.model = *FaultModelSpec::parse(spec);
+  return config;
+}
+
+TEST(SparseReplay, AccumToggleOnEveryGraph) {
+  const FaultConfig config = registry_config("toggle@accum", 1e-4);
+  EXPECT_GT(check_replay_scratch(eltwise_net(), config, 8, "eltwise accum"),
+            40);
+  EXPECT_GT(check_replay_scratch(concat_net(), config, 8, "concat accum"),
+            40);
+  EXPECT_GT(check_replay_scratch(pool_net(), config, 8, "pool accum"), 40);
+}
+
+TEST(SparseReplay, WeightStuckOneOnEveryGraph) {
+  const FaultConfig config = registry_config("stuck1@weight", 1e-3);
+  EXPECT_GT(check_replay_scratch(eltwise_net(), config, 8, "eltwise weight"),
+            40);
+  EXPECT_GT(check_replay_scratch(concat_net(), config, 8, "concat weight"),
+            40);
+  EXPECT_GT(check_replay_scratch(pool_net(), config, 8, "pool weight"), 40);
 }
 
 }  // namespace

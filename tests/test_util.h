@@ -1,11 +1,13 @@
-// Shared helpers for the test suites: random quantized conv problems and
-// tensor comparison utilities.
+// Shared helpers for the test suites: random quantized conv problems,
+// tensor comparison utilities, and the byte mutator of the parser mutation
+// tests.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -81,6 +83,44 @@ inline std::int64_t count_diffs(const TensorI32& a, const TensorI32& b) {
   std::int64_t diffs = 0;
   for (std::int64_t i = 0; i < a.numel(); ++i) diffs += a[i] != b[i];
   return diffs;
+}
+
+// One seeded mutant of `text` for the parser mutation tests. `kind` 0
+// flips 1-4 bytes (one random bit or the whole byte each), 1 truncates, 2
+// splices a slice of a random donor over a slice of `text`. The mutant is
+// a pure function of (text, kind, donors, rng state).
+inline std::string mutate_bytes(std::string text, std::uint64_t kind,
+                                const std::vector<std::string>& donors,
+                                Rng& rng) {
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n == 0 ? 1 : n));
+  };
+  switch (kind) {
+    case 0: {
+      const std::size_t flips = 1 + pick(4);
+      for (std::size_t f = 0; f < flips && !text.empty(); ++f) {
+        const std::size_t at = pick(text.size());
+        if (rng.next_below(2) == 0) {
+          text[at] = static_cast<char>(text[at] ^ (1 << pick(8)));
+        } else {
+          text[at] = static_cast<char>(rng.next_below(256));
+        }
+      }
+      break;
+    }
+    case 1:
+      text.resize(pick(text.size() + 1));
+      break;
+    default: {
+      const std::string& donor = donors[pick(donors.size())];
+      const std::size_t from = pick(donor.size());
+      const std::string slice = donor.substr(from, pick(64) + 1);
+      const std::size_t at = pick(text.size() + 1);
+      text.replace(at, pick(16), slice);
+      break;
+    }
+  }
+  return text;
 }
 
 }  // namespace winofault::testing
