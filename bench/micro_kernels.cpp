@@ -20,7 +20,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "conv/direct_conv.h"
-#include "conv/dwm.h"
 #include "conv/engine.h"
 #include "conv/gemm_kernel.h"
 #include "fault/site_sampler.h"
@@ -118,14 +117,6 @@ void BM_WinogradF4(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * p.desc.macs());
 }
 
-void BM_Dwm5x5(benchmark::State& state) {
-  const Problem p = make_problem(state.range(0), state.range(1), 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dwm_forward(2, p.desc, p.data()));
-  }
-  state.SetItemsProcessed(state.iterations() * p.desc.macs());
-}
-
 void BM_Direct5x5(benchmark::State& state) {
   const Problem p = make_problem(state.range(0), state.range(1), 5);
   for (auto _ : state) {
@@ -203,7 +194,6 @@ BENCHMARK(BM_DirectConvGemmIsa)
 BENCHMARK(BM_WinogradF2)->Args({16, 32})->Args({64, 16});
 BENCHMARK(BM_WinogradF4)->Args({16, 32})->Args({64, 16});
 BENCHMARK(BM_Direct5x5)->Args({16, 16});
-BENCHMARK(BM_Dwm5x5)->Args({16, 16});
 BENCHMARK(BM_WinogradFaultReplay);
 BENCHMARK(BM_TrialScratch);
 BENCHMARK(BM_TrialCachedReplay);

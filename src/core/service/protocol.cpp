@@ -1,6 +1,8 @@
 #include "core/service/protocol.h"
 
 #include <cinttypes>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 
 namespace winofault {
@@ -29,6 +31,21 @@ bool parse_policy(const std::string& name, ConvPolicy* policy) {
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
+}
+
+// Reads an int field that must lie in [lo, INT_MAX]. A fraction, a
+// non-number or an out-of-range value is rejected rather than narrowed,
+// which would run a different experiment than the client sent.
+bool read_int(const Json& value, const char* field, int lo, int* out,
+              std::string* error) {
+  const double v = value.as_double(NAN);
+  if (!(v >= lo && v <= INT_MAX) || v != std::floor(v)) {
+    return fail(error, std::string(field) + " must be an integer in [" +
+                           std::to_string(lo) + ", " +
+                           std::to_string(INT_MAX) + "]");
+  }
+  *out = static_cast<int>(v);
+  return true;
 }
 
 }  // namespace
@@ -68,9 +85,12 @@ bool decode_model_env(const Json& json, ModelEnv* env, std::string* error) {
   if (dtype == "int8") env->dtype = DType::kInt8;
   else if (dtype == "int16") env->dtype = DType::kInt16;
   else return fail(error, "env.dtype must be int8|int16");
-  const Json* images = json.find("images");
-  env->images = images != nullptr ? static_cast<int>(images->as_int(10)) : 10;
-  if (env->images < 1) return fail(error, "env.images must be >= 1");
+  env->images = 10;
+  if (const Json* images = json.find("images");
+      images != nullptr &&
+      !read_int(*images, "env.images", 1, &env->images, error)) {
+    return false;
+  }
   const Json* seed = json.find("seed");
   env->seed = seed != nullptr ? seed->as_uint(2024) : 2024;
   const Json* width = json.find("width");
@@ -144,8 +164,10 @@ bool decode_campaign_spec(const Json& json, CampaignSpec* spec,
                           std::string* error) {
   if (!json.is_object()) return fail(error, "spec must be an object");
   *spec = CampaignSpec();
-  if (const Json* threads = json.find("threads")) {
-    spec->threads = static_cast<int>(threads->as_int(0));
+  if (const Json* threads = json.find("threads");
+      threads != nullptr &&
+      !read_int(*threads, "spec.threads", 0, &spec->threads, error)) {
+    return false;
   }
   if (const Json* capacity = json.find("golden_capacity")) {
     spec->golden_capacity = static_cast<std::size_t>(capacity->as_uint(0));
@@ -192,14 +214,20 @@ bool decode_campaign_spec(const Json& json, CampaignSpec* spec,
       else if (name == "add") point.fault.only_kind = OpKind::kAdd;
       else return fail(error, "point.only_kind must be mul|add");
     }
-    if (const Json* layer = p.find("fault_free_layer")) {
-      point.fault.fault_free_layer = static_cast<int>(layer->as_int(-1));
+    if (const Json* layer = p.find("fault_free_layer");
+        layer != nullptr && !read_int(*layer, "point.fault_free_layer", -1,
+                                      &point.fault.fault_free_layer, error)) {
+      return false;
     }
     if (const Json* prot = p.find("protection")) {
       if (!prot->is_array()) return fail(error, "point.protection not array");
       for (const Json& entry : prot->elements()) {
         const Json* layer = entry.find("layer");
         if (layer == nullptr) return fail(error, "protection.layer missing");
+        int index = 0;
+        if (!read_int(*layer, "protection.layer", 0, &index, error)) {
+          return false;
+        }
         ProtectionSet set(
             entry.find("mul") != nullptr ? entry.find("mul")->as_double(0)
                                          : 0.0,
@@ -209,7 +237,7 @@ bool decode_campaign_spec(const Json& json, CampaignSpec* spec,
           set = ProtectionSet(set.mul_fraction(), set.add_fraction(),
                               salt->as_uint(set.salt()));
         }
-        point.fault.protection[static_cast<int>(layer->as_int(0))] = set;
+        point.fault.protection[index] = set;
       }
     }
     // The wire default is the BUILTIN flip@op, not the submitting
@@ -231,10 +259,11 @@ bool decode_campaign_spec(const Json& json, CampaignSpec* spec,
       return fail(error, "point.policy must be direct|winograd2|winograd4");
     }
     if (const Json* seed = p.find("seed")) point.seed = seed->as_uint(1);
-    if (const Json* trials = p.find("trials")) {
-      point.trials = static_cast<int>(trials->as_int(1));
+    if (const Json* trials = p.find("trials");
+        trials != nullptr &&
+        !read_int(*trials, "point.trials", 1, &point.trials, error)) {
+      return false;
     }
-    if (point.trials < 1) return fail(error, "point.trials must be >= 1");
     if (const Json* reuse = p.find("reuse_golden")) {
       point.reuse_golden = reuse->as_bool(true);
     }
@@ -291,8 +320,10 @@ bool decode_campaign_result(const Json& json, CampaignResult* result,
     if (const Json* flips = p.find("avg_flips")) {
       r.avg_flips = flips->as_double(0.0);
     }
-    if (const Json* images = p.find("images")) {
-      r.images = static_cast<int>(images->as_int(0));
+    if (const Json* images = p.find("images");
+        images != nullptr &&
+        !read_int(*images, "result.images", 0, &r.images, error)) {
+      return false;
     }
     result->points.push_back(r);
   }

@@ -80,10 +80,13 @@ class Layer {
                             const QuantParams& out_quant, ExecContext& ctx,
                             int prot_index) const = 0;
 
-  // Replay execution with pre-sampled op-level fault sites (protectable
-  // layers only). When `golden` is non-null it must be this layer's
-  // fault-free output for these inputs; the engine then patches only the
-  // outputs the sites affect instead of recomputing the layer.
+  // Replay execution of a protectable layer, Network::forward_replay's one
+  // path for conv and linear in both injection modes. A null `golden`
+  // recomputes the layer densely from `ins` (a dirty input). Otherwise it
+  // must be this layer's fault-free output for these inputs (a clean
+  // input), and only the outputs the sites affect are re-derived. `sites`
+  // are pre-sampled op-level faults, empty under neuron-level injection
+  // and @weight/@accum models.
   virtual TensorI32 forward_replay(std::span<const NodeOutput* const> ins,
                                    const QuantParams& out_quant,
                                    ConvPolicy policy,

@@ -6,7 +6,6 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "conv/direct_conv.h"
-#include "conv/fault_hook.h"
 #include "conv/winograd_conv.h"
 #include "fault/models/overlay.h"
 #include "nn/fault_session.h"
@@ -184,138 +183,6 @@ TensorI32 ConvLayer::forward_replay(std::span<const NodeOutput* const> ins,
   attach_wg_bank(data, engine);
   TensorI32 out =
       golden != nullptr ? *golden : direct_forward_gemm(desc_, data);
-  engine.apply_faults(desc_, data, sites, out);
-  return out;
-}
-
-TensorI32 ConvLayer::replay_delta(const NodeOutput& in,
-                                  const QuantParams& out_quant,
-                                  ConvPolicy policy,
-                                  std::span<const FaultSite> sites,
-                                  const TensorI32& golden,
-                                  std::span<const std::int64_t> in_changed)
-    const {
-  std::vector<std::int64_t> bias_acc;
-  ConvData data = make_data(in, out_quant, bias_acc);
-  const ConvEngine& engine = select_engine(policy, desc_);
-  attach_wg_bank(data, engine);
-
-  TensorI32 out;
-  if (in_changed.empty()) {
-    // Clean input: the cached golden output is the layer's fault-free
-    // result; only the sites need patching.
-    out = golden;
-  } else {
-    // Base recompute for the changed input, sparse when the affected region
-    // is small: per-element for the direct engine, per-tile-column for
-    // Winograd. The dense fallback always runs the GEMM — fault-free
-    // outputs are bit-identical across engines (the project's core
-    // invariant), and apply_faults below re-derives the faulted outputs in
-    // the policy engine's own domain either way.
-    const std::int64_t ihw = desc_.in_h * desc_.in_w;
-    std::vector<char> in_pos(static_cast<std::size_t>(ihw), 0);
-    for (const std::int64_t idx : in_changed) {
-      in_pos[static_cast<std::size_t>(idx % ihw)] = 1;
-    }
-    const std::int64_t oh = desc_.out_h(), ow = desc_.out_w();
-    if (&engine == &direct_engine()) {
-      // Mark output positions whose windows touch a changed input position.
-      std::vector<char> out_pos(static_cast<std::size_t>(oh * ow), 0);
-      std::int64_t marked = 0;
-      for (std::int64_t iy = 0; iy < desc_.in_h; ++iy) {
-        for (std::int64_t ix = 0; ix < desc_.in_w; ++ix) {
-          if (!in_pos[static_cast<std::size_t>(iy * desc_.in_w + ix)])
-            continue;
-          const std::int64_t ylo = iy + desc_.pad - desc_.kh + 1;
-          const std::int64_t oy0 =
-              ylo <= 0 ? 0 : (ylo + desc_.stride - 1) / desc_.stride;
-          const std::int64_t oy1 =
-              std::min(oh - 1, (iy + desc_.pad) / desc_.stride);
-          const std::int64_t xlo = ix + desc_.pad - desc_.kw + 1;
-          const std::int64_t ox0 =
-              xlo <= 0 ? 0 : (xlo + desc_.stride - 1) / desc_.stride;
-          const std::int64_t ox1 =
-              std::min(ow - 1, (ix + desc_.pad) / desc_.stride);
-          for (std::int64_t oy = oy0; oy <= oy1; ++oy) {
-            for (std::int64_t ox = ox0; ox <= ox1; ++ox) {
-              char& m = out_pos[static_cast<std::size_t>(oy * ow + ox)];
-              marked += m == 0;
-              m = 1;
-            }
-          }
-        }
-      }
-      // Per-element recompute runs the reference accumulator, which is a
-      // few times slower per MAC than the dense GEMM — only go sparse when
-      // the affected region is a small fraction of the output.
-      if (marked * 4 >= oh * ow) {
-        out = direct_forward_gemm(desc_, data);
-      } else {
-        out = golden;
-        FaultHookNone hook;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            if (!out_pos[static_cast<std::size_t>(oy * ow + ox)]) continue;
-            for (std::int64_t oc = 0; oc < desc_.out_c; ++oc) {
-              const std::int64_t acc =
-                  direct_output_acc(desc_, data, oc, oy, ox, hook);
-              out.at(0, oc, oy, ox) =
-                  requantize_value(acc, data.acc_scale, data.out_quant);
-            }
-          }
-        }
-      }
-    } else {
-      // Winograd: mark the tile columns whose input patches (m-tile plus
-      // alpha halo) touch a changed position.
-      const auto& wg = static_cast<const WinogradConvEngine&>(engine);
-      const WinogradPlan& plan = wg.plan();
-      const WgLayout layout = WgLayout::make(plan, desc_);
-      std::vector<char> tile_pos(static_cast<std::size_t>(layout.tiles), 0);
-      std::int64_t marked = 0;
-      for (std::int64_t iy = 0; iy < desc_.in_h; ++iy) {
-        for (std::int64_t ix = 0; ix < desc_.in_w; ++ix) {
-          if (!in_pos[static_cast<std::size_t>(iy * desc_.in_w + ix)])
-            continue;
-          const std::int64_t tylo = iy + desc_.pad - plan.alpha + 1;
-          const std::int64_t ty0 =
-              tylo <= 0 ? 0 : (tylo + plan.m - 1) / plan.m;
-          const std::int64_t ty1 =
-              std::min(layout.ty_count - 1, (iy + desc_.pad) / plan.m);
-          const std::int64_t txlo = ix + desc_.pad - plan.alpha + 1;
-          const std::int64_t tx0 =
-              txlo <= 0 ? 0 : (txlo + plan.m - 1) / plan.m;
-          const std::int64_t tx1 =
-              std::min(layout.tx_count - 1, (ix + desc_.pad) / plan.m);
-          for (std::int64_t ty = ty0; ty <= ty1; ++ty) {
-            for (std::int64_t tx = tx0; tx <= tx1; ++tx) {
-              char& m = tile_pos[static_cast<std::size_t>(
-                  ty * layout.tx_count + tx)];
-              marked += m == 0;
-              m = 1;
-            }
-          }
-        }
-      }
-      // The Winograd tile kernel is ~2x slower per output than the GEMM;
-      // past half the tiles, the dense GEMM wins.
-      if (marked * 2 >= layout.tiles) {
-        out = direct_forward_gemm(desc_, data);
-      } else {
-        std::vector<std::int64_t> u_local;
-        const std::int64_t* u_all =
-            wg.resolve_filter_bank(desc_, data, u_local);
-        out = golden;
-        FaultHookNone hook;
-        for (std::int64_t t = 0; t < layout.tiles; ++t) {
-          if (!tile_pos[static_cast<std::size_t>(t)]) continue;
-          wg_tile_column(plan, layout, desc_, data, u_all,
-                         t / layout.tx_count, t % layout.tx_count, hook,
-                         out);
-        }
-      }
-    }
-  }
   engine.apply_faults(desc_, data, sites, out);
   return out;
 }

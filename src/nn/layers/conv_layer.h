@@ -44,21 +44,6 @@ class ConvLayer final : public Layer {
       FaultModelKind kind,
       std::span<const WeightFault> faults) const override;
 
-  // Network::forward_replay's one conv path, in both injection modes:
-  // `golden` is this layer's cached fault-free output for the *golden*
-  // input, and `in_changed` lists the flat indices where the current input
-  // differs from the golden input (empty: clean input). Outputs whose
-  // receptive fields touch no changed element keep their cached values;
-  // only the affected region (direct: output positions, Winograd: tile
-  // columns) is recomputed, then `sites` are applied on top (op-level
-  // injection; empty under neuron-level and @weight/@accum models). Falls
-  // back to a dense recompute when the affected region is most of the
-  // layer.
-  TensorI32 replay_delta(const NodeOutput& in, const QuantParams& out_quant,
-                         ConvPolicy policy, std::span<const FaultSite> sites,
-                         const TensorI32& golden,
-                         std::span<const std::int64_t> in_changed) const;
-
   const ConvDesc& desc() const { return desc_; }
 
   void hash_params(Fnv64& h) const override;

@@ -1,8 +1,7 @@
 // GoogLeNet for CIFAR-10: a 3x3 stem and the nine inception modules
 // (3a..5b) with the original branch channel table, width-scaled. The 5x5
-// branches run on the direct engine under Winograd policies (production
-// fallback; conv/dwm.h is reached only by micro_kernels and dwm_test), so
-// GoogLeNet exercises mixed-engine execution.
+// branches run on the direct engine under Winograd policies, so GoogLeNet
+// exercises mixed-engine execution.
 #include "nn/dataset.h"
 #include "nn/models/zoo.h"
 

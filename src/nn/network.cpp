@@ -311,10 +311,9 @@ TensorI32 Network::forward_replay(const GoldenCache& golden,
   const int width = bit_width(dtype_);
   const FaultModelSpec& model = session.config().model;
   std::vector<NodeOutput> replay(nodes_.size());
-  // Flat indices where a dirty node's output differs from its golden
-  // activation; drives the sparse conv recompute and prunes the dirty cone
-  // when a perturbation requantizes away.
-  std::vector<std::vector<std::int64_t>> changed(nodes_.size());
+  // Nodes whose replayed output differs from their golden activation: a
+  // perturbation that requantizes away leaves its node clean, which prunes
+  // the dirty cone there.
   std::vector<char> dirty(nodes_.size(), 0);
   for (std::size_t id = 1; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
@@ -337,72 +336,53 @@ TensorI32 Network::forward_replay(const GoldenCache& golden,
     }
     const TensorI32& gold = golden.acts_[id].tensor;
     TensorI32 out;
-    // Neuron or accumulator flips on an otherwise-clean node: only the
-    // flipped indices can differ from golden, so only they are diffed.
-    const bool patch_only = !inputs_dirty && faults->sites.empty() &&
-                            faults->weights.empty();
-    if (faults != nullptr && !faults->weights.empty()) {
+    if (faults == nullptr) {
+      // Relu, pooling, Add, concat, flatten: dense recompute.
+      ExecContext ctx;
+      ctx.policy = golden.policy_;
+      out = node.layer->forward(ins, node.quant, ctx, -1);
+    } else if (!faults->weights.empty()) {
       // Transient weight-memory faults: dense recompute on a corrupted
       // weight copy (the whole output can shift).
       out = node.layer->forward_weight_faulted(ins, node.quant, model.kind,
                                                faults->weights);
-    } else if (patch_only) {
-      out = gold;
-    } else if (const auto* conv =
-                   dynamic_cast<const ConvLayer*>(node.layer.get())) {
-      // Outputs outside the changed inputs' receptive fields keep their
-      // cached values; op sites (sampled only under op-level @op models)
-      // apply on top.
-      const std::size_t in_id = static_cast<std::size_t>(node.inputs[0]);
-      out = conv->replay_delta(
-          *ins[0], node.quant, golden.policy_, faults->sites, gold,
-          dirty[in_id] ? std::span<const std::int64_t>(changed[in_id])
-                       : std::span<const std::int64_t>());
-    } else if (faults != nullptr) {
-      // Linear classifier: dense recompute (or cached patch when clean).
+    } else {
+      // Conv or linear: dense GEMM over a dirty input, the cached golden
+      // output over a clean one, with op sites (sampled only under
+      // op-level @op models) applied on top.
       out = node.layer->forward_replay(ins, node.quant, golden.policy_,
                                        faults->sites,
                                        inputs_dirty ? nullptr : &gold);
-    } else {
-      ExecContext ctx;
-      ctx.policy = golden.policy_;
-      out = node.layer->forward(ins, node.quant, ctx, -1);
     }
-    std::vector<std::int64_t> candidates;
     if (faults != nullptr) {
       // Neuron-level flips land on the stored activations, in draw order
       // (successive flips of one neuron compose, as in NeuronInjector).
       for (const NeuronFault& f : faults->neurons) {
         out[f.index] = static_cast<std::int32_t>(
             flip_bit(out[f.index], f.bit, width));
-        if (patch_only) candidates.push_back(f.index);
       }
       // Transient accumulator upsets patch the stored outputs the same
       // way, under the model's fault kind (stuck/flip/toggle).
       for (const NeuronFault& f : faults->accums) {
         out[f.index] = static_cast<std::int32_t>(
             apply_fault_kind(model.kind, out[f.index], f.bit, width));
-        if (patch_only) candidates.push_back(f.index);
       }
     }
-    // Diff against the golden activation: an empty diff means every
-    // perturbation requantized away and the node is clean after all.
-    std::vector<std::int64_t> delta;
-    if (patch_only) {
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      for (const std::int64_t i : candidates) {
-        if (out[i] != gold[i]) delta.push_back(i);
-      }
-    } else {
-      for (std::int64_t i = 0; i < out.numel(); ++i) {
-        if (out[i] != gold[i]) delta.push_back(i);
-      }
-    }
-    if (delta.empty()) continue;
+    // Compare against the golden activation, stopping at the first
+    // mismatch; an equal output means every perturbation requantized away.
+    // Neuron or accumulator flips on an otherwise-clean node can only
+    // change the flipped indices, so only those are compared.
+    const bool patch_only =
+        !inputs_dirty && faults->sites.empty() && faults->weights.empty();
+    const auto flipped = [&](const NeuronFault& f) {
+      return out[f.index] != gold[f.index];
+    };
+    const bool differs = patch_only
+                             ? std::ranges::any_of(faults->neurons, flipped) ||
+                                   std::ranges::any_of(faults->accums, flipped)
+                             : out != gold;
+    if (!differs) continue;
     replay[id] = NodeOutput{std::move(out), node.quant};
-    changed[id] = std::move(delta);
     dirty[id] = 1;
   }
 

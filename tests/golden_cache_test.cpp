@@ -246,25 +246,46 @@ TEST(CachedReplay, UnfaultedTrialReturnsCachedPrediction) {
 }
 
 TEST(CachedReplay, ZooModelMatchesScratch) {
+  // Every Fig. 2 network, so replay is checked against scratch across
+  // ResNet50's downsample Adds, DenseNet169's concat chains and
+  // GoogLeNet's inception concats as well as VGG19's plain chain.
   ZooConfig config;
   config.width = 0.125;
   config.calib_images = 2;
-  const Network net = make_googlenet(config);
-  const std::vector<TensorF> images = make_images(net.input_shape(), 1, 3);
-  FaultConfig fault;
-  fault.ber = 1e-7;
-  for (const ConvPolicy policy :
-       {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
-    const GoldenCache golden = net.make_golden(images[0], policy);
-    for (int seed = 1; seed <= 5; ++seed) {
-      FaultSession scratch_session(fault, static_cast<std::uint64_t>(seed));
-      ExecContext ctx;
-      ctx.policy = policy;
-      ctx.session = &scratch_session;
-      const TensorI32 scratch = net.forward(images[0], ctx);
-      FaultSession replay_session(fault, static_cast<std::uint64_t>(seed));
-      expect_tensors_equal(scratch, net.forward_replay(golden, replay_session),
-                           "zoo replay");
+  for (const ZooEntry& entry : model_zoo()) {
+    const Network net = entry.build(config);
+    const TensorF image = make_images(net.input_shape(), 1, 3)[0];
+    const GoldenCache goldens[] = {
+        net.make_golden(image, ConvPolicy::kDirect),
+        net.make_golden(image, ConvPolicy::kWinograd2)};
+    for (const InjectionMode mode :
+         {InjectionMode::kOpLevel, InjectionMode::kNeuronLevel}) {
+      FaultConfig fault;
+      fault.mode = mode;
+      fault.ber = mode == InjectionMode::kOpLevel ? 1e-8 : 2e-6;
+      const std::string what =
+          entry.name + (mode == InjectionMode::kOpLevel ? " op" : " neuron");
+      int faulted = 0;
+      int reached_logits = 0;
+      for (const GoldenCache& golden : goldens) {
+        for (int seed = 1; seed <= 5; ++seed) {
+          FaultSession scratch_session(fault,
+                                       static_cast<std::uint64_t>(seed));
+          ExecContext ctx;
+          ctx.policy = golden.policy();
+          ctx.session = &scratch_session;
+          const TensorI32 scratch = net.forward(image, ctx);
+          FaultSession replay_session(fault, static_cast<std::uint64_t>(seed));
+          const TensorI32 replay = net.forward_replay(golden, replay_session);
+          expect_tensors_equal(scratch, replay, what.c_str());
+          faulted += replay_session.total_flips() > 0;
+          reached_logits += replay != golden.logits();
+        }
+      }
+      // Not vacuous: most trials flip bits, and some cones reach the
+      // logits.
+      EXPECT_GE(faulted, 6) << what;
+      EXPECT_GT(reached_logits, 0) << what;
     }
   }
 }

@@ -237,6 +237,58 @@ TEST(ServiceProtocol, CampaignSpecRoundTripPreservesPointHashes) {
   EXPECT_EQ(decoded.points[0].tag, "round\ntrip\"");
 }
 
+TEST(ServiceProtocol, RejectsWireIntegersOutsideTheirFieldRange) {
+  // The first four were once narrowed into a different experiment: one
+  // trial, layer 0 fault-free and four threads.
+  const char* const kBadSpecs[] = {
+      R"({"points":[{"trials":4294967297}]})",
+      R"({"points":[{"fault_free_layer":4294967296}]})",
+      R"({"threads":4294967300,"points":[{}]})",
+      R"({"points":[{"protection":[{"layer":4294967296,"mul":1}]}]})",
+      R"({"points":[{"trials":0}]})",
+      R"({"points":[{"trials":2.5}]})",
+      R"({"points":[{"trials":"3"}]})",
+      R"({"points":[{"fault_free_layer":-2}]})",
+      R"({"points":[{"protection":[{"layer":-1,"mul":1}]}]})",
+      R"({"threads":-1,"points":[{}]})",
+  };
+  for (const char* text : kBadSpecs) {
+    const std::optional<Json> json = Json::parse(text);
+    ASSERT_TRUE(json.has_value()) << text;
+    CampaignSpec spec;
+    std::string error;
+    EXPECT_FALSE(decode_campaign_spec(*json, &spec, &error)) << text;
+    EXPECT_NE(error.find("must be an integer in"), std::string::npos)
+        << text << ": " << error;
+  }
+  // Once built 10 images.
+  const std::optional<Json> env =
+      Json::parse(R"({"model":"vgg19","images":4294967306})");
+  ASSERT_TRUE(env.has_value());
+  ModelEnv decoded_env;
+  std::string error;
+  EXPECT_FALSE(decode_model_env(*env, &decoded_env, &error));
+  EXPECT_NE(error.find("env.images"), std::string::npos) << error;
+  const std::optional<Json> result =
+      Json::parse(R"({"points":[{"images":4294967297}]})");
+  ASSERT_TRUE(result.has_value());
+  CampaignResult decoded_result;
+  EXPECT_FALSE(decode_campaign_result(*result, &decoded_result, &error));
+  EXPECT_NE(error.find("result.images"), std::string::npos) << error;
+
+  // The bounds themselves still decode.
+  const std::optional<Json> edges = Json::parse(
+      R"({"threads":2147483647,"points":[{"trials":2147483647,)"
+      R"("fault_free_layer":-1,"protection":[{"layer":0,"mul":1}]}]})");
+  ASSERT_TRUE(edges.has_value());
+  CampaignSpec spec;
+  ASSERT_TRUE(decode_campaign_spec(*edges, &spec, &error)) << error;
+  EXPECT_EQ(spec.threads, 2147483647);
+  EXPECT_EQ(spec.points.at(0).trials, 2147483647);
+  EXPECT_EQ(spec.points.at(0).fault.fault_free_layer, -1);
+  EXPECT_EQ(spec.points.at(0).fault.protection.count(0), 1u);
+}
+
 // ---- (a) bit-identity ----
 
 TEST(Service, SubmittedCampaignIsBitIdenticalToDirectRun) {

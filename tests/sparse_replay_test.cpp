@@ -1,8 +1,8 @@
 // Equivalence proofs for incremental replay: forward_replay (cached
-// activations upstream of the first fault, conv receptive-field recompute
-// via replay_delta, dense recompute of the non-conv layers, diff pruning)
-// must be bit-identical to a scratch forward with the same fault session —
-// on graphs where the dirty cone crosses pooling, residual Adds, and
+// activations upstream of the first fault, dense recompute of every dirty
+// node, cone pruning where a node's output equals golden) must be
+// bit-identical to a scratch forward with the same fault session — on
+// graphs where the dirty cone crosses pooling, residual Adds, and
 // channel-concatenations, under op-level, neuron-level, transient
 // accumulator and transient weight-memory faults.
 #include <gtest/gtest.h>
@@ -31,8 +31,7 @@ const bool kBuiltinModelPinned = [] {
 using testing::expect_tensors_equal;
 
 // Residual graph: the cone from the trunk conv reaches the Add through two
-// paths of different depth, and pooling shrinks the changed region that
-// the next conv recomputes.
+// paths of different depth, then crosses a max pool into the next conv.
 Network eltwise_net() {
   Network net("sparse-eltwise", DType::kInt16);
   Rng rng(171);
@@ -52,8 +51,8 @@ Network eltwise_net() {
 }
 
 // Concat graph: two conv branches of different widths merge channel-wise,
-// so a dirty cone entering from branch B lands behind A's channels, and
-// the conv after the concat must recompute the right receptive fields.
+// so a dirty cone entering from branch B lands behind A's channels, where
+// the conv after the concat must read it.
 // Branch convs are most of the protectable layers, so nearly every
 // faulted trial drives a cone across the concat.
 Network concat_net() {
@@ -167,8 +166,9 @@ TEST(SparseReplay, PoolGraphBothModes) {
 }
 
 TEST(SparseReplay, HighFootprintFallsBackDenseAndStaysExact) {
-  // A destruction-adjacent BER makes nearly every index dirty: the conv
-  // replay must bail to dense recomputes without changing a bit.
+  // A destruction-adjacent BER makes nearly every index dirty, so almost
+  // nothing is pruned and the whole cone recomputes; it must still match
+  // scratch bit for bit.
   const Network net = pool_net();
   FaultConfig config;
   config.ber = 1e-3;
