@@ -70,7 +70,15 @@ bool ClaimBoard::try_claim(int bucket) {
   iofault::checked_link(tmp, claim_path(bucket), ec);
   std::error_code ignore;
   fs::remove(tmp, ignore);
-  return !ec;
+  if (ec) return false;
+  // mark_done's rename frees the claim name, so a rival that finished the
+  // bucket after the is_done check above lets the link succeed: give the
+  // claim back rather than execute the bucket a second time.
+  if (is_done(bucket)) {
+    fs::remove(claim_path(bucket), ignore);
+    return false;
+  }
+  return true;
 }
 
 bool ClaimBoard::try_steal(int bucket) {

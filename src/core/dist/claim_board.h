@@ -7,7 +7,8 @@
 //   claim:  write b<k>.tmp.<tag>, then hard-link it to b<k>.claim and
 //           unlink the temp. link(2) fails on an existing name, so exactly
 //           one worker wins a race — a plain rename would silently clobber
-//           the rival's claim.
+//           the rival's claim. A winner that then finds b<k>.done (the
+//           done rename below frees the claim name) gives the claim back.
 //   steal:  a claim not freshened within stale_ms is abandoned (its owner
 //           heartbeats as cells finish, so only dead/wedged owners go
 //           stale). The stealer renames the stale claim to a graveyard

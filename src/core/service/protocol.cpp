@@ -4,6 +4,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdio>
+#include <map>
 
 namespace winofault {
 
@@ -131,8 +132,13 @@ Json encode_campaign_spec(const CampaignSpec& spec) {
       p.set("fault_free_layer", Json::integer(point.fault.fault_free_layer));
     }
     if (!point.fault.protection.empty()) {
+      // In layer order, so the line is a function of the content and not
+      // of the map's insertion history (decoding and re-encoding a line
+      // gives the same line).
+      const std::map<int, ProtectionSet> sorted(
+          point.fault.protection.begin(), point.fault.protection.end());
       Json prot = Json::array();
-      for (const auto& [layer, set] : point.fault.protection) {
+      for (const auto& [layer, set] : sorted) {
         Json entry = Json::object();
         entry.set("layer", Json::integer(layer));
         entry.set("mul", Json::number(set.mul_fraction()));

@@ -63,13 +63,6 @@ enum class FaultPersistence : std::uint8_t {
   kPermanent = 1,
 };
 
-// One pre-sampled fault in a layer's weight memory: flat index into the
-// quantized weight tensor plus the affected bit of the stored value.
-struct WeightFault {
-  std::int64_t index = 0;
-  int bit = 0;
-};
-
 struct FaultModelSpec {
   FaultModelKind kind = FaultModelKind::kFlip;
   FaultTarget target = FaultTarget::kOp;

@@ -21,9 +21,9 @@ std::uint64_t overlay_digest(const FaultOverlay& overlay) {
   h.u64(0x57464f56ULL);  // "WFOV"
   h.u8(static_cast<std::uint8_t>(overlay.kind));
   h.u64(overlay.weights.size());
-  for (const std::vector<WeightFault>& layer : overlay.weights) {
+  for (const std::vector<CellFault>& layer : overlay.weights) {
     h.u64(layer.size());
-    for (const WeightFault& f : layer) h.i64(f.index).i32(f.bit);
+    for (const CellFault& f : layer) h.i64(f.index).i32(f.bit);
   }
   h.u64(overlay.accum_bits.size());
   for (const std::vector<int>& bits : overlay.accum_bits) {
@@ -49,37 +49,20 @@ FaultOverlay build_fault_overlay(const Network& network,
     overlay.weights.resize(
         static_cast<std::size_t>(network.num_protectable()));
     for (int p = 0; p < network.num_protectable(); ++p) {
-      if (rate <= 0.0) continue;
       if (p == config.fault_free_layer) continue;
-      const std::int64_t bit_space =
-          network.protectable_param_count(p) * width;
-      if (bit_space <= 0) continue;
-      const std::int64_t defects = rng.binomial(bit_space, rate);
-      std::vector<WeightFault>& layer =
+      std::vector<CellFault>& layer =
           overlay.weights[static_cast<std::size_t>(p)];
-      layer.reserve(static_cast<std::size_t>(defects));
-      for (std::int64_t i = 0; i < defects; ++i) {
-        const std::uint64_t draw =
-            rng.next_below(static_cast<std::uint64_t>(bit_space));
-        layer.push_back(WeightFault{static_cast<std::int64_t>(draw) / width,
-                                    static_cast<int>(draw % width)});
-      }
-      overlay.site_count += defects;
+      layer = sample_cell_faults(
+          rng, network.protectable_layer(p).param_count(), width, rate);
+      overlay.site_count += static_cast<std::int64_t>(layer.size());
     }
   } else {  // kAccum: defects in the PE accumulator register file
     const int registers = accumulator_registers(SystolicConfig{});
-    const std::int64_t bit_space =
-        static_cast<std::int64_t>(registers) * width;
     overlay.accum_bits.resize(static_cast<std::size_t>(registers));
-    if (rate > 0.0) {
-      const std::int64_t defects = rng.binomial(bit_space, rate);
-      for (std::int64_t i = 0; i < defects; ++i) {
-        const std::uint64_t draw =
-            rng.next_below(static_cast<std::uint64_t>(bit_space));
-        overlay.accum_bits[static_cast<std::size_t>(draw) / width].push_back(
-            static_cast<int>(draw % width));
-      }
-      overlay.site_count += defects;
+    for (const CellFault& f :
+         sample_cell_faults(rng, registers, width, rate)) {
+      overlay.accum_bits[static_cast<std::size_t>(f.index)].push_back(f.bit);
+      ++overlay.site_count;
     }
   }
   overlay.digest = overlay_digest(overlay);

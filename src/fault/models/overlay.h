@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fault/models/model_spec.h"
+#include "fault/site_sampler.h"
 
 namespace winofault {
 
@@ -22,8 +23,9 @@ struct FaultConfig;
 
 struct FaultOverlay {
   FaultModelKind kind = FaultModelKind::kFlip;
-  // Defective weight cells per protectable-layer ordinal.
-  std::vector<std::vector<WeightFault>> weights;
+  // Defective weight cells per protectable-layer ordinal, applied to a
+  // weight copy under `kind` as transient weight faults are.
+  std::vector<std::vector<CellFault>> weights;
   // Defective bits per accumulator register (accel/systolic PE ordinal);
   // non-empty only for @accum models. Every output element a register
   // produces (flat_index % registers == pe) takes its faults.
@@ -38,8 +40,10 @@ struct FaultOverlay {
 // @weight/@accum model) deterministically from (model, defect probability,
 // seed, network geometry). The defect probability is the model's arg when
 // set, else the point's BER; `config.fault_free_layer` is honored for
-// @weight. Pure function of its inputs — every worker/daemon/resume
-// rebuild draws the identical overlay.
+// @weight. Every draw goes through sample_cell_faults (fault/site_sampler.h)
+// on one salted stream: per layer in ordinal order for @weight, over the
+// register file for @accum. Pure function of its inputs — every
+// worker/daemon/resume rebuild draws the identical overlay.
 FaultOverlay build_fault_overlay(const Network& network,
                                  const FaultConfig& config,
                                  std::uint64_t seed);

@@ -58,4 +58,29 @@ std::vector<FaultSite> SiteSampler::sample_kind(
   return sites;
 }
 
+std::vector<CellFault> sample_cell_faults(Rng& rng, std::int64_t units,
+                                          int width, double ber) {
+  std::vector<CellFault> faults;
+  if (ber <= 0.0 || units <= 0) return faults;
+  const std::int64_t bit_space = units * width;
+  const std::int64_t count = rng.binomial(bit_space, ber);
+  faults.reserve(static_cast<std::size_t>(count));
+  for (std::int64_t i = 0; i < count; ++i) {
+    const std::uint64_t draw =
+        rng.next_below(static_cast<std::uint64_t>(bit_space));
+    faults.push_back(CellFault{static_cast<std::int64_t>(draw) / width,
+                               static_cast<int>(draw % width)});
+  }
+  return faults;
+}
+
+void apply_cell_faults(FaultModelKind kind, std::span<const CellFault> faults,
+                       int width, std::span<std::int32_t> cells) {
+  for (const CellFault& f : faults) {
+    std::int32_t& cell = cells[static_cast<std::size_t>(f.index)];
+    cell =
+        static_cast<std::int32_t>(apply_fault_kind(kind, cell, f.bit, width));
+  }
+}
+
 }  // namespace winofault

@@ -14,12 +14,13 @@
 #include "conv/engine.h"
 #include "fault/fault_model.h"
 #include "fault/models/model_spec.h"
-#include "fault/neuron_injector.h"
 #include "fault/protection_set.h"
 #include "fault/site_sampler.h"
+#include "tensor/tensor.h"
 
 namespace winofault {
 
+class Layer;
 class Network;
 
 enum class InjectionMode { kOpLevel, kNeuronLevel };
@@ -48,23 +49,17 @@ struct FaultConfig {
   FaultModelSpec model = FaultModelSpec::process_default();
 };
 
-// One neuron-level flip: bit `bit` of the activation at flat index `index`.
-struct NeuronFault {
-  std::int64_t index = 0;
-  int bit = 0;
-};
-
-// The faults of one trial, pre-sampled per protectable layer in execution
-// order — exactly the draws FaultSession::apply would make during a scratch
-// forward, so replaying a plan is bit-identical to scratch injection. The
-// incremental replay path (Network::forward_replay) uses `first_faulted` to
-// skip everything upstream of the earliest perturbed layer.
+// The faults of one trial, sampled per protectable layer in execution order
+// by FaultSession::sample_layer, the one draw that scratch forwards and
+// replay plans share. The incremental replay path (Network::forward_replay)
+// uses `first_faulted` to skip everything upstream of the earliest
+// perturbed layer.
 struct FaultPlan {
   struct LayerFaults {
-    std::vector<FaultSite> sites;      // operation-level injection
-    std::vector<NeuronFault> neurons;  // neuron-level injection
-    std::vector<WeightFault> weights;  // transient weight-memory faults
-    std::vector<NeuronFault> accums;   // transient accumulator faults
+    std::vector<FaultSite> sites;    // operation-level injection
+    std::vector<CellFault> neurons;  // neuron-level injection
+    std::vector<CellFault> weights;  // transient weight-memory faults
+    std::vector<CellFault> accums;   // transient accumulator faults
     bool faulted() const {
       return !sites.empty() || !neurons.empty() || !weights.empty() ||
              !accums.empty();
@@ -79,15 +74,17 @@ class FaultSession {
   FaultSession(const FaultConfig& config, std::uint64_t seed)
       : config_(config), rng_(seed), sampler_(FaultModel{config.ber}) {}
 
-  // Called by protectable layers after the golden forward; corrupts `out`
-  // in place according to the configuration.
-  void apply(int prot_index, const ConvEngine& engine, const ConvDesc& desc,
-             const ConvData& data, TensorI32& out);
+  // Samples this trial's faults for protectable layer `prot_index`:
+  // `layer`, run under `policy` at `dtype`, with `outputs` output elements.
+  // A scratch forward calls it from each protectable layer and plan() calls
+  // it for every layer, so both consume the session RNG identically as long
+  // as layers are sampled once each, in ordinal order.
+  FaultPlan::LayerFaults sample_layer(int prot_index, const Layer& layer,
+                                      ConvPolicy policy, DType dtype,
+                                      std::int64_t outputs);
 
-  // Pre-samples this trial's faults for every protectable layer of
-  // `network` under `policy`, consuming the session RNG in the same order a
-  // scratch forward would. A session backs ONE trial: use either apply()
-  // (during a scratch forward) or plan() (for cached replay), never both.
+  // Samples every protectable layer of `network` under `policy`. A session
+  // backs ONE trial: use either a scratch forward or plan(), never both.
   FaultPlan plan(const Network& network, ConvPolicy policy);
 
   std::int64_t total_flips() const { return total_flips_; }
@@ -99,5 +96,11 @@ class FaultSession {
   SiteSampler sampler_;
   std::int64_t total_flips_ = 0;
 };
+
+// Patches a layer's output faults into its stored output `out` of `width`
+// bits, in draw order: neuron-level flips XOR activation bits, and
+// accumulator upsets apply the model's `kind`.
+void apply_output_faults(const FaultPlan::LayerFaults& faults,
+                         FaultModelKind kind, int width, TensorI32& out);
 
 }  // namespace winofault

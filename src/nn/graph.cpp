@@ -23,17 +23,9 @@ OpSpace Layer::op_space(DType, ConvPolicy) const { return {}; }
 
 TensorI32 Layer::forward_replay(std::span<const NodeOutput* const>,
                                 const QuantParams&, ConvPolicy,
-                                std::span<const FaultSite>,
+                                const FaultPlan::LayerFaults&, FaultModelKind,
                                 const TensorI32*) const {
   WF_CHECK(false && "forward_replay is only defined for protectable layers");
-  return {};
-}
-
-TensorI32 Layer::forward_weight_faulted(std::span<const NodeOutput* const>,
-                                        const QuantParams&, FaultModelKind,
-                                        std::span<const WeightFault>) const {
-  WF_CHECK(false &&
-           "forward_weight_faulted is only defined for layers with weights");
   return {};
 }
 

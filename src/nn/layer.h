@@ -11,13 +11,13 @@
 #include "conv/engine.h"
 #include "fault/models/model_spec.h"
 #include "fault/op_space.h"
+#include "nn/fault_session.h"
 #include "tensor/quantize.h"
 #include "tensor/shape.h"
 #include "tensor/tensor.h"
 
 namespace winofault {
 
-class FaultSession;
 struct FaultOverlay;
 class Fnv64;
 
@@ -75,31 +75,28 @@ class Layer {
   virtual std::int64_t param_count() const { return 0; }
 
   // Executes the layer; `prot_index` is the protectable-layer ordinal used
-  // by the fault session (-1 for non-protectable layers).
+  // by the fault session (-1 for non-protectable layers). A protectable
+  // layer draws its own faults through ctx.session->sample_layer and
+  // applies them as forward_replay does, so a scratch forward is the
+  // replay oracle.
   virtual TensorI32 forward(std::span<const NodeOutput* const> ins,
                             const QuantParams& out_quant, ExecContext& ctx,
                             int prot_index) const = 0;
 
   // Replay execution of a protectable layer, Network::forward_replay's one
-  // path for conv and linear in both injection modes. A null `golden`
-  // recomputes the layer densely from `ins` (a dirty input). Otherwise it
-  // must be this layer's fault-free output for these inputs (a clean
-  // input), and only the outputs the sites affect are re-derived. `sites`
-  // are pre-sampled op-level faults, empty under neuron-level injection
-  // and @weight/@accum models.
+  // path for conv and linear under every transient model. `faults` are the
+  // layer's sampled faults and `kind` the model's fault kind. Weight faults
+  // recompute the layer over a corrupted weight copy. Otherwise a null
+  // `golden` recomputes the layer densely from `ins` (a dirty input), and a
+  // non-null one must be this layer's fault-free output for these inputs
+  // (a clean input). Op sites are then re-derived in the policy engine's
+  // domain, and neuron and accumulator faults patch the stored output.
   virtual TensorI32 forward_replay(std::span<const NodeOutput* const> ins,
                                    const QuantParams& out_quant,
                                    ConvPolicy policy,
-                                   std::span<const FaultSite> sites,
+                                   const FaultPlan::LayerFaults& faults,
+                                   FaultModelKind kind,
                                    const TensorI32* golden) const;
-
-  // Replay execution with pre-sampled transient weight-memory faults
-  // (protectable layers only): recomputes the layer with `faults` applied
-  // to a copy of the quantized weights under `kind`. Must be bit-identical
-  // to the scratch path (FaultSession::apply's weight-target branch).
-  virtual TensorI32 forward_weight_faulted(
-      std::span<const NodeOutput* const> ins, const QuantParams& out_quant,
-      FaultModelKind kind, std::span<const WeightFault> faults) const;
 };
 
 }  // namespace winofault

@@ -99,65 +99,41 @@ OpSpace ConvLayer::op_space(DType dtype, ConvPolicy policy) const {
 TensorI32 ConvLayer::forward(std::span<const NodeOutput* const> ins,
                              const QuantParams& out_quant, ExecContext& ctx,
                              int prot_index) const {
-  WF_CHECK(ins.size() == 1);
-  std::vector<std::int64_t> bias_acc;
-  ConvData data = make_data(*ins[0], out_quant, bias_acc);
-  const ConvEngine& engine = select_engine(ctx.policy, desc_);
-  attach_wg_bank(data, engine);
-  const std::vector<WeightFault>* defects = nullptr;
-  if (ctx.overlay != nullptr && prot_index >= 0 &&
-      static_cast<std::size_t>(prot_index) < ctx.overlay->weights.size() &&
-      !ctx.overlay->weights[static_cast<std::size_t>(prot_index)].empty()) {
-    defects = &ctx.overlay->weights[static_cast<std::size_t>(prot_index)];
-  }
-  TensorI32 out;
-  TensorI32 corrupted;
-  if (defects != nullptr) {
-    // Permanent weight defects: dense direct GEMM on a corrupted copy.
-    // Policy-independent by the core invariant; the cached Winograd banks
-    // transform the CLEAN weights, so they must not be reused here.
-    corrupted = corrupt_weights(ctx.overlay->kind, *defects);
-    ConvData wdata = data;
-    wdata.weights = &corrupted;
-    wdata.wg_bank_f2 = nullptr;
-    wdata.wg_bank_f4 = nullptr;
-    out = direct_forward_gemm(desc_, wdata);
-  } else {
-    // The policy engine defines the op space and the fault semantics, but
-    // its fault-free output is bit-identical to the direct GEMM's (the
-    // project's core invariant), so the base forward always takes the
-    // fastest path; session->apply re-derives any faulted outputs in the
-    // policy engine's own domain on top.
-    out = direct_forward_gemm(desc_, data);
-  }
-  if (ctx.overlay != nullptr && prot_index >= 0 &&
-      !ctx.overlay->accum_bits.empty()) {
-    apply_accum_overlay(*ctx.overlay, bit_width(dtype_), out);
-  }
+  FaultPlan::LayerFaults faults;
+  FaultModelKind kind = FaultModelKind::kFlip;
   if (ctx.session != nullptr) {
-    ctx.session->apply(prot_index, engine, desc_, data, out);
+    faults = ctx.session->sample_layer(prot_index, *this, ctx.policy, dtype_,
+                                       desc_.out_shape().numel());
+    kind = ctx.session->config().model.kind;
   }
-  return out;
-}
-
-TensorI32 ConvLayer::corrupt_weights(
-    FaultModelKind kind, std::span<const WeightFault> faults) const {
-  TensorI32 corrupted = weights_q_;
-  const int width = bit_width(dtype_);
-  for (const WeightFault& f : faults) {
-    corrupted[f.index] = static_cast<std::int32_t>(
-        apply_fault_kind(kind, corrupted[f.index], f.bit, width));
+  if (ctx.overlay == nullptr || prot_index < 0) {
+    return forward_replay(ins, out_quant, ctx.policy, faults, kind, nullptr);
   }
-  return corrupted;
-}
-
-TensorI32 ConvLayer::forward_weight_faulted(
-    std::span<const NodeOutput* const> ins, const QuantParams& out_quant,
-    FaultModelKind kind, std::span<const WeightFault> faults) const {
+  // Permanent defects: the overlay's weight cells and accumulator bits give
+  // the fault-free output of the defective silicon, and transient faults
+  // land on it as on a golden.
   WF_CHECK(ins.size() == 1);
+  const FaultOverlay& overlay = *ctx.overlay;
   std::vector<std::int64_t> bias_acc;
-  ConvData data = make_data(*ins[0], out_quant, bias_acc);
-  TensorI32 corrupted = corrupt_weights(kind, faults);
+  const ConvData data = make_data(*ins[0], out_quant, bias_acc);
+  std::span<const CellFault> defects;
+  if (static_cast<std::size_t>(prot_index) < overlay.weights.size()) {
+    defects = overlay.weights[static_cast<std::size_t>(prot_index)];
+  }
+  TensorI32 out = corrupted_weights_gemm(data, overlay.kind, defects);
+  if (!overlay.accum_bits.empty()) {
+    apply_accum_overlay(overlay, bit_width(dtype_), out);
+  }
+  if (!faults.faulted()) return out;
+  return forward_replay(ins, out_quant, ctx.policy, faults, kind, &out);
+}
+
+TensorI32 ConvLayer::corrupted_weights_gemm(
+    ConvData data, FaultModelKind kind,
+    std::span<const CellFault> faults) const {
+  if (faults.empty()) return direct_forward_gemm(desc_, data);
+  TensorI32 corrupted = weights_q_;
+  apply_cell_faults(kind, faults, bit_width(dtype_), corrupted.flat());
   data.weights = &corrupted;
   return direct_forward_gemm(desc_, data);
 }
@@ -174,16 +150,23 @@ void ConvLayer::attach_wg_bank(ConvData& data,
 TensorI32 ConvLayer::forward_replay(std::span<const NodeOutput* const> ins,
                                     const QuantParams& out_quant,
                                     ConvPolicy policy,
-                                    std::span<const FaultSite> sites,
+                                    const FaultPlan::LayerFaults& faults,
+                                    FaultModelKind kind,
                                     const TensorI32* golden) const {
   WF_CHECK(ins.size() == 1);
   std::vector<std::int64_t> bias_acc;
   ConvData data = make_data(*ins[0], out_quant, bias_acc);
+  // The policy engine defines the op space and the fault semantics, but its
+  // fault-free output is bit-identical to the direct GEMM's (the project's
+  // core invariant), so the base always takes the fastest path and
+  // apply_faults re-derives the faulted outputs in the engine's own domain.
+  TensorI32 out = golden == nullptr || !faults.weights.empty()
+                      ? corrupted_weights_gemm(data, kind, faults.weights)
+                      : *golden;
   const ConvEngine& engine = select_engine(policy, desc_);
   attach_wg_bank(data, engine);
-  TensorI32 out =
-      golden != nullptr ? *golden : direct_forward_gemm(desc_, data);
-  engine.apply_faults(desc_, data, sites, out);
+  engine.apply_faults(desc_, data, faults.sites, out);
+  apply_output_faults(faults, kind, bit_width(dtype_), out);
   return out;
 }
 

@@ -32,17 +32,9 @@ class ConvLayer final : public Layer {
 
   TensorI32 forward_replay(std::span<const NodeOutput* const> ins,
                            const QuantParams& out_quant, ConvPolicy policy,
-                           std::span<const FaultSite> sites,
+                           const FaultPlan::LayerFaults& faults,
+                           FaultModelKind kind,
                            const TensorI32* golden) const override;
-
-  // Transient weight-memory replay: dense direct GEMM on a corrupted copy
-  // of the quantized weights. Policy-independent by the core invariant
-  // (fault-free outputs are bit-identical across engines for any weights);
-  // the cached Winograd banks transform the CLEAN weights and are bypassed.
-  TensorI32 forward_weight_faulted(
-      std::span<const NodeOutput* const> ins, const QuantParams& out_quant,
-      FaultModelKind kind,
-      std::span<const WeightFault> faults) const override;
 
   const ConvDesc& desc() const { return desc_; }
 
@@ -53,9 +45,13 @@ class ConvLayer final : public Layer {
   ConvData make_data(const NodeOutput& in, const QuantParams& out_quant,
                      std::vector<std::int64_t>& bias_acc) const;
 
-  // Copy of weights_q_ with `faults` applied under `kind`.
-  TensorI32 corrupt_weights(FaultModelKind kind,
-                            std::span<const WeightFault> faults) const;
+  // The direct GEMM over a copy of weights_q_ with `faults` applied under
+  // `kind` (the weights themselves when `faults` is empty). It serves
+  // transient weight faults and permanent overlay defects alike: fault-free
+  // outputs are bit-identical across engines for ANY weights (the core
+  // invariant), and the cached Winograd banks transform the CLEAN weights.
+  TensorI32 corrupted_weights_gemm(ConvData data, FaultModelKind kind,
+                                   std::span<const CellFault> faults) const;
 
   // Cached Winograd filter bank for plan m (2 or 4); computed on first use.
   const std::vector<std::int64_t>* wg_bank(int m) const;

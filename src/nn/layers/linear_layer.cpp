@@ -54,12 +54,4 @@ TensorI32 LinearLayer::forward(std::span<const NodeOutput* const> ins,
   return impl_->forward(ins, out_quant, ctx, prot_index);
 }
 
-TensorI32 LinearLayer::forward_replay(std::span<const NodeOutput* const> ins,
-                                      const QuantParams& out_quant,
-                                      ConvPolicy policy,
-                                      std::span<const FaultSite> sites,
-                                      const TensorI32* golden) const {
-  return impl_->forward_replay(ins, out_quant, policy, sites, golden);
-}
-
 }  // namespace winofault

@@ -28,13 +28,10 @@ class LinearLayer final : public Layer {
                     int prot_index) const override;
   TensorI32 forward_replay(std::span<const NodeOutput* const> ins,
                            const QuantParams& out_quant, ConvPolicy policy,
-                           std::span<const FaultSite> sites,
-                           const TensorI32* golden) const override;
-  TensorI32 forward_weight_faulted(
-      std::span<const NodeOutput* const> ins, const QuantParams& out_quant,
-      FaultModelKind kind,
-      std::span<const WeightFault> faults) const override {
-    return impl_->forward_weight_faulted(ins, out_quant, kind, faults);
+                           const FaultPlan::LayerFaults& faults,
+                           FaultModelKind kind,
+                           const TensorI32* golden) const override {
+    return impl_->forward_replay(ins, out_quant, policy, faults, kind, golden);
   }
 
   void hash_params(Fnv64& h) const override { impl_->hash_params(h); }

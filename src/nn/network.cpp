@@ -5,7 +5,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "fault/bitflip.h"
 #include "nn/fault_session.h"
 #include "nn/layers/activation_layer.h"
 #include "nn/layers/conv_layer.h"
@@ -308,8 +307,7 @@ TensorI32 Network::forward_replay(const GoldenCache& golden,
   const FaultPlan plan = session.plan(*this, golden.policy_);
   if (plan.first_faulted < 0) return golden.logits_;
 
-  const int width = bit_width(dtype_);
-  const FaultModelSpec& model = session.config().model;
+  const FaultModelKind kind = session.config().model.kind;
   std::vector<NodeOutput> replay(nodes_.size());
   // Nodes whose replayed output differs from their golden activation: a
   // perturbation that requantizes away leaves its node clean, which prunes
@@ -341,32 +339,12 @@ TensorI32 Network::forward_replay(const GoldenCache& golden,
       ExecContext ctx;
       ctx.policy = golden.policy_;
       out = node.layer->forward(ins, node.quant, ctx, -1);
-    } else if (!faults->weights.empty()) {
-      // Transient weight-memory faults: dense recompute on a corrupted
-      // weight copy (the whole output can shift).
-      out = node.layer->forward_weight_faulted(ins, node.quant, model.kind,
-                                               faults->weights);
     } else {
-      // Conv or linear: dense GEMM over a dirty input, the cached golden
-      // output over a clean one, with op sites (sampled only under
-      // op-level @op models) applied on top.
+      // Conv or linear: the layer's faults over a dense recompute of a
+      // dirty input, or over the cached golden output of a clean one.
       out = node.layer->forward_replay(ins, node.quant, golden.policy_,
-                                       faults->sites,
+                                       *faults, kind,
                                        inputs_dirty ? nullptr : &gold);
-    }
-    if (faults != nullptr) {
-      // Neuron-level flips land on the stored activations, in draw order
-      // (successive flips of one neuron compose, as in NeuronInjector).
-      for (const NeuronFault& f : faults->neurons) {
-        out[f.index] = static_cast<std::int32_t>(
-            flip_bit(out[f.index], f.bit, width));
-      }
-      // Transient accumulator upsets patch the stored outputs the same
-      // way, under the model's fault kind (stuck/flip/toggle).
-      for (const NeuronFault& f : faults->accums) {
-        out[f.index] = static_cast<std::int32_t>(
-            apply_fault_kind(model.kind, out[f.index], f.bit, width));
-      }
     }
     // Compare against the golden activation, stopping at the first
     // mismatch; an equal output means every perturbation requantized away.
@@ -374,7 +352,7 @@ TensorI32 Network::forward_replay(const GoldenCache& golden,
     // change the flipped indices, so only those are compared.
     const bool patch_only =
         !inputs_dirty && faults->sites.empty() && faults->weights.empty();
-    const auto flipped = [&](const NeuronFault& f) {
+    const auto flipped = [&](const CellFault& f) {
       return out[f.index] != gold[f.index];
     };
     const bool differs = patch_only
@@ -417,10 +395,6 @@ Shape Network::protectable_shape(int prot_index) const {
 OpSpace Network::protectable_op_space(int prot_index,
                                       ConvPolicy policy) const {
   return protectable_layer(prot_index).op_space(dtype_, policy);
-}
-
-std::int64_t Network::protectable_param_count(int prot_index) const {
-  return protectable_layer(prot_index).param_count();
 }
 
 OpSpace Network::total_op_space(ConvPolicy policy) const {

@@ -110,9 +110,6 @@ class Network {
   int protectable_node(int prot_index) const;
   Shape protectable_shape(int prot_index) const;
   OpSpace protectable_op_space(int prot_index, ConvPolicy policy) const;
-  // Quantized weight cells of a protectable layer: the sample space of
-  // weight-memory fault models.
-  std::int64_t protectable_param_count(int prot_index) const;
   // Whole-network op space under a policy.
   OpSpace total_op_space(ConvPolicy policy) const;
   // All conv descriptors in execution order (performance model input).

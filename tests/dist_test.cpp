@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -269,6 +270,29 @@ TEST(Dist, ClaimBoardProtocol) {
   EXPECT_TRUE(b.is_done(1));
   a.mark_done(1);  // no claim left: ensures the marker, no crash
   EXPECT_TRUE(a.is_done(1));
+}
+
+TEST(Dist, RacingWorkersClaimEveryBucketOnce) {
+  // mark_done's rename frees the claim name, so a rival whose done check
+  // ran just before it must not win the finished bucket a second time.
+  const std::string dir = fresh_dir("board_race");
+  constexpr int kBuckets = 400;
+  std::vector<std::atomic<int>> wins(kBuckets);
+  const auto work = [&](const char* tag) {
+    ClaimBoard board(dir, 42, tag, 60000);
+    for (int k = 0; k < kBuckets; ++k) {
+      if (!board.try_claim(k)) continue;
+      wins[static_cast<std::size_t>(k)].fetch_add(1);
+      board.mark_done(k);
+    }
+  };
+  std::thread a(work, "wA");
+  std::thread b(work, "wB");
+  a.join();
+  b.join();
+  for (int k = 0; k < kBuckets; ++k) {
+    EXPECT_EQ(wins[static_cast<std::size_t>(k)].load(), 1) << "bucket " << k;
+  }
 }
 
 // ---- (c) segment merge ----

@@ -5,7 +5,8 @@
 //       including two's-complement sign extension of stuck-at results;
 //   (c) every registry model is bit-identical between cached replay
 //       (reuse_golden) and scratch execution — transient weight/accum
-//       models re-sample per trial, permanent ones ride the overlay;
+//       models re-sample per trial through the per-layer sampler both
+//       paths share, permanent ones ride the overlay;
 //   (d) permanent overlays are deterministic in (model, seed) and persist
 //       across every image and trial of a point;
 //   (e) seeded mutants of the documented specs never crash the parser and
@@ -230,7 +231,8 @@ EvalOptions model_options(const char* spec, double ber, ConvPolicy policy,
 
 // (c): every registry model agrees bit-exactly between cached replay and
 // scratch forwards, under both conv policies (the scratch path exercises
-// ExecContext/FaultSession::apply, the replay path plan()+forward_replay).
+// ExecContext and FaultSession::sample_layer per layer, the replay path
+// plan() + forward_replay over the golden).
 TEST(FaultModelCampaignTest, ReplayMatchesScratchForEveryModel) {
   const Fixture f = make_fixture();
   const char* specs[] = {"stuck0@weight", "stuck1@weight", "toggle@weight",

@@ -1,12 +1,16 @@
 // Tests for the per-inference fault session: injection modes, layer
-// exclusion, op-kind restriction, protection, and the Fig 1 property that
+// exclusion, op-kind restriction, protection, the Fig 1 property that
 // neuron-level injection cannot distinguish conv algorithms while
-// operation-level injection can.
+// operation-level injection can, and the pinned draw sequence of every
+// fault model.
 #include <gtest/gtest.h>
 #include <cstdlib>
 
+#include "common/hash.h"
+#include "fault/models/overlay.h"
 #include "nn/dataset.h"
 #include "nn/evaluator.h"
+#include "nn/fault_session.h"
 #include "nn/network.h"
 
 namespace winofault {
@@ -185,6 +189,113 @@ TEST(FaultSession, OpLevelSeesSmallerWinogradMulSpace) {
   // Expected flip counts scale with the op-bit space.
   FaultModel model{1e-6};
   EXPECT_LT(model.expected_flips(wino), model.expected_flips(direct));
+}
+
+// Pins every fault draw sequence. Journal cells are keyed by
+// campaign_point_hash and golden variants by the overlay digest, and
+// neither covers code, so a change to any draw must bump
+// kCampaignSemanticsVersion (core/store/hash.h). These digests were
+// recorded from the code that wrote the journals of the current version:
+// update them together with a bump, never alone.
+void fold_plan(Fnv64& h, const FaultPlan& plan) {
+  const auto fold_cells = [&](const auto& cells) {
+    h.u64(cells.size());
+    for (const auto& f : cells) h.i64(f.index).i32(f.bit);
+  };
+  h.u64(plan.layers.size()).i32(plan.first_faulted);
+  for (const auto& layer : plan.layers) {
+    h.u64(layer.sites.size());
+    for (const FaultSite& s : layer.sites)
+      h.u8(static_cast<std::uint8_t>(s.kind)).i64(s.op_index).i32(s.bit);
+    fold_cells(layer.neurons);
+    fold_cells(layer.weights);
+    fold_cells(layer.accums);
+  }
+}
+
+TEST(FaultSession, DrawSequenceIsPinned) {
+  const Network net = small_net();
+  const TensorF image = make_images(net.input_shape(), 1, 28)[0];
+  FaultConfig op;
+  op.ber = 1e-5;
+  op.model = FaultModelSpec{};
+  FaultConfig only_mul = op;
+  only_mul.only_kind = OpKind::kMul;
+  FaultConfig protected_layer = op;
+  protected_layer.protection.emplace(1, ProtectionSet(0.5, 0.25));
+  FaultConfig neuron = op;
+  neuron.ber = 1e-4;
+  neuron.mode = InjectionMode::kNeuronLevel;
+  FaultConfig weight = neuron;
+  weight.mode = InjectionMode::kOpLevel;
+  weight.model = *FaultModelSpec::parse("stuck1@weight");
+  FaultConfig accum = weight;
+  accum.model = *FaultModelSpec::parse("toggle@accum");
+  struct Case {
+    const char* name;
+    const FaultConfig& config;
+    std::uint64_t direct;
+    std::uint64_t winograd2;
+  };
+  const Case cases[] = {
+      {"flip@op", op, 0x4709fbe0519ff0bdULL, 0x67bd423b41038b44ULL},
+      {"flip@op mul only", only_mul, 0x389ff255a486aba9ULL,
+       0x14595bad73fecf5bULL},
+      {"flip@op protected", protected_layer, 0xdd42b02568885945ULL,
+       0x34fc62396f61b40bULL},
+      {"neuron-level", neuron, 0x64e9bc19d4577714ULL, 0x64e9bc19d4577714ULL},
+      {"stuck1@weight", weight, 0x28cb9e8282f5a56cULL, 0x28cb9e8282f5a56cULL},
+      {"toggle@accum", accum, 0xb41489329b7c9314ULL, 0xb41489329b7c9314ULL},
+  };
+  for (const Case& c : cases) {
+    for (const ConvPolicy policy :
+         {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
+      Fnv64 h;
+      std::int64_t flips = 0;
+      for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        FaultSession planned(c.config, seed);
+        fold_plan(h, planned.plan(net, policy));
+        // A scratch forward draws the same faults as the plan.
+        FaultSession scratch(c.config, seed);
+        ExecContext ctx;
+        ctx.policy = policy;
+        ctx.session = &scratch;
+        net.forward(image, ctx);
+        EXPECT_EQ(scratch.total_flips(), planned.total_flips()) << c.name;
+        flips += planned.total_flips();
+      }
+      EXPECT_GT(flips, 0) << c.name;  // not vacuous
+      const std::uint64_t expected =
+          policy == ConvPolicy::kDirect ? c.direct : c.winograd2;
+      EXPECT_EQ(h.digest(), expected)
+          << c.name << " under " << conv_policy_name(policy) << ": 0x"
+          << std::hex << h.digest();
+    }
+  }
+
+  const struct {
+    const char* spec;
+    std::uint64_t expected;
+  } overlays[] = {
+      {"stuck0@weight#perm", 0x587892c0ed148d41ULL},
+      {"stuck1(0.01)@weight#perm", 0xbb0c3ac052c83099ULL},
+      {"toggle@accum#perm", 0xc0fc288a9b7d6f7bULL},
+  };
+  for (const auto& o : overlays) {
+    FaultConfig config = op;
+    config.ber = 1e-3;
+    config.model = *FaultModelSpec::parse(o.spec);
+    Fnv64 h;
+    std::int64_t sites = 0;
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      const FaultOverlay overlay = build_fault_overlay(net, config, seed);
+      h.u64(overlay.digest);
+      sites += overlay.site_count;
+    }
+    EXPECT_GT(sites, 0) << o.spec;
+    EXPECT_EQ(h.digest(), o.expected)
+        << o.spec << ": 0x" << std::hex << h.digest();
+  }
 }
 
 }  // namespace

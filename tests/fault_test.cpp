@@ -1,5 +1,6 @@
 // Unit tests for the fault substrate: bit-flip semantics, site sampling
-// statistics, protection-set membership, and the neuron-level injector.
+// statistics, protection-set membership, and the storage-cell sampler with
+// the output-fault helper that neuron-level injection runs through.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,9 +9,9 @@
 #include "common/stats.h"
 #include "fault/bitflip.h"
 #include "fault/fault_model.h"
-#include "fault/neuron_injector.h"
 #include "fault/protection_set.h"
 #include "fault/site_sampler.h"
+#include "nn/fault_session.h"
 
 namespace winofault {
 namespace {
@@ -192,19 +193,30 @@ TEST(ProtectionSet, OverheadAccounting) {
   EXPECT_DOUBLE_EQ(set.overhead(space, 1.0, 0.5), 2.0 * (500.0 + 50.0));
 }
 
-TEST(NeuronInjector, FlipCountMatchesBerAndStaysInRegister) {
+// Neuron-level flips: cell faults over the stored activations, patched in
+// by the output-fault helper.
+std::int64_t inject_neuron_faults(TensorI32& acts, double ber, DType dtype,
+                                  Rng& rng) {
+  FaultPlan::LayerFaults faults;
+  faults.neurons =
+      sample_cell_faults(rng, acts.numel(), bit_width(dtype), ber);
+  apply_output_faults(faults, FaultModelKind::kFlip, bit_width(dtype), acts);
+  return static_cast<std::int64_t>(faults.neurons.size());
+}
+
+TEST(CellFaults, NeuronFlipCountMatchesBerAndStaysInRegister) {
   TensorI32 acts(Shape{1, 8, 16, 16});
   Rng fill(31);
   for (auto& v : acts.flat())
     v = static_cast<std::int32_t>(fill.next_below(256)) - 128;
   const TensorI32 original = acts;
   const double ber = 1e-3;
-  NeuronInjector injector(ber, DType::kInt8);
   Rng rng(37);
   RunningStats stats;
   for (int i = 0; i < 300; ++i) {
     TensorI32 copy = original;
-    stats.add(static_cast<double>(injector.inject(copy, rng)));
+    stats.add(static_cast<double>(
+        inject_neuron_faults(copy, ber, DType::kInt8, rng)));
     for (std::int64_t j = 0; j < copy.numel(); ++j) {
       EXPECT_GE(copy[j], -128);
       EXPECT_LE(copy[j], 127);
@@ -214,13 +226,14 @@ TEST(NeuronInjector, FlipCountMatchesBerAndStaysInRegister) {
   EXPECT_NEAR(stats.mean(), expected, expected * 0.15);
 }
 
-TEST(NeuronInjector, ZeroBerLeavesTensorUntouched) {
+TEST(CellFaults, ZeroBerLeavesTensorUntouched) {
   TensorI32 acts(Shape{1, 2, 4, 4});
   acts.fill(7);
-  NeuronInjector injector(0.0, DType::kInt16);
   Rng rng(41);
-  EXPECT_EQ(injector.inject(acts, rng), 0);
+  EXPECT_EQ(inject_neuron_faults(acts, 0.0, DType::kInt16, rng), 0);
   for (std::int64_t i = 0; i < acts.numel(); ++i) EXPECT_EQ(acts[i], 7);
+  // Nothing is drawn either: the stream is where it started.
+  EXPECT_EQ(rng.next(), Rng(41).next());
 }
 
 }  // namespace

@@ -261,6 +261,8 @@ TEST(CachedReplay, ZooModelMatchesScratch) {
     for (const InjectionMode mode :
          {InjectionMode::kOpLevel, InjectionMode::kNeuronLevel}) {
       FaultConfig fault;
+      // The BERs and floors below assume flip@op, not the process default.
+      fault.model = FaultModelSpec{};
       fault.mode = mode;
       fault.ber = mode == InjectionMode::kOpLevel ? 1e-8 : 2e-6;
       const std::string what =

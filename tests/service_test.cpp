@@ -39,6 +39,7 @@
 #include "core/store/handle_cache.h"
 #include "core/store/hash.h"
 #include "nn/dataset.h"
+#include "test_util.h"
 
 namespace winofault {
 namespace {
@@ -287,6 +288,75 @@ TEST(ServiceProtocol, RejectsWireIntegersOutsideTheirFieldRange) {
   EXPECT_EQ(spec.points.at(0).trials, 2147483647);
   EXPECT_EQ(spec.points.at(0).fault.fault_free_layer, -1);
   EXPECT_EQ(spec.points.at(0).fault.protection.count(0), 1u);
+}
+
+TEST(ServiceProtocol, DecodedSpecMutantsReencodeToAFixedPoint) {
+  // Two seed specs that set every encoded field between them.
+  CampaignSpec full;
+  full.threads = 3;
+  full.golden_capacity = 17;
+  full.store.dir = "/tmp/some/store";
+  full.store.journal = false;
+  full.store.spill_goldens = true;
+  full.store.golden_disk_budget = 123456789;
+  full.store.cell_budget = 9;
+  CampaignPoint a;
+  a.fault.ber = 3.7e-7;
+  a.fault.mode = InjectionMode::kNeuronLevel;
+  a.fault.model = *FaultModelSpec::parse("stuck1(0.01)@weight#perm");
+  a.policy = ConvPolicy::kWinograd2;
+  a.seed = 0xdeadbeefcafef00dULL;
+  a.trials = 5;
+  a.reuse_golden = false;
+  a.max_expected_flips = 123.5;
+  a.tag = "mutant\tseed\"";
+  CampaignPoint b;
+  b.fault.ber = 1e-9;
+  b.fault.only_kind = OpKind::kAdd;
+  b.fault.fault_free_layer = 2;
+  b.fault.protection[1] = ProtectionSet(0.25, 0.5);
+  b.fault.protection[3] = ProtectionSet(1.0, 0.0, 77);
+  b.fault.model = *FaultModelSpec::parse("toggle@accum");
+  full.points = {a, b};
+  CampaignSpec minimal;
+  minimal.points.resize(1);
+  minimal.points[0].fault.model = FaultModelSpec{};
+  const std::vector<std::string> seeds = {encode_campaign_spec(full).dump(),
+                                          encode_campaign_spec(minimal).dump()};
+
+  // parse -> decode -> encode; false when the line is rejected.
+  const auto reencode = [](const std::string& line, std::string* out) {
+    const std::optional<Json> json = Json::parse(line);
+    CampaignSpec spec;
+    std::string error;
+    if (!json.has_value() || !decode_campaign_spec(*json, &spec, &error)) {
+      return false;
+    }
+    *out = encode_campaign_spec(spec).dump();
+    return true;
+  };
+  constexpr int kMutantsPerSeed = 20000;
+  Rng rng(20261017);
+  int decoded = 0;
+  int failures = 0;
+  for (const std::string& seed : seeds) {
+    for (int m = 0; m < kMutantsPerSeed && failures < 10; ++m) {
+      const std::string mutant =
+          testing::mutate_bytes(seed, rng.next_below(3), seeds, rng);
+      std::string line;
+      if (!reencode(mutant, &line)) continue;
+      ++decoded;
+      std::string again;
+      if (!reencode(line, &again) || again != line) {
+        ++failures;
+        ADD_FAILURE() << "not a fixed point: " << mutant << "\n-> " << line;
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0);
+  // The budget is only meaningful if mutants reach both outcomes.
+  EXPECT_GT(decoded, 1000);
+  EXPECT_LT(decoded, static_cast<int>(seeds.size()) * kMutantsPerSeed);
 }
 
 // ---- (a) bit-identity ----
