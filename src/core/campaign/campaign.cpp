@@ -20,7 +20,6 @@
 #include "core/dist/buckets.h"
 #include "core/dist/claim_board.h"
 #include "core/store/golden_store.h"
-#include "core/store/handle_cache.h"
 #include "core/store/hash.h"
 #include "core/store/journal.h"
 #include "core/store/segment_cache.h"
@@ -317,12 +316,18 @@ void GoldenLru::ensure_capacity(std::size_t capacity) {
   capacity_ = std::max(capacity_, std::max<std::size_t>(capacity, 1));
 }
 
+void GoldenLru::set_store(std::shared_ptr<GoldenStore> store) {
+  std::lock_guard<std::mutex> lock(mu_);
+  store_ = std::move(store);
+}
+
 GoldenLru::Ptr GoldenLru::get_or_build(
     std::int64_t image, ConvPolicy policy,
     const std::function<GoldenCache()>& build, std::uint64_t variant) {
-  // One consistent view of the spill target for this whole call: a
-  // concurrent set_store only affects later calls.
-  GoldenStore* const store = store_.load();
+  // One consistent view of the spill target for this whole call, copied
+  // on a miss (a hit never touches it): a concurrent set_store only
+  // affects later calls, and cannot free the target under this one.
+  std::shared_ptr<GoldenStore> store;
   const Key key{pack_golden_key(image, policy), variant};
   std::promise<Ptr> promise;
   std::shared_future<Ptr> future;
@@ -348,6 +353,7 @@ GoldenLru::Ptr GoldenLru::get_or_build(
       golden_metric("hits_total", "GoldenLru cache hits", variant).add(1);
     } else {
       golden_metric("misses_total", "GoldenLru cache misses", variant).add(1);
+      store = store_;
       builder = true;
       owner = ++next_owner_;
       future = promise.get_future().share();
@@ -439,11 +445,12 @@ GoldenLru::Ptr GoldenLru::get_or_build(
 }
 
 std::int64_t GoldenLru::flush_to_store() {
-  GoldenStore* const store = store_.load();
-  if (store == nullptr) return 0;
+  std::shared_ptr<GoldenStore> store;
   std::vector<std::pair<Key, Ptr>> ready;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (store_ == nullptr) return 0;
+    store = store_;
     ready.reserve(map_.size());
     for (const auto& [key, entry] : map_) {
       if (entry.future.wait_for(std::chrono::seconds(0)) !=
@@ -489,8 +496,8 @@ struct Unit {
 // (point, image) within this environment, so resumed totals are
 // bit-identical to an uninterrupted run (proved in store_test).
 struct CellPlan {
-  CellPlan(const Network& network, const Dataset& dataset,
-           const CampaignSpec& spec, bool distributed, std::uint64_t env,
+  CellPlan(const CampaignRunner& runner, const Network& network,
+           const Dataset& dataset, const CampaignSpec& spec, bool distributed,
            CampaignResult& result);
 
   // The one cell loop: runs pending[begin, end) through parallel_for. Each
@@ -529,6 +536,7 @@ struct CellPlan {
   // Writes the per-point results and this run's stats into `result`.
   void finalize();
 
+  const CampaignRunner& runner;  // owns the store handles
   const Network& network;
   const Dataset& dataset;
   const CampaignSpec& spec;
@@ -544,8 +552,8 @@ struct CellPlan {
   std::shared_ptr<ResultJournal> journal;
   std::shared_ptr<GoldenStore> golden_store;
   std::shared_ptr<ResultJournal> sink;  // where executed cells append
-  // Reused (cached) handles and a shared warm LRU carry activity from
-  // earlier campaigns; per-run stats are relative to these baselines.
+  // Handles the runner kept open and a shared warm LRU carry activity
+  // from earlier runs; per-run stats are relative to these baselines.
   std::int64_t sink_base = 0;
   std::int64_t spills_base = 0;
   std::int64_t restores_base = 0;
@@ -565,14 +573,15 @@ struct CellPlan {
   std::atomic<std::int64_t> inferences{0};
 };
 
-CellPlan::CellPlan(const Network& network, const Dataset& dataset,
-                   const CampaignSpec& spec, bool distributed,
-                   std::uint64_t env, CampaignResult& result)
-    : network(network),
+CellPlan::CellPlan(const CampaignRunner& runner, const Network& network,
+                   const Dataset& dataset, const CampaignSpec& spec,
+                   bool distributed, CampaignResult& result)
+    : runner(runner),
+      network(network),
       dataset(dataset),
       spec(spec),
       result(result),
-      env(env),
+      env(spec.store.enabled() ? runner.env_hash() : 0),
       images(static_cast<std::int64_t>(dataset.images.size())),
       // Workers of a local coordinator run side by side on one machine and
       // split it evenly; a hand-started shard on its own host uses all of
@@ -594,26 +603,11 @@ CellPlan::CellPlan(const Network& network, const Dataset& dataset,
   // state than this campaign would compute. Dist workers never write the
   // canonical journal (the merge step owns it), so N workers can recover
   // it concurrently without racing on its repair path.
-  if (spec.store.enabled()) {
-    const ResultJournal::Mode mode = distributed
-                                         ? ResultJournal::Mode::kReadOnly
-                                         : ResultJournal::Mode::kAppend;
-    if (spec.store.reuse_handles) {
-      const StoreHandles handles =
-          acquire_store_handles(spec.store, env, mode);
-      journal = handles.journal;
-      golden_store = handles.goldens;
-    } else {
-      if (spec.store.journal) {
-        journal =
-            std::make_shared<ResultJournal>(spec.store.dir, env, mode);
-      }
-      if (spec.store.spill_goldens) {
-        golden_store = std::make_shared<GoldenStore>(
-            spec.store.dir, env, spec.store.golden_disk_budget);
-      }
-    }
-  }
+  const StoreHandles handles = runner.store_handles(
+      spec.store, distributed ? ResultJournal::Mode::kReadOnly
+                              : ResultJournal::Mode::kAppend);
+  journal = handles.journal;
+  golden_store = handles.goldens;
   if (!distributed && journal != nullptr) {
     sink = journal;
     sink_base = journal->appended_cells();
@@ -656,7 +650,7 @@ CellPlan::CellPlan(const Network& network, const Dataset& dataset,
     lru->ensure_capacity(std::max(
         capacity, static_cast<std::size_t>(images * policies + threads)));
   } else {
-    local_lru = std::make_unique<GoldenLru>(capacity, golden_store.get());
+    local_lru = std::make_unique<GoldenLru>(capacity, golden_store);
     lru = local_lru.get();
   }
   builds_base = lru->builds();
@@ -855,11 +849,12 @@ void run_distributed(CellPlan& plan) {
     pending_keys[u] = journal_cell_key(
         plan.point_hashes[active[pending[u].a]], pending[u].image);
   }
+  // About four cost-weighted buckets per worker: enough stealable pieces
+  // that a dead worker's share redistributes evenly.
+  constexpr std::size_t kBucketsPerWorker = 4;
   const std::size_t target_buckets =
-      std::min(pending.size(),
-               static_cast<std::size_t>(dist.shard_count) *
-                   static_cast<std::size_t>(
-                       std::max(dist.buckets_per_worker, 1)));
+      std::min(pending.size(), static_cast<std::size_t>(dist.shard_count) *
+                                   kBucketsPerWorker);
   const std::vector<CostBucket> buckets =
       make_cost_buckets(weights, target_buckets);
   const int bucket_count = static_cast<int>(buckets.size());
@@ -867,19 +862,13 @@ void run_distributed(CellPlan& plan) {
                    dist_board_key(plan.env, pending_keys, buckets.size()),
                    tag, dist.claim_stale_ms);
 
-  // This worker's own journal segment, cached under reuse_handles so a
+  // This worker's own journal segment, kept open by the runner so a
   // sequential-adaptive consumer (TMR planner checks) does not re-read its
   // own growing segment per campaign.
-  std::shared_ptr<ResultJournal> segment;
-  if (spec.store.reuse_handles) {
-    segment = acquire_store_handles(spec.store, plan.env,
-                                    ResultJournal::Mode::kAppend, tag)
-                  .journal;
-  }
-  if (segment == nullptr) {
-    segment = std::make_shared<ResultJournal>(
-        spec.store.dir, plan.env, ResultJournal::Mode::kAppend, tag);
-  }
+  const std::shared_ptr<ResultJournal> segment =
+      plan.runner
+          .store_handles(spec.store, ResultJournal::Mode::kAppend, tag)
+          .journal;
   plan.sink = segment;
   plan.sink_base = segment->appended_cells();
 
@@ -1017,7 +1006,8 @@ void run_distributed(CellPlan& plan) {
   // disk — then rival segments (and leftovers of crashed workers of
   // earlier generations) only for the cells still unaccounted for. A
   // worker that executed everything, and a sequential-adaptive consumer
-  // re-entering with a cached segment handle, never re-read the directory.
+  // re-entering with the segment its runner kept open, never re-read the
+  // directory.
   std::vector<std::size_t> unresolved;
   for (std::size_t u = 0; u < pending.size(); ++u) {
     if (plan.tallied[u]) continue;
@@ -1111,8 +1101,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
       distributed ? "campaign_run_distributed" : "campaign_run",
       distributed ? "dist" : "campaign");
   CampaignResult result;
-  CellPlan plan(network_, dataset_, spec, distributed,
-                spec.store.enabled() ? env_hash() : 0, result);
+  CellPlan plan(*this, network_, dataset_, spec, distributed, result);
   if (plan.active.empty()) return result;
   if (distributed) {
     run_distributed(plan);
@@ -1121,6 +1110,53 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
   }
   plan.finalize();
   return result;
+}
+
+StoreHandles CampaignRunner::store_handles(
+    const StoreOptions& store, ResultJournal::Mode mode,
+    const std::string& segment_tag) const {
+  StoreHandles handles;
+  if (!store.enabled()) return handles;
+  const std::uint64_t env = env_hash();
+  std::lock_guard<std::mutex> lock(store_mu_);
+  if (kept_dir_ != store.dir) {
+    // Stop keeping the last directory open; forget what no run holds.
+    kept_dir_ = store.dir;
+    for (auto& [key, slot] : journals_) slot.open.reset();
+    for (auto& [key, slot] : goldens_) slot.open.reset();
+    const auto unheld = [](const auto& entry) {
+      return entry.second.live.expired();
+    };
+    std::erase_if(journals_, unheld);
+    std::erase_if(goldens_, unheld);
+  }
+  if (store.journal) {
+    Slot<ResultJournal>& slot = journals_[{store.dir, mode, segment_tag}];
+    handles.journal = slot.live.lock();
+    // A failed write closes an appendable journal for good; reopening it
+    // recovers its intact records and resumes checkpointing once the disk
+    // does. A read-only journal never appends, so it is never reopened.
+    if (handles.journal == nullptr ||
+        (mode == ResultJournal::Mode::kAppend &&
+         !handles.journal->can_append())) {
+      handles.journal =
+          std::make_shared<ResultJournal>(store.dir, env, mode, segment_tag);
+      slot.live = handles.journal;
+    }
+    slot.open = handles.journal;
+  }
+  if (store.spill_goldens) {
+    Slot<GoldenStore>& slot =
+        goldens_[{store.dir, store.golden_disk_budget}];
+    handles.goldens = slot.live.lock();
+    if (handles.goldens == nullptr) {
+      handles.goldens = std::make_shared<GoldenStore>(
+          store.dir, env, store.golden_disk_budget);
+      slot.live = handles.goldens;
+    }
+    slot.open = handles.goldens;
+  }
+  return handles;
 }
 
 CampaignResult run_campaign(const Network& network, const Dataset& dataset,

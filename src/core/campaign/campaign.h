@@ -38,13 +38,16 @@
 #include <functional>
 #include <future>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "core/store/journal.h"
 #include "core/store/store.h"
 #include "nn/evaluator.h"
 
@@ -165,8 +168,9 @@ class GoldenLru {
  public:
   using Ptr = std::shared_ptr<const GoldenCache>;
 
-  explicit GoldenLru(std::size_t capacity, GoldenStore* store = nullptr)
-      : capacity_(capacity == 0 ? 1 : capacity), store_(store) {}
+  explicit GoldenLru(std::size_t capacity,
+                     std::shared_ptr<GoldenStore> store = nullptr)
+      : capacity_(capacity == 0 ? 1 : capacity), store_(std::move(store)) {}
 
   // Returns the cached golden for (image, policy, variant), building it via
   // `build` on a miss (after trying the tier-2 store, when attached).
@@ -192,11 +196,11 @@ class GoldenLru {
   // largest one.
   void ensure_capacity(std::size_t capacity);
 
-  // (Re)binds the tier-2 spill/restore target; nullptr detaches. The
-  // store is not owned and must stay alive until detached or replaced.
-  // Owners of long-lived LRUs (core/service sessions) point this at the
-  // store of the most recent stored submission.
-  void set_store(GoldenStore* store) { store_.store(store); }
+  // (Re)binds the tier-2 spill/restore target; nullptr detaches. Calls
+  // already in flight keep the target they started with alive until they
+  // return. Owners of long-lived LRUs (core/service sessions) point this
+  // at the store of the most recent stored submission.
+  void set_store(std::shared_ptr<GoldenStore> store);
 
   std::int64_t builds() const { return builds_.load(); }
   std::int64_t hits() const { return hits_.load(); }
@@ -227,9 +231,10 @@ class GoldenLru {
   };
 
   std::size_t capacity_;  // guarded by mu_ (ensure_capacity can raise it)
-  // Optional tier-2 spill target, not owned. Atomic so a long-lived
-  // owner can rebind it between campaigns without racing in-flight spills.
-  std::atomic<GoldenStore*> store_;
+  // Optional tier-2 spill target, guarded by mu_. A call that may spill
+  // or restore copies it once, so a long-lived owner can rebind it
+  // between campaigns without freeing it under that call.
+  std::shared_ptr<GoldenStore> store_;
   std::mutex mu_;
   std::list<Key> lru_;  // front = most recently used
   std::unordered_map<Key, Entry, KeyHash> map_;
@@ -239,12 +244,26 @@ class GoldenLru {
   std::atomic<std::int64_t> evictions_{0};
 };
 
+// Open handles of one store directory under one campaign environment.
+struct StoreHandles {
+  std::shared_ptr<ResultJournal> journal;  // null when store.journal is off
+  std::shared_ptr<GoldenStore> goldens;    // null when spill_goldens is off
+};
+
 // Executes campaign specs against one (network, dataset). The runner
 // assumes the network and dataset do not change over its lifetime (it
 // holds references anyway): the campaign environment hash is computed on
 // first use and reused, so sequential-adaptive consumers that run many
-// small campaigns through one runner (the TMR planner's accuracy checks)
-// do not re-hash every image per call.
+// small campaigns through one runner (the TMR planner's accuracy checks,
+// a daemon session's submissions) do not re-hash every image per call.
+//
+// The runner is also the one owner of open store handles. Opening a
+// journal re-reads every record and opening a GoldenStore re-indexes every
+// shard, so the runner keeps the handles of its store directory open
+// between its own runs: a warm resume through one runner costs O(1) per
+// run, while every run_campaign() call (a fresh runner) re-reads the
+// files. Contract: nothing else mutates the store's files between the
+// runner's runs — its open journal would not observe it.
 class CampaignRunner {
  public:
   CampaignRunner(const Network& network, const Dataset& dataset)
@@ -255,11 +274,42 @@ class CampaignRunner {
   // Cached campaign_env_hash(network, dataset).
   std::uint64_t env_hash() const;
 
+  // Handles of `store.dir` for this runner's environment: the journal
+  // opened in `mode` (a dist worker's segment when `segment_tag` is set)
+  // and the GoldenStore for `store.golden_disk_budget`. Opened on first
+  // use and kept open for later calls under the same directory. A call
+  // naming another directory stops keeping the previous one's handles,
+  // but a handle some run still holds is handed out again instead of
+  // opened twice, so concurrent runs of one directory share one journal.
+  // A kept appendable journal whose last write failed is reopened, so one
+  // failed append cannot end checkpointing for the runner's later runs.
+  // Empty when the store is disabled. Thread-safe.
+  StoreHandles store_handles(const StoreOptions& store,
+                             ResultJournal::Mode mode,
+                             const std::string& segment_tag = {}) const;
+
  private:
+  // One handle store_handles handed out: `open` keeps it alive while its
+  // directory is the kept one, `live` finds it while a run still holds it.
+  template <typename T>
+  struct Slot {
+    std::shared_ptr<T> open;
+    std::weak_ptr<T> live;
+  };
+
   const Network& network_;
   const Dataset& dataset_;
   // 0 = not yet computed (a true hash of 0 just recomputes — benign).
   mutable std::atomic<std::uint64_t> env_hash_{0};
+  mutable std::mutex store_mu_;  // guards the store handles below
+  mutable std::string kept_dir_;
+  // By (directory, journal mode, segment tag).
+  mutable std::map<std::tuple<std::string, ResultJournal::Mode, std::string>,
+                   Slot<ResultJournal>>
+      journals_;
+  // By (directory, disk budget): two budgets never share one index.
+  mutable std::map<std::pair<std::string, std::uint64_t>, Slot<GoldenStore>>
+      goldens_;
 };
 
 // Convenience wrapper over CampaignRunner.

@@ -40,11 +40,6 @@ struct DistOptions {
   // Sleep between polls while waiting for rival workers' claimed buckets.
   std::int64_t poll_ms = 25;
 
-  // Bucket granularity: pending cells are split into about
-  // shard_count * buckets_per_worker cost-weighted buckets — enough
-  // stealable pieces that a dead worker's share redistributes evenly.
-  int buckets_per_worker = 4;
-
   // True when the worker group shares ONE machine (spawned by the local
   // coordinator): the default thread count divides by shard_count so N
   // workers don't oversubscribe the host N-fold. Hand-started shards on

@@ -13,9 +13,9 @@ namespace {
 // campaign; golden reuse still amortizes across the point's trials. All
 // checks flow through ONE CampaignRunner: the environment hash is
 // computed once per planning run instead of once per check, and with a
-// store attached the runner reuses cached open handles
-// (StoreOptions::reuse_handles, set by plan_tmr) instead of re-reading
-// the journal per check — warm resumes are O(1) per call.
+// store attached the runner keeps its journal and golden store open
+// between checks instead of re-reading them — warm resumes are O(1) per
+// call.
 double evaluate_with_protection(
     const CampaignRunner& runner,
     const std::unordered_map<int, ProtectionSet>& protection,
@@ -54,9 +54,8 @@ TmrPlan plan_tmr(const Network& network, const Dataset& dataset,
   // journal, so a killed sweep resumes at cell granularity regardless.
   TmrPlanOptions options = options_in;
   options.store.cell_budget = 0;
-  // Hundreds of tiny sequential checks share one runner and one set of
-  // open store handles (see evaluate_with_protection).
-  options.store.reuse_handles = true;
+  // Hundreds of tiny sequential checks share one runner and the store
+  // handles it keeps open (see evaluate_with_protection).
   const CampaignRunner runner(network, dataset);
   TmrPlan plan;
 

@@ -15,7 +15,6 @@
 #include "common/logging.h"
 #include "common/telemetry/events.h"
 #include "common/telemetry/telemetry.h"
-#include "core/store/handle_cache.h"
 
 namespace winofault {
 namespace {
@@ -391,8 +390,6 @@ void ServiceServer::executor_loop() {
       ++stats_.jobs_failed;
     }
     retire_job(job->id);
-    // Between submissions the registry only needs what live sessions pin.
-    trim_store_handle_cache(options_.max_store_handles);
   }
 }
 

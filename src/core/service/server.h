@@ -40,9 +40,6 @@ struct ServerOptions {
   // grows its session's tier to that campaign's working set).
   std::size_t golden_capacity = 0;
 
-  // Cached store handles kept after each job (handle_cache trim).
-  std::size_t max_store_handles = 64;
-
   // Hard cap on one request line; longer requests are rejected.
   std::size_t max_line_bytes = 4u << 20;
 

@@ -50,8 +50,8 @@ ServiceSession::ServiceSession(ModelEnv env, Network net, Dataset data,
 CampaignResult ServiceSession::run(ServiceJob& job) {
   CampaignSpec spec = job.spec;
   // Server-side rewiring. None of this can change results: the warm tier
-  // serves bit-identical goldens, handle reuse serves the same journal
-  // cells, and dist is stripped because a daemon campaign is one process.
+  // serves bit-identical goldens, and dist is stripped because a daemon
+  // campaign is one process.
   spec.warm_goldens = &warm_;
   spec.store.dist = DistOptions{};
   spec.cancel = &job.cancel;
@@ -80,23 +80,18 @@ CampaignResult ServiceSession::run(ServiceJob& job) {
     job.update_progress(p);
   };
   if (spec.store.enabled()) {
-    // The daemon is the sole mutator of its stores while resident, which
-    // is exactly the reuse_handles contract — submissions against the
-    // same store dir share one open journal instead of re-reading it.
-    spec.store.reuse_handles = true;
-    const StoreHandles handles =
-        acquire_store_handles(spec.store, runner_.env_hash());
-    std::lock_guard<std::mutex> lock(store_mu_);
-    pinned_ = handles;  // keep alive across handle-cache trims
-    warm_.set_store(handles.goldens.get());
+    // The daemon is the sole mutator of its stores while resident, so the
+    // session's runner keeps them open: submissions against the same
+    // store dir share one open journal instead of re-reading it. The warm
+    // tier spills to this submission's golden store from now on.
+    warm_.set_store(
+        runner_.store_handles(spec.store, ResultJournal::Mode::kAppend)
+            .goldens);
   }
   return runner_.run(spec);
 }
 
-std::int64_t ServiceSession::flush_goldens() {
-  std::lock_guard<std::mutex> lock(store_mu_);
-  return warm_.flush_to_store();
-}
+std::int64_t ServiceSession::flush_goldens() { return warm_.flush_to_store(); }
 
 SessionCache::SessionCache(ModelEnvBuilder builder, std::size_t max_sessions,
                            std::size_t golden_capacity)

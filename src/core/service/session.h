@@ -2,10 +2,10 @@
 // owns everything that used to be cold-start cost for every figure
 // process: the built-and-calibrated Network, its teacher Dataset, a
 // CampaignRunner with the env hash cached, and the shared cross-submission
-// GoldenLru (CampaignSpec::warm_goldens) — plus pinned store handles so a
-// stored submission's journal/golden files stay open across submissions
-// (the daemon is their sole mutator, which is exactly the
-// StoreOptions::reuse_handles contract).
+// GoldenLru (CampaignSpec::warm_goldens). The runner keeps a stored
+// submission's journal and golden store open for the next submission
+// against the same directory (the daemon is their sole mutator, which is
+// exactly the runner's contract).
 //
 // Sessions are keyed by model_env_key: the golden tier's (image, policy)
 // keys are only meaningful within one campaign environment, so the "one
@@ -25,7 +25,6 @@
 #include "core/campaign/campaign.h"
 #include "core/service/protocol.h"
 #include "core/service/scheduler.h"
-#include "core/store/handle_cache.h"
 #include "nn/dataset.h"
 #include "nn/network.h"
 
@@ -49,8 +48,8 @@ class ServiceSession {
                  std::size_t golden_capacity);
 
   // Executes one job's campaign against the warm tier: rewrites the spec
-  // server-side (shared GoldenLru, progress -> job, cancel flag, handle
-  // reuse, dist stripped) and runs it on the session's runner. Safe to
+  // server-side (shared GoldenLru, progress -> job, cancel flag, dist
+  // stripped) and runs it on the session's runner. Safe to
   // call from several executors concurrently — concurrent campaigns share
   // the process thread pool via parallel_for.
   CampaignResult run(ServiceJob& job);
@@ -68,10 +67,6 @@ class ServiceSession {
   Dataset data_;
   CampaignRunner runner_;
   GoldenLru warm_;
-  std::mutex store_mu_;
-  // Pins the latest stored submission's handles so warm_'s spill target
-  // stays valid across handle-cache trims.
-  StoreHandles pinned_;
 };
 
 // Session registry with LRU eviction: at most `max_sessions` warm

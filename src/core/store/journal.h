@@ -91,7 +91,7 @@ class ResultJournal {
 
   // Appends a finished cell and flushes it (thread-safe). The cell also
   // joins the in-memory map, so a later lookup through this same handle —
-  // e.g. a sequential-adaptive consumer reusing a cached handle — sees it
+  // e.g. a sequential-adaptive consumer whose runner kept it open — sees it
   // without re-reading the file. A non-null `cost` appends the cell's cost
   // record immediately after (one flush covers both).
   void append(const JournalCell& cell, const JournalCost* cost = nullptr);

@@ -52,15 +52,6 @@ struct StoreOptions {
   // a checkpointing / CI-smoke knob, not a sampling mode.
   std::int64_t cell_budget = 0;
 
-  // Reuse open store handles (journal + golden store) from the process-wide
-  // cache (handle_cache.h) instead of re-opening and re-reading the journal
-  // per campaign. Opt-in: sequential-adaptive consumers (the TMR planner
-  // runs one tiny campaign per accuracy check) turn this on so a warm
-  // resume costs O(1) per check instead of O(journal size). Leave off when
-  // anything else in the process might mutate the store files between
-  // campaigns — a cached handle would not observe it.
-  bool reuse_handles = false;
-
   // Distributed execution over this store directory (core/dist): when
   // dist.shard_count > 1, this process is worker dist.shard_index of a
   // cooperating group that shares `dir`. Requires the journal; ignored

@@ -36,8 +36,8 @@
 #include "core/service/protocol.h"
 #include "core/service/scheduler.h"
 #include "core/service/server.h"
-#include "core/store/handle_cache.h"
 #include "core/store/hash.h"
+#include "fault/models/model_spec.h"
 #include "nn/dataset.h"
 #include "test_util.h"
 
@@ -631,8 +631,12 @@ TEST(Service, TwoConcurrentClientsGetIdenticalCorrectResults) {
         outcomes[c].error = error;
         return;
       }
+      // One store directory per client: both jobs run at once on the
+      // session's one runner, each asking it for its own store's handles.
+      CampaignSpec stored = spec;
+      stored.store.dir = dir + "/store-" + std::to_string(c);
       outcomes[c] = client.submit_and_wait("client-" + std::to_string(c),
-                                           test_env(), spec);
+                                           test_env(), stored);
     });
   }
   for (std::thread& t : clients) t.join();
@@ -640,6 +644,70 @@ TEST(Service, TwoConcurrentClientsGetIdenticalCorrectResults) {
     ASSERT_TRUE(outcomes[c].ok) << outcomes[c].error;
     expect_same_results(direct, outcomes[c].result);
   }
+}
+
+TEST(Service, StoreSwitchesBesideALongUnstoredJobKeepResultsCorrect) {
+  // Two executors share one session. A long job without a store misses
+  // the warm tier on every cell (each point is its own permanent-fault
+  // golden variant), so it keeps restoring from and spilling to whatever
+  // golden store the tier points at. Meanwhile stored jobs on the other
+  // executor alternate two store directories; each one repoints the tier
+  // and makes the runner stop keeping the previous directory open. The
+  // tier must keep a replaced store alive for the calls still using it
+  // (the sanitizer jobs run this).
+  const Fixture f = make_fixture();
+  CampaignSpec stored;
+  stored.points = small_grid();
+  const CampaignResult stored_reference = run_campaign(f.net, f.data, stored);
+  CampaignSpec unstored;
+  for (int s = 0; s < 24; ++s) {
+    CampaignPoint point;
+    point.fault.ber = 1e-3;
+    point.fault.model = *FaultModelSpec::parse("stuck0@weight#perm");
+    point.policy = s % 2 == 0 ? ConvPolicy::kDirect : ConvPolicy::kWinograd2;
+    point.seed = 100 + static_cast<std::uint64_t>(s);
+    point.trials = 1;
+    unstored.points.push_back(std::move(point));
+  }
+  const CampaignResult unstored_reference =
+      run_campaign(f.net, f.data, unstored);
+
+  const std::string dir = fresh_dir("store_switch");
+  TestServer ts(dir, /*jobs=*/2);
+  ServiceClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(ts.socket_path, &error)) << error;
+  stored.store.dir = dir + "/store-0";
+  const auto first = client.submit_and_wait("stored", test_env(), stored);
+  ASSERT_TRUE(first.ok) << first.error;
+  expect_same_results(stored_reference, first.result);
+
+  std::atomic<bool> long_done{false};
+  ServiceClient::SubmitOutcome long_outcome;
+  std::thread long_client([&] {
+    ServiceClient c;
+    std::string e;
+    if (c.connect(ts.socket_path, &e)) {
+      long_outcome = c.submit_and_wait("unstored", test_env(), unstored);
+    } else {
+      long_outcome.error = e;
+    }
+    long_done = true;
+  });
+  int switches = 0;
+  for (; switches < 4 || (!long_done && switches < 200); ++switches) {
+    stored.store.dir = dir + "/store-" + std::to_string((switches + 1) % 2);
+    const auto outcome = client.submit_and_wait("stored", test_env(), stored);
+    if (!outcome.ok) {
+      ADD_FAILURE() << outcome.error;  // still join the long client below
+      break;
+    }
+    expect_same_results(stored_reference, outcome.result);
+  }
+  long_client.join();
+  ASSERT_TRUE(long_outcome.ok) << long_outcome.error;
+  expect_same_results(unstored_reference, long_outcome.result);
+  EXPECT_GT(long_outcome.result.stats.golden_builds, 0);
 }
 
 // ---- (g) residency hardening + chaos ----

@@ -13,18 +13,21 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "common/iofault/iofault.h"
 #include "core/analysis/network_sweep.h"
 #include "core/campaign/campaign.h"
 #include "core/store/golden_store.h"
-#include "core/store/handle_cache.h"
 #include "core/store/hash.h"
 #include "core/store/journal.h"
 #include "core/store/segment_cache.h"
 #include "nn/dataset.h"
+#include "test_util.h"
 
 namespace winofault {
 namespace {
@@ -374,41 +377,104 @@ TEST(Store, CorruptShardIsRejectedAndRebuilt) {
   EXPECT_FALSE(store.load(0, ConvPolicy::kDirect).has_value());
 }
 
-// ---- handle cache (sequential-adaptive consumers) ----
+// ---- runner-held store handles (sequential-adaptive consumers) ----
 
-TEST(Store, HandleCacheSharesOpenHandlesAndSeesAppends) {
-  const std::string dir = fresh_dir("handles");
+TEST(Store, RunnerKeepsOneOpenHandlePerJournalMode) {
+  const Fixture f = make_fixture(2);
+  const CampaignRunner runner(f.net, f.data);
   StoreOptions options;
-  options.dir = dir;
-  options.reuse_handles = true;
-  const std::uint64_t env = 4242;
+  options.dir = fresh_dir("handles");
+  constexpr ResultJournal::Mode kAppend = ResultJournal::Mode::kAppend;
 
-  const StoreHandles a = acquire_store_handles(options, env);
-  const StoreHandles b = acquire_store_handles(options, env);
+  const StoreHandles a = runner.store_handles(options, kAppend);
+  const StoreHandles b = runner.store_handles(options, kAppend);
   ASSERT_NE(a.journal, nullptr);
-  EXPECT_EQ(a.journal.get(), b.journal.get()) << "one open handle per key";
+  ASSERT_NE(a.goldens, nullptr);
+  EXPECT_EQ(a.journal.get(), b.journal.get()) << "one open handle per mode";
   EXPECT_EQ(a.goldens.get(), b.goldens.get());
-
-  // Appends through the shared handle are visible to later lookups without
-  // any re-read — the O(1) warm-resume property plan_tmr relies on.
-  a.journal->append(JournalCell{21, 3, 1, 6});
-  JournalCell cell;
-  EXPECT_TRUE(b.journal->lookup(21, 3, &cell));
-  EXPECT_EQ(cell.flips, 6);
-
-  // Different environment or mode: distinct handles.
-  EXPECT_NE(acquire_store_handles(options, env ^ 1).journal.get(),
-            a.journal.get());
-  EXPECT_NE(acquire_store_handles(options, env,
-                                  ResultJournal::Mode::kReadOnly)
+  EXPECT_NE(runner.store_handles(options, ResultJournal::Mode::kReadOnly)
                 .journal.get(),
             a.journal.get());
 
-  // After a cache clear the cell still comes back from disk.
-  clear_store_handle_cache();
-  const StoreHandles c = acquire_store_handles(options, env);
+  // Appends through the kept handle are visible to later lookups without
+  // any re-read — the O(1) warm-resume property plan_tmr relies on.
+  a.journal->append(JournalCell{21, 3, 1, 6});
+  JournalCell cell;
+  EXPECT_TRUE(
+      runner.store_handles(options, kAppend).journal->lookup(21, 3, &cell));
+  EXPECT_EQ(cell.flips, 6);
+
+  // A fresh runner opens its own handle and reads the cell from disk.
+  const CampaignRunner fresh(f.net, f.data);
+  const StoreHandles c =
+      fresh.store_handles(options, ResultJournal::Mode::kReadOnly);
   EXPECT_NE(c.journal.get(), a.journal.get());
   EXPECT_TRUE(c.journal->lookup(21, 3, &cell));
+}
+
+TEST(Store, RunUnderAnotherDirectoryClosesTheFirstDirectorysHandles) {
+  const Fixture f = make_fixture(4);
+  CampaignSpec spec;
+  spec.points = small_grid();
+  const CampaignResult reference = run_campaign(f.net, f.data, spec);
+
+  const CampaignRunner runner(f.net, f.data);
+  spec.store.dir = fresh_dir("switch_a");
+  const CampaignResult first = runner.run(spec);
+  std::weak_ptr<ResultJournal> journal;
+  std::weak_ptr<GoldenStore> goldens;
+  {
+    const StoreHandles kept =
+        runner.store_handles(spec.store, ResultJournal::Mode::kAppend);
+    journal = kept.journal;
+    goldens = kept.goldens;
+  }
+  ASSERT_FALSE(journal.expired()) << "the runner keeps its handles open";
+
+  CampaignSpec other = spec;
+  other.store.dir = fresh_dir("switch_b");
+  runner.run(other);
+  EXPECT_TRUE(journal.expired());
+  EXPECT_TRUE(goldens.expired());
+
+  // Going back reopens the first directory: its cells come from disk.
+  const CampaignResult back = runner.run(spec);
+  expect_same_results(reference, back);
+  EXPECT_EQ(back.stats.inferences, 0);
+  EXPECT_EQ(back.stats.journal_cells_loaded,
+            first.stats.journal_cells_written);
+  EXPECT_EQ(runner.store_handles(spec.store, ResultJournal::Mode::kAppend)
+                .journal->recovered_cells(),
+            first.stats.journal_cells_written);
+}
+
+TEST(Store, HandleARunStillHoldsIsSharedAcrossADirectorySwitch) {
+  // A daemon session's runner serves concurrent jobs: while one still
+  // runs under directory A, another switches the runner to B. A third job
+  // under A must get the running job's handles, not a second journal
+  // open on the same file.
+  const Fixture f = make_fixture(2);
+  const CampaignRunner runner(f.net, f.data);
+  StoreOptions a;
+  a.dir = fresh_dir("held_a");
+  StoreOptions b;
+  b.dir = fresh_dir("held_b");
+  constexpr ResultJournal::Mode kAppend = ResultJournal::Mode::kAppend;
+  std::weak_ptr<ResultJournal> journal;
+  std::weak_ptr<GoldenStore> goldens;
+  {
+    const StoreHandles held = runner.store_handles(a, kAppend);
+    runner.store_handles(b, kAppend);
+    const StoreHandles again = runner.store_handles(a, kAppend);
+    EXPECT_EQ(again.journal.get(), held.journal.get());
+    EXPECT_EQ(again.goldens.get(), held.goldens.get());
+    runner.store_handles(b, kAppend);
+    journal = held.journal;
+    goldens = held.goldens;
+  }
+  // Once no run holds them, the runner does not keep them either.
+  EXPECT_TRUE(journal.expired());
+  EXPECT_TRUE(goldens.expired());
 }
 
 TEST(Store, PlannerStyleReuseIsBitIdenticalToFreshHandles) {
@@ -417,20 +483,29 @@ TEST(Store, PlannerStyleReuseIsBitIdenticalToFreshHandles) {
   spec.points = small_grid();
   const CampaignResult reference = run_campaign(f.net, f.data, spec);
 
-  // Same campaign twice through cached handles (as plan_tmr's checks do):
-  // first run executes and journals, second replays from the shared
-  // in-memory handle without executing.
+  // Same campaign twice through one runner (as plan_tmr's checks do): the
+  // first run executes and journals, the second replays from the kept
+  // in-memory handle without executing — even though the journal file is
+  // deleted in between. A kept handle does not observe outside changes,
+  // which is why the runner's contract is that nothing else mutates its
+  // store between its runs.
   spec.store.dir = fresh_dir("handle_reuse");
-  spec.store.reuse_handles = true;
   const CampaignRunner runner(f.net, f.data);
   const CampaignResult first = runner.run(spec);
   expect_same_results(reference, first);
+  ASSERT_TRUE(fs::remove(
+      ResultJournal::journal_path(spec.store.dir, runner.env_hash())));
   const CampaignResult second = runner.run(spec);
   expect_same_results(reference, second);
   EXPECT_EQ(second.stats.inferences, 0);
   EXPECT_EQ(second.stats.journal_cells_loaded,
             first.stats.journal_cells_written);
-  clear_store_handle_cache();
+
+  // A fresh runner sees the deletion and re-executes bit-identically.
+  const CampaignResult fresh = run_campaign(f.net, f.data, spec);
+  expect_same_results(reference, fresh);
+  EXPECT_EQ(fresh.stats.journal_cells_loaded, 0);
+  EXPECT_EQ(fresh.stats.inferences, reference.stats.inferences);
 }
 
 // ---- spill-on-shutdown ----
@@ -480,60 +555,19 @@ TEST(Store, SweepReportsDeferredCellsFromBudgetedRuns) {
   EXPECT_EQ(finished.stats.cells_deferred, 0);
 }
 
-TEST(Store, HandleCacheTrimEvictsOldestUnusedHandlesOnly) {
-  clear_store_handle_cache();
-  const std::string dir = fresh_dir("trim");
-  StoreOptions options;
-  options.dir = dir;
-
-  // Populate three journal+golden pairs; keep a live reference to env 1's
-  // handles (a resident daemon session pinning its store).
-  const StoreHandles pinned = acquire_store_handles(options, 1);
-  acquire_store_handles(options, 2).journal->append(JournalCell{7, 0, 1, 2});
-  acquire_store_handles(options, 3);
-  ASSERT_EQ(store_handle_cache_size(), 6u);
-
-  // Trimming to 2 must take the oldest *unused* handles; env 1's pinned
-  // pair must survive in the registry or get dropped — either way the
-  // pinned pointers stay valid — but never be closed out from under us.
-  const std::size_t evicted = trim_store_handle_cache(2);
-  EXPECT_EQ(evicted, 4u);
-  EXPECT_EQ(store_handle_cache_size(), 2u);
-  // Re-acquiring env 1 returns the still-cached pinned handles.
-  EXPECT_EQ(acquire_store_handles(options, 1).journal.get(),
-            pinned.journal.get());
-
-  // Evicted env 2 re-opens from disk with its appended cell intact —
-  // eviction closes handles, it never loses durable state.
-  JournalCell cell;
-  EXPECT_TRUE(acquire_store_handles(options, 2).journal->lookup(7, 0, &cell));
-  EXPECT_EQ(cell.flips, 2);
-
-  // Trim below the in-use count refuses to evict live handles.
-  clear_store_handle_cache();
-  const StoreHandles live = acquire_store_handles(options, 9);
-  EXPECT_EQ(trim_store_handle_cache(0), 0u);
-  EXPECT_EQ(store_handle_cache_size(), 2u);
-  EXPECT_EQ(acquire_store_handles(options, 9).journal.get(),
-            live.journal.get());
-  clear_store_handle_cache();
-}
-
 TEST(Store, ReuseHandlesResumeMatchesReopenResume) {
   const Fixture f = make_fixture(4);
   CampaignSpec spec;
   spec.points = small_grid();
   const CampaignResult reference = run_campaign(f.net, f.data, spec);
 
-  // Resume path A: fresh handles per campaign (re-open + re-read).
+  // Resume path A: a fresh runner per campaign (re-open + re-read).
   spec.store.dir = fresh_dir("reopen_equiv_a");
-  spec.store.reuse_handles = false;
   run_campaign(f.net, f.data, spec);
   const CampaignResult reopened = run_campaign(f.net, f.data, spec);
 
-  // Resume path B: cached handles (reuse_handles) over an identical store.
+  // Resume path B: one runner's kept handles over an identical store.
   spec.store.dir = fresh_dir("reopen_equiv_b");
-  spec.store.reuse_handles = true;
   const CampaignRunner runner(f.net, f.data);
   runner.run(spec);
   const CampaignResult reused = runner.run(spec);
@@ -546,7 +580,6 @@ TEST(Store, ReuseHandlesResumeMatchesReopenResume) {
   EXPECT_EQ(reused.stats.inferences, 0);
   EXPECT_EQ(reused.stats.journal_cells_loaded,
             reopened.stats.journal_cells_loaded);
-  clear_store_handle_cache();
 }
 
 TEST(Store, SegmentCacheReadsOnlyTheAppendedSuffix) {
@@ -725,6 +758,33 @@ TEST(Store, ChaosTornJournalAppendIsDroppedOnRecovery) {
   EXPECT_TRUE(recovered.lookup(1, 0, nullptr));
   EXPECT_FALSE(recovered.lookup(2, 1, nullptr));
   EXPECT_TRUE(recovered.can_append());
+}
+
+TEST(Store, FailedJournalAppendDoesNotEndTheRunnersCheckpointing) {
+  const Fixture f = make_fixture(4);
+  CampaignSpec spec;
+  spec.points = {small_grid().front()};  // 1 point x 4 images
+  const CampaignResult reference = run_campaign(f.net, f.data, spec);
+  const std::int64_t cells = static_cast<std::int64_t>(f.data.size());
+
+  spec.store.dir = fresh_dir("append_reopen");
+  const CampaignRunner runner(f.net, f.data);
+  {
+    ScopedChaos chaos("1:eio@write:*.journal#1");  // the first append fails
+    const CampaignResult failed = runner.run(spec);
+    expect_same_results(reference, failed);
+    EXPECT_EQ(failed.stats.journal_cells_written, 0);
+  }
+  // The disk is back: the runner reopens the journal the failed write
+  // closed, so its next run checkpoints every cell again...
+  const CampaignResult second = runner.run(spec);
+  expect_same_results(reference, second);
+  EXPECT_EQ(second.stats.journal_cells_written, cells);
+  // ...and a fresh run is served entirely from the journal.
+  const CampaignResult fresh = run_campaign(f.net, f.data, spec);
+  expect_same_results(reference, fresh);
+  EXPECT_EQ(fresh.stats.journal_cells_loaded, cells);
+  EXPECT_EQ(fresh.stats.inferences, 0);
 }
 
 TEST(Store, CampaignUnderChaosCompletesBitIdenticalAndReplaysExactly) {
@@ -910,6 +970,135 @@ TEST(Store, TornCostRecordLosesTheCostNeverTheCell) {
   EXPECT_EQ(resumed.stats.journal_cells_loaded, cells);
   EXPECT_EQ(resumed.stats.inferences, 0);
   expect_same_results(first, resumed);
+}
+
+// ---- store-reader mutation pass: seeded mutants of real store bytes ----
+
+// A record read back from a mutant must equal one that was written, field
+// for field; cells and costs both compare as four-field tuples.
+using RecordFields =
+    std::tuple<std::uint64_t, std::int64_t, std::int64_t, std::int64_t>;
+RecordFields fields(const JournalCell& c) {
+  return {c.point_hash, c.image, c.correct, c.flips};
+}
+RecordFields fields(const JournalCost& c) {
+  return {c.point_hash, c.image, c.wall_us, c.flips_sq};
+}
+
+TEST(Store, JournalMutantsReadBackOnlyWrittenRecords) {
+  const std::string dir = fresh_dir("journal_mutants");
+  const std::uint64_t env = 0x5eed0f5;
+  std::set<RecordFields> cells, costs;
+  std::set<std::pair<std::uint64_t, std::int64_t>> keys;
+  // Two journals of one environment: the seed, and a donor holding the same
+  // cell keys with other tallies. Every third cell has no cost record.
+  const auto write_journal = [&](const std::string& name, std::int64_t salt) {
+    ResultJournal journal(dir + "/" + name, env, ResultJournal::Mode::kAppend);
+    for (std::int64_t i = 0; i < 12; ++i) {
+      const JournalCell cell{0x1000 + static_cast<std::uint64_t>(i % 4), i,
+                             salt + i, salt * i + 3};
+      const JournalCost cost{cell.point_hash, cell.image, 100 * salt + i,
+                             i * i};
+      const bool costed = i % 3 != 2;
+      journal.append(cell, costed ? &cost : nullptr);
+      cells.insert(fields(cell));
+      if (costed) costs.insert(fields(cost));
+      keys.emplace(cell.point_hash, cell.image);
+    }
+    std::ifstream in(journal.path(), std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string seed = write_journal("seed", 1);
+  const std::vector<std::string> donors = {seed, write_journal("donor", 2)};
+
+  const std::string mutant_dir = dir + "/mutant";
+  fs::create_directories(mutant_dir);
+  const std::string path = ResultJournal::journal_path(mutant_dir, env);
+  constexpr int kMutants = 4000;
+  Rng rng(20261017);
+  int served = 0;  // mutants that still served a cell
+  int failures = 0;
+  for (int m = 0; m < kMutants && failures < 10; ++m) {
+    const std::string mutant =
+        testing::mutate_bytes(seed, rng.next_below(3), donors, rng);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << mutant;
+    }
+    bool ok = true;
+    std::vector<JournalCell> read_cells;
+    std::vector<JournalCost> read_costs;
+    std::int64_t next = -1;
+    if (ResultJournal::read_cells_from(path, env, 0, &read_cells, &next,
+                                       nullptr, nullptr, &read_costs)) {
+      ok = next >= static_cast<std::int64_t>(kHeaderBytes) &&
+           (next - static_cast<std::int64_t>(kHeaderBytes)) %
+                   static_cast<std::int64_t>(kRecordBytes) ==
+               0 &&
+           next <= static_cast<std::int64_t>(mutant.size());
+      for (const JournalCell& c : read_cells) ok &= cells.count(fields(c)) > 0;
+      for (const JournalCost& c : read_costs) ok &= costs.count(fields(c)) > 0;
+    }
+    const ResultJournal journal(mutant_dir, env,
+                                ResultJournal::Mode::kReadOnly);
+    std::int64_t found_cells = 0, found_costs = 0;
+    for (const auto& [point_hash, image] : keys) {
+      JournalCell cell;
+      if (journal.lookup(point_hash, image, &cell)) {
+        ++found_cells;
+        ok &= cells.count(fields(cell)) > 0;
+      }
+      JournalCost cost;
+      if (journal.lookup_cost(point_hash, image, &cost)) {
+        ++found_costs;
+        ok &= costs.count(fields(cost)) > 0;
+      }
+    }
+    // Nothing was recovered under a key that was never written.
+    ok &= found_cells == journal.recovered_cells() &&
+          found_costs == journal.cost_records();
+    served += found_cells > 0;
+    if (!ok) {
+      ++failures;
+      ADD_FAILURE() << "mutant " << m << " (" << mutant.size()
+                    << " bytes) read back a record that was never written";
+    }
+  }
+  EXPECT_EQ(failures, 0);
+  // The budget is only meaningful if mutants reach both outcomes.
+  EXPECT_GT(served, kMutants / 10);
+  EXPECT_LT(served, kMutants);
+}
+
+TEST(Store, GoldenCodecMutantsThatDecodeReencodeToThemselves) {
+  const Fixture f = make_fixture(2);
+  const std::vector<std::string> seeds = {
+      GoldenCodec::encode(
+          f.net.make_golden(f.data.images[0], ConvPolicy::kDirect)),
+      GoldenCodec::encode(
+          f.net.make_golden(f.data.images[1], ConvPolicy::kWinograd2))};
+  constexpr int kMutantsPerSeed = 2000;
+  Rng rng(20261018);
+  int decoded = 0;
+  int failures = 0;
+  for (const std::string& seed : seeds) {
+    for (int m = 0; m < kMutantsPerSeed && failures < 10; ++m) {
+      const std::string mutant =
+          testing::mutate_bytes(seed, rng.next_below(3), seeds, rng);
+      const std::optional<GoldenCache> golden = GoldenCodec::decode(mutant);
+      if (!golden.has_value()) continue;
+      ++decoded;
+      if (GoldenCodec::encode(*golden) != mutant) {
+        ++failures;
+        ADD_FAILURE() << "decoded mutant " << m << " (" << mutant.size()
+                      << " bytes) does not re-encode to its own bytes";
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0);
+  // The budget is only meaningful if mutants reach both outcomes.
+  EXPECT_GT(decoded, 100);
+  EXPECT_LT(decoded, static_cast<int>(seeds.size()) * kMutantsPerSeed);
 }
 
 }  // namespace
