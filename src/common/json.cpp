@@ -91,13 +91,17 @@ std::int64_t Json::as_int(std::int64_t fallback) const {
     if (magnitude_ > static_cast<std::uint64_t>(INT64_MAX)) return fallback;
     return static_cast<std::int64_t>(magnitude_);
   }
+  // Casting a double outside the target range is undefined: 2^63 is the
+  // first value past INT64_MAX, and NaN fails both comparisons.
+  if (!(num_ >= -0x1p63 && num_ < 0x1p63)) return fallback;
   return static_cast<std::int64_t>(num_);
 }
 
 std::uint64_t Json::as_uint(std::uint64_t fallback) const {
   if (type_ != Type::kNumber) return fallback;
   if (is_integer_) return negative_ ? fallback : magnitude_;
-  return num_ < 0 ? fallback : static_cast<std::uint64_t>(num_);
+  if (!(num_ >= 0 && num_ < 0x1p64)) return fallback;
+  return static_cast<std::uint64_t>(num_);
 }
 
 const std::string& Json::as_string(const std::string& fallback) const {

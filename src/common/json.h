@@ -53,7 +53,8 @@ class Json {
   // Object lookup; nullptr when absent or not an object.
   const Json* find(const std::string& key) const;
 
-  // Typed reads with fallbacks (never throw).
+  // Typed reads with fallbacks (never throw). as_int and as_uint truncate
+  // a fraction and return the fallback for a value outside their type.
   bool as_bool(bool fallback = false) const;
   double as_double(double fallback = 0.0) const;
   std::int64_t as_int(std::int64_t fallback = 0) const;

@@ -22,7 +22,6 @@
 #include "core/store/golden_store.h"
 #include "core/store/hash.h"
 #include "core/store/journal.h"
-#include "core/store/segment_cache.h"
 #include "fault/fault_model.h"
 #include "fault/models/overlay.h"
 
@@ -148,15 +147,11 @@ constexpr ConvPolicy golden_key_policy(std::uint64_t key) {
 // the unit both execution paths schedule and journal. A non-null `overlay`
 // (permanent-fault model, pure function of the point) keys the golden into
 // its faulted-weights variant and counts its defective cells as the
-// trial's flips; transient models leave it null. A non-null `cost`
-// receives the cell's measured cost record (trial-loop wall-micros +
-// exact sum of squared per-trial flips) for the journal's cost ledger;
-// the measurement is observation-only — the tallies never depend on it.
+// trial's flips; transient models leave it null.
 JournalCell execute_cell(const Network& network, const Dataset& dataset,
                          const CampaignPoint& point,
                          std::uint64_t point_hash, std::int64_t i,
-                         GoldenLru& lru, const FaultOverlay* overlay,
-                         JournalCost* cost = nullptr) {
+                         GoldenLru& lru, const FaultOverlay* overlay) {
   const TensorF& image = dataset.images[static_cast<std::size_t>(i)];
   const int label = dataset.labels[static_cast<std::size_t>(i)];
   // Every (point, image, trial) derives its own fault stream, so the
@@ -167,8 +162,6 @@ JournalCell execute_cell(const Network& network, const Dataset& dataset,
   cell.image = i;
   const std::int64_t overlay_flips =
       overlay != nullptr ? overlay->site_count : 0;
-  std::int64_t flips_sq = 0;
-  std::int64_t elapsed_us = 0;
   if (point.reuse_golden) {
     const GoldenLru::Ptr golden = lru.get_or_build(
         i, point.policy,
@@ -179,12 +172,9 @@ JournalCell execute_cell(const Network& network, const Dataset& dataset,
     for (int t = 0; t < point.trials; ++t) {
       FaultSession session(point.fault, fault_stream_seed(point.seed, i, t));
       cell.correct += network.predict_replay(*golden, session) == label;
-      const std::int64_t trial_flips = session.total_flips() + overlay_flips;
-      cell.flips += trial_flips;
-      flips_sq += trial_flips * trial_flips;
+      cell.flips += session.total_flips() + overlay_flips;
     }
-    elapsed_us = telemetry::now_us() - t0;
-    phase_replay_metric().observe(elapsed_us);
+    phase_replay_metric().observe(telemetry::now_us() - t0);
   } else {
     telemetry::TraceSpan span("cell_inject", "campaign");
     const std::int64_t t0 = telemetry::now_us();
@@ -195,18 +185,9 @@ JournalCell execute_cell(const Network& network, const Dataset& dataset,
       ctx.session = &session;
       ctx.overlay = overlay;
       cell.correct += network.predict(image, ctx) == label;
-      const std::int64_t trial_flips = session.total_flips() + overlay_flips;
-      cell.flips += trial_flips;
-      flips_sq += trial_flips * trial_flips;
+      cell.flips += session.total_flips() + overlay_flips;
     }
-    elapsed_us = telemetry::now_us() - t0;
-    phase_inject_metric().observe(elapsed_us);
-  }
-  if (cost != nullptr) {
-    cost->point_hash = point_hash;
-    cost->image = i;
-    cost->wall_us = elapsed_us;
-    cost->flips_sq = flips_sq;
+    phase_inject_metric().observe(telemetry::now_us() - t0);
   }
   cells_metric().add(1);
   trials_metric().add(point.trials);
@@ -514,13 +495,10 @@ struct CellPlan {
       const std::size_t u = begin + static_cast<std::size_t>(k);
       if (tallied[u] || !before()) return;
       const std::size_t p = active[pending[u].a];
-      JournalCost cost;
       const JournalCell cell =
           execute_cell(network, dataset, spec.points[p], point_hashes[p],
-                       pending[u].image, *lru, overlays[p].get(), &cost);
-      if (sink != nullptr) {
-        sink->append(cell, spec.store.cost_ledger ? &cost : nullptr);
-      }
+                       pending[u].image, *lru, overlays[p].get());
+      if (sink != nullptr) sink->append(cell);
       tally(u, cell);
       inferences.fetch_add(spec.points[p].trials, std::memory_order_relaxed);
       after(executed.fetch_add(1, std::memory_order_relaxed) + 1);
@@ -799,48 +777,11 @@ void run_distributed(CellPlan& plan) {
   if (tag.empty()) tag = default_worker_tag();
 
   // Cost-aware buckets + claim board: identical in every worker because
-  // both derive from the canonical pending set alone.
+  // both derive from the canonical pending set and the static per-point
+  // estimate alone.
   std::vector<double> point_weight(active.size());
   for (std::size_t a = 0; a < active.size(); ++a) {
     point_weight[a] = cell_cost_weight(plan.network, spec.points[active[a]]);
-  }
-  // Prefer MEASURED costs from the canonical journal's cost ledger (cells
-  // of the same point finished in earlier runs/resumes): a point with
-  // measured cells weighs its mean replay wall-micros; unmeasured points
-  // scale their estimate by the measured/estimated ratio over the measured
-  // ones so the two weight spaces stay commensurable. Deterministic across
-  // workers — the canonical journal is read-only and shared, and the fold
-  // below iterates in `active` order — so every worker still derives the
-  // identical bucket partition. Weights steer scheduling only; results are
-  // pure functions of the cell key either way.
-  {
-    const auto measured = plan.journal->point_costs();
-    std::vector<double> mean_us(active.size(), 0.0);
-    double measured_sum = 0.0, estimate_sum = 0.0;
-    std::size_t measured_points = 0;
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const auto it = measured.find(plan.point_hashes[active[a]]);
-      if (it == measured.end() || it->second.cells <= 0) continue;
-      mean_us[a] = std::max(static_cast<double>(it->second.wall_us) /
-                                static_cast<double>(it->second.cells),
-                            1.0);
-      measured_sum += mean_us[a];
-      estimate_sum += point_weight[a];
-      ++measured_points;
-    }
-    if (measured_points > 0 && measured_sum > 0.0 && estimate_sum > 0.0) {
-      const double ratio = measured_sum / estimate_sum;
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        point_weight[a] =
-            mean_us[a] > 0.0 ? mean_us[a] : point_weight[a] * ratio;
-      }
-      static telemetry::Counter& measured_metric = telemetry::counter(
-          "winofault_dist_measured_weight_points_total",
-          "dist points bucket-weighted by measured ledger costs");
-      measured_metric.add(static_cast<std::int64_t>(measured_points));
-      WF_INFO << "campaign: dist bucket weights use measured costs for "
-              << measured_points << "/" << active.size() << " point(s)";
-    }
   }
   std::vector<double> weights(pending.size());
   std::vector<std::uint64_t> pending_keys(pending.size());
@@ -1004,10 +945,10 @@ void run_distributed(CellPlan& plan) {
   // already. Its own segment comes next — cells an earlier campaign or
   // process with this tag left there are in the handle's in-memory map, no
   // disk — then rival segments (and leftovers of crashed workers of
-  // earlier generations) only for the cells still unaccounted for. A
-  // worker that executed everything, and a sequential-adaptive consumer
-  // re-entering with the segment its runner kept open, never re-read the
-  // directory.
+  // earlier generations), each read whole, only for the cells still
+  // unaccounted for. A worker that executed everything, and a
+  // sequential-adaptive consumer re-entering with the segment its runner
+  // kept open, never re-read the directory.
   std::vector<std::size_t> unresolved;
   for (std::size_t u = 0; u < pending.size(); ++u) {
     if (plan.tallied[u]) continue;
@@ -1025,13 +966,10 @@ void run_distributed(CellPlan& plan) {
     for (const ResultJournal::SegmentRef& seg :
          ResultJournal::list_segments(spec.store.dir)) {
       if (seg.env_hash != plan.env || seg.path == segment->path()) continue;
-      // Rival segments go through the process-wide read cache: only the
-      // suffix appended since the last campaign is parsed, so
-      // sequential-adaptive consumers (TMR planner checks) are O(new
-      // cells), not O(all rival cells), per campaign. Torn tails are
-      // tolerated exactly as with a direct read.
+      // Torn tails are tolerated: the intact prefix counts, and a cell
+      // lost with the tail is healed below.
       std::vector<JournalCell> cells;
-      if (!read_segment_cells_cached(seg.path, plan.env, &cells)) continue;
+      if (!ResultJournal::read_cells(seg.path, plan.env, &cells)) continue;
       for (const JournalCell& cell : cells) {
         durable.emplace(journal_cell_key(cell.point_hash, cell.image), cell);
       }

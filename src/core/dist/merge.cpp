@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -42,11 +41,10 @@ MergeStats merge_campaign_segments(const std::string& dir) {
     bool unwritable = false;
     for (const ResultJournal::SegmentRef* seg : refs) {
       std::vector<JournalCell> cells;
-      std::vector<JournalCost> costs;
       bool torn = false;
       bool unreadable = false;
-      if (!ResultJournal::read_cells_from(seg->path, env, 0, &cells, nullptr,
-                                          &torn, &unreadable, &costs)) {
+      if (!ResultJournal::read_cells(seg->path, env, &cells, &torn,
+                                     &unreadable)) {
         if (unreadable) {
           // Could not even open it (permissions, transient I/O): its
           // cells may be perfectly durable — never delete what was not
@@ -75,23 +73,12 @@ MergeStats merge_campaign_segments(const std::string& dir) {
       }
       if (unwritable) continue;  // cells stay durable in the segment
       if (torn) ++stats.segments_torn;
-      // Cost-ledger records ride with their cells: index the segment's
-      // costs by cell key so each newly folded cell carries its measured
-      // cost into the canonical journal (mixed segments — some with, some
-      // without costs — fold cleanly; costless cells just stay costless).
-      std::unordered_map<std::uint64_t, const JournalCost*> cost_by_key;
-      for (const JournalCost& cost : costs) {
-        cost_by_key[journal_cell_key(cost.point_hash, cost.image)] = &cost;
-      }
       for (const JournalCell& cell : cells) {
         if (canonical->lookup(cell.point_hash, cell.image)) {
           ++stats.cells_duplicate;  // identical by determinism
           continue;
         }
-        const auto cost_it =
-            cost_by_key.find(journal_cell_key(cell.point_hash, cell.image));
-        canonical->append(
-            cell, cost_it != cost_by_key.end() ? cost_it->second : nullptr);
+        canonical->append(cell);
         // append no-ops silently once a write has failed — check per
         // cell so a mid-segment disk-full neither counts unpersisted
         // cells as merged nor lets the segment be deleted.

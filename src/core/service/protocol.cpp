@@ -4,6 +4,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 
 namespace winofault {
@@ -46,6 +47,24 @@ bool read_int(const Json& value, const char* field, int lo, int* out,
                            std::to_string(INT_MAX) + "]");
   }
   *out = static_cast<int>(v);
+  return true;
+}
+
+// Reads a field that must be an integer in [0, the largest T]. Integer
+// literals are read exactly (seeds and hashes exceed 2^53), and as_uint
+// returns 0 for anything it cannot represent, so comparing the value back
+// with the number rejects a fraction, a non-number, a negative and an
+// out-of-range value alike.
+template <typename T>
+bool read_uint(const Json& value, const char* field, T* out,
+               std::string* error) {
+  constexpr auto hi = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  const std::uint64_t v = value.as_uint(0);
+  if (v > hi || static_cast<double>(v) != value.as_double(NAN)) {
+    return fail(error, std::string(field) + " must be an integer in [0, " +
+                           std::to_string(hi) + "]");
+  }
+  *out = static_cast<T>(v);
   return true;
 }
 
@@ -92,13 +111,20 @@ bool decode_model_env(const Json& json, ModelEnv* env, std::string* error) {
       !read_int(*images, "env.images", 1, &env->images, error)) {
     return false;
   }
-  const Json* seed = json.find("seed");
-  env->seed = seed != nullptr ? seed->as_uint(2024) : 2024;
+  env->seed = 2024;
+  if (const Json* seed = json.find("seed");
+      seed != nullptr && !read_uint(*seed, "env.seed", &env->seed, error)) {
+    return false;
+  }
   const Json* width = json.find("width");
   env->width = width != nullptr ? width->as_double(0.0) : 0.0;
   if (env->width < 0.0) return fail(error, "env.width must be >= 0");
-  const Json* env_hash = json.find("env_hash");
-  env->env_hash = env_hash != nullptr ? env_hash->as_uint(0) : 0;
+  env->env_hash = 0;
+  if (const Json* env_hash = json.find("env_hash");
+      env_hash != nullptr &&
+      !read_uint(*env_hash, "env.env_hash", &env->env_hash, error)) {
+    return false;
+  }
   return true;
 }
 
@@ -175,8 +201,10 @@ bool decode_campaign_spec(const Json& json, CampaignSpec* spec,
       !read_int(*threads, "spec.threads", 0, &spec->threads, error)) {
     return false;
   }
-  if (const Json* capacity = json.find("golden_capacity")) {
-    spec->golden_capacity = static_cast<std::size_t>(capacity->as_uint(0));
+  if (const Json* capacity = json.find("golden_capacity");
+      capacity != nullptr && !read_uint(*capacity, "spec.golden_capacity",
+                                        &spec->golden_capacity, error)) {
+    return false;
   }
   if (const Json* store = json.find("store")) {
     if (!store->is_object()) return fail(error, "spec.store not an object");
@@ -188,11 +216,16 @@ bool decode_campaign_spec(const Json& json, CampaignSpec* spec,
     if (const Json* spill = store->find("spill_goldens")) {
       spec->store.spill_goldens = spill->as_bool(true);
     }
-    if (const Json* budget = store->find("golden_disk_budget")) {
-      spec->store.golden_disk_budget = budget->as_uint(1ULL << 30);
+    if (const Json* budget = store->find("golden_disk_budget");
+        budget != nullptr &&
+        !read_uint(*budget, "store.golden_disk_budget",
+                   &spec->store.golden_disk_budget, error)) {
+      return false;
     }
-    if (const Json* cells = store->find("cell_budget")) {
-      spec->store.cell_budget = cells->as_int(0);
+    if (const Json* cells = store->find("cell_budget");
+        cells != nullptr && !read_uint(*cells, "store.cell_budget",
+                                       &spec->store.cell_budget, error)) {
+      return false;
     }
   }
   const Json* points = json.find("points");
@@ -240,8 +273,11 @@ bool decode_campaign_spec(const Json& json, CampaignSpec* spec,
             entry.find("add") != nullptr ? entry.find("add")->as_double(0)
                                          : 0.0);
         if (const Json* salt = entry.find("salt")) {
-          set = ProtectionSet(set.mul_fraction(), set.add_fraction(),
-                              salt->as_uint(set.salt()));
+          std::uint64_t value = 0;
+          if (!read_uint(*salt, "protection.salt", &value, error)) {
+            return false;
+          }
+          set = ProtectionSet(set.mul_fraction(), set.add_fraction(), value);
         }
         point.fault.protection[index] = set;
       }
@@ -264,7 +300,11 @@ bool decode_campaign_spec(const Json& json, CampaignSpec* spec,
     if (!parse_policy(policy, &point.policy)) {
       return fail(error, "point.policy must be direct|winograd2|winograd4");
     }
-    if (const Json* seed = p.find("seed")) point.seed = seed->as_uint(1);
+    if (const Json* seed = p.find("seed");
+        seed != nullptr &&
+        !read_uint(*seed, "point.seed", &point.seed, error)) {
+      return false;
+    }
     if (const Json* trials = p.find("trials");
         trials != nullptr &&
         !read_int(*trials, "point.trials", 1, &point.trials, error)) {

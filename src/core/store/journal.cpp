@@ -29,15 +29,12 @@ telemetry::Counter& journal_bytes_metric() {
 
 constexpr std::uint64_t kJournalMagic = 0x574a4c4600000001ULL;  // "WJLF" v1
 
-// CRC domain separator for cost-ledger records: a cost record reuses the
-// 40-byte cell framing but its CRC is computed against env_hash XOR this
-// constant, so a reader can classify any intact record by which CRC
-// matches — no header bump, and journals that never wrote costs parse
-// exactly as before.
+// CRC domain of the cost records older journals interleave with their
+// cells: same framing, CRC computed against env_hash XOR this constant.
+// Readers recognize and skip them.
 constexpr std::uint64_t kCostCrcDomain = 0x57464354434f5354ULL;  // "WFCTCOST"
 
-// On-disk record: five native-endian u64 words, no padding. A cost record
-// maps (point_hash, image, wall_us, flips_sq) onto the same words.
+// On-disk record: five native-endian u64 words, no padding.
 struct RawRecord {
   std::uint64_t point_hash;
   std::uint64_t image;
@@ -63,11 +60,11 @@ std::uint64_t record_crc(const RawRecord& r, std::uint64_t env_hash) {
       .digest();
 }
 
-RawRecord cost_record(const JournalCost& cost, std::uint64_t env_hash) {
-  RawRecord r{cost.point_hash, static_cast<std::uint64_t>(cost.image),
-              static_cast<std::uint64_t>(cost.wall_us),
-              static_cast<std::uint64_t>(cost.flips_sq), 0};
-  r.crc = record_crc(r, env_hash ^ kCostCrcDomain);
+RawRecord cell_record(const JournalCell& cell, std::uint64_t env_hash) {
+  RawRecord r{cell.point_hash, static_cast<std::uint64_t>(cell.image),
+              static_cast<std::uint64_t>(cell.correct),
+              static_cast<std::uint64_t>(cell.flips), 0};
+  r.crc = record_crc(r, env_hash);
   return r;
 }
 
@@ -141,69 +138,36 @@ bool ResultJournal::read_cells(const std::string& path,
                                std::uint64_t env_hash,
                                std::vector<JournalCell>* out, bool* torn,
                                bool* unreadable) {
-  return read_cells_from(path, env_hash, 0, out, nullptr, torn, unreadable);
-}
-
-bool ResultJournal::read_cells_from(const std::string& path,
-                                    std::uint64_t env_hash,
-                                    std::int64_t offset,
-                                    std::vector<JournalCell>* out,
-                                    std::int64_t* next_offset, bool* torn,
-                                    bool* unreadable,
-                                    std::vector<JournalCost>* costs) {
   if (torn != nullptr) *torn = false;
   if (unreadable != nullptr) *unreadable = false;
-  if (next_offset != nullptr) *next_offset = offset;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     if (unreadable != nullptr) *unreadable = true;
     return false;
   }
-  if (offset == 0) {
-    RawHeader header{};
-    if (iofault::checked_fread(&header, sizeof(header), f, path) !=
-            sizeof(header) ||
-        header.magic != kJournalMagic || header.env_hash != env_hash) {
-      std::fclose(f);
-      return false;
-    }
-    offset = static_cast<std::int64_t>(sizeof(RawHeader));
-  } else if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
+  RawHeader header{};
+  if (iofault::checked_fread(&header, sizeof(header), f, path) !=
+          sizeof(header) ||
+      header.magic != kJournalMagic || header.env_hash != env_hash) {
     std::fclose(f);
-    if (unreadable != nullptr) *unreadable = true;
     return false;
   }
-  long records_read = 0;
+  std::int64_t read_end = static_cast<std::int64_t>(sizeof(RawHeader));
   RawRecord r{};
   // An injected read fault (EIO, bit flip) fails the CRC below, so a
   // chaosed read degrades exactly like a torn tail: intact prefix served,
   // the rest re-executed.
   while (iofault::checked_fread(&r, sizeof(r), f, path) == sizeof(r)) {
     if (r.crc == record_crc(r, env_hash)) {
-      JournalCell cell;
-      cell.point_hash = r.point_hash;
-      cell.image = static_cast<std::int64_t>(r.image);
-      cell.correct = static_cast<std::int64_t>(r.correct);
-      cell.flips = static_cast<std::int64_t>(r.flips);
-      out->push_back(cell);
-    } else if (r.crc == record_crc(r, env_hash ^ kCostCrcDomain)) {
-      // Cost-ledger record: same framing, separate CRC domain.
-      if (costs != nullptr) {
-        JournalCost cost;
-        cost.point_hash = r.point_hash;
-        cost.image = static_cast<std::int64_t>(r.image);
-        cost.wall_us = static_cast<std::int64_t>(r.correct);
-        cost.flips_sq = static_cast<std::int64_t>(r.flips);
-        costs->push_back(cost);
-      }
-    } else {
+      out->push_back(JournalCell{r.point_hash,
+                                 static_cast<std::int64_t>(r.image),
+                                 static_cast<std::int64_t>(r.correct),
+                                 static_cast<std::int64_t>(r.flips)});
+    } else if (r.crc != record_crc(r, env_hash ^ kCostCrcDomain)) {
       break;  // torn/corrupt tail
     }
-    ++records_read;
+    read_end += static_cast<std::int64_t>(sizeof(RawRecord));
   }
-  const std::int64_t read_end =
-      offset + records_read * static_cast<std::int64_t>(sizeof(RawRecord));
-  if (next_offset != nullptr) *next_offset = read_end;
   if (torn != nullptr) {
     std::fseek(f, 0, SEEK_END);
     *torn = static_cast<std::int64_t>(std::ftell(f)) != read_end;
@@ -231,16 +195,10 @@ ResultJournal::~ResultJournal() {
 void ResultJournal::recover_and_open(Mode mode) {
   // Pass 1: read every intact record of an existing file.
   std::vector<JournalCell> recovered;
-  std::vector<JournalCost> recovered_costs;
   bool torn = false;
-  const bool header_ok = read_cells_from(path_, env_hash_, 0, &recovered,
-                                         nullptr, &torn, nullptr,
-                                         &recovered_costs);
+  const bool header_ok = read_cells(path_, env_hash_, &recovered, &torn);
   for (const JournalCell& cell : recovered) {
     cells_[journal_cell_key(cell.point_hash, cell.image)] = cell;
-  }
-  for (const JournalCost& cost : recovered_costs) {
-    costs_[journal_cell_key(cost.point_hash, cost.image)] = cost;
   }
   recovered_ = static_cast<std::int64_t>(cells_.size());
 
@@ -272,19 +230,8 @@ void ResultJournal::recover_and_open(Mode mode) {
                  sizeof(header);
     for (const auto& [key, cell] : cells_) {
       if (!wrote) break;
-      RawRecord r{cell.point_hash, static_cast<std::uint64_t>(cell.image),
-                  static_cast<std::uint64_t>(cell.correct),
-                  static_cast<std::uint64_t>(cell.flips), 0};
-      r.crc = record_crc(r, env_hash_);
+      const RawRecord r = cell_record(cell, env_hash_);
       wrote = iofault::checked_fwrite(&r, sizeof(r), out, tmp) == sizeof(r);
-      // The cell's cost record (when the ledger carried one) rides along,
-      // so a recovery rewrite never sheds measured costs.
-      const auto cost_it = costs_.find(key);
-      if (wrote && cost_it != costs_.end()) {
-        const RawRecord cr = cost_record(cost_it->second, env_hash_);
-        wrote =
-            iofault::checked_fwrite(&cr, sizeof(cr), out, tmp) == sizeof(cr);
-      }
     }
     const bool flushed = wrote && iofault::checked_fsync(out, tmp);
     std::fclose(out);
@@ -316,32 +263,16 @@ bool ResultJournal::lookup(std::uint64_t point_hash, std::int64_t image,
   return true;
 }
 
-void ResultJournal::append(const JournalCell& cell, const JournalCost* cost) {
-  RawRecord r{cell.point_hash, static_cast<std::uint64_t>(cell.image),
-              static_cast<std::uint64_t>(cell.correct),
-              static_cast<std::uint64_t>(cell.flips), 0};
-  r.crc = record_crc(r, env_hash_);
+void ResultJournal::append(const JournalCell& cell) {
+  const RawRecord r = cell_record(cell, env_hash_);
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return;
   // A failed write (e.g. disk full) may leave a torn record that recovery
   // will truncate — along with everything appended after it. Stop claiming
   // durability at the first failure instead of silently losing every
   // later checkpoint.
-  bool wrote =
-      iofault::checked_fwrite(&r, sizeof(r), file_, path_) == sizeof(r);
-  std::int64_t bytes = wrote ? static_cast<std::int64_t>(sizeof(RawRecord)) : 0;
-  if (wrote && cost != nullptr) {
-    const RawRecord cr = cost_record(*cost, env_hash_);
-    // A torn cost record truncates only itself at recovery (the cell's
-    // CRC already committed), so a failure here downgrades to "cost not
-    // measured" rather than invalidating the cell.
-    if (iofault::checked_fwrite(&cr, sizeof(cr), file_, path_) == sizeof(cr)) {
-      bytes += static_cast<std::int64_t>(sizeof(RawRecord));
-    } else {
-      wrote = false;
-    }
-  }
-  if (!wrote || std::fflush(file_) != 0) {
+  if (iofault::checked_fwrite(&r, sizeof(r), file_, path_) != sizeof(r) ||
+      std::fflush(file_) != 0) {
     WF_WARN << "journal: write to " << path_
             << " failed; further cells will not persist";
     std::fclose(file_);
@@ -349,41 +280,10 @@ void ResultJournal::append(const JournalCell& cell, const JournalCost* cost) {
     return;
   }
   // A kill after this point loses nothing.
-  const std::uint64_t key = journal_cell_key(cell.point_hash, cell.image);
-  cells_[key] = cell;
-  if (cost != nullptr) costs_[key] = *cost;
+  cells_[journal_cell_key(cell.point_hash, cell.image)] = cell;
   ++appended_;
   journal_appends_metric().add(1);
-  journal_bytes_metric().add(bytes);
-}
-
-bool ResultJournal::lookup_cost(std::uint64_t point_hash, std::int64_t image,
-                                JournalCost* cost) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = costs_.find(journal_cell_key(point_hash, image));
-  if (it == costs_.end() || it->second.point_hash != point_hash ||
-      it->second.image != image) {
-    return false;
-  }
-  if (cost != nullptr) *cost = it->second;
-  return true;
-}
-
-std::unordered_map<std::uint64_t, ResultJournal::PointCost>
-ResultJournal::point_costs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unordered_map<std::uint64_t, PointCost> out;
-  for (const auto& [key, cost] : costs_) {
-    PointCost& agg = out[cost.point_hash];
-    agg.wall_us += cost.wall_us;
-    agg.cells += 1;
-  }
-  return out;
-}
-
-std::int64_t ResultJournal::cost_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::int64_t>(costs_.size());
+  journal_bytes_metric().add(static_cast<std::int64_t>(sizeof(RawRecord)));
 }
 
 bool ResultJournal::sync() {

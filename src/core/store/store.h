@@ -35,13 +35,6 @@ struct StoreOptions {
   // restore them on miss instead of rebuilding.
   bool spill_goldens = true;
 
-  // Cost ledger: journal a measured cost record (replay wall-micros +
-  // per-trial flips variance, journal.h JournalCost) after every executed
-  // cell. Observation-only — dist bucket planning prefers these measured
-  // costs over the static estimate, results never depend on them. Off, the
-  // journal is byte-wise what pre-ledger code wrote.
-  bool cost_ledger = true;
-
   // Byte budget for golden shards on disk; oldest shards are dropped when
   // a spill would exceed it.
   std::uint64_t golden_disk_budget = 1ULL << 30;  // 1 GiB

@@ -32,6 +32,7 @@
 #include "core/store/hash.h"
 #include "core/store/journal.h"
 #include "nn/dataset.h"
+#include "test_util.h"
 
 namespace winofault {
 namespace {
@@ -554,14 +555,13 @@ TEST(Dist, BoardKeyTracksPendingSetAndEnvironment) {
   EXPECT_NE(key, dist_board_key(9, cells, 5)) << "bucket granularity";
 }
 
-// ---- (e) measured-cost ledger through dist ----
+// ---- (e) merged journals against single-process ones ----
 
-// Deterministic cell identity: everything but wall_us (which is measured,
-// not derived). Sorting by key makes journals comparable across layouts.
+// Sorting by key makes journals comparable across layouts.
 std::vector<JournalCell> sorted_cells(const std::string& path,
                                       std::uint64_t env) {
   std::vector<JournalCell> cells;
-  EXPECT_TRUE(ResultJournal::read_cells_from(path, env, 0, &cells));
+  EXPECT_TRUE(ResultJournal::read_cells(path, env, &cells));
   std::sort(cells.begin(), cells.end(),
             [](const JournalCell& a, const JournalCell& b) {
               return journal_cell_key(a.point_hash, a.image) <
@@ -570,7 +570,7 @@ std::vector<JournalCell> sorted_cells(const std::string& path,
   return cells;
 }
 
-TEST(Dist, MergedLedgerJournalMatchesSingleProcessAndWeighsMeasured) {
+TEST(Dist, MergedJournalMatchesSingleProcessAndGrowsByNewCellsOnly) {
   const Fixture f = make_fixture();
   CampaignSpec plain;
   plain.points = small_grid();
@@ -583,11 +583,11 @@ TEST(Dist, MergedLedgerJournalMatchesSingleProcessAndWeighsMeasured) {
   // Single-process store run: the canonical journal the dist-merged one
   // must match cell-for-cell.
   CampaignSpec single = plain;
-  single.store.dir = fresh_dir("ledger_single");
+  single.store.dir = fresh_dir("merged_single");
   run_campaign(f.net, f.data, single);
 
   // Two sequential workers (as in the first test) + merge.
-  const std::string dir = fresh_dir("ledger_dist");
+  const std::string dir = fresh_dir("merged_dist");
   const CampaignResult r0 =
       run_campaign(f.net, f.data, worker_spec(dir, 0, 2, "wA", 0));
   expect_same_results(reference, r0);
@@ -598,7 +598,7 @@ TEST(Dist, MergedLedgerJournalMatchesSingleProcessAndWeighsMeasured) {
   EXPECT_EQ(merge.cells_merged, cells);
 
   // The merged canonical journal is bit-identical to the single-process
-  // one in every deterministic field, and carries a cost record per cell.
+  // one in every field.
   const std::vector<JournalCell> merged =
       sorted_cells(ResultJournal::journal_path(dir, env), env);
   const std::vector<JournalCell> direct = sorted_cells(
@@ -610,14 +610,8 @@ TEST(Dist, MergedLedgerJournalMatchesSingleProcessAndWeighsMeasured) {
     EXPECT_EQ(merged[i].correct, direct[i].correct) << "cell " << i;
     EXPECT_EQ(merged[i].flips, direct[i].flips) << "cell " << i;
   }
-  {
-    ResultJournal canonical(dir, env, ResultJournal::Mode::kReadOnly);
-    EXPECT_EQ(canonical.cost_records(), cells);
-  }
 
-  // Grow the grid: the next dist run plans buckets from MEASURED costs
-  // (the canonical ledger covers the original points; the new point falls
-  // back to its scaled estimate) and still executes only the new cells.
+  // Grow the grid: the next dist run executes only the new cells.
   CampaignSpec grown_plain = plain;
   CampaignPoint extra = plain.points.back();
   extra.seed = 31;
@@ -633,60 +627,75 @@ TEST(Dist, MergedLedgerJournalMatchesSingleProcessAndWeighsMeasured) {
   expect_same_results(grown_reference, g0);
   EXPECT_EQ(g0.stats.dist_cells_executed, new_cells);
 
-  // A second worker over the same grown grid derives the identical
-  // measured-weight bucket plan (same canonical ledger, same fold order):
-  // everything is already claimed/done, so it executes nothing.
+  // A second worker over the same grown grid derives the identical bucket
+  // plan (same canonical journal): everything is already claimed/done, so
+  // it executes nothing.
   CampaignSpec grown_late = worker_spec(dir, 1, 2, "wD", 60000);
   grown_late.points = grown_plain.points;
   const CampaignResult g1 = run_campaign(f.net, f.data, grown_late);
   expect_same_results(grown_reference, g1);
   EXPECT_EQ(g1.stats.dist_cells_executed, 0);
 
-  // Merging the grown segments keeps ledger coverage consistent: every
-  // cell present, costs for all of them (old from the first merge, new
-  // from wC's segment).
+  // Merging the grown segments adds exactly the new cells.
   const MergeStats grown_merge = merge_campaign_segments(dir);
   EXPECT_EQ(grown_merge.cells_merged, new_cells);
   ResultJournal canonical(dir, env, ResultJournal::Mode::kReadOnly);
   EXPECT_EQ(canonical.recovered_cells(), cells + new_cells);
-  EXPECT_EQ(canonical.cost_records(), cells + new_cells);
 }
 
-TEST(Dist, CostlessSegmentsMergeCleanlyIntoLedgeredCanonical) {
+TEST(Dist, NewSegmentMergesIntoLedgeredCanonical) {
   const Fixture f = make_fixture();
   const std::uint64_t env = campaign_env_hash(f.net, f.data);
-  const std::string dir = fresh_dir("ledger_mixed");
+  const std::string dir = fresh_dir("ledgered_canonical");
+  const std::string path = ResultJournal::journal_path(dir, env);
 
-  // Phase 1: worker A (ledger on), sole live worker of a 2-shard layout,
-  // executes the whole grid; its segment merges into a ledgered canonical.
-  CampaignSpec with_ledger = worker_spec(dir, 0, 2, "wA", 0);
-  const CampaignResult r0 = run_campaign(f.net, f.data, with_ledger);
+  // Phase 1: worker A, sole live worker of a 2-shard layout, executes the
+  // whole grid; its merged canonical journal is then rewritten in the
+  // older ledgered format (a cost record after every cell).
+  CampaignSpec first = worker_spec(dir, 0, 2, "wA", 0);
+  const CampaignResult r0 = run_campaign(f.net, f.data, first);
   const std::int64_t cells =
-      static_cast<std::int64_t>(f.data.images.size() *
-                                with_ledger.points.size());
+      static_cast<std::int64_t>(f.data.images.size() * first.points.size());
   EXPECT_EQ(r0.stats.dist_cells_executed, cells);
   EXPECT_EQ(merge_campaign_segments(dir).cells_merged, cells);
+  const std::vector<JournalCell> old_cells = sorted_cells(path, env);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << testing::ledgered_journal(env, old_cells);
+  }
 
-  // Phase 2: worker B (ledger off) grows the grid by one point — its
-  // segment carries the new cells with no cost records.
-  CampaignSpec no_ledger = worker_spec(dir, 0, 2, "wB", 0);
-  CampaignPoint extra = no_ledger.points.back();
+  // Phase 2: worker B grows the grid by one point. Its pending set comes
+  // from the ledgered canonical journal, so only the new cells execute.
+  CampaignSpec grown = worker_spec(dir, 0, 2, "wB", 0);
+  CampaignPoint extra = grown.points.back();
   extra.seed = 57;
-  no_ledger.points.push_back(extra);
-  no_ledger.store.cost_ledger = false;
-  const CampaignResult r1 = run_campaign(f.net, f.data, no_ledger);
+  grown.points.push_back(extra);
+  const CampaignResult r1 = run_campaign(f.net, f.data, grown);
   const std::int64_t extra_cells =
       static_cast<std::int64_t>(f.data.images.size());
   EXPECT_EQ(r1.stats.dist_cells_executed, extra_cells);
+  CampaignSpec grown_plain;
+  grown_plain.points = grown.points;
+  expect_same_results(run_campaign(f.net, f.data, grown_plain), r1);
 
-  // Mixed merge: ledgered cells keep their costs, costless cells stay
-  // costless — no cell is lost or duplicated either way.
+  // The merge appends the new cells after the ledgered records: no cell
+  // lost, none duplicated (every record read back has its own key), and
+  // the old ones unchanged.
   const MergeStats merge = merge_campaign_segments(dir);
   EXPECT_EQ(merge.cells_merged, extra_cells);
+  EXPECT_EQ(merge.cells_duplicate, 0);
   EXPECT_EQ(merge.segments_rejected, 0);
-  ResultJournal canonical(dir, env, ResultJournal::Mode::kReadOnly);
+  std::vector<JournalCell> records;
+  ASSERT_TRUE(ResultJournal::read_cells(path, env, &records));
+  EXPECT_EQ(static_cast<std::int64_t>(records.size()), cells + extra_cells);
+  const ResultJournal canonical(dir, env, ResultJournal::Mode::kReadOnly);
   EXPECT_EQ(canonical.recovered_cells(), cells + extra_cells);
-  EXPECT_EQ(canonical.cost_records(), cells);
+  for (const JournalCell& old : old_cells) {
+    JournalCell cell;
+    ASSERT_TRUE(canonical.lookup(old.point_hash, old.image, &cell));
+    EXPECT_EQ(cell.correct, old.correct);
+    EXPECT_EQ(cell.flips, old.flips);
+  }
 }
 
 // ---- (f) golden-build timing on both execution paths ----

@@ -11,6 +11,7 @@
 // run checks the same inputs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -132,6 +133,30 @@ TEST(JsonParse, NumberEdgeCasesRoundTrip) {
     EXPECT_TRUE(Json::parse(text).has_value()) << text;
     EXPECT_TRUE(round_trips(text)) << text;
   }
+}
+
+TEST(JsonRead, DoublesOutsideTheIntegerTypeReadAsTheFallback) {
+  for (const char* text : {"1e300", "-1e300", "1e20"}) {
+    const std::optional<Json> json = Json::parse(text);
+    ASSERT_TRUE(json.has_value()) << text;
+    EXPECT_EQ(json->as_int(-7), -7) << text;
+    EXPECT_EQ(json->as_uint(7), 7u) << text;
+  }
+  EXPECT_EQ(Json::number(NAN).as_int(-7), -7);
+  EXPECT_EQ(Json::number(NAN).as_uint(7), 7u);
+  // The edges of each type: 2^63 and 2^64 are the first values past them.
+  EXPECT_EQ(Json::number(0x1p63).as_int(-7), -7);
+  EXPECT_EQ(Json::number(-0x1p63).as_int(-7), INT64_MIN);
+  EXPECT_EQ(Json::number(0x1p63).as_uint(7), 0x8000000000000000ULL);
+  EXPECT_EQ(Json::number(0x1p64).as_uint(7), 7u);
+  EXPECT_EQ(Json::number(1e19).as_int(-7), -7);
+  EXPECT_EQ(Json::number(1e19).as_uint(7), 10000000000000000000ULL);
+  // In range, a fraction still truncates toward zero; no negative is a
+  // uint.
+  EXPECT_EQ(Json::number(2.5).as_int(-7), 2);
+  EXPECT_EQ(Json::number(-2.5).as_int(-7), -2);
+  EXPECT_EQ(Json::number(2.5).as_uint(7), 2u);
+  EXPECT_EQ(Json::number(-2.5).as_uint(7), 7u);
 }
 
 TEST(JsonParse, DepthLimitRejectsWithoutRecursing) {

@@ -252,6 +252,20 @@ TEST(ServiceProtocol, RejectsWireIntegersOutsideTheirFieldRange) {
       R"({"points":[{"fault_free_layer":-2}]})",
       R"({"points":[{"protection":[{"layer":-1,"mul":1}]}]})",
       R"({"threads":-1,"points":[{}]})",
+      // 64-bit fields: once truncated (seed 2, salt 7), cast out of range
+      // (cell_budget INT64_MIN, golden_disk_budget 0) or wrapped.
+      R"({"points":[{"seed":2.5}]})",
+      R"({"points":[{"seed":-1}]})",
+      R"({"points":[{"seed":"3"}]})",
+      R"({"points":[{"seed":18446744073709551616}]})",
+      R"({"points":[{"protection":[{"layer":0,"mul":1,"salt":7.9}]}]})",
+      R"({"store":{"dir":"d","cell_budget":1e300},"points":[{}]})",
+      R"({"store":{"dir":"d","cell_budget":-1},"points":[{}]})",
+      R"({"store":{"dir":"d","cell_budget":9223372036854775808},)"
+      R"("points":[{}]})",
+      R"({"store":{"dir":"d","golden_disk_budget":1e300},"points":[{}]})",
+      R"({"golden_capacity":1e300,"points":[{}]})",
+      R"({"golden_capacity":-4,"points":[{}]})",
   };
   for (const char* text : kBadSpecs) {
     const std::optional<Json> json = Json::parse(text);
@@ -262,14 +276,22 @@ TEST(ServiceProtocol, RejectsWireIntegersOutsideTheirFieldRange) {
     EXPECT_NE(error.find("must be an integer in"), std::string::npos)
         << text << ": " << error;
   }
-  // Once built 10 images.
-  const std::optional<Json> env =
-      Json::parse(R"({"model":"vgg19","images":4294967306})");
-  ASSERT_TRUE(env.has_value());
-  ModelEnv decoded_env;
+  // Once built 10 images, seed 3, and turned the daemon's build-skew guard
+  // off (env_hash 0).
+  const std::pair<const char*, const char*> kBadEnvs[] = {
+      {R"({"model":"vgg19","images":4294967306})", "env.images"},
+      {R"({"model":"vgg19","seed":3.7})", "env.seed"},
+      {R"({"model":"vgg19","env_hash":1e300})", "env.env_hash"},
+      {R"({"model":"vgg19","env_hash":-5})", "env.env_hash"},
+  };
   std::string error;
-  EXPECT_FALSE(decode_model_env(*env, &decoded_env, &error));
-  EXPECT_NE(error.find("env.images"), std::string::npos) << error;
+  for (const auto& [text, field] : kBadEnvs) {
+    const std::optional<Json> env = Json::parse(text);
+    ASSERT_TRUE(env.has_value()) << text;
+    ModelEnv decoded_env;
+    EXPECT_FALSE(decode_model_env(*env, &decoded_env, &error)) << text;
+    EXPECT_NE(error.find(field), std::string::npos) << text << ": " << error;
+  }
   const std::optional<Json> result =
       Json::parse(R"({"points":[{"images":4294967297}]})");
   ASSERT_TRUE(result.has_value());
@@ -288,6 +310,28 @@ TEST(ServiceProtocol, RejectsWireIntegersOutsideTheirFieldRange) {
   EXPECT_EQ(spec.points.at(0).trials, 2147483647);
   EXPECT_EQ(spec.points.at(0).fault.fault_free_layer, -1);
   EXPECT_EQ(spec.points.at(0).fault.protection.count(0), 1u);
+
+  // 64-bit bounds decode exactly, past what a double can hold.
+  const std::optional<Json> wide = Json::parse(
+      R"({"golden_capacity":18446744073709551615,"store":{"dir":"d",)"
+      R"("golden_disk_budget":18446744073709551615,)"
+      R"("cell_budget":9223372036854775807},)"
+      R"("points":[{"seed":18446744073709551615,)"
+      R"("protection":[{"layer":0,"mul":1,"salt":18446744073709551614}]}]})");
+  ASSERT_TRUE(wide.has_value());
+  ASSERT_TRUE(decode_campaign_spec(*wide, &spec, &error)) << error;
+  EXPECT_EQ(spec.golden_capacity, SIZE_MAX);
+  EXPECT_EQ(spec.store.golden_disk_budget, UINT64_MAX);
+  EXPECT_EQ(spec.store.cell_budget, INT64_MAX);
+  EXPECT_EQ(spec.points.at(0).seed, UINT64_MAX);
+  EXPECT_EQ(spec.points.at(0).fault.protection.at(0).salt(), UINT64_MAX - 1);
+  const std::optional<Json> wide_env = Json::parse(
+      R"({"model":"vgg19","seed":0,"env_hash":18446744073709551615})");
+  ASSERT_TRUE(wide_env.has_value());
+  ModelEnv decoded_env;
+  ASSERT_TRUE(decode_model_env(*wide_env, &decoded_env, &error)) << error;
+  EXPECT_EQ(decoded_env.seed, 0u);
+  EXPECT_EQ(decoded_env.env_hash, UINT64_MAX);
 }
 
 TEST(ServiceProtocol, DecodedSpecMutantsReencodeToAFixedPoint) {

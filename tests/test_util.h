@@ -1,6 +1,6 @@
 // Shared helpers for the test suites: random quantized conv problems,
-// tensor comparison utilities, and the byte mutator of the parser mutation
-// tests.
+// tensor comparison utilities, the byte mutator of the parser mutation
+// tests, and a writer of the older cost-ledgered journal format.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,8 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "conv/conv_desc.h"
+#include "core/store/journal.h"
 #include "tensor/quantize.h"
 #include "tensor/tensor.h"
 
@@ -121,6 +123,38 @@ inline std::string mutate_bytes(std::string text, std::uint64_t kind,
     }
   }
   return text;
+}
+
+// Bytes of a journal in the format stores wrote while they kept a per-cell
+// cost ledger: the 16-byte header (magic "WJLF" v1, env_hash), then for
+// each cell its 40-byte record followed by a cost record. Both records are
+// five native-endian u64 words, the last an FNV-1a CRC over the env word
+// and the four fields; a cost record carries (point_hash, image, wall_us,
+// flips_sq) and hashes env_hash ^ "WFCTCOST" instead of env_hash. Built
+// here byte by byte, independently of the library's writer.
+inline std::string ledgered_journal(std::uint64_t env_hash,
+                                    const std::vector<JournalCell>& cells) {
+  std::string bytes;
+  const auto put = [&](std::uint64_t word) {
+    bytes.append(reinterpret_cast<const char*>(&word), sizeof(word));
+  };
+  const auto put_record = [&](std::uint64_t domain, std::uint64_t a,
+                              std::uint64_t b, std::uint64_t c,
+                              std::uint64_t d) {
+    for (const std::uint64_t word : {a, b, c, d}) put(word);
+    put(Fnv64().u64(domain).u64(a).u64(b).u64(c).u64(d).digest());
+  };
+  put(0x574a4c4600000001ULL);
+  put(env_hash);
+  for (const JournalCell& cell : cells) {
+    const auto image = static_cast<std::uint64_t>(cell.image);
+    const auto flips = static_cast<std::uint64_t>(cell.flips);
+    put_record(env_hash, cell.point_hash, image,
+               static_cast<std::uint64_t>(cell.correct), flips);
+    put_record(env_hash ^ 0x57464354434f5354ULL, cell.point_hash, image,
+               1000 + image, flips * flips);
+  }
+  return bytes;
 }
 
 }  // namespace winofault::testing
