@@ -2,15 +2,17 @@
 // warm cross-submission state buy over cold-starting a figure process?
 //
 // The binary hosts an in-process ServiceServer on a scratch socket and
-// submits the same fig1-regime campaign three times:
+// submits the same fig1-regime campaign four times:
 //
 //   cold_submit_s    first submission: the daemon builds the model +
 //                    teacher dataset and every golden from scratch
 //   warm_submit_s    identical spec again: model, dataset, and all
 //                    goldens served from the warm session (fault replay
 //                    still re-executes every cell)
-//   stored_submit_s  identical spec against a store the first stored
-//                    submission journaled: nothing executes at all
+//   stored_submit_s  identical spec with a fresh store: every cell runs
+//                    on warm goldens and is journaled, and each golden
+//                    it uses is saved as a shard
+//   stored_replay_s  the stored spec again: nothing executes at all
 //
 // warm_speedup = cold_submit_s / warm_submit_s is the headline (the
 // acceptance bar is >= 2x); every submission is verified bit-identical to
@@ -226,14 +228,8 @@ int main(int argc, char** argv) {
       .set("hardware_threads", Json::integer(default_thread_count()));
   write_bench_json("BENCH_service.json", json);
 
-  // Drain: running jobs are done; warm goldens spill to the stored
-  // submission's tier-2 (visible as golden_*.shard files).
   server.request_drain();
   server.wait();
-  const ServerStats final_stats = server.stats();
-  std::printf("drain: %lld goldens flushed to %s\n",
-              static_cast<long long>(final_stats.goldens_flushed_at_drain),
-              store_dir.c_str());
   std::filesystem::remove_all(scratch);
   return 0;
 }

@@ -128,19 +128,11 @@ telemetry::Counter& golden_metric(const char* which, const char* help,
                             golden_variant_labels(variant));
 }
 
-// GoldenLru key layout: image index over 8 policy bits. Packing and
-// unpacking live side by side so they cannot diverge — a mismatched decode
-// would spill evicted goldens under the wrong shard name.
+// GoldenLru key layout: image index over 8 policy bits.
 constexpr std::uint64_t pack_golden_key(std::int64_t image,
                                         ConvPolicy policy) {
   return (static_cast<std::uint64_t>(image) << 8) |
          static_cast<std::uint64_t>(policy);
-}
-constexpr std::int64_t golden_key_image(std::uint64_t key) {
-  return static_cast<std::int64_t>(key >> 8);
-}
-constexpr ConvPolicy golden_key_policy(std::uint64_t key) {
-  return static_cast<ConvPolicy>(key & 0xff);
 }
 
 // Integer tallies of one (point, image) cell over the point's trials —
@@ -151,7 +143,8 @@ constexpr ConvPolicy golden_key_policy(std::uint64_t key) {
 JournalCell execute_cell(const Network& network, const Dataset& dataset,
                          const CampaignPoint& point,
                          std::uint64_t point_hash, std::int64_t i,
-                         GoldenLru& lru, const FaultOverlay* overlay) {
+                         GoldenLru& lru, GoldenStore* store,
+                         const FaultOverlay* overlay) {
   const TensorF& image = dataset.images[static_cast<std::size_t>(i)];
   const int label = dataset.labels[static_cast<std::size_t>(i)];
   // Every (point, image, trial) derives its own fault stream, so the
@@ -166,7 +159,7 @@ JournalCell execute_cell(const Network& network, const Dataset& dataset,
     const GoldenLru::Ptr golden = lru.get_or_build(
         i, point.policy,
         [&] { return network.make_golden(image, point.policy, overlay); },
-        overlay != nullptr ? overlay->digest : 0);
+        overlay != nullptr ? overlay->digest : 0, store);
     telemetry::TraceSpan span("cell_replay", "campaign");
     const std::int64_t t0 = telemetry::now_us();
     for (int t = 0; t < point.trials; ++t) {
@@ -297,34 +290,15 @@ void GoldenLru::ensure_capacity(std::size_t capacity) {
   capacity_ = std::max(capacity_, std::max<std::size_t>(capacity, 1));
 }
 
-void GoldenLru::set_store(std::shared_ptr<GoldenStore> store) {
-  std::lock_guard<std::mutex> lock(mu_);
-  store_ = std::move(store);
-}
-
 GoldenLru::Ptr GoldenLru::get_or_build(
     std::int64_t image, ConvPolicy policy,
-    const std::function<GoldenCache()>& build, std::uint64_t variant) {
-  // One consistent view of the spill target for this whole call, copied
-  // on a miss (a hit never touches it): a concurrent set_store only
-  // affects later calls, and cannot free the target under this one.
-  std::shared_ptr<GoldenStore> store;
+    const std::function<GoldenCache()>& build, std::uint64_t variant,
+    GoldenStore* store) {
   const Key key{pack_golden_key(image, policy), variant};
   std::promise<Ptr> promise;
   std::shared_future<Ptr> future;
   std::uint64_t owner = 0;
   bool builder = false;
-  // Ready entries evicted below spill to the tier-2 store as soon as the
-  // lock is released: until a victim's shard lands on disk it exists in
-  // neither tier, so a concurrent miss on it would pay a full rebuild.
-  std::vector<std::pair<Key, Ptr>> spill;
-  const auto flush_spill = [&] {
-    for (auto& [victim, ready] : spill) {
-      store->save(golden_key_image(victim.base),
-                  golden_key_policy(victim.base), *ready, victim.variant);
-    }
-    spill.clear();
-  };
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (const auto it = map_.find(key); it != map_.end()) {
@@ -334,7 +308,6 @@ GoldenLru::Ptr GoldenLru::get_or_build(
       golden_metric("hits_total", "GoldenLru cache hits", variant).add(1);
     } else {
       golden_metric("misses_total", "GoldenLru cache misses", variant).add(1);
-      store = store_;
       builder = true;
       owner = ++next_owner_;
       future = promise.get_future().share();
@@ -345,19 +318,7 @@ GoldenLru::Ptr GoldenLru::get_or_build(
       // costs a potential rebuild (or a disk restore), never correctness.
       while (map_.size() > capacity_) {
         const Key victim = lru_.back();
-        const auto vit = map_.find(victim);
-        if (store != nullptr &&
-            vit->second.future.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready) {
-          try {
-            if (Ptr ready = vit->second.future.get()) {
-              spill.emplace_back(victim, std::move(ready));
-            }
-          } catch (...) {
-            // failed build: nothing to spill
-          }
-        }
-        map_.erase(vit);
+        map_.erase(victim);
         lru_.pop_back();
         evictions_.fetch_add(1, std::memory_order_relaxed);
         golden_metric("evictions_total", "GoldenLru capacity evictions",
@@ -366,90 +327,53 @@ GoldenLru::Ptr GoldenLru::get_or_build(
       }
     }
   }
-  if (!builder) return future.get();
-  // Spill the victims BEFORE the (much more expensive) restore/build:
-  // GoldenStore::save never throws, and the ~ms of shard I/O closes the
-  // window in which an evicted-but-unspilled golden could be rebuilt from
-  // scratch by another worker.
-  flush_spill();
-  // The try block ends BEFORE promise.set_value: the catch below calls
-  // promise.set_exception, which would itself throw (and escape into the
-  // worker pool) if the promise were already satisfied.
   Ptr ptr;
-  try {
-    if (store != nullptr) {
-      if (std::optional<GoldenCache> restored =
-              store->load(image, policy, variant)) {
-        ptr = std::make_shared<const GoldenCache>(std::move(*restored));
+  if (!builder) {
+    ptr = future.get();
+  } else {
+    // The try block ends BEFORE promise.set_value: the catch below calls
+    // promise.set_exception, which would itself throw (and escape into the
+    // worker pool) if the promise were already satisfied.
+    try {
+      if (store != nullptr) {
+        if (std::optional<GoldenCache> restored =
+                store->load(image, policy, variant)) {
+          ptr = std::make_shared<const GoldenCache>(std::move(*restored));
+        }
       }
-    }
-    if (ptr == nullptr) {
-      builds_.fetch_add(1, std::memory_order_relaxed);
-      golden_metric("builds_total", "golden activation builds", variant)
-          .add(1);
-      telemetry::TraceSpan span("golden_build", "campaign");
-      const std::int64_t t0 = telemetry::now_us();
-      ptr = std::make_shared<const GoldenCache>(build());
-      phase_golden_build_metric().observe(telemetry::now_us() - t0);
-    }
-  } catch (...) {
-    // Propagate the real error to concurrent waiters and drop the entry so
-    // later lookups retry instead of replaying a broken promise. The owner
-    // check keeps a healthy entry alive if this one was already evicted and
-    // the key re-inserted by another builder.
-    promise.set_exception(std::current_exception());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (const auto it = map_.find(key);
-          it != map_.end() && it->second.owner == owner) {
-        lru_.erase(it->second.lru_it);
-        map_.erase(it);
+      if (ptr == nullptr) {
+        builds_.fetch_add(1, std::memory_order_relaxed);
+        golden_metric("builds_total", "golden activation builds", variant)
+            .add(1);
+        telemetry::TraceSpan span("golden_build", "campaign");
+        const std::int64_t t0 = telemetry::now_us();
+        ptr = std::make_shared<const GoldenCache>(build());
+        phase_golden_build_metric().observe(telemetry::now_us() - t0);
       }
+    } catch (...) {
+      // Propagate the real error to concurrent waiters and drop the entry
+      // so later lookups retry instead of replaying a broken promise. The
+      // owner check keeps a healthy entry alive if this one was already
+      // evicted and the key re-inserted by another builder.
+      promise.set_exception(std::current_exception());
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (const auto it = map_.find(key);
+            it != map_.end() && it->second.owner == owner) {
+          lru_.erase(it->second.lru_it);
+          map_.erase(it);
+        }
+      }
+      throw;
     }
-    throw;
+    promise.set_value(ptr);
   }
-  promise.set_value(ptr);
-  // If this entry was evicted while the build was in flight, the evictor
-  // found an unready future and could not spill it — spill the finished
-  // result here so the work is not lost to both tiers (save never
-  // throws).
-  if (store != nullptr) {
-    bool still_cached;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = map_.find(key);
-      still_cached = it != map_.end() && it->second.owner == owner;
-    }
-    if (!still_cached) store->save(image, policy, *ptr, variant);
-  }
+  // The one write point of the golden tier: whichever run, cache or
+  // eviction order served this golden, the calling run finds it on disk
+  // from here on. save never throws and returns at once when the shard
+  // exists or another caller is writing it.
+  if (store != nullptr) store->save(image, policy, *ptr, variant);
   return ptr;
-}
-
-std::int64_t GoldenLru::flush_to_store() {
-  std::shared_ptr<GoldenStore> store;
-  std::vector<std::pair<Key, Ptr>> ready;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (store_ == nullptr) return 0;
-    store = store_;
-    ready.reserve(map_.size());
-    for (const auto& [key, entry] : map_) {
-      if (entry.future.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-        continue;  // no in-flight builds at campaign end in practice
-      }
-      try {
-        if (Ptr p = entry.future.get()) ready.emplace_back(key, std::move(p));
-      } catch (...) {
-        // failed build: nothing to flush
-      }
-    }
-  }
-  for (const auto& [key, p] : ready) {
-    store->save(golden_key_image(key.base), golden_key_policy(key.base), *p,
-                key.variant);
-  }
-  return static_cast<std::int64_t>(ready.size());
 }
 
 std::uint64_t CampaignRunner::env_hash() const {
@@ -497,7 +421,8 @@ struct CellPlan {
       const std::size_t p = active[pending[u].a];
       const JournalCell cell =
           execute_cell(network, dataset, spec.points[p], point_hashes[p],
-                       pending[u].image, *lru, overlays[p].get());
+                       pending[u].image, *lru, golden_store.get(),
+                       overlays[p].get());
       if (sink != nullptr) sink->append(cell);
       tally(u, cell);
       inferences.fetch_add(spec.points[p].trials, std::memory_order_relaxed);
@@ -528,6 +453,8 @@ struct CellPlan {
   // Seeds the pending set. A local run appends to it; a dist worker opens
   // it read-only and appends to its own segment instead.
   std::shared_ptr<ResultJournal> journal;
+  // Every golden a cell uses is restored from and saved to this store, so
+  // the plan holds it for the whole run (null without a golden tier).
   std::shared_ptr<GoldenStore> golden_store;
   std::shared_ptr<ResultJournal> sink;  // where executed cells append
   // Handles the runner kept open and a shared warm LRU carry activity
@@ -622,13 +549,12 @@ CellPlan::CellPlan(const CampaignRunner& runner, const Network& network,
     // External warm tier (core/service): the caller's cross-campaign LRU
     // exists to serve the NEXT submission, so it must retain this
     // campaign's full golden set — `capacity` only covers the images in
-    // flight and would evict everything a resident daemon keeps warm. Its
-    // spill target and end-of-run flush belong to its owner.
+    // flight and would evict everything a resident daemon keeps warm.
     lru = spec.warm_goldens;
     lru->ensure_capacity(std::max(
         capacity, static_cast<std::size_t>(images * policies + threads)));
   } else {
-    local_lru = std::make_unique<GoldenLru>(capacity, golden_store);
+    local_lru = std::make_unique<GoldenLru>(capacity);
     lru = local_lru.get();
   }
   builds_base = lru->builds();
@@ -685,11 +611,6 @@ void CellPlan::finalize() {
     r.avg_flips = static_cast<double>(flips[a].load()) / runs;
   }
   result.stats.inferences = inferences.load();
-  // A shared warm tier outlives this campaign: flushing (and the decision
-  // when to) belongs to its owner — the daemon flushes at drain.
-  if (local_lru != nullptr) {
-    result.stats.golden_flushed = local_lru->flush_to_store();
-  }
   result.stats.golden_builds = lru->builds() - builds_base;
   result.stats.golden_hits = lru->hits() - hits_base;
   result.stats.golden_evictions = lru->evictions() - evictions_base;

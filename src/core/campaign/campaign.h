@@ -23,8 +23,9 @@
 //
 // With CampaignSpec::store set, campaign state persists across processes
 // (core/store): finished cells journal to disk for kill-anywhere resume
-// and incremental regeneration, and evicted goldens spill to checksummed
-// shards restored on miss — still bit-identical (tests/store_test.cpp).
+// and incremental regeneration, and every golden the run uses is saved to
+// a checksummed shard that later misses restore — still bit-identical
+// (tests/store_test.cpp).
 //
 // With store.dist.shard_count > 1 the campaign executes distributed
 // (core/dist): this process claims cost-weighted buckets of pending cells
@@ -102,8 +103,8 @@ struct CampaignSpec {
   // stream.
   std::size_t golden_capacity = 0;
   // Persistent campaign store (core/store): result journal for
-  // checkpoint/resume + incremental regeneration, and disk spill for
-  // evicted goldens. Disabled unless `store.dir` is set; results are
+  // checkpoint/resume + incremental regeneration, and golden shards on
+  // disk. Disabled unless `store.dir` is set; results are
   // bit-identical either way (proved in tests/store_test.cpp).
   StoreOptions store;
 
@@ -114,8 +115,8 @@ struct CampaignSpec {
 
   // External cross-campaign golden tier: when set, the runner serves
   // goldens from this shared LRU (growing its capacity to at least this
-  // campaign's working set) instead of a campaign-local one, and leaves
-  // end-of-run flushing to the LRU's owner. (image, policy) keys are only
+  // campaign's working set) instead of a campaign-local one, still saving
+  // each golden it uses to its own store. (image, policy) keys are only
   // meaningful within ONE campaign environment — an owner serving several
   // environments must keep one LRU per env hash (core/service sessions do).
   GoldenLru* warm_goldens = nullptr;
@@ -144,7 +145,9 @@ struct CampaignStats {
   std::int64_t cells_deferred = 0;         // pending cells past cell_budget
   std::int64_t golden_spills = 0;          // goldens serialized to disk
   std::int64_t golden_restores = 0;        // disk restores instead of builds
-  std::int64_t golden_flushed = 0;  // still-resident goldens written at end
+  // Always 0: goldens are saved when first used, never flushed at the end.
+  // Kept because perfbench and the result wire read it.
+  std::int64_t golden_flushed = 0;
   // Distributed execution (all zero unless store.dist is enabled):
   std::int64_t dist_buckets_claimed = 0;  // buckets this worker claimed
   std::int64_t dist_buckets_stolen = 0;   // stale claims taken over
@@ -161,46 +164,35 @@ struct CampaignResult {
 // Bounded shared cache of golden activations keyed by (image index, policy).
 // Concurrent requests for the same key block on the first builder's future
 // instead of duplicating the build; eviction only drops the cache's
-// reference, so in-flight users keep their entries alive. With a tier-2
-// GoldenStore attached, ready entries spill to disk on eviction and misses
-// try a disk restore before rebuilding.
+// reference, so in-flight users keep their entries alive. The cache holds
+// no store: a stored run passes its tier-2 GoldenStore to every call.
 class GoldenLru {
  public:
   using Ptr = std::shared_ptr<const GoldenCache>;
 
-  explicit GoldenLru(std::size_t capacity,
-                     std::shared_ptr<GoldenStore> store = nullptr)
-      : capacity_(capacity == 0 ? 1 : capacity), store_(std::move(store)) {}
+  explicit GoldenLru(std::size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
   // Returns the cached golden for (image, policy, variant), building it via
-  // `build` on a miss (after trying the tier-2 store, when attached).
-  // `variant` is the FaultOverlay digest for permanent-fault golden
-  // variants (fault/models/overlay.h); 0 — clean silicon — is the
-  // historical key space. Thread-safe; deterministic because make_golden
+  // `build` on a miss. `variant` is the FaultOverlay digest for
+  // permanent-fault golden variants (fault/models/overlay.h); 0 — clean
+  // silicon — is the historical key space. With a `store` (the calling
+  // run's, held by it for the call), a miss tries a disk restore before
+  // building, and every golden returned — hit, restore or build — goes to
+  // GoldenStore::save, which returns at once when the shard exists. This
+  // is the one place a golden reaches disk: a stored run saves each golden
+  // as it first uses it. Thread-safe; deterministic because make_golden
   // is a pure function of (image, policy, overlay) and disk restores are
   // byte-exact.
   Ptr get_or_build(std::int64_t image, ConvPolicy policy,
                    const std::function<GoldenCache()>& build,
-                   std::uint64_t variant = 0);
-
-  // Spill-on-shutdown: writes every still-resident *ready* entry to the
-  // attached tier-2 store (no-op without one; existing shards are cheap
-  // dedup hits inside GoldenStore::save). Eviction spills cover streaming
-  // datasets; this covers campaign end, so the next run/worker starts
-  // warm. Returns the number of entries offered to the store.
-  std::int64_t flush_to_store();
+                   std::uint64_t variant = 0, GoldenStore* store = nullptr);
 
   // Grows capacity to at least `capacity` (never shrinks): a shared
   // cross-campaign tier (CampaignSpec::warm_goldens) must fit the largest
   // working set among the campaigns it serves or it would thrash on the
   // largest one.
   void ensure_capacity(std::size_t capacity);
-
-  // (Re)binds the tier-2 spill/restore target; nullptr detaches. Calls
-  // already in flight keep the target they started with alive until they
-  // return. Owners of long-lived LRUs (core/service sessions) point this
-  // at the store of the most recent stored submission.
-  void set_store(std::shared_ptr<GoldenStore> store);
 
   std::int64_t builds() const { return builds_.load(); }
   std::int64_t hits() const { return hits_.load(); }
@@ -231,10 +223,6 @@ class GoldenLru {
   };
 
   std::size_t capacity_;  // guarded by mu_ (ensure_capacity can raise it)
-  // Optional tier-2 spill target, guarded by mu_. A call that may spill
-  // or restore copies it once, so a long-lived owner can rebind it
-  // between campaigns without freeing it under that call.
-  std::shared_ptr<GoldenStore> store_;
   std::mutex mu_;
   std::list<Key> lru_;  // front = most recently used
   std::unordered_map<Key, Entry, KeyHash> map_;

@@ -118,7 +118,12 @@ bool decode_model_env(const Json& json, ModelEnv* env, std::string* error) {
   }
   const Json* width = json.find("width");
   env->width = width != nullptr ? width->as_double(0.0) : 0.0;
-  if (env->width < 0.0) return fail(error, "env.width must be >= 0");
+  // 1.0 is the paper's full-width model. A wider one may not throw when
+  // built but can still exhaust the daemon's memory.
+  if (!std::isfinite(env->width) || env->width < 0.0 || env->width > 1.0) {
+    return fail(error, "env.width must be in [0, 1] (0 = the model's "
+                       "default)");
+  }
   env->env_hash = 0;
   if (const Json* env_hash = json.find("env_hash");
       env_hash != nullptr &&

@@ -239,18 +239,12 @@ void ServiceServer::monitor_loop() {
     lifecycle_cv_.wait(lock, [this] { return draining_.load(); });
   }
   // Order matters: stop admissions first (socket + scheduler), then wait
-  // for every accepted job to reach a terminal state, then flush the warm
-  // tier so the next daemon (or any direct run) starts from spilled
-  // goldens.
+  // for every accepted job to reach a terminal state. Stored jobs saved
+  // their goldens as they ran, so nothing is left to write.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   scheduler_.drain();
   for (std::thread& executor : executors_) executor.join();
-  const std::int64_t flushed = sessions_.flush_all();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.goldens_flushed_at_drain = flushed;
-  }
-  WF_INFO << "winofaultd: drained (" << flushed << " goldens flushed)";
+  WF_INFO << "winofaultd: drained";
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     drained_.store(true);
@@ -260,9 +254,8 @@ void ServiceServer::monitor_loop() {
 
 void ServiceServer::housekeeping_loop() {
   // Residency hardening: periodically evict warm sessions idle past their
-  // TTL (their goldens spill to the store first), so a daemon left
-  // resident overnight releases paper-scale network + golden memory
-  // instead of pinning it until drain.
+  // TTL, so a daemon left resident overnight releases paper-scale network
+  // + golden memory instead of pinning it until drain.
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(lifecycle_mu_);
@@ -331,12 +324,12 @@ void ServiceServer::executor_loop() {
                        "queue latency of the most recently started job")
           .set(waited);
     }
-    std::string error;
-    std::shared_ptr<ServiceSession> session =
-        sessions_.get_or_build(job->env, &error);
-    if (session == nullptr) {
+    // Every failure fails this job alone. The session build is inside the
+    // try: a build that throws (bad_alloc on a model too large to allocate)
+    // must not escape the executor and take every other client's jobs
+    // down with the daemon.
+    const auto fail = [&](const std::string& error) {
       job->finish(JobState::kFailed, CampaignResult(), error);
-      retire_job(job->id);
       jobs_metric("failed", "jobs that terminated with an error").add(1);
       if (telemetry::events_enabled()) {
         telemetry::emit_event("job_failed",
@@ -344,50 +337,39 @@ void ServiceServer::executor_loop() {
       }
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.jobs_failed;
-      continue;
-    }
-    if (job->env.env_hash != 0 && job->env.env_hash != session->env_hash()) {
-      // The daemon's rebuild does not hash to the client's environment:
-      // running it would return numbers for a *different* experiment.
-      job->finish(JobState::kFailed, CampaignResult(),
-                  "environment hash mismatch (client/daemon build skew)");
-      retire_job(job->id);
-      jobs_metric("failed", "jobs that terminated with an error").add(1);
-      if (telemetry::events_enabled()) {
-        telemetry::emit_event(
-            "job_failed",
-            {{"job", job->id}, {"error", "environment hash mismatch"}});
-      }
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.jobs_failed;
-      continue;
-    }
+    };
     try {
-      CampaignResult result = session->run(*job);
-      const bool cancelled = job->cancel.load();
-      job->finish(cancelled ? JobState::kCancelled : JobState::kDone,
-                  std::move(result), cancelled ? "cancelled" : "");
-      if (cancelled) {
-        jobs_metric("cancelled", "jobs cancelled before or during execution")
-            .add(1);
+      std::string error;
+      const std::shared_ptr<ServiceSession> session =
+          sessions_.get_or_build(job->env, &error);
+      if (session == nullptr) {
+        fail(error);
+      } else if (job->env.env_hash != 0 &&
+                 job->env.env_hash != session->env_hash()) {
+        // The daemon's rebuild does not hash to the client's environment:
+        // running it would return numbers for a *different* experiment.
+        fail("environment hash mismatch (client/daemon build skew)");
       } else {
-        jobs_metric("done", "jobs that ran to completion").add(1);
+        CampaignResult result = session->run(*job);
+        const bool cancelled = job->cancel.load();
+        job->finish(cancelled ? JobState::kCancelled : JobState::kDone,
+                    std::move(result), cancelled ? "cancelled" : "");
+        if (cancelled) {
+          jobs_metric("cancelled",
+                      "jobs cancelled before or during execution")
+              .add(1);
+        } else {
+          jobs_metric("done", "jobs that ran to completion").add(1);
+        }
+        if (telemetry::events_enabled()) {
+          telemetry::emit_event(cancelled ? "job_cancelled" : "job_done",
+                                {{"job", job->id}});
+        }
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        ++(cancelled ? stats_.jobs_cancelled : stats_.jobs_done);
       }
-      if (telemetry::events_enabled()) {
-        telemetry::emit_event(cancelled ? "job_cancelled" : "job_done",
-                              {{"job", job->id}});
-      }
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++(cancelled ? stats_.jobs_cancelled : stats_.jobs_done);
     } catch (const std::exception& e) {
-      job->finish(JobState::kFailed, CampaignResult(), e.what());
-      jobs_metric("failed", "jobs that terminated with an error").add(1);
-      if (telemetry::events_enabled()) {
-        telemetry::emit_event("job_failed",
-                              {{"job", job->id}, {"error", e.what()}});
-      }
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.jobs_failed;
+      fail(e.what());
     }
     retire_job(job->id);
   }
@@ -819,8 +801,6 @@ void ServiceServer::handle_drain(int fd) {
   response.set("jobs_done", Json::integer(snapshot.jobs_done));
   response.set("jobs_failed", Json::integer(snapshot.jobs_failed));
   response.set("jobs_cancelled", Json::integer(snapshot.jobs_cancelled));
-  response.set("goldens_flushed",
-               Json::integer(snapshot.goldens_flushed_at_drain));
   send_line(fd, response, sock_tag_);
 }
 

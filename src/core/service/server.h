@@ -33,7 +33,7 @@ struct ServerOptions {
   int concurrent_jobs = 2;
 
   // Warm (network, dataset) environments kept resident; least recently
-  // used idle sessions are flushed and evicted beyond this.
+  // used idle sessions are evicted beyond this.
   std::size_t max_sessions = 4;
 
   // Initial GoldenLru entries per session (0 => minimal; every campaign
@@ -55,9 +55,9 @@ struct ServerOptions {
   // the backlog without bound. 0 = unbounded.
   std::size_t max_queued_per_client = 32;
 
-  // Residency hardening: warm sessions idle longer than this are flushed
-  // (goldens spill to their store) and evicted by the housekeeping
-  // thread. 0 = sessions stay warm until LRU pressure or drain.
+  // Residency hardening: warm sessions idle longer than this are evicted
+  // by the housekeeping thread. 0 = sessions stay warm until LRU pressure
+  // or drain.
   std::int64_t session_idle_ttl_ms = 0;
 
   // Housekeeping cadence (TTL sweeps). Only meaningful with a TTL.
@@ -84,7 +84,6 @@ struct ServerStats {
   std::int64_t jobs_deduped = 0;    // submissions served by an existing job
   std::int64_t jobs_rejected = 0;   // admission-control refusals
   std::int64_t sessions_ttl_evicted = 0;
-  std::int64_t goldens_flushed_at_drain = 0;
 };
 
 class ServiceServer {
@@ -99,7 +98,7 @@ class ServiceServer {
   bool start(std::string* error);
 
   // Begins a graceful drain: new submissions are refused, the backlog and
-  // running jobs finish, every session's goldens spill to their stores.
+  // running jobs finish.
   // Idempotent; safe from any thread (including connection handlers).
   void request_drain();
 

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/telemetry/events.h"
-#include "core/store/golden_store.h"
 #include "nn/models/zoo.h"
 
 namespace winofault {
@@ -79,19 +78,8 @@ CampaignResult ServiceSession::run(ServiceJob& job) {
     if (boundary) last_publish_ms->store(now_ms);
     job.update_progress(p);
   };
-  if (spec.store.enabled()) {
-    // The daemon is the sole mutator of its stores while resident, so the
-    // session's runner keeps them open: submissions against the same
-    // store dir share one open journal instead of re-reading it. The warm
-    // tier spills to this submission's golden store from now on.
-    warm_.set_store(
-        runner_.store_handles(spec.store, ResultJournal::Mode::kAppend)
-            .goldens);
-  }
   return runner_.run(spec);
 }
-
-std::int64_t ServiceSession::flush_goldens() { return warm_.flush_to_store(); }
 
 SessionCache::SessionCache(ModelEnvBuilder builder, std::size_t max_sessions,
                            std::size_t golden_capacity)
@@ -122,7 +110,6 @@ std::shared_ptr<ServiceSession> SessionCache::get_or_build(
     }
     if (victim == sessions_.end()) break;  // everything busy: over-admit
     WF_INFO << "service: evicting warm session " << victim->first;
-    victim->second.session->flush_goldens();
     if (telemetry::events_enabled()) {
       telemetry::emit_event("session_evicted",
                             {{"env", victim->first}, {"reason", "lru"}});
@@ -164,7 +151,6 @@ std::size_t SessionCache::evict_idle(std::int64_t ttl_ms) {
       continue;
     }
     WF_INFO << "service: idle TTL evicting warm session " << it->first;
-    it->second.session->flush_goldens();
     if (telemetry::events_enabled()) {
       telemetry::emit_event("session_evicted",
                             {{"env", it->first}, {"reason", "idle"}});
@@ -173,15 +159,6 @@ std::size_t SessionCache::evict_idle(std::int64_t ttl_ms) {
     ++evicted;
   }
   return evicted;
-}
-
-std::int64_t SessionCache::flush_all() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::int64_t flushed = 0;
-  for (auto& [key, slot] : sessions_) {
-    flushed += slot.session->flush_goldens();
-  }
-  return flushed;
 }
 
 std::size_t SessionCache::size() const {

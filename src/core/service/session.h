@@ -5,7 +5,9 @@
 // GoldenLru (CampaignSpec::warm_goldens). The runner keeps a stored
 // submission's journal and golden store open for the next submission
 // against the same directory (the daemon is their sole mutator, which is
-// exactly the runner's contract).
+// exactly the runner's contract). The warm tier holds no store: a stored
+// submission saves each golden it uses to its own store as it runs, so
+// evicting a session or killing the daemon loses only RAM warmth.
 //
 // Sessions are keyed by model_env_key: the golden tier's (image, policy)
 // keys are only meaningful within one campaign environment, so the "one
@@ -32,7 +34,7 @@ namespace winofault {
 
 // Builds the (network, dataset) a ModelEnv describes. Deterministic — the
 // daemon-side build must hash identically to the client-side one or
-// journaled cells and spilled goldens could never be shared. Returns false
+// journaled cells and golden shards could never be shared. Returns false
 // with `error` set on an unknown model.
 using ModelEnvBuilder = std::function<bool(const ModelEnv& env, Network* net,
                                            Dataset* data,
@@ -54,10 +56,6 @@ class ServiceSession {
   // the process thread pool via parallel_for.
   CampaignResult run(ServiceJob& job);
 
-  // Spills every still-resident golden to the most recent stored
-  // submission's tier-2 store (no-op if none was stored). Drain path.
-  std::int64_t flush_goldens();
-
   const ModelEnv& env() const { return env_; }
   std::uint64_t env_hash() const { return runner_.env_hash(); }
 
@@ -70,8 +68,8 @@ class ServiceSession {
 };
 
 // Session registry with LRU eviction: at most `max_sessions` warm
-// environments; the least recently used idle session is flushed and
-// dropped to admit a new one (sessions running a job are never evicted).
+// environments; the least recently used idle session is dropped to admit
+// a new one (sessions running a job are never evicted).
 class SessionCache {
  public:
   SessionCache(ModelEnvBuilder builder, std::size_t max_sessions,
@@ -83,15 +81,12 @@ class SessionCache {
   std::shared_ptr<ServiceSession> get_or_build(const ModelEnv& env,
                                                std::string* error);
 
-  // Flushes every session's goldens (drain); returns total spilled.
-  std::int64_t flush_all();
-
   // Residency hardening: evicts every *idle* session (use_count == 1 —
-  // no executor holds it) untouched for at least `ttl_ms`, spilling its
-  // goldens to the store first so warmth degrades to the disk tier rather
-  // than vanishing. Returns the number evicted. The daemon's housekeeping
-  // thread calls this so a long-idle daemon releases paper-scale network +
-  // golden memory instead of holding it forever.
+  // no executor holds it) untouched for at least `ttl_ms`. Its stored
+  // submissions already saved their goldens, so warmth degrades to the
+  // disk tier rather than vanishing. Returns the number evicted. The
+  // daemon's housekeeping thread calls this so a long-idle daemon releases
+  // paper-scale network + golden memory instead of holding it forever.
   std::size_t evict_idle(std::int64_t ttl_ms);
 
   std::size_t size() const;

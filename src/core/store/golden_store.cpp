@@ -217,9 +217,10 @@ void GoldenStore::save(std::int64_t image, ConvPolicy policy,
   // off (warned once) and the campaign keeps computing — every further
   // save would fail the same way, and a rebuild-on-miss is always correct.
   if (spill_disabled_.load(std::memory_order_relaxed)) return;
-  // The whole body is exception-guarded: callers (GoldenLru spill paths)
-  // rely on save never throwing, and even the path strings / in-flight
-  // set below allocate. A failed spill only costs a later rebuild.
+  // The whole body is exception-guarded: the caller
+  // (GoldenLru::get_or_build, on every golden it returns) relies on save
+  // never throwing, and even the path strings / in-flight set below
+  // allocate. A failed spill only costs a later rebuild.
   try {
     save_impl(image, policy, golden, variant);
   } catch (...) {
@@ -241,12 +242,12 @@ void GoldenStore::save_impl(std::int64_t image, ConvPolicy policy,
   const std::string path = shard_path(image, policy, variant);
   std::error_code ec;
 
-  // Short-circuit BEFORE encoding: re-evictions of an already-spilled
-  // golden are the common case in the streaming regime, and serializing a
-  // multi-MB payload just to discover the shard exists would waste that
-  // much CPU on every revisit. The checks also make concurrent spills of
-  // the same key skip instead of duplicating the index entry or piling a
-  // second budget reservation on top.
+  // Short-circuit BEFORE encoding: every cache hit of a stored run saves
+  // a golden whose shard already exists, and serializing a multi-MB
+  // payload just to discover that would waste that much CPU on every
+  // lookup. The checks also make concurrent spills of the same key skip
+  // instead of duplicating the index entry or piling a second budget
+  // reservation on top.
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (std::filesystem::exists(path, ec)) return;  // deterministic content

@@ -1,8 +1,9 @@
-// Tier-2 disk backing for campaign golden activations. The in-RAM
-// GoldenLru (core/campaign) spills evicted GoldenCache entries here as
-// per-(image, policy) shard files and restores them on miss instead of
-// rebuilding — on paper-scale datasets a golden forward costs orders of
-// magnitude more than reading its activations back.
+// Tier-2 disk backing for campaign golden activations. A stored run's
+// GoldenLru::get_or_build (core/campaign) saves every golden the run uses
+// here as a per-(image, policy) shard file when the run first uses it,
+// and restores shards on a miss instead of rebuilding — on paper-scale
+// datasets a golden forward costs orders of magnitude more than reading
+// its activations back.
 //
 // Every shard carries a checksummed header binding it to one campaign
 // environment (campaign_env_hash): a header mismatch, size mismatch, or
@@ -45,11 +46,14 @@ class GoldenStore {
 
   // Serializes `golden` to its shard file unless one already exists (shard
   // content is deterministic) or the budget cannot fit it; oldest shards
-  // are dropped to make room. Thread-safe and never throws — a failed
-  // spill degrades to a warning and a later rebuild. `variant` is the
-  // FaultOverlay digest for permanent-fault golden variants; 0 (clean
-  // silicon) keeps the exact pre-variant shard name and header, so stores
-  // written before the fault-model registry stay readable.
+  // are dropped to make room, and a dropped shard is written again the
+  // next time a stored run uses its golden. Called on every golden
+  // GoldenLru::get_or_build returns, so the exists check comes first.
+  // Thread-safe and never throws — a failed spill degrades to a warning
+  // and a later rebuild. `variant` is the FaultOverlay digest for
+  // permanent-fault golden variants; 0 (clean silicon) keeps the exact
+  // pre-variant shard name and header, so stores written before the
+  // fault-model registry stay readable.
   void save(std::int64_t image, ConvPolicy policy, const GoldenCache& golden,
             std::uint64_t variant = 0) noexcept;
 

@@ -8,9 +8,9 @@
 //     appended as they complete, so a killed campaign resumes with only
 //     unfinished cells re-executed, and an unchanged spec returns its
 //     results without executing anything;
-//   * a golden tier-2 store (golden_store.h): GoldenCache entries evicted
-//     from the in-RAM GoldenLru spill to checksummed shard files and are
-//     restored on miss instead of rebuilt.
+//   * a golden tier-2 store (golden_store.h): every GoldenCache the run
+//     uses is saved to a checksummed shard file when first used, and a
+//     miss restores it instead of rebuilding.
 //
 // Both tiers are keyed by content hashes (hash.h), so a changed network,
 // dataset, or point configuration can never be served stale state.
@@ -31,8 +31,9 @@ struct StoreOptions {
   // regeneration.
   bool journal = true;
 
-  // Golden tier-2: spill evicted GoldenLru entries to disk shards and
-  // restore them on miss instead of rebuilding.
+  // Golden tier-2: save every golden the run uses to a disk shard when
+  // the run first uses it, and restore shards on a GoldenLru miss instead
+  // of rebuilding.
   bool spill_goldens = true;
 
   // Byte budget for golden shards on disk; oldest shards are dropped when

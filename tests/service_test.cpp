@@ -7,8 +7,9 @@
 //   (c) the scheduler is FIFO per client and round-robin across clients;
 //   (d) cancel stops a running campaign cooperatively (partial result,
 //       deferred cells) and discards a queued one;
-//   (e) drain finishes the backlog, spills warm goldens to their stores,
-//       and refuses new work;
+//   (e) a stored job saves every golden it uses while it runs, so drain
+//       and session eviction write nothing, and an unstored job writes
+//       into no store; drain finishes the backlog and refuses new work;
 //   (f) the protocol rejects malformed requests, unknown models, and
 //       client/daemon environment-hash skew without touching any result.
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +38,7 @@
 #include "core/service/protocol.h"
 #include "core/service/scheduler.h"
 #include "core/service/server.h"
+#include "core/store/golden_store.h"
 #include "core/store/hash.h"
 #include "fault/models/model_spec.h"
 #include "nn/dataset.h"
@@ -110,6 +113,14 @@ std::string fresh_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
+}
+
+int count_shards(const std::string& dir) {
+  int shards = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    shards += entry.path().extension() == ".shard";
+  }
+  return shards;
 }
 
 std::vector<CampaignPoint> small_grid(int trials = 2) {
@@ -283,6 +294,11 @@ TEST(ServiceProtocol, RejectsWireIntegersOutsideTheirFieldRange) {
       {R"({"model":"vgg19","seed":3.7})", "env.seed"},
       {R"({"model":"vgg19","env_hash":1e300})", "env.env_hash"},
       {R"({"model":"vgg19","env_hash":-5})", "env.env_hash"},
+      // Wider than the paper's full-width model: 1e10 made the daemon die
+      // of bad_alloc, and a width that builds can still exhaust memory.
+      {R"({"model":"vgg19","width":1e10})", "env.width"},
+      {R"({"model":"vgg19","width":1.5})", "env.width"},
+      {R"({"model":"vgg19","width":-1})", "env.width"},
   };
   std::string error;
   for (const auto& [text, field] : kBadEnvs) {
@@ -332,6 +348,19 @@ TEST(ServiceProtocol, RejectsWireIntegersOutsideTheirFieldRange) {
   ASSERT_TRUE(decode_model_env(*wide_env, &decoded_env, &error)) << error;
   EXPECT_EQ(decoded_env.seed, 0u);
   EXPECT_EQ(decoded_env.env_hash, UINT64_MAX);
+  // 0 (the model's default width) up to the full width 1.0 decode.
+  const std::pair<const char*, double> kWidths[] = {
+      {R"({"model":"vgg19","width":0})", 0.0},
+      {R"({"model":"vgg19","width":0.25})", 0.25},
+      {R"({"model":"vgg19","width":1.0})", 1.0},
+  };
+  for (const auto& [text, width] : kWidths) {
+    const std::optional<Json> width_env = Json::parse(text);
+    ASSERT_TRUE(width_env.has_value()) << text;
+    ASSERT_TRUE(decode_model_env(*width_env, &decoded_env, &error))
+        << text << ": " << error;
+    EXPECT_EQ(decoded_env.width, width) << text;
+  }
 }
 
 TEST(ServiceProtocol, DecodedSpecMutantsReencodeToAFixedPoint) {
@@ -571,7 +600,7 @@ TEST(Service, CancelStopsRunningCampaignWithPartialResult) {
 
 // ---- (e) drain ----
 
-TEST(Service, DrainFlushesWarmGoldensAndRefusesNewWork) {
+TEST(Service, DrainLeavesGoldensOnDiskAndRemovesTheSocket) {
   const std::string dir = fresh_dir("drain");
   const std::string store_dir = dir + "/store";
   auto ts = std::make_unique<TestServer>(dir);
@@ -583,23 +612,77 @@ TEST(Service, DrainFlushesWarmGoldensAndRefusesNewWork) {
   ASSERT_TRUE(client.connect(ts->socket_path, &error)) << error;
   const auto outcome = client.submit_and_wait("test", test_env(), spec);
   ASSERT_TRUE(outcome.ok) << outcome.error;
+  // The goldens reached the tier-2 store while the job ran, not at drain:
+  // 8 images x 2 policies.
+  EXPECT_EQ(count_shards(store_dir), 16);
 
   Json drain = Json::object();
   drain.set("op", Json::str("drain"));
   const auto response = client.request(drain, &error);
   ASSERT_TRUE(response.has_value()) << error;
   EXPECT_TRUE(response->find("ok")->as_bool());
-  EXPECT_GT(response->find("goldens_flushed")->as_int(), 0);
   ts->server->wait();
 
-  // Goldens actually reached the tier-2 store…
-  int shards = 0;
-  for (const auto& entry : fs::directory_iterator(store_dir)) {
-    shards += entry.path().extension() == ".shard";
-  }
-  EXPECT_GT(shards, 0);
-  // …and the socket is gone: a fresh daemon can bind it cleanly.
+  EXPECT_EQ(count_shards(store_dir), 16);
+  // The socket is gone: a fresh daemon can bind it cleanly.
   EXPECT_FALSE(fs::exists(ts->socket_path));
+  ts.reset();
+}
+
+TEST(Service, StoredJobServedFromWarmGoldensPutsThemOnDiskBeforeDrain) {
+  const std::string dir = fresh_dir("warm_then_stored");
+  const std::string store_dir = dir + "/store";
+  TestServer ts(dir);
+  ServiceClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(ts.socket_path, &error)) << error;
+  CampaignSpec spec;
+  spec.points = small_grid();
+  const auto unstored = client.submit_and_wait("test", test_env(), spec);
+  ASSERT_TRUE(unstored.ok) << unstored.error;
+
+  // Every golden the stored job uses is a warm hit, and each one is on
+  // disk when the job returns, while the daemon is still up.
+  spec.store.dir = store_dir;
+  const auto stored = client.submit_and_wait("test", test_env(), spec);
+  ASSERT_TRUE(stored.ok) << stored.error;
+  EXPECT_EQ(stored.result.stats.golden_builds, 0);
+  EXPECT_EQ(count_shards(store_dir), 16);  // 8 images x 2 policies
+  expect_same_results(unstored.result, stored.result);
+}
+
+TEST(Service, UnstoredJobWritesIntoNoStore) {
+  const Fixture f = make_fixture();
+  const std::string dir = fresh_dir("unstored_no_store");
+  const std::string store_dir = dir + "/store";
+  auto ts = std::make_unique<TestServer>(dir);
+  ServiceClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(ts->socket_path, &error)) << error;
+  CampaignSpec direct;
+  CampaignSpec winograd;
+  for (const CampaignPoint& point : small_grid()) {
+    (point.policy == ConvPolicy::kDirect ? direct : winograd)
+        .points.push_back(point);
+  }
+  direct.store.dir = store_dir;
+  const auto stored = client.submit_and_wait("test", test_env(), direct);
+  ASSERT_TRUE(stored.ok) << stored.error;
+  const auto unstored = client.submit_and_wait("test", test_env(), winograd);
+  ASSERT_TRUE(unstored.ok) << unstored.error;
+  ts->server->request_drain();
+  ts->server->wait();
+
+  // Only the stored job's goldens are on disk: neither the unstored job
+  // nor the drain after it wrote into the earlier job's store.
+  EXPECT_EQ(count_shards(store_dir), 8);
+  const GoldenStore store(store_dir, campaign_env_hash(f.net, f.data),
+                          1ULL << 30);
+  for (std::int64_t i = 0; i < 8; ++i) {
+    EXPECT_TRUE(fs::exists(store.shard_path(i, ConvPolicy::kDirect))) << i;
+    EXPECT_FALSE(fs::exists(store.shard_path(i, ConvPolicy::kWinograd2)))
+        << i;
+  }
   ts.reset();
 }
 
@@ -655,6 +738,39 @@ TEST(Service, RejectsUnknownModelMalformedJsonAndHashSkew) {
   EXPECT_NE(received.find("\"pid\""), std::string::npos) << received;
 }
 
+TEST(Service, EnvBuildThatThrowsFailsOnlyItsJob) {
+  const Fixture f = make_fixture();
+  CampaignSpec spec;
+  spec.points = small_grid();
+  const CampaignResult direct = run_campaign(f.net, f.data, spec);
+
+  const std::string dir = fresh_dir("throwing_build");
+  TestServer ts(dir, /*jobs=*/1, [](ServerOptions& o) {
+    o.env_builder = [](const ModelEnv& env, Network* net, Dataset* data,
+                       std::string* error) {
+      if (env.model == "huge") throw std::bad_alloc();
+      return test_env_builder()(env, net, data, error);
+    };
+  });
+  ServiceClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(ts.socket_path, &error)) << error;
+  ModelEnv huge = test_env();
+  huge.model = "huge";
+  const auto failed = client.submit_and_wait("test", huge, spec);
+  EXPECT_FALSE(failed.ok);
+  EXPECT_EQ(failed.state, "failed");
+  EXPECT_NE(failed.error.find("bad_alloc"), std::string::npos)
+      << failed.error;
+  EXPECT_EQ(ts.server->stats().jobs_failed, 1);
+
+  // The daemon survived: the next submission runs to completion.
+  const auto next = client.submit_and_wait("test", test_env(), spec);
+  ASSERT_TRUE(next.ok) << next.error;
+  EXPECT_EQ(next.state, "done");
+  expect_same_results(direct, next.result);
+}
+
 // ---- concurrency ----
 
 TEST(Service, TwoConcurrentClientsGetIdenticalCorrectResults) {
@@ -691,14 +807,13 @@ TEST(Service, TwoConcurrentClientsGetIdenticalCorrectResults) {
 }
 
 TEST(Service, StoreSwitchesBesideALongUnstoredJobKeepResultsCorrect) {
-  // Two executors share one session. A long job without a store misses
-  // the warm tier on every cell (each point is its own permanent-fault
-  // golden variant), so it keeps restoring from and spilling to whatever
-  // golden store the tier points at. Meanwhile stored jobs on the other
-  // executor alternate two store directories; each one repoints the tier
-  // and makes the runner stop keeping the previous directory open. The
-  // tier must keep a replaced store alive for the calls still using it
-  // (the sanitizer jobs run this).
+  // Two executors share one session and its warm tier. A long job
+  // without a store misses the tier on every cell (each point is its own
+  // permanent-fault golden variant) and builds every golden; it restores
+  // from and writes into no store. Meanwhile stored jobs on the other
+  // executor alternate two store directories; each one makes the runner
+  // stop keeping the previous directory open, while each call still uses
+  // the store its own run holds (the sanitizer jobs run this).
   const Fixture f = make_fixture();
   CampaignSpec stored;
   stored.points = small_grid();
@@ -768,7 +883,7 @@ class ScopedChaos {
   ~ScopedChaos() { iofault::set_schedule(std::nullopt); }
 };
 
-TEST(Service, IdleSessionTtlEvictionSpillsGoldensToStore) {
+TEST(Service, IdleSessionTtlEvictionKeepsGoldensOnDisk) {
   const std::string dir = fresh_dir("ttl");
   const std::string store_dir = dir + "/store";
   TestServer ts(dir, /*jobs=*/1, [](ServerOptions& o) {
@@ -785,7 +900,7 @@ TEST(Service, IdleSessionTtlEvictionSpillsGoldensToStore) {
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(ts.server->sessions(), 1u);
 
-  // Housekeeping must flush the idle session within a few TTL periods.
+  // Housekeeping must evict the idle session within a few TTL periods.
   // The cache empties before the stat increments (separate locks), so
   // poll both — checking sessions() alone races the counter update.
   for (int i = 0; i < 200 && (ts.server->sessions() != 0 ||
@@ -795,13 +910,9 @@ TEST(Service, IdleSessionTtlEvictionSpillsGoldensToStore) {
   }
   EXPECT_EQ(ts.server->sessions(), 0u);
   EXPECT_GE(ts.server->stats().sessions_ttl_evicted, 1);
-  // Warmth degraded to the disk tier, not vanished: the goldens landed as
-  // shards, and an identical resubmission restores instead of rebuilding.
-  int shards = 0;
-  for (const auto& entry : fs::directory_iterator(store_dir)) {
-    shards += entry.path().extension() == ".shard";
-  }
-  EXPECT_GT(shards, 0);
+  // Warmth degraded to the disk tier, not vanished: the job saved its
+  // goldens as shards, and an identical resubmission does not rebuild.
+  EXPECT_GT(count_shards(store_dir), 0);
   const auto warm = client.submit_and_wait("test", test_env(), spec);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_EQ(warm.result.stats.golden_builds, 0);

@@ -509,25 +509,26 @@ TEST(Store, PlannerStyleReuseIsBitIdenticalToFreshHandles) {
   EXPECT_EQ(fresh.stats.inferences, reference.stats.inferences);
 }
 
-// ---- spill-on-shutdown ----
+// ---- one golden write point ----
 
-TEST(Store, ShutdownFlushWarmsTheNextRun) {
+TEST(Store, EveryGoldenARunUsesIsOnDisk) {
   const Fixture f = make_fixture(4);
   CampaignSpec spec;
   spec.points = small_grid();
   const CampaignResult reference = run_campaign(f.net, f.data, spec);
 
-  spec.store.dir = fresh_dir("flush");
-  spec.golden_capacity = 64;  // nothing evicts: only the shutdown flush
-                              // can have written shards
+  spec.store.dir = fresh_dir("first_use");
+  spec.golden_capacity = 64;  // nothing evicts: every shard is written
+                              // when the run first uses its golden
   const CampaignResult first = run_campaign(f.net, f.data, spec);
   expect_same_results(reference, first);
   EXPECT_EQ(first.stats.golden_evictions, 0);
-  EXPECT_GT(first.stats.golden_flushed, 0);
-  EXPECT_GT(first.stats.golden_spills, 0);
+  EXPECT_GT(first.stats.golden_builds, 0);
+  EXPECT_EQ(first.stats.golden_spills, first.stats.golden_builds);
+  EXPECT_EQ(first.stats.golden_flushed, 0);
 
   // Re-execute everything (journal off) in a fresh runner: every golden
-  // restores from the flushed shards instead of rebuilding.
+  // restores from the shards instead of rebuilding.
   CampaignSpec rerun = spec;
   rerun.store.journal = false;
   const CampaignResult warm = run_campaign(f.net, f.data, rerun);

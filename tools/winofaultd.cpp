@@ -3,8 +3,8 @@
 // warm cross-submission state: built models, teacher datasets, golden
 // activations, and open store handles all survive between submissions, so
 // every figure after the first skips its cold start. SIGTERM/SIGINT (or a
-// client's `drain` op) triggers a graceful drain: the backlog finishes and
-// every warm golden spills to its store before exit.
+// client's `drain` op) triggers a graceful drain: the backlog finishes
+// before exit. Stored submissions save their goldens as they run.
 //
 //   winofaultd --socket /tmp/winofault.sock [--jobs N] [--sessions N]
 //              [--golden-capacity N] [--session-ttl MS] [--queue-bound N]
@@ -37,15 +37,15 @@ void usage(const char* prog, std::FILE* to) {
       "                       resident (default 4)\n"
       "  --golden-capacity N  initial warm golden-LRU entries per session\n"
       "                       (default: minimal; campaigns grow it)\n"
-      "  --session-ttl MS     evict warm sessions idle this long, spilling\n"
-      "                       their goldens first (default: no TTL)\n"
+      "  --session-ttl MS     evict warm sessions idle this long\n"
+      "                       (default: no TTL)\n"
       "  --queue-bound N      per-client queued-job bound; the excess is\n"
       "                       refused as 'overloaded' (default 32, 0 = off)\n"
       "  --history-depth N    telemetry snapshots kept for the `history`\n"
       "                       verb (default 120, 0 = sampler off)\n"
       "  --history-interval S seconds between history snapshots (default 5)\n"
       "SIGTERM/SIGINT or a client 'drain' request stops gracefully:\n"
-      "running jobs finish and warm goldens spill to their stores.\n",
+      "queued and running jobs finish first.\n",
       prog);
 }
 
@@ -132,11 +132,9 @@ int main(int argc, char** argv) {
   server.wait();
   const winofault::ServerStats stats = server.stats();
   std::printf(
-      "winofaultd exiting: %lld done, %lld failed, %lld cancelled, "
-      "%lld goldens flushed\n",
+      "winofaultd exiting: %lld done, %lld failed, %lld cancelled\n",
       static_cast<long long>(stats.jobs_done),
       static_cast<long long>(stats.jobs_failed),
-      static_cast<long long>(stats.jobs_cancelled),
-      static_cast<long long>(stats.goldens_flushed_at_drain));
+      static_cast<long long>(stats.jobs_cancelled));
   return 0;
 }
