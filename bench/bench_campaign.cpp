@@ -1,7 +1,7 @@
 // Fault-sweep campaign throughput: a fig1-style operation-level injection
 // campaign (BER x policy grid) timed end-to-end in three modes:
-//   campaign        one CampaignSpec over the whole grid — goldens shared
-//                   per (image, policy) across every point, one schedule
+//   campaign        one CampaignSpec over the whole grid — one golden per
+//                   image shared across every point, one schedule
 //   per_call_cache  point-by-point evaluate() (PR 1: golden cache per call)
 //   scratch         point-by-point, every trial recomputed from scratch
 // and in two regimes:
@@ -10,7 +10,7 @@
 //           replay engine's throughput trajectory
 //   sweep   1 trial per (image, point), the regime every fig driver runs
 //           in: per-call execution pays one golden build per grid point
-//           while the campaign pays one per (image, policy)
+//           while the campaign pays one per image
 // Emits BENCH_campaign.json so CI can track the perf trajectory, plus the
 // usual terminal/CSV table. All modes must agree bit-exactly on the
 // accuracy checksum.

@@ -87,11 +87,11 @@ int main(int argc, char** argv) {
   }) / reps;
   GoldenStore gstore(scratch + "/goldens", env_hash, 1ULL << 30);
   const double save_s =
-      timed([&] { gstore.save(0, ConvPolicy::kDirect, golden); });
+      timed([&] { gstore.save(0, golden); });
   std::optional<GoldenCache> restored;
   const double restore_s = timed([&] {
     for (int r = 0; r < reps; ++r) {
-      restored = gstore.load(0, ConvPolicy::kDirect);
+      restored = gstore.load(0);
     }
   }) / reps;
   if (!restored.has_value() || restored->logits() != golden.logits() ||

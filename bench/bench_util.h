@@ -237,27 +237,28 @@ inline CliOptions parse_cli(int argc, char** argv) {
   if (cli.store_dir.empty()) {
     cli.store_dir = env_string("WINOFAULT_STORE", "");
   }
-  if (!workers_value.empty()) {
-    char* end = nullptr;
-    cli.workers = static_cast<int>(std::strtol(workers_value.c_str(), &end,
-                                               10));
-    if (end == nullptr || *end != '\0' || cli.workers < 1) {
-      std::fprintf(stderr, "%s: --workers expects a positive integer, got "
-                           "'%s'\n",
-                   prog, workers_value.c_str());
-      std::exit(2);
-    }
+  // parse_int reads the whole value and rejects one outside int's range:
+  // "2x" or "1/2x" must not run as 2 or shard 1/2, and 4294967298 must not
+  // narrow to 2.
+  if (!workers_value.empty() &&
+      (!parse_int(workers_value.c_str(), &cli.workers) || cli.workers < 1)) {
+    std::fprintf(stderr, "%s: --workers expects a positive integer, got "
+                         "'%s'\n",
+                 prog, workers_value.c_str());
+    print_usage(prog, stderr);
+    std::exit(2);
   }
   if (!shard_value.empty()) {
-    int i = -1, n = 0, consumed = -1;
-    // %n pins the full-string match: "1/2x" must fail like "--workers 2x"
-    // does, not silently run as shard 1/2.
-    if (std::sscanf(shard_value.c_str(), "%d/%d%n", &i, &n, &consumed) != 2 ||
-        consumed != static_cast<int>(shard_value.size()) || n < 1 ||
-        i < 0 || i >= n) {
+    const std::size_t slash = shard_value.find('/');
+    int i = -1, n = 0;
+    if (slash == std::string::npos ||
+        !parse_int(shard_value.substr(0, slash).c_str(), &i) ||
+        !parse_int(shard_value.c_str() + slash + 1, &n) || n < 1 || i < 0 ||
+        i >= n) {
       std::fprintf(stderr, "%s: --shard expects i/N with 0 <= i < N, got "
                            "'%s'\n",
                    prog, shard_value.c_str());
+      print_usage(prog, stderr);
       std::exit(2);
     }
     cli.shard_index = i;

@@ -1,6 +1,7 @@
 #include "common/env.h"
 
 #include <cstdlib>
+#include <limits>
 
 namespace winofault {
 namespace {
@@ -9,12 +10,23 @@ const char* raw(const char* name) { return std::getenv(name); }
 
 }  // namespace
 
+bool parse_int(const char* text, int* out) {
+  char* end = nullptr;
+  // strtoll saturates beyond long long, which is outside int's range too.
+  const long long parsed = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' ||
+      parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
 int env_int(const char* name, int fallback) {
   const char* value = raw(name);
-  if (!value || !*value) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  return (end && *end == '\0') ? static_cast<int>(parsed) : fallback;
+  int parsed = fallback;
+  return value != nullptr && parse_int(value, &parsed) ? parsed : fallback;
 }
 
 double env_double(const char* name, double fallback) {

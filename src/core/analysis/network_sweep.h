@@ -2,7 +2,7 @@
 // accuracy of a network across a bit-error-rate sweep under a given conv
 // policy and injection mode. A sweep is a thin CampaignSpec builder: all
 // BER points (and, with accuracy_sweeps, all policy/mode configurations)
-// run as one campaign sharing per-(image, policy) golden activations.
+// run as one campaign sharing one set of golden activations per image.
 #pragma once
 
 #include <span>

@@ -128,18 +128,13 @@ telemetry::Counter& golden_metric(const char* which, const char* help,
                             golden_variant_labels(variant));
 }
 
-// GoldenLru key layout: image index over 8 policy bits.
-constexpr std::uint64_t pack_golden_key(std::int64_t image,
-                                        ConvPolicy policy) {
-  return (static_cast<std::uint64_t>(image) << 8) |
-         static_cast<std::uint64_t>(policy);
-}
-
 // Integer tallies of one (point, image) cell over the point's trials —
-// the unit both execution paths schedule and journal. A non-null `overlay`
-// (permanent-fault model, pure function of the point) keys the golden into
-// its faulted-weights variant and counts its defective cells as the
-// trial's flips; transient models leave it null.
+// the unit both execution paths schedule and journal. The golden is built
+// under kDirect and replayed under point.policy: fault-free outputs are
+// engine-independent. A non-null `overlay` (permanent-fault model, pure
+// function of the point) keys the golden into its faulted-weights variant
+// and counts its defective cells as the trial's flips; transient models
+// leave it null.
 JournalCell execute_cell(const Network& network, const Dataset& dataset,
                          const CampaignPoint& point,
                          std::uint64_t point_hash, std::int64_t i,
@@ -157,14 +152,17 @@ JournalCell execute_cell(const Network& network, const Dataset& dataset,
       overlay != nullptr ? overlay->site_count : 0;
   if (point.reuse_golden) {
     const GoldenLru::Ptr golden = lru.get_or_build(
-        i, point.policy,
-        [&] { return network.make_golden(image, point.policy, overlay); },
+        i,
+        [&] {
+          return network.make_golden(image, ConvPolicy::kDirect, overlay);
+        },
         overlay != nullptr ? overlay->digest : 0, store);
     telemetry::TraceSpan span("cell_replay", "campaign");
     const std::int64_t t0 = telemetry::now_us();
     for (int t = 0; t < point.trials; ++t) {
       FaultSession session(point.fault, fault_stream_seed(point.seed, i, t));
-      cell.correct += network.predict_replay(*golden, session) == label;
+      cell.correct +=
+          network.predict_replay(*golden, point.policy, session) == label;
       cell.flips += session.total_flips() + overlay_flips;
     }
     phase_replay_metric().observe(telemetry::now_us() - t0);
@@ -291,10 +289,9 @@ void GoldenLru::ensure_capacity(std::size_t capacity) {
 }
 
 GoldenLru::Ptr GoldenLru::get_or_build(
-    std::int64_t image, ConvPolicy policy,
-    const std::function<GoldenCache()>& build, std::uint64_t variant,
-    GoldenStore* store) {
-  const Key key{pack_golden_key(image, policy), variant};
+    std::int64_t image, const std::function<GoldenCache()>& build,
+    std::uint64_t variant, GoldenStore* store) {
+  const Key key{static_cast<std::uint64_t>(image), variant};
   std::promise<Ptr> promise;
   std::shared_future<Ptr> future;
   std::uint64_t owner = 0;
@@ -337,7 +334,7 @@ GoldenLru::Ptr GoldenLru::get_or_build(
     try {
       if (store != nullptr) {
         if (std::optional<GoldenCache> restored =
-                store->load(image, policy, variant)) {
+                store->load(image, variant)) {
           ptr = std::make_shared<const GoldenCache>(std::move(*restored));
         }
       }
@@ -372,7 +369,7 @@ GoldenLru::Ptr GoldenLru::get_or_build(
   // eviction order served this golden, the calling run finds it on disk
   // from here on. save never throws and returns at once when the shard
   // exists or another caller is writing it.
-  if (store != nullptr) store->save(image, policy, *ptr, variant);
+  if (store != nullptr) store->save(image, *ptr, variant);
   return ptr;
 }
 
@@ -469,7 +466,7 @@ struct CellPlan {
   GoldenLru* lru = nullptr;
   // Pending units, image-major: a contiguous slice (a pool worker's range,
   // a dist bucket) covers a few images across all their points, so one
-  // golden per (image, policy) serves the whole slice.
+  // golden per image serves the whole slice.
   std::vector<Unit> pending;
   std::vector<char> tallied;                       // parallel to pending
   std::vector<std::atomic<std::int64_t>> correct;  // parallel to active
@@ -526,33 +523,22 @@ CellPlan::CellPlan(const CampaignRunner& runner, const Network& network,
   if (active.empty()) return;
   overlays = build_point_overlays(network, spec, active);
 
-  // Default LRU capacity: one entry per (image, live policy) for the
-  // min(images, threads) images the pool works on at once, plus
-  // one-per-worker slack for a thief that starts on a fresh image.
-  std::int64_t policies = 0;
-  bool seen[3] = {false, false, false};  // one per ConvPolicy value
-  for (const std::size_t p : active) {
-    const int policy = static_cast<int>(spec.points[p].policy);
-    if (spec.points[p].reuse_golden && !seen[policy]) {
-      seen[policy] = true;
-      ++policies;
-    }
-  }
-  policies = std::max<std::int64_t>(policies, 1);
+  // Default LRU capacity: one entry for each of the min(images, threads)
+  // images the pool works on at once, plus one-per-worker slack for a
+  // thief that starts on a fresh image.
   const std::size_t capacity =
       spec.golden_capacity > 0
           ? spec.golden_capacity
           : static_cast<std::size_t>(std::max<std::int64_t>(
-                std::min<std::int64_t>(images, threads) * policies + threads,
-                2));
+                std::min<std::int64_t>(images, threads) + threads, 2));
   if (spec.warm_goldens != nullptr) {
     // External warm tier (core/service): the caller's cross-campaign LRU
     // exists to serve the NEXT submission, so it must retain this
     // campaign's full golden set — `capacity` only covers the images in
     // flight and would evict everything a resident daemon keeps warm.
     lru = spec.warm_goldens;
-    lru->ensure_capacity(std::max(
-        capacity, static_cast<std::size_t>(images * policies + threads)));
+    lru->ensure_capacity(
+        std::max(capacity, static_cast<std::size_t>(images + threads)));
   } else {
     local_lru = std::make_unique<GoldenLru>(capacity);
     lru = local_lru.get();

@@ -6,11 +6,11 @@
 // campaign engine instead executes the full (image x config x trial)
 // cross-product as a single scheduled unit:
 //
-//   * Golden activations are policy-keyed and campaign-scoped: fault-free
-//     execution is bit-identical across BERs, injection modes, and
-//     protection sets, so one GoldenCache per (image, ConvPolicy) serves
-//     every configuration point that uses that policy. A bounded-memory LRU
-//     (GoldenLru) lets arbitrarily large datasets stream.
+//   * Golden activations are image-keyed and campaign-scoped: fault-free
+//     execution is bit-identical across BERs, injection modes, protection
+//     sets and ConvPolicies, so one GoldenCache per image serves every
+//     configuration point. A bounded-memory LRU (GoldenLru) lets
+//     arbitrarily large datasets stream.
 //   * Scheduling is campaign-granular: the flattened (image, point) grid is
 //     one parallel_for, so small datasets still saturate the pool when the
 //     grid is wide (images x points units instead of images per call).
@@ -97,10 +97,9 @@ struct CampaignSpec {
   std::vector<CampaignPoint> points;
   int threads = 0;  // 0 => hardware concurrency
   // Max live GoldenCache entries — one entry is the full activation set of
-  // one (image, policy). 0 => auto: the images the pool works on at once
-  // (min(images, threads)) x live policies, plus one-per-worker slack —
-  // enough for the image-major schedule to hit while large datasets
-  // stream.
+  // one image. 0 => auto: the images the pool works on at once
+  // (min(images, threads)), plus one-per-worker slack — enough for the
+  // image-major schedule to hit while large datasets stream.
   std::size_t golden_capacity = 0;
   // Persistent campaign store (core/store): result journal for
   // checkpoint/resume + incremental regeneration, and golden shards on
@@ -116,8 +115,8 @@ struct CampaignSpec {
   // External cross-campaign golden tier: when set, the runner serves
   // goldens from this shared LRU (growing its capacity to at least this
   // campaign's working set) instead of a campaign-local one, still saving
-  // each golden it uses to its own store. (image, policy) keys are only
-  // meaningful within ONE campaign environment — an owner serving several
+  // each golden it uses to its own store. Image keys are only meaningful
+  // within ONE campaign environment — an owner serving several
   // environments must keep one LRU per env hash (core/service sessions do).
   GoldenLru* warm_goldens = nullptr;
 
@@ -161,7 +160,7 @@ struct CampaignResult {
   CampaignStats stats;
 };
 
-// Bounded shared cache of golden activations keyed by (image index, policy).
+// Bounded shared cache of golden activations keyed by image index.
 // Concurrent requests for the same key block on the first builder's future
 // instead of duplicating the build; eviction only drops the cache's
 // reference, so in-flight users keep their entries alive. The cache holds
@@ -173,8 +172,8 @@ class GoldenLru {
   explicit GoldenLru(std::size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  // Returns the cached golden for (image, policy, variant), building it via
-  // `build` on a miss. `variant` is the FaultOverlay digest for
+  // Returns the cached golden for (image, variant), building it via `build`
+  // on a miss. `variant` is the FaultOverlay digest for
   // permanent-fault golden variants (fault/models/overlay.h); 0 — clean
   // silicon — is the historical key space. With a `store` (the calling
   // run's, held by it for the call), a miss tries a disk restore before
@@ -182,9 +181,9 @@ class GoldenLru {
   // GoldenStore::save, which returns at once when the shard exists. This
   // is the one place a golden reaches disk: a stored run saves each golden
   // as it first uses it. Thread-safe; deterministic because make_golden
-  // is a pure function of (image, policy, overlay) and disk restores are
+  // is a pure function of (image, overlay) and disk restores are
   // byte-exact.
-  Ptr get_or_build(std::int64_t image, ConvPolicy policy,
+  Ptr get_or_build(std::int64_t image,
                    const std::function<GoldenCache()>& build,
                    std::uint64_t variant = 0, GoldenStore* store = nullptr);
 
@@ -199,20 +198,20 @@ class GoldenLru {
   std::int64_t evictions() const { return evictions_.load(); }
 
  private:
-  // Cache key: (image, policy) packed into `base`, plus the golden-variant
-  // digest (FaultOverlay::digest under permanent-fault models; 0 = clean
+  // Cache key: the image plus the golden-variant digest
+  // (FaultOverlay::digest under permanent-fault models; 0 = clean
   // silicon). Variants are independent entries — a clean-silicon replay
   // can never be served a defective-silicon golden or vice versa.
   struct Key {
-    std::uint64_t base = 0;     // (image << 8) | policy
+    std::uint64_t image = 0;
     std::uint64_t variant = 0;  // overlay digest; 0 = clean
     bool operator==(const Key& o) const {
-      return base == o.base && variant == o.variant;
+      return image == o.image && variant == o.variant;
     }
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>((k.base * 0x9e3779b97f4a7c15ULL) ^
+      return static_cast<std::size_t>((k.image * 0x9e3779b97f4a7c15ULL) ^
                                       k.variant);
     }
   };

@@ -327,16 +327,20 @@ void ServiceServer::executor_loop() {
     // Every failure fails this job alone. The session build is inside the
     // try: a build that throws (bad_alloc on a model too large to allocate)
     // must not escape the executor and take every other client's jobs
-    // down with the daemon.
+    // down with the daemon. Each outcome is counted in stats() before
+    // finish() wakes the client, so a client that sees its job end sees
+    // it counted.
     const auto fail = [&](const std::string& error) {
+      {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        ++stats_.jobs_failed;
+      }
       job->finish(JobState::kFailed, CampaignResult(), error);
       jobs_metric("failed", "jobs that terminated with an error").add(1);
       if (telemetry::events_enabled()) {
         telemetry::emit_event("job_failed",
                               {{"job", job->id}, {"error", error}});
       }
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.jobs_failed;
     };
     try {
       std::string error;
@@ -352,6 +356,10 @@ void ServiceServer::executor_loop() {
       } else {
         CampaignResult result = session->run(*job);
         const bool cancelled = job->cancel.load();
+        {
+          std::lock_guard<std::mutex> lock(stats_mu_);
+          ++(cancelled ? stats_.jobs_cancelled : stats_.jobs_done);
+        }
         job->finish(cancelled ? JobState::kCancelled : JobState::kDone,
                     std::move(result), cancelled ? "cancelled" : "");
         if (cancelled) {
@@ -365,8 +373,6 @@ void ServiceServer::executor_loop() {
           telemetry::emit_event(cancelled ? "job_cancelled" : "job_done",
                                 {{"job", job->id}});
         }
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++(cancelled ? stats_.jobs_cancelled : stats_.jobs_done);
       }
     } catch (const std::exception& e) {
       fail(e.what());

@@ -9,10 +9,10 @@
 // submission saves each golden it uses to its own store as it runs, so
 // evicting a session or killing the daemon loses only RAM warmth.
 //
-// Sessions are keyed by model_env_key: the golden tier's (image, policy)
-// keys are only meaningful within one campaign environment, so the "one
-// warm LRU keyed (image, policy, env)" of the service is realized as one
-// LRU per env, owned by that env's session.
+// Sessions are keyed by model_env_key: the golden tier's image keys are
+// only meaningful within one campaign environment, so the "one warm LRU
+// keyed (image, env)" of the service is realized as one LRU per env, owned
+// by that env's session. One golden per image serves every policy.
 #pragma once
 
 #include <atomic>

@@ -36,7 +36,7 @@ struct ShardHeader {
   std::uint64_t magic;
   std::uint64_t env_hash;
   std::uint64_t image;
-  std::uint64_t policy;
+  std::uint64_t policy;  // always 0 (kDirect), as in per-policy stores
   std::uint64_t payload_size;
   std::uint64_t payload_crc;
 };
@@ -191,27 +191,26 @@ GoldenStore::GoldenStore(std::string dir, std::uint64_t env_hash,
   }
 }
 
-std::string GoldenStore::shard_path(std::int64_t image, ConvPolicy policy,
+std::string GoldenStore::shard_path(std::int64_t image,
                                     std::uint64_t variant) const {
   char name[100];
   if (variant == 0) {
-    std::snprintf(name, sizeof(name), "golden_%016llx_%lld_%d.shard",
+    std::snprintf(name, sizeof(name), "golden_%016llx_%lld_0.shard",
                   static_cast<unsigned long long>(env_hash_),
-                  static_cast<long long>(image), static_cast<int>(policy));
+                  static_cast<long long>(image));
   } else {
     // Permanent-fault golden variant: the overlay digest in the name keys
-    // the shard apart from the clean golden of the same (image, policy),
-    // stably across dist workers and daemon sessions.
-    std::snprintf(name, sizeof(name), "golden_%016llx_%lld_%d_v%016llx.shard",
+    // the shard apart from the clean golden of the same image, stably
+    // across dist workers and daemon sessions.
+    std::snprintf(name, sizeof(name), "golden_%016llx_%lld_0_v%016llx.shard",
                   static_cast<unsigned long long>(env_hash_),
-                  static_cast<long long>(image), static_cast<int>(policy),
+                  static_cast<long long>(image),
                   static_cast<unsigned long long>(variant));
   }
   return dir_ + "/" + name;
 }
 
-void GoldenStore::save(std::int64_t image, ConvPolicy policy,
-                       const GoldenCache& golden,
+void GoldenStore::save(std::int64_t image, const GoldenCache& golden,
                        std::uint64_t variant) noexcept {
   // ENOSPC degradation: once the disk is full the spill tier turns itself
   // off (warned once) and the campaign keeps computing — every further
@@ -222,7 +221,7 @@ void GoldenStore::save(std::int64_t image, ConvPolicy policy,
   // never throwing, and even the path strings / in-flight set below
   // allocate. A failed spill only costs a later rebuild.
   try {
-    save_impl(image, policy, golden, variant);
+    save_impl(image, golden, variant);
   } catch (...) {
     WF_WARN << "golden store: spill failed; the entry will rebuild instead";
   }
@@ -236,10 +235,9 @@ void GoldenStore::disable_spills(const char* why) {
   }
 }
 
-void GoldenStore::save_impl(std::int64_t image, ConvPolicy policy,
-                            const GoldenCache& golden,
+void GoldenStore::save_impl(std::int64_t image, const GoldenCache& golden,
                             std::uint64_t variant) {
-  const std::string path = shard_path(image, policy, variant);
+  const std::string path = shard_path(image, variant);
   std::error_code ec;
 
   // Short-circuit BEFORE encoding: every cache hit of a stored run saves
@@ -269,7 +267,7 @@ void GoldenStore::save_impl(std::int64_t image, ConvPolicy policy,
     ShardHeader header{kShardMagic,
                        env_hash_ ^ variant,
                        static_cast<std::uint64_t>(image),
-                       static_cast<std::uint64_t>(policy),
+                       0,
                        payload.size(),
                        fnv64(payload.data(), payload.size())};
     const std::uint64_t total = sizeof(header) + payload.size();
@@ -351,9 +349,8 @@ void GoldenStore::save_impl(std::int64_t image, ConvPolicy policy,
 }
 
 std::optional<GoldenCache> GoldenStore::load(std::int64_t image,
-                                             ConvPolicy policy,
                                              std::uint64_t variant) {
-  const std::string path = shard_path(image, policy, variant);
+  const std::string path = shard_path(image, variant);
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::nullopt;  // absent: plain miss, no reject
 
@@ -364,7 +361,7 @@ std::optional<GoldenCache> GoldenStore::load(std::int64_t image,
             header.magic == kShardMagic &&
             header.env_hash == (env_hash_ ^ variant) &&
             header.image == static_cast<std::uint64_t>(image) &&
-            header.policy == static_cast<std::uint64_t>(policy);
+            header.policy == 0;
   if (ok) {
     // The header carries no CRC over itself, so payload_size is untrusted:
     // bound it by the actual file size before allocating (a corrupted size

@@ -1,9 +1,9 @@
 // Tier-2 disk backing for campaign golden activations. A stored run's
 // GoldenLru::get_or_build (core/campaign) saves every golden the run uses
-// here as a per-(image, policy) shard file when the run first uses it,
-// and restores shards on a miss instead of rebuilding — on paper-scale
-// datasets a golden forward costs orders of magnitude more than reading
-// its activations back.
+// here as a per-image shard file, which serves every ConvPolicy, when the
+// run first uses it, and restores shards on a miss instead of rebuilding —
+// on paper-scale datasets a golden forward costs orders of magnitude more
+// than reading its activations back.
 //
 // Every shard carries a checksummed header binding it to one campaign
 // environment (campaign_env_hash): a header mismatch, size mismatch, or
@@ -54,17 +54,18 @@ class GoldenStore {
   // permanent-fault golden variants; 0 (clean silicon) keeps the exact
   // pre-variant shard name and header, so stores written before the
   // fault-model registry stay readable.
-  void save(std::int64_t image, ConvPolicy policy, const GoldenCache& golden,
+  void save(std::int64_t image, const GoldenCache& golden,
             std::uint64_t variant = 0) noexcept;
 
-  // Restores the (image, policy[, variant]) shard; nullopt when absent or
-  // rejected (rejected shards are quarantined as *.quarantine — deleted
-  // only if the rename fails — so the caller's rebuild self-heals).
-  std::optional<GoldenCache> load(std::int64_t image, ConvPolicy policy,
+  // Restores the (image[, variant]) shard; nullopt when absent or rejected
+  // (rejected shards are quarantined as *.quarantine — deleted only if the
+  // rename fails — so the caller's rebuild self-heals).
+  std::optional<GoldenCache> load(std::int64_t image,
                                   std::uint64_t variant = 0);
 
-  std::string shard_path(std::int64_t image, ConvPolicy policy,
-                         std::uint64_t variant = 0) const;
+  // Names keep the direct policy's "_0" suffix from when shards were
+  // per-policy, so a store written then keeps serving its direct shards.
+  std::string shard_path(std::int64_t image, std::uint64_t variant = 0) const;
 
   std::int64_t spills() const { return spills_.load(); }
   std::int64_t restores() const { return restores_.load(); }
@@ -83,8 +84,8 @@ class GoldenStore {
     std::uint64_t bytes = 0;
   };
 
-  void save_impl(std::int64_t image, ConvPolicy policy,
-                 const GoldenCache& golden, std::uint64_t variant);
+  void save_impl(std::int64_t image, const GoldenCache& golden,
+                 std::uint64_t variant);
   // Turns the spill tier off permanently (idempotent; warns once).
   void disable_spills(const char* why);
 

@@ -1,6 +1,7 @@
-// Fault-free activations of one (network, policy, image) triple, computed
-// once by Network::make_golden and shared read-only across every injection
-// trial on that image. A trial replays against the cache instead of
+// Fault-free activations of one (network, image) pair, computed once by
+// Network::make_golden and shared read-only across every injection trial on
+// that image, under every ConvPolicy: fault-free outputs are
+// engine-independent. A trial replays against the cache instead of
 // recomputing the golden forward: Network::forward_replay reuses cached
 // activations upstream of the earliest faulted layer, patches that layer's
 // cached output in place via the engine's exact apply_faults, and recomputes
@@ -20,6 +21,8 @@ class GoldenCache {
   GoldenCache() = default;
 
   bool valid() const { return !acts_.empty(); }
+  // make_golden's policy; only the two-argument predict_replay replays
+  // under it.
   ConvPolicy policy() const { return policy_; }
 
   // Fault-free outputs: logits after calibration centering, and their

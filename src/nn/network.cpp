@@ -299,12 +299,12 @@ GoldenCache Network::make_golden(const TensorF& image, ConvPolicy policy,
   return cache;
 }
 
-TensorI32 Network::forward_replay(const GoldenCache& golden,
+TensorI32 Network::forward_replay(const GoldenCache& golden, ConvPolicy policy,
                                   FaultSession& session) const {
   WF_CHECK(calibrated_);
   WF_CHECK(golden.valid());
   WF_CHECK(golden.acts_.size() == nodes_.size());
-  const FaultPlan plan = session.plan(*this, golden.policy_);
+  const FaultPlan plan = session.plan(*this, policy);
   if (plan.first_faulted < 0) return golden.logits_;
 
   const FaultModelKind kind = session.config().model.kind;
@@ -337,13 +337,12 @@ TensorI32 Network::forward_replay(const GoldenCache& golden,
     if (faults == nullptr) {
       // Relu, pooling, Add, concat, flatten: dense recompute.
       ExecContext ctx;
-      ctx.policy = golden.policy_;
+      ctx.policy = policy;
       out = node.layer->forward(ins, node.quant, ctx, -1);
     } else {
       // Conv or linear: the layer's faults over a dense recompute of a
       // dirty input, or over the cached golden output of a clean one.
-      out = node.layer->forward_replay(ins, node.quant, golden.policy_,
-                                       *faults, kind,
+      out = node.layer->forward_replay(ins, node.quant, policy, *faults, kind,
                                        inputs_dirty ? nullptr : &gold);
     }
     // Compare against the golden activation, stopping at the first
@@ -371,9 +370,9 @@ TensorI32 Network::forward_replay(const GoldenCache& golden,
   return out;
 }
 
-int Network::predict_replay(const GoldenCache& golden,
+int Network::predict_replay(const GoldenCache& golden, ConvPolicy policy,
                             FaultSession& session) const {
-  return argmax_logit(forward_replay(golden, session));
+  return argmax_logit(forward_replay(golden, policy, session));
 }
 
 const Layer& Network::protectable_layer(int prot_index) const {

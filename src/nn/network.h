@@ -72,8 +72,10 @@ class Network {
   int predict(const TensorF& image, ExecContext& ctx) const;
 
   // ---- Golden cache + incremental fault replay ----
-  // Computes the fault-free activations of `image` under `policy`, shared
-  // read-only by all subsequent replay trials on this image. A non-null
+  // Computes the fault-free activations of `image`, shared read-only by all
+  // subsequent replay trials on this image. Fault-free outputs are
+  // engine-independent, so a golden built under any `policy` serves replay
+  // under every policy; `policy` only sets the golden's tag. A non-null
   // `overlay` (fault/models/overlay.h) bakes a permanent-fault model's
   // defective weight/accumulator cells into every protectable layer,
   // producing a *faulted-weights golden variant* — "fault-free" then means
@@ -82,14 +84,20 @@ class Network {
   // clean-silicon replay.
   GoldenCache make_golden(const TensorF& image, ConvPolicy policy,
                           const FaultOverlay* overlay = nullptr) const;
-  // One injection trial against the cache: pre-samples the session's faults
-  // (consuming its RNG exactly as a scratch forward would), reuses cached
-  // activations upstream of the earliest faulted layer, and recomputes only
-  // the downstream cone. Bit-identical to forward()/predict() with the same
-  // session seed. The session must be fresh (one session per trial).
-  TensorI32 forward_replay(const GoldenCache& golden,
+  // One injection trial under `policy` against the cache: pre-samples the
+  // session's faults (consuming its RNG exactly as a scratch forward would),
+  // reuses cached activations upstream of the earliest faulted layer, and
+  // recomputes only the downstream cone. Bit-identical to
+  // forward()/predict() under `policy` with the same session seed. The
+  // session must be fresh (one session per trial).
+  TensorI32 forward_replay(const GoldenCache& golden, ConvPolicy policy,
                            FaultSession& session) const;
-  int predict_replay(const GoldenCache& golden, FaultSession& session) const;
+  int predict_replay(const GoldenCache& golden, ConvPolicy policy,
+                     FaultSession& session) const;
+  // Replays under the policy the golden is tagged with.
+  int predict_replay(const GoldenCache& golden, FaultSession& session) const {
+    return predict_replay(golden, golden.policy(), session);
+  }
 
   // ---- Introspection ----
   // Content fingerprint of the calibrated network: name, dtype, topology

@@ -2,8 +2,8 @@
 //   (a) a multi-point campaign (shared goldens, one schedule) is
 //       bit-identical to point-by-point evaluate() calls, for op-level,
 //       neuron-level, protected, and scratch points;
-//   (b) the golden LRU shares exactly one build per (image, policy) and
-//       stays bit-exact at any capacity, including a capacity of one;
+//   (b) the golden LRU shares exactly one build per image across every
+//       policy and stays bit-exact at any capacity, including one;
 //   (c) results are independent of the thread count;
 //   (d) the destruction short-circuit triggers strictly above
 //       max_expected_flips and simulates at or below it;
@@ -135,19 +135,19 @@ TEST(Campaign, MultiPointGridMatchesPointByPointEvaluate) {
   }
 }
 
-TEST(Campaign, GoldenBuildsSharedPerImagePolicy) {
+TEST(Campaign, GoldenBuildsSharedPerImage) {
   const Fixture f = make_fixture(6);
   CampaignSpec spec;
   spec.points = mixed_grid();
   spec.threads = 1;  // deterministic hit/miss accounting
   spec.golden_capacity = 64;
   const CampaignResult campaign = run_campaign(f.net, f.data, spec);
-  // 7 reuse_golden points over 2 policies: one build per (image, policy),
-  // and the other 5 lookups per image hit it.
+  // 7 reuse_golden points over 2 policies: one build per image serves
+  // both policies, and the other 6 lookups per image hit it.
   EXPECT_EQ(campaign.stats.golden_builds,
-            static_cast<std::int64_t>(f.data.size()) * 2);
+            static_cast<std::int64_t>(f.data.size()));
   EXPECT_EQ(campaign.stats.golden_hits,
-            static_cast<std::int64_t>(f.data.size()) * 5);
+            static_cast<std::int64_t>(f.data.size()) * 6);
   EXPECT_EQ(campaign.stats.golden_evictions, 0);
   EXPECT_EQ(campaign.stats.short_circuited_points, 0);
 }
@@ -205,7 +205,7 @@ TEST(GoldenLru, ConcurrentWaitersSurviveEvictionMidBuild) {
 
   GoldenLru::Ptr a_ptr, b_ptr, c_ptr;
   std::thread a([&] {
-    a_ptr = lru.get_or_build(0, ConvPolicy::kDirect, slow_build_x);
+    a_ptr = lru.get_or_build(0, slow_build_x);
   });
   x_started.get_future().wait();
 
@@ -217,17 +217,17 @@ TEST(GoldenLru, ConcurrentWaitersSurviveEvictionMidBuild) {
     return GoldenCache{};
   };
   std::thread b([&] {
-    b_ptr = lru.get_or_build(0, ConvPolicy::kDirect, must_not_build);
+    b_ptr = lru.get_or_build(0, must_not_build);
   });
   std::thread c([&] {
-    c_ptr = lru.get_or_build(0, ConvPolicy::kDirect, must_not_build);
+    c_ptr = lru.get_or_build(0, must_not_build);
   });
   while (lru.hits() < 2) std::this_thread::yield();
 
   // D inserts a different key into the capacity-1 cache, evicting X while
   // its build is parked.
   const GoldenLru::Ptr d_ptr =
-      lru.get_or_build(1, ConvPolicy::kDirect, [] { return GoldenCache{}; });
+      lru.get_or_build(1, [] { return GoldenCache{}; });
   ASSERT_NE(d_ptr, nullptr);
   EXPECT_EQ(lru.evictions(), 1);
 
@@ -242,7 +242,7 @@ TEST(GoldenLru, ConcurrentWaitersSurviveEvictionMidBuild) {
 
   // X was evicted mid-build, so the next request rebuilds it — eviction
   // cost a rebuild, never a wrong pointer.
-  lru.get_or_build(0, ConvPolicy::kDirect, [&] {
+  lru.get_or_build(0, [&] {
     x_builds.fetch_add(1);
     return GoldenCache{};
   });

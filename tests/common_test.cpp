@@ -142,6 +142,13 @@ TEST(Env, ParsesAndFallsBack) {
   EXPECT_EQ(env_int("WF_TEST_INT", 7), 42);
   EXPECT_EQ(env_int("WF_TEST_BAD", 7), 7);
   EXPECT_EQ(env_int("WF_TEST_UNSET_XYZ", 7), 7);
+  // A value outside int's range is unparsable, never narrowed.
+  for (const char* wide : {"4294967298", "-4294967298", "2147483648"}) {
+    ::setenv("WF_TEST_WIDE", wide, 1);
+    EXPECT_EQ(env_int("WF_TEST_WIDE", 7), 7) << wide;
+  }
+  ::setenv("WF_TEST_WIDE", "2147483647", 1);
+  EXPECT_EQ(env_int("WF_TEST_WIDE", 7), 2147483647);
   EXPECT_TRUE(env_bool("WF_TEST_BOOL", false));
   EXPECT_DOUBLE_EQ(env_double("WF_TEST_DBL", 0.0), 2.5);
   EXPECT_EQ(env_string("WF_TEST_UNSET_XYZ", "d"), "d");

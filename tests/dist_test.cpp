@@ -10,13 +10,10 @@
 //       and isolates over-heavy units.
 #include <gtest/gtest.h>
 
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -82,9 +79,10 @@ std::vector<CampaignPoint> small_grid() {
   return points;
 }
 
-// threads = 1 everywhere in this binary: campaign-level parallel_for stays
-// inline, which keeps the fork-based kill test safe (the child never
-// depends on pool threads that fork does not clone).
+// threads = 1 everywhere in this binary keeps the campaign-level
+// parallel_for inline. It does not keep a process off the thread pool:
+// golden builds run the conv GEMM on it. So the kill test runs its dying
+// worker in a re-executed process, never in a bare fork of this one.
 CampaignSpec worker_spec(const std::string& dir, int shard, int shards,
                          const std::string& tag, std::int64_t stale_ms,
                          std::int64_t die_after = 0) {
@@ -193,25 +191,20 @@ TEST(Dist, ConcurrentWorkersSplitTheGridAndAgree) {
 
 TEST(Dist, DeadWorkerClaimsAreStolenBySurvivor) {
   const Fixture f = make_fixture();
+  const std::string dir = fresh_dir("steal");
+  // Dying worker: SIGKILLs itself after 2 cells — claims left behind,
+  // segment left with a partial bucket. The threadsafe style re-executes
+  // this binary up to here, so the worker starts with a fresh thread pool
+  // instead of a fork of this process's live one.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ASSERT_EXIT(
+      run_campaign(f.net, f.data, worker_spec(dir, 0, 2, "dead", 400, 2)),
+      ::testing::KilledBySignal(SIGKILL), "");
+
   CampaignSpec plain;
   plain.points = small_grid();
   plain.threads = 1;
   const CampaignResult reference = run_campaign(f.net, f.data, plain);
-
-  const std::string dir = fresh_dir("steal");
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child worker: SIGKILLs itself after 2 cells — claims left behind,
-    // segment left with a partial bucket. threads=1 keeps the child off
-    // the (unforked) thread pool entirely.
-    run_campaign(f.net, f.data, worker_spec(dir, 0, 2, "dead", 400, 2));
-    ::_exit(0);  // unreachable: die_after_cells fires first
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status));
-  ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
   // Survivor: claims the untouched buckets, then steals the dead worker's
   // stale claim and re-executes its bucket.

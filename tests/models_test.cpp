@@ -3,7 +3,12 @@
 // network level for each of the paper's four benchmarks.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "fault/models/overlay.h"
 #include "nn/dataset.h"
+#include "nn/fault_session.h"
 #include "nn/models/zoo.h"
 #include "test_util.h"
 
@@ -58,16 +63,42 @@ TEST_P(ZooBuild, ConstructsCalibratesAndPredicts) {
   }
 }
 
+// Fault-free outputs are engine-independent, so one golden serves every
+// policy: make_golden agrees at every node under direct, winograd2 and
+// winograd4, on clean silicon and on defective silicon (a weight overlay
+// and an accumulator overlay).
 TEST_P(ZooBuild, WinogradMatchesDirectFaultFree) {
   const ZooCase& c = GetParam();
   const Network net = zoo_entry(c.name).build(tiny_config());
-  const auto images = make_images(net.input_shape(), 1, 4321);
-  ExecContext direct_ctx;
-  const TensorI32 ref = net.forward(images[0], direct_ctx);
-  ExecContext wg_ctx;
-  wg_ctx.policy = ConvPolicy::kWinograd4;
-  const TensorI32 wg = net.forward(images[0], wg_ctx);
-  testing::expect_tensors_equal(ref, wg, c.name);
+  const TensorF image = make_images(net.input_shape(), 1, 4321)[0];
+  std::vector<FaultOverlay> overlays(1);  // overlays[0] is clean silicon
+  for (const char* spec :
+       {"stuck1(0.01)@weight#perm", "toggle(0.02)@accum#perm"}) {
+    FaultConfig config;
+    config.model = *FaultModelSpec::parse(spec);
+    overlays.push_back(build_fault_overlay(net, config, 11));
+    ASSERT_FALSE(overlays.back().empty()) << c.name << " " << spec;
+  }
+  for (const FaultOverlay& overlay : overlays) {
+    const FaultOverlay* silicon = overlay.empty() ? nullptr : &overlay;
+    const GoldenCache direct =
+        net.make_golden(image, ConvPolicy::kDirect, silicon);
+    for (const ConvPolicy policy :
+         {ConvPolicy::kWinograd2, ConvPolicy::kWinograd4}) {
+      const GoldenCache golden = net.make_golden(image, policy, silicon);
+      const std::string what = std::string(c.name) + " policy " +
+                               std::to_string(static_cast<int>(policy)) +
+                               " sites " + std::to_string(overlay.site_count);
+      for (int node = 0; node < net.num_nodes(); ++node) {
+        testing::expect_tensors_equal(direct.node_output(node).tensor,
+                                      golden.node_output(node).tensor,
+                                      what.c_str());
+      }
+      testing::expect_tensors_equal(direct.logits(), golden.logits(),
+                                    what.c_str());
+      EXPECT_EQ(direct.prediction(), golden.prediction()) << what;
+    }
+  }
 }
 
 TEST_P(ZooBuild, WinogradReducesNetworkMuls) {

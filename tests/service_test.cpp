@@ -480,6 +480,32 @@ TEST(Service, SecondSubmissionServesGoldensFromWarmTier) {
   expect_same_results(cold.result, warm.result);
 }
 
+TEST(Service, WarmGoldensServeEveryPolicy) {
+  const Fixture f = make_fixture();
+  CampaignSpec direct;
+  CampaignSpec winograd;
+  for (const CampaignPoint& point : small_grid()) {
+    (point.policy == ConvPolicy::kDirect ? direct : winograd)
+        .points.push_back(point);
+  }
+  const CampaignResult reference = run_campaign(f.net, f.data, winograd);
+
+  const std::string dir = fresh_dir("warm_every_policy");
+  TestServer ts(dir);
+  ServiceClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(ts.socket_path, &error)) << error;
+  const auto cold = client.submit_and_wait("test", test_env(), direct);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_GT(cold.result.stats.golden_builds, 0);
+
+  // The direct job's goldens serve the winograd2 job: nothing builds.
+  const auto warm = client.submit_and_wait("test", test_env(), winograd);
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_EQ(warm.result.stats.golden_builds, 0);
+  expect_same_results(reference, warm.result);
+}
+
 TEST(Service, PartialThenCompleteResumesFromJournalAcrossSubmissions) {
   const Fixture f = make_fixture();
   CampaignSpec clean;
@@ -613,8 +639,8 @@ TEST(Service, DrainLeavesGoldensOnDiskAndRemovesTheSocket) {
   const auto outcome = client.submit_and_wait("test", test_env(), spec);
   ASSERT_TRUE(outcome.ok) << outcome.error;
   // The goldens reached the tier-2 store while the job ran, not at drain:
-  // 8 images x 2 policies.
-  EXPECT_EQ(count_shards(store_dir), 16);
+  // one per image, serving both policies.
+  EXPECT_EQ(count_shards(store_dir), 8);
 
   Json drain = Json::object();
   drain.set("op", Json::str("drain"));
@@ -623,7 +649,7 @@ TEST(Service, DrainLeavesGoldensOnDiskAndRemovesTheSocket) {
   EXPECT_TRUE(response->find("ok")->as_bool());
   ts->server->wait();
 
-  EXPECT_EQ(count_shards(store_dir), 16);
+  EXPECT_EQ(count_shards(store_dir), 8);
   // The socket is gone: a fresh daemon can bind it cleanly.
   EXPECT_FALSE(fs::exists(ts->socket_path));
   ts.reset();
@@ -647,7 +673,7 @@ TEST(Service, StoredJobServedFromWarmGoldensPutsThemOnDiskBeforeDrain) {
   const auto stored = client.submit_and_wait("test", test_env(), spec);
   ASSERT_TRUE(stored.ok) << stored.error;
   EXPECT_EQ(stored.result.stats.golden_builds, 0);
-  EXPECT_EQ(count_shards(store_dir), 16);  // 8 images x 2 policies
+  EXPECT_EQ(count_shards(store_dir), 8);  // one per image
   expect_same_results(unstored.result, stored.result);
 }
 
@@ -659,29 +685,31 @@ TEST(Service, UnstoredJobWritesIntoNoStore) {
   ServiceClient client;
   std::string error;
   ASSERT_TRUE(client.connect(ts->socket_path, &error)) << error;
-  CampaignSpec direct;
-  CampaignSpec winograd;
-  for (const CampaignPoint& point : small_grid()) {
-    (point.policy == ConvPolicy::kDirect ? direct : winograd)
-        .points.push_back(point);
+  CampaignSpec clean;
+  clean.points = small_grid();
+  clean.store.dir = store_dir;
+  // Permanent-fault points: their goldens are variants the stored job
+  // never wrote, so the unstored job has goldens of its own to build.
+  CampaignSpec variant;
+  variant.points = small_grid();
+  for (CampaignPoint& point : variant.points) {
+    point.fault.model = *FaultModelSpec::parse("stuck0(0.01)@weight#perm");
   }
-  direct.store.dir = store_dir;
-  const auto stored = client.submit_and_wait("test", test_env(), direct);
+  const auto stored = client.submit_and_wait("test", test_env(), clean);
   ASSERT_TRUE(stored.ok) << stored.error;
-  const auto unstored = client.submit_and_wait("test", test_env(), winograd);
+  const auto unstored = client.submit_and_wait("test", test_env(), variant);
   ASSERT_TRUE(unstored.ok) << unstored.error;
+  EXPECT_GT(unstored.result.stats.golden_builds, 0);
   ts->server->request_drain();
   ts->server->wait();
 
-  // Only the stored job's goldens are on disk: neither the unstored job
-  // nor the drain after it wrote into the earlier job's store.
+  // Only the stored job's clean goldens are on disk: neither the unstored
+  // job nor the drain after it wrote into the earlier job's store.
   EXPECT_EQ(count_shards(store_dir), 8);
   const GoldenStore store(store_dir, campaign_env_hash(f.net, f.data),
                           1ULL << 30);
   for (std::int64_t i = 0; i < 8; ++i) {
-    EXPECT_TRUE(fs::exists(store.shard_path(i, ConvPolicy::kDirect))) << i;
-    EXPECT_FALSE(fs::exists(store.shard_path(i, ConvPolicy::kWinograd2)))
-        << i;
+    EXPECT_TRUE(fs::exists(store.shard_path(i))) << i;
   }
   ts.reset();
 }

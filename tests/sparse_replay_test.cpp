@@ -92,18 +92,19 @@ Network pool_net() {
   return net;
 }
 
-// For each (policy, image, seed): scratch forward and cached replay must
-// be bit-identical with identical flip accounting. Returns how many trials
-// actually flipped bits, so callers can assert the sweep wasn't vacuously
+// For each (image, policy, seed): scratch forward and cached replay must
+// be bit-identical with identical flip accounting. One golden per image
+// serves every policy, as in a campaign. Returns how many trials actually
+// flipped bits, so callers can assert the sweep wasn't vacuously
 // fault-free.
 int check_replay_scratch(const Network& net, const FaultConfig& config,
                          int seeds, const char* what) {
   int faulted_trials = 0;
   const std::vector<TensorF> images = make_images(net.input_shape(), 2, 91);
-  for (const ConvPolicy policy :
-       {ConvPolicy::kDirect, ConvPolicy::kWinograd2, ConvPolicy::kWinograd4}) {
-    for (const TensorF& image : images) {
-      const GoldenCache golden = net.make_golden(image, policy);
+  for (const TensorF& image : images) {
+    const GoldenCache golden = net.make_golden(image, ConvPolicy::kDirect);
+    for (const ConvPolicy policy : {ConvPolicy::kDirect, ConvPolicy::kWinograd2,
+                                    ConvPolicy::kWinograd4}) {
       for (int seed = 1; seed <= seeds; ++seed) {
         FaultSession scratch_session(config, static_cast<std::uint64_t>(seed));
         ExecContext ctx;
@@ -112,7 +113,8 @@ int check_replay_scratch(const Network& net, const FaultConfig& config,
         const TensorI32 scratch = net.forward(image, ctx);
 
         FaultSession replay_session(config, static_cast<std::uint64_t>(seed));
-        const TensorI32 replay = net.forward_replay(golden, replay_session);
+        const TensorI32 replay =
+            net.forward_replay(golden, policy, replay_session);
 
         expect_tensors_equal(scratch, replay, what);
         EXPECT_EQ(scratch_session.total_flips(), replay_session.total_flips())

@@ -307,6 +307,12 @@ TEST(Store, DiskRestoredGoldensKeepCampaignBitIdentical) {
   const Fixture f = make_fixture();
   CampaignSpec plain;
   plain.points = small_grid();
+  // A permanent-fault point after the first clean one: each image's
+  // goldens alternate between the clean and the variant key, so a
+  // capacity of one thrashes.
+  CampaignPoint variant = plain.points[0];
+  variant.fault.model = *FaultModelSpec::parse("stuck0(0.01)@weight#perm");
+  plain.points.insert(plain.points.begin() + 1, variant);
   plain.golden_capacity = 1;  // constant golden thrash
   plain.threads = 1;
   const CampaignResult reference = run_campaign(f.net, f.data, plain);
@@ -334,13 +340,13 @@ TEST(Store, CorruptShardIsRejectedAndRebuilt) {
       f.net.make_golden(f.data.images[0], ConvPolicy::kDirect);
   {
     GoldenStore store(dir, env, 1ULL << 30);
-    store.save(0, ConvPolicy::kDirect, golden);
-    ASSERT_TRUE(store.load(0, ConvPolicy::kDirect).has_value());
+    store.save(0, golden);
+    ASSERT_TRUE(store.load(0).has_value());
   }
 
   // Flip one payload byte: the CRC must reject the shard and delete it.
   GoldenStore store(dir, env, 1ULL << 30);
-  const std::string shard = store.shard_path(0, ConvPolicy::kDirect);
+  const std::string shard = store.shard_path(0);
   {
     std::fstream file(shard, std::ios::binary | std::ios::in | std::ios::out);
     char byte = 0;
@@ -349,33 +355,33 @@ TEST(Store, CorruptShardIsRejectedAndRebuilt) {
     file.seekp(100);
     file.put(static_cast<char>(byte ^ 0x40));
   }
-  EXPECT_FALSE(store.load(0, ConvPolicy::kDirect).has_value());
+  EXPECT_FALSE(store.load(0).has_value());
   EXPECT_EQ(store.rejects(), 1);
   EXPECT_FALSE(fs::exists(shard));  // deleted so the rebuild respills
 
   // A truncated shard is rejected the same way.
-  store.save(0, ConvPolicy::kDirect, golden);
+  store.save(0, golden);
   fs::resize_file(shard, fs::file_size(shard) / 2);
-  EXPECT_FALSE(store.load(0, ConvPolicy::kDirect).has_value());
+  EXPECT_FALSE(store.load(0).has_value());
 
   // A corrupted payload_size in the (un-CRC'd) header must reject, never
   // allocate: the size is bounded against the real file size.
-  store.save(0, ConvPolicy::kDirect, golden);
+  store.save(0, golden);
   {
     std::fstream file(shard, std::ios::binary | std::ios::in | std::ios::out);
     const std::uint64_t huge = ~0ULL;
     file.seekp(32);  // ShardHeader::payload_size
     file.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
   }
-  EXPECT_FALSE(store.load(0, ConvPolicy::kDirect).has_value());
+  EXPECT_FALSE(store.load(0).has_value());
 
   // A shard from a different environment is unreachable (different name),
   // and a wrong-env header under the right name is rejected.
   GoldenStore other(dir, env ^ 1, 1ULL << 30);
-  other.save(0, ConvPolicy::kDirect, golden);
-  fs::copy_file(other.shard_path(0, ConvPolicy::kDirect), shard,
+  other.save(0, golden);
+  fs::copy_file(other.shard_path(0), shard,
                 fs::copy_options::overwrite_existing);
-  EXPECT_FALSE(store.load(0, ConvPolicy::kDirect).has_value());
+  EXPECT_FALSE(store.load(0).has_value());
 }
 
 // ---- runner-held store handles (sequential-adaptive consumers) ----
@@ -605,8 +611,8 @@ TEST(Store, CorruptShardIsQuarantinedForPostMortem) {
   const GoldenCache golden =
       f.net.make_golden(f.data.images[0], ConvPolicy::kDirect);
   GoldenStore store(dir, env, 1ULL << 30);
-  store.save(0, ConvPolicy::kDirect, golden);
-  const std::string shard = store.shard_path(0, ConvPolicy::kDirect);
+  store.save(0, golden);
+  const std::string shard = store.shard_path(0);
   {
     std::fstream file(shard, std::ios::binary | std::ios::in | std::ios::out);
     char byte = 0;
@@ -615,7 +621,7 @@ TEST(Store, CorruptShardIsQuarantinedForPostMortem) {
     file.seekp(100);
     file.put(static_cast<char>(byte ^ 0x40));
   }
-  EXPECT_FALSE(store.load(0, ConvPolicy::kDirect).has_value());
+  EXPECT_FALSE(store.load(0).has_value());
   EXPECT_EQ(store.quarantines(), 1);
   EXPECT_FALSE(fs::exists(shard));  // out of the way of the rebuild
   EXPECT_TRUE(fs::exists(shard + ".quarantine"));  // kept for post-mortem
@@ -623,8 +629,8 @@ TEST(Store, CorruptShardIsQuarantinedForPostMortem) {
   // Startup indexing skips quarantined files, and the slot respills
   // cleanly over the vacated path.
   GoldenStore reopened(dir, env, 1ULL << 30);
-  reopened.save(0, ConvPolicy::kDirect, golden);
-  EXPECT_TRUE(reopened.load(0, ConvPolicy::kDirect).has_value());
+  reopened.save(0, golden);
+  EXPECT_TRUE(reopened.load(0).has_value());
   EXPECT_EQ(reopened.quarantines(), 0);
   EXPECT_TRUE(fs::exists(shard + ".quarantine"));
 }
@@ -637,15 +643,15 @@ TEST(Store, EnospcDisablesSpillTierButStoreStaysUsable) {
       f.net.make_golden(f.data.images[0], ConvPolicy::kDirect);
   ScopedChaos chaos("1:enospc@write:*.tmp#1+");  // every spill hits ENOSPC
   GoldenStore store(dir, env, 1ULL << 30);
-  store.save(0, ConvPolicy::kDirect, golden);
+  store.save(0, golden);
   EXPECT_TRUE(store.spill_disabled());
-  EXPECT_FALSE(store.load(0, ConvPolicy::kDirect).has_value());
+  EXPECT_FALSE(store.load(0).has_value());
   EXPECT_EQ(store.bytes_on_disk(), 0u);
   // Later saves are skipped outright — no temp files accumulate and no
   // further ENOSPC is even provoked (the tier is off, not limping).
   ASSERT_NE(iofault::schedule(), nullptr);
   const std::int64_t before = iofault::schedule()->injections();
-  store.save(1, ConvPolicy::kDirect, golden);
+  store.save(1, golden);
   EXPECT_EQ(iofault::schedule()->injections(), before);
   EXPECT_TRUE(fs::is_empty(dir));
 }
@@ -748,12 +754,12 @@ TEST(Store, GoldenDiskBudgetEvictsOldestShards) {
       GoldenCodec::encode(golden).size() + 64;  // payload + header slack
 
   GoldenStore store(dir, env, 2 * one_shard);
-  store.save(0, ConvPolicy::kDirect, golden);
-  store.save(1, ConvPolicy::kDirect, golden);
-  store.save(2, ConvPolicy::kDirect, golden);  // evicts shard 0
+  store.save(0, golden);
+  store.save(1, golden);
+  store.save(2, golden);  // evicts shard 0
   EXPECT_GT(store.budget_evictions(), 0);
-  EXPECT_FALSE(store.load(0, ConvPolicy::kDirect).has_value());
-  EXPECT_TRUE(store.load(2, ConvPolicy::kDirect).has_value());
+  EXPECT_FALSE(store.load(0).has_value());
+  EXPECT_TRUE(store.load(2).has_value());
   EXPECT_LE(store.bytes_on_disk(), 2 * one_shard);
 }
 
@@ -988,14 +994,13 @@ TEST(Store, ShardMutantsLoadTheSeedGoldenOrQuarantine) {
   GoldenStore store(dir, campaign_env_hash(f.net, f.data), 1ULL << 30);
   const GoldenCache golden =
       f.net.make_golden(f.data.images[0], ConvPolicy::kDirect);
-  store.save(0, ConvPolicy::kDirect, golden);
-  store.save(1, ConvPolicy::kDirect,
-             f.net.make_golden(f.data.images[1], ConvPolicy::kDirect));
-  const std::string path = store.shard_path(0, ConvPolicy::kDirect);
+  store.save(0, golden);
+  store.save(1, f.net.make_golden(f.data.images[1], ConvPolicy::kDirect));
+  const std::string path = store.shard_path(0);
   const std::string quarantine = path + ".quarantine";
   const std::string seed = read_file(path);
   const std::vector<std::string> donors = {
-      read_file(store.shard_path(1, ConvPolicy::kDirect))};
+      read_file(store.shard_path(1))};
   const std::string expected = GoldenCodec::encode(golden);
 
   constexpr int kMutants = 4000;
@@ -1010,7 +1015,7 @@ TEST(Store, ShardMutantsLoadTheSeedGoldenOrQuarantine) {
     write_file(path, mutant);
     bool ok = true;
     if (const std::optional<GoldenCache> restored =
-            store.load(0, ConvPolicy::kDirect)) {
+            store.load(0)) {
       ++loaded;
       ok = GoldenCodec::encode(*restored) == expected;
     } else {
