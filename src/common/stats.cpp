@@ -17,11 +17,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double RunningStats::ci95_half_width() const {
-  if (n_ < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
 LineFit fit_line(std::span<const double> xs, std::span<const double> ys) {
   LineFit fit;
   const std::size_t n = std::min(xs.size(), ys.size());
@@ -53,13 +48,6 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
   if (fit.r2 <= 0.0) return 0.0;
   const double r = std::sqrt(fit.r2);
   return fit.slope >= 0 ? r : -r;
-}
-
-double mean_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
 }
 
 }  // namespace winofault

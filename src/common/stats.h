@@ -1,6 +1,6 @@
-// Small statistics helpers for experiment post-processing: running moments,
-// confidence half-widths, and least-squares line fits (used to calibrate the
-// voltage/BER model and to report accuracy-vs-mul-count correlation).
+// Small statistics helpers for experiment post-processing: running moments
+// and least-squares line fits (used to calibrate the voltage/BER model and
+// to report accuracy-vs-mul-count correlation).
 #pragma once
 
 #include <cstddef>
@@ -19,8 +19,6 @@ class RunningStats {
   // Unbiased sample variance; 0 for fewer than two samples.
   double variance() const;
   double stddev() const;
-  // Half-width of a ~95% normal-approximation confidence interval.
-  double ci95_half_width() const;
 
  private:
   std::size_t n_ = 0;
@@ -40,7 +38,5 @@ LineFit fit_line(std::span<const double> xs, std::span<const double> ys);
 
 // Pearson correlation; 0 when undefined.
 double pearson(std::span<const double> xs, std::span<const double> ys);
-
-double mean_of(std::span<const double> xs);
 
 }  // namespace winofault

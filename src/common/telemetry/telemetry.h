@@ -7,7 +7,8 @@
 // Metrics — counters, gauges, log2-bucketed histograms — live forever in
 // one leaked registry; get-or-create returns a stable reference, so hot
 // paths cache it in a function-local static and pay exactly one relaxed
-// atomic RMW per event (the GoldenLru builds_/hits_ pattern, generalized).
+// atomic RMW per event. A series counts the whole process; what one
+// campaign did is in its CampaignStats (core/campaign).
 // Series are (name, labels) pairs rendered in Prometheus text-exposition
 // format by prometheus_text(); winofaultd serves that render through its
 // `metrics` protocol verb, and WINOFAULT_METRICS=path dumps it at process

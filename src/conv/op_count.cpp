@@ -2,10 +2,6 @@
 
 namespace winofault {
 
-OpSpace conv_op_space(ConvPolicy policy, const ConvDesc& desc, DType dtype) {
-  return select_engine(policy, desc).op_space(desc, dtype);
-}
-
 double winograd_mul_reduction(int m, const ConvDesc& desc) {
   const ConvEngine& wg = winograd_engine(m);
   if (!wg.supports(desc)) return 1.0;

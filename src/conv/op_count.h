@@ -1,18 +1,12 @@
-// Closed-form operation counts per convolution layer and engine. Used by
-// the analysis drivers (Fig 3's mul-count correlation), the TMR overhead
-// accounting (Fig 5), and the systolic performance model (Fig 7) — all of
-// which must agree with the engines' own op spaces (asserted in tests).
+// Winograd's multiplication savings on one convolution layer, from the
+// engines' own op spaces. Only conv_exactness_test calls it; the figure
+// drivers take op counts from the Network's op spaces.
 #pragma once
 
 #include "conv/conv_desc.h"
 #include "conv/engine.h"
-#include "fault/op_space.h"
 
 namespace winofault {
-
-// Op space of `desc` under `policy` (including Winograd fallback to direct
-// for unsupported geometries), identical to the chosen engine's op_space.
-OpSpace conv_op_space(ConvPolicy policy, const ConvDesc& desc, DType dtype);
 
 // Multiplication-reduction factor of Winograd vs direct for this layer
 // (e.g. 2.25 for F(2,3) on an even-tiled 3x3 layer).

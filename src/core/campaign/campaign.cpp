@@ -138,8 +138,8 @@ telemetry::Counter& golden_metric(const char* which, const char* help,
 JournalCell execute_cell(const Network& network, const Dataset& dataset,
                          const CampaignPoint& point,
                          std::uint64_t point_hash, std::int64_t i,
-                         GoldenLru& lru, GoldenStore* store,
-                         const FaultOverlay* overlay) {
+                         GoldenLru& lru, GoldenTally& tally,
+                         GoldenStore* store, const FaultOverlay* overlay) {
   const TensorF& image = dataset.images[static_cast<std::size_t>(i)];
   const int label = dataset.labels[static_cast<std::size_t>(i)];
   // Every (point, image, trial) derives its own fault stream, so the
@@ -156,7 +156,7 @@ JournalCell execute_cell(const Network& network, const Dataset& dataset,
         [&] {
           return network.make_golden(image, ConvPolicy::kDirect, overlay);
         },
-        overlay != nullptr ? overlay->digest : 0, store);
+        tally, overlay != nullptr ? overlay->digest : 0, store);
     telemetry::TraceSpan span("cell_replay", "campaign");
     const std::int64_t t0 = telemetry::now_us();
     for (int t = 0; t < point.trials; ++t) {
@@ -290,7 +290,7 @@ void GoldenLru::ensure_capacity(std::size_t capacity) {
 
 GoldenLru::Ptr GoldenLru::get_or_build(
     std::int64_t image, const std::function<GoldenCache()>& build,
-    std::uint64_t variant, GoldenStore* store) {
+    GoldenTally& tally, std::uint64_t variant, GoldenStore* store) {
   const Key key{static_cast<std::uint64_t>(image), variant};
   std::promise<Ptr> promise;
   std::shared_future<Ptr> future;
@@ -301,7 +301,7 @@ GoldenLru::Ptr GoldenLru::get_or_build(
     if (const auto it = map_.find(key); it != map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       future = it->second.future;
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      tally.hits.fetch_add(1, std::memory_order_relaxed);
       golden_metric("hits_total", "GoldenLru cache hits", variant).add(1);
     } else {
       golden_metric("misses_total", "GoldenLru cache misses", variant).add(1);
@@ -317,7 +317,7 @@ GoldenLru::Ptr GoldenLru::get_or_build(
         const Key victim = lru_.back();
         map_.erase(victim);
         lru_.pop_back();
-        evictions_.fetch_add(1, std::memory_order_relaxed);
+        tally.evictions.fetch_add(1, std::memory_order_relaxed);
         golden_metric("evictions_total", "GoldenLru capacity evictions",
                       victim.variant)
             .add(1);
@@ -336,10 +336,11 @@ GoldenLru::Ptr GoldenLru::get_or_build(
         if (std::optional<GoldenCache> restored =
                 store->load(image, variant)) {
           ptr = std::make_shared<const GoldenCache>(std::move(*restored));
+          tally.restores.fetch_add(1, std::memory_order_relaxed);
         }
       }
       if (ptr == nullptr) {
-        builds_.fetch_add(1, std::memory_order_relaxed);
+        tally.builds.fetch_add(1, std::memory_order_relaxed);
         golden_metric("builds_total", "golden activation builds", variant)
             .add(1);
         telemetry::TraceSpan span("golden_build", "campaign");
@@ -369,7 +370,9 @@ GoldenLru::Ptr GoldenLru::get_or_build(
   // eviction order served this golden, the calling run finds it on disk
   // from here on. save never throws and returns at once when the shard
   // exists or another caller is writing it.
-  if (store != nullptr) store->save(image, *ptr, variant);
+  if (store != nullptr && store->save(image, *ptr, variant)) {
+    tally.spills.fetch_add(1, std::memory_order_relaxed);
+  }
   return ptr;
 }
 
@@ -418,9 +421,11 @@ struct CellPlan {
       const std::size_t p = active[pending[u].a];
       const JournalCell cell =
           execute_cell(network, dataset, spec.points[p], point_hashes[p],
-                       pending[u].image, *lru, golden_store.get(),
+                       pending[u].image, *lru, goldens, golden_store.get(),
                        overlays[p].get());
-      if (sink != nullptr) sink->append(cell);
+      if (sink != nullptr && sink->append(cell)) {
+        journaled.fetch_add(1, std::memory_order_relaxed);
+      }
       tally(u, cell);
       inferences.fetch_add(spec.points[p].trials, std::memory_order_relaxed);
       after(executed.fetch_add(1, std::memory_order_relaxed) + 1);
@@ -454,14 +459,6 @@ struct CellPlan {
   // the plan holds it for the whole run (null without a golden tier).
   std::shared_ptr<GoldenStore> golden_store;
   std::shared_ptr<ResultJournal> sink;  // where executed cells append
-  // Handles the runner kept open and a shared warm LRU carry activity
-  // from earlier runs; per-run stats are relative to these baselines.
-  std::int64_t sink_base = 0;
-  std::int64_t spills_base = 0;
-  std::int64_t restores_base = 0;
-  std::int64_t builds_base = 0;
-  std::int64_t hits_base = 0;
-  std::int64_t evictions_base = 0;
   std::unique_ptr<GoldenLru> local_lru;  // null when serving a warm tier
   GoldenLru* lru = nullptr;
   // Pending units, image-major: a contiguous slice (a pool worker's range,
@@ -471,8 +468,12 @@ struct CellPlan {
   std::vector<char> tallied;                       // parallel to pending
   std::vector<std::atomic<std::int64_t>> correct;  // parallel to active
   std::vector<std::atomic<std::int64_t>> flips;    // parallel to active
+  // This run's own counts: the LRU, journal and GoldenStore it uses may
+  // serve other runs at the same time.
   std::atomic<std::int64_t> executed{0};
   std::atomic<std::int64_t> inferences{0};
+  std::atomic<std::int64_t> journaled{0};  // cells appended to `sink`
+  GoldenTally goldens;
 };
 
 CellPlan::CellPlan(const CampaignRunner& runner, const Network& network,
@@ -510,14 +511,7 @@ CellPlan::CellPlan(const CampaignRunner& runner, const Network& network,
                               : ResultJournal::Mode::kAppend);
   journal = handles.journal;
   golden_store = handles.goldens;
-  if (!distributed && journal != nullptr) {
-    sink = journal;
-    sink_base = journal->appended_cells();
-  }
-  if (golden_store != nullptr) {
-    spills_base = golden_store->spills();
-    restores_base = golden_store->restores();
-  }
+  if (!distributed) sink = journal;
 
   active = resolve_active_points(network, dataset, spec, &result);
   if (active.empty()) return;
@@ -543,9 +537,6 @@ CellPlan::CellPlan(const CampaignRunner& runner, const Network& network,
     local_lru = std::make_unique<GoldenLru>(capacity);
     lru = local_lru.get();
   }
-  builds_base = lru->builds();
-  hits_base = lru->hits();
-  evictions_base = lru->evictions();
 
   correct = std::vector<std::atomic<std::int64_t>>(active.size());
   flips = std::vector<std::atomic<std::int64_t>>(active.size());
@@ -597,16 +588,12 @@ void CellPlan::finalize() {
     r.avg_flips = static_cast<double>(flips[a].load()) / runs;
   }
   result.stats.inferences = inferences.load();
-  result.stats.golden_builds = lru->builds() - builds_base;
-  result.stats.golden_hits = lru->hits() - hits_base;
-  result.stats.golden_evictions = lru->evictions() - evictions_base;
-  if (sink != nullptr) {
-    result.stats.journal_cells_written = sink->appended_cells() - sink_base;
-  }
-  if (golden_store != nullptr) {
-    result.stats.golden_spills = golden_store->spills() - spills_base;
-    result.stats.golden_restores = golden_store->restores() - restores_base;
-  }
+  result.stats.journal_cells_written = journaled.load();
+  result.stats.golden_builds = goldens.builds.load();
+  result.stats.golden_hits = goldens.hits.load();
+  result.stats.golden_evictions = goldens.evictions.load();
+  result.stats.golden_spills = goldens.spills.load();
+  result.stats.golden_restores = goldens.restores.load();
 }
 
 // Local execution: this process runs every pending unit. `cancelled`
@@ -718,7 +705,6 @@ void run_distributed(CellPlan& plan) {
           .store_handles(spec.store, ResultJournal::Mode::kAppend, tag)
           .journal;
   plan.sink = segment;
-  plan.sink_base = segment->appended_cells();
 
   std::atomic<std::int64_t> last_heartbeat_ms{0};
   const auto now_ms = [] {

@@ -132,17 +132,19 @@ struct CampaignSpec {
   const std::atomic<bool>* cancel = nullptr;
 };
 
+// What THIS run did, counted by the run itself: runs that share a warm
+// tier, a runner or a store directory never see each other's work.
 struct CampaignStats {
   std::int64_t golden_builds = 0;     // make_golden executions
   std::int64_t golden_hits = 0;       // cache hits (incl. waits on in-flight)
-  std::int64_t golden_evictions = 0;  // capacity evictions
+  std::int64_t golden_evictions = 0;  // evictions this run's inserts caused
   std::int64_t short_circuited_points = 0;  // destruction short-circuit
-  std::int64_t inferences = 0;  // (image, trial) runs simulated THIS run
+  std::int64_t inferences = 0;  // (image, trial) runs simulated
   // Persistent-store activity (all zero when the store is disabled):
   std::int64_t journal_cells_loaded = 0;   // cells reused from the journal
-  std::int64_t journal_cells_written = 0;  // cells appended this run
+  std::int64_t journal_cells_written = 0;  // cells this run appended
   std::int64_t cells_deferred = 0;         // pending cells past cell_budget
-  std::int64_t golden_spills = 0;          // goldens serialized to disk
+  std::int64_t golden_spills = 0;          // shards this run wrote
   std::int64_t golden_restores = 0;        // disk restores instead of builds
   // Always 0: goldens are saved when first used, never flushed at the end.
   // Kept because perfbench and the result wire read it.
@@ -160,11 +162,23 @@ struct CampaignResult {
   CampaignStats stats;
 };
 
+// One run's golden-tier work, filled by the GoldenLru::get_or_build calls
+// the run makes (its cells add to it concurrently).
+struct GoldenTally {
+  std::atomic<std::int64_t> hits{0};
+  std::atomic<std::int64_t> builds{0};
+  std::atomic<std::int64_t> restores{0};
+  std::atomic<std::int64_t> spills{0};     // shards written
+  std::atomic<std::int64_t> evictions{0};  // entries the run's inserts evicted
+};
+
 // Bounded shared cache of golden activations keyed by image index.
 // Concurrent requests for the same key block on the first builder's future
 // instead of duplicating the build; eviction only drops the cache's
 // reference, so in-flight users keep their entries alive. The cache holds
-// no store: a stored run passes its tier-2 GoldenStore to every call.
+// no store and no counts: a run passes its tier-2 GoldenStore and its
+// GoldenTally to every call, so runs sharing one cache each count only
+// their own calls.
 class GoldenLru {
  public:
   using Ptr = std::shared_ptr<const GoldenCache>;
@@ -173,7 +187,8 @@ class GoldenLru {
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   // Returns the cached golden for (image, variant), building it via `build`
-  // on a miss. `variant` is the FaultOverlay digest for
+  // on a miss, and adds the call's hit, build, restore, shard write and
+  // evictions to `tally`. `variant` is the FaultOverlay digest for
   // permanent-fault golden variants (fault/models/overlay.h); 0 — clean
   // silicon — is the historical key space. With a `store` (the calling
   // run's, held by it for the call), a miss tries a disk restore before
@@ -185,17 +200,14 @@ class GoldenLru {
   // byte-exact.
   Ptr get_or_build(std::int64_t image,
                    const std::function<GoldenCache()>& build,
-                   std::uint64_t variant = 0, GoldenStore* store = nullptr);
+                   GoldenTally& tally, std::uint64_t variant = 0,
+                   GoldenStore* store = nullptr);
 
   // Grows capacity to at least `capacity` (never shrinks): a shared
   // cross-campaign tier (CampaignSpec::warm_goldens) must fit the largest
   // working set among the campaigns it serves or it would thrash on the
   // largest one.
   void ensure_capacity(std::size_t capacity);
-
-  std::int64_t builds() const { return builds_.load(); }
-  std::int64_t hits() const { return hits_.load(); }
-  std::int64_t evictions() const { return evictions_.load(); }
 
  private:
   // Cache key: the image plus the golden-variant digest
@@ -226,9 +238,6 @@ class GoldenLru {
   std::list<Key> lru_;  // front = most recently used
   std::unordered_map<Key, Entry, KeyHash> map_;
   std::uint64_t next_owner_ = 0;
-  std::atomic<std::int64_t> builds_{0};
-  std::atomic<std::int64_t> hits_{0};
-  std::atomic<std::int64_t> evictions_{0};
 };
 
 // Open handles of one store directory under one campaign environment.

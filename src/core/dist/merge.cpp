@@ -78,11 +78,9 @@ MergeStats merge_campaign_segments(const std::string& dir) {
           ++stats.cells_duplicate;  // identical by determinism
           continue;
         }
-        canonical->append(cell);
-        // append no-ops silently once a write has failed — check per
-        // cell so a mid-segment disk-full neither counts unpersisted
-        // cells as merged nor lets the segment be deleted.
-        if (!canonical->can_append()) {
+        // Check every append so a mid-segment disk-full neither counts
+        // unpersisted cells as merged nor lets the segment be deleted.
+        if (!canonical->append(cell)) {
           WF_WARN << "merge: canonical append failed; keeping " << seg->path;
           ++stats.journals_unwritable;
           unwritable = true;

@@ -63,21 +63,6 @@ bool ServiceClient::connect(const std::string& socket_path,
   return true;
 }
 
-bool ServiceClient::connect_with_retry(const std::string& socket_path,
-                                       const RetryPolicy& policy,
-                                       std::string* error) {
-  std::int64_t backoff = policy.backoff_ms;
-  const int attempts = policy.attempts < 1 ? 1 : policy.attempts;
-  for (int attempt = 1;; ++attempt) {
-    if (connect(socket_path, error)) return true;
-    if (attempt >= attempts) return false;
-    WF_INFO << "service client: connect attempt " << attempt << "/"
-            << attempts << " failed; retrying in " << backoff << " ms";
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-    backoff = std::min(backoff * 2, policy.max_backoff_ms);
-  }
-}
-
 bool ServiceClient::send_line(const std::string& line, std::string* error) {
   if (fd_ < 0) return fail(error, "not connected");
   std::size_t sent = 0;

@@ -56,19 +56,13 @@ class ServiceClient {
       const std::function<void(const CampaignProgress&)>& on_progress = {},
       std::string* job_id_out = nullptr);
 
-  // Capped exponential backoff for the retrying entry points below:
-  // attempt k sleeps backoff_ms * 2^(k-1), capped at max_backoff_ms.
+  // Capped exponential backoff for submit_with_retry below: attempt k
+  // sleeps backoff_ms * 2^(k-1), capped at max_backoff_ms.
   struct RetryPolicy {
     int attempts = 3;
     std::int64_t backoff_ms = 100;
     std::int64_t max_backoff_ms = 2000;
   };
-
-  // connect() with up to `policy.attempts` tries. A daemon mid-restart (or
-  // a chaos-dropped connect) succeeds on a later attempt instead of
-  // failing the whole submission path.
-  bool connect_with_retry(const std::string& socket_path,
-                          const RetryPolicy& policy, std::string* error);
 
   // Submission hardened against connection failure: each transport error
   // (connect lost, stream died mid-progress) reconnects and resubmits the

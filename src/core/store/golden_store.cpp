@@ -210,20 +210,21 @@ std::string GoldenStore::shard_path(std::int64_t image,
   return dir_ + "/" + name;
 }
 
-void GoldenStore::save(std::int64_t image, const GoldenCache& golden,
+bool GoldenStore::save(std::int64_t image, const GoldenCache& golden,
                        std::uint64_t variant) noexcept {
   // ENOSPC degradation: once the disk is full the spill tier turns itself
   // off (warned once) and the campaign keeps computing — every further
   // save would fail the same way, and a rebuild-on-miss is always correct.
-  if (spill_disabled_.load(std::memory_order_relaxed)) return;
+  if (spill_disabled_.load(std::memory_order_relaxed)) return false;
   // The whole body is exception-guarded: the caller
   // (GoldenLru::get_or_build, on every golden it returns) relies on save
   // never throwing, and even the path strings / in-flight set below
   // allocate. A failed spill only costs a later rebuild.
   try {
-    save_impl(image, golden, variant);
+    return save_impl(image, golden, variant);
   } catch (...) {
     WF_WARN << "golden store: spill failed; the entry will rebuild instead";
+    return false;
   }
 }
 
@@ -235,7 +236,7 @@ void GoldenStore::disable_spills(const char* why) {
   }
 }
 
-void GoldenStore::save_impl(std::int64_t image, const GoldenCache& golden,
+bool GoldenStore::save_impl(std::int64_t image, const GoldenCache& golden,
                             std::uint64_t variant) {
   const std::string path = shard_path(image, variant);
   std::error_code ec;
@@ -248,8 +249,8 @@ void GoldenStore::save_impl(std::int64_t image, const GoldenCache& golden,
   // reservation on top.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (std::filesystem::exists(path, ec)) return;  // deterministic content
-    if (!in_flight_.insert(path).second) return;    // same-key in flight
+    if (std::filesystem::exists(path, ec)) return false;  // deterministic
+    if (!in_flight_.insert(path).second) return false;    // same-key in flight
   }
 
   // From here on, every exit must release the in-flight entry and any
@@ -324,7 +325,6 @@ void GoldenStore::save_impl(std::int64_t image, const GoldenCache& golden,
         iofault::checked_rename(tmp, path, ec);
         if (!ec) {
           index_.push_back(ShardRef{path, total});
-          spills_.fetch_add(1, std::memory_order_relaxed);
           telemetry::counter("winofault_store_shard_spills_total",
                              "golden shards spilled to disk",
                              shard_variant_labels(variant))
@@ -341,11 +341,12 @@ void GoldenStore::save_impl(std::int64_t image, const GoldenCache& golden,
     WF_WARN << "golden store: spill of " << path
             << " failed; the entry will rebuild instead";
   }
-  if (published) return;
+  if (published) return true;
   if (!tmp.empty()) std::filesystem::remove(tmp, ec);
   std::lock_guard<std::mutex> lock(mu_);
   in_flight_.erase(path);
   bytes_ -= std::min(bytes_.load(), reserved);
+  return false;
 }
 
 std::optional<GoldenCache> GoldenStore::load(std::int64_t image,
@@ -406,7 +407,6 @@ std::optional<GoldenCache> GoldenStore::load(std::int64_t image,
     // for post-mortem instead of being destroyed. Deletion is the fallback
     // when even the rename fails.
     WF_WARN << "golden store: quarantining corrupt shard " << path;
-    rejects_.fetch_add(1, std::memory_order_relaxed);
     quarantines_.fetch_add(1, std::memory_order_relaxed);
     telemetry::counter("winofault_store_shard_quarantines_total",
                        "corrupt shards quarantined at restore")
@@ -427,7 +427,6 @@ std::optional<GoldenCache> GoldenStore::load(std::int64_t image,
     }
     return std::nullopt;
   }
-  restores_.fetch_add(1, std::memory_order_relaxed);
   telemetry::counter("winofault_store_shard_restores_total",
                      "golden shards restored from disk",
                      shard_variant_labels(variant))

@@ -49,12 +49,14 @@ class GoldenStore {
   // are dropped to make room, and a dropped shard is written again the
   // next time a stored run uses its golden. Called on every golden
   // GoldenLru::get_or_build returns, so the exists check comes first.
+  // Returns true when this call wrote the shard, false when it existed,
+  // another caller was writing it, or the spill failed or did not fit.
   // Thread-safe and never throws — a failed spill degrades to a warning
   // and a later rebuild. `variant` is the FaultOverlay digest for
   // permanent-fault golden variants; 0 (clean silicon) keeps the exact
   // pre-variant shard name and header, so stores written before the
   // fault-model registry stay readable.
-  void save(std::int64_t image, const GoldenCache& golden,
+  bool save(std::int64_t image, const GoldenCache& golden,
             std::uint64_t variant = 0) noexcept;
 
   // Restores the (image[, variant]) shard; nullopt when absent or rejected
@@ -67,9 +69,6 @@ class GoldenStore {
   // per-policy, so a store written then keeps serving its direct shards.
   std::string shard_path(std::int64_t image, std::uint64_t variant = 0) const;
 
-  std::int64_t spills() const { return spills_.load(); }
-  std::int64_t restores() const { return restores_.load(); }
-  std::int64_t rejects() const { return rejects_.load(); }
   std::int64_t quarantines() const { return quarantines_.load(); }
   std::int64_t budget_evictions() const { return budget_evictions_.load(); }
   std::uint64_t bytes_on_disk() const { return bytes_.load(); }
@@ -84,7 +83,7 @@ class GoldenStore {
     std::uint64_t bytes = 0;
   };
 
-  void save_impl(std::int64_t image, const GoldenCache& golden,
+  bool save_impl(std::int64_t image, const GoldenCache& golden,
                  std::uint64_t variant);
   // Turns the spill tier off permanently (idempotent; warns once).
   void disable_spills(const char* why);
@@ -96,9 +95,6 @@ class GoldenStore {
   std::vector<ShardRef> index_;  // oldest first
   std::unordered_set<std::string> in_flight_;  // saves between lock regions
   std::atomic<std::uint64_t> bytes_{0};  // atomic: read by stats getters
-  std::atomic<std::int64_t> spills_{0};
-  std::atomic<std::int64_t> restores_{0};
-  std::atomic<std::int64_t> rejects_{0};
   std::atomic<std::int64_t> quarantines_{0};
   std::atomic<std::int64_t> budget_evictions_{0};
   std::atomic<bool> spill_disabled_{false};

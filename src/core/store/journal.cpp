@@ -263,10 +263,10 @@ bool ResultJournal::lookup(std::uint64_t point_hash, std::int64_t image,
   return true;
 }
 
-void ResultJournal::append(const JournalCell& cell) {
+bool ResultJournal::append(const JournalCell& cell) {
   const RawRecord r = cell_record(cell, env_hash_);
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return;
+  if (file_ == nullptr) return false;
   // A failed write (e.g. disk full) may leave a torn record that recovery
   // will truncate — along with everything appended after it. Stop claiming
   // durability at the first failure instead of silently losing every
@@ -277,13 +277,13 @@ void ResultJournal::append(const JournalCell& cell) {
             << " failed; further cells will not persist";
     std::fclose(file_);
     file_ = nullptr;
-    return;
+    return false;
   }
   // A kill after this point loses nothing.
   cells_[journal_cell_key(cell.point_hash, cell.image)] = cell;
-  ++appended_;
   journal_appends_metric().add(1);
   journal_bytes_metric().add(static_cast<std::int64_t>(sizeof(RawRecord)));
+  return true;
 }
 
 bool ResultJournal::sync() {

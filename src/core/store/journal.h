@@ -73,8 +73,10 @@ class ResultJournal {
   // Appends a finished cell and flushes it (thread-safe). The cell also
   // joins the in-memory map, so a later lookup through this same handle —
   // e.g. a sequential-adaptive consumer whose runner kept it open — sees it
-  // without re-reading the file.
-  void append(const JournalCell& cell);
+  // without re-reading the file. Returns whether the cell was written:
+  // false when the journal cannot append or this write failed, after
+  // which can_append() is false.
+  bool append(const JournalCell& cell);
 
   // False when the journal file could not be opened for appending (or a
   // write failed): recovered cells are still served, but new cells will
@@ -92,7 +94,6 @@ class ResultJournal {
   // Cells recovered from disk when the journal was opened (appends since
   // then are not counted).
   std::int64_t recovered_cells() const { return recovered_; }
-  std::int64_t appended_cells() const { return appended_; }
   const std::string& path() const { return path_; }
 
   static std::string journal_path(const std::string& dir,
@@ -129,9 +130,8 @@ class ResultJournal {
   std::uint64_t env_hash_;
   std::unordered_map<std::uint64_t, JournalCell> cells_;
   std::FILE* file_ = nullptr;  // append handle (null in kReadOnly)
-  mutable std::mutex mu_;      // guards cells_, file_, appended_
+  mutable std::mutex mu_;      // guards cells_, file_
   std::int64_t recovered_ = 0;
-  std::int64_t appended_ = 0;
 };
 
 }  // namespace winofault

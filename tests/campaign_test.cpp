@@ -9,12 +9,15 @@
 //       max_expected_flips and simulates at or below it;
 //   (e) `trials` plumbs through the sweep/layerwise/explorer spec builders;
 //   (f) telemetry is observation-only: tracing on, off, or toggled
-//       mid-grid never changes a single result bit.
+//       mid-grid never changes a single result bit;
+//   (g) a run's stats count its own work, also while another run shares
+//       its warm tier, runner and store.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <cstdlib>
@@ -191,6 +194,7 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
 // rebuild on the NEXT request.
 TEST(GoldenLru, ConcurrentWaitersSurviveEvictionMidBuild) {
   GoldenLru lru(1);
+  GoldenTally tally;
   std::atomic<int> x_builds{0};
   std::promise<void> x_started;
   std::promise<void> release_x;
@@ -205,31 +209,31 @@ TEST(GoldenLru, ConcurrentWaitersSurviveEvictionMidBuild) {
 
   GoldenLru::Ptr a_ptr, b_ptr, c_ptr;
   std::thread a([&] {
-    a_ptr = lru.get_or_build(0, slow_build_x);
+    a_ptr = lru.get_or_build(0, slow_build_x, tally);
   });
   x_started.get_future().wait();
 
   // B and C attach to the in-flight build; each registers as a hit before
-  // blocking, so waiting on hits() == 2 guarantees they hold the future
+  // blocking, so waiting on 2 tallied hits guarantees they hold the future
   // BEFORE the eviction below.
   const auto must_not_build = [&]() -> GoldenCache {
     ADD_FAILURE() << "dedup violated: waiter rebuilt an in-flight entry";
     return GoldenCache{};
   };
   std::thread b([&] {
-    b_ptr = lru.get_or_build(0, must_not_build);
+    b_ptr = lru.get_or_build(0, must_not_build, tally);
   });
   std::thread c([&] {
-    c_ptr = lru.get_or_build(0, must_not_build);
+    c_ptr = lru.get_or_build(0, must_not_build, tally);
   });
-  while (lru.hits() < 2) std::this_thread::yield();
+  while (tally.hits.load() < 2) std::this_thread::yield();
 
   // D inserts a different key into the capacity-1 cache, evicting X while
   // its build is parked.
   const GoldenLru::Ptr d_ptr =
-      lru.get_or_build(1, [] { return GoldenCache{}; });
+      lru.get_or_build(1, [] { return GoldenCache{}; }, tally);
   ASSERT_NE(d_ptr, nullptr);
-  EXPECT_EQ(lru.evictions(), 1);
+  EXPECT_EQ(tally.evictions.load(), 1);
 
   release_x.set_value();
   a.join();
@@ -242,12 +246,84 @@ TEST(GoldenLru, ConcurrentWaitersSurviveEvictionMidBuild) {
 
   // X was evicted mid-build, so the next request rebuilds it — eviction
   // cost a rebuild, never a wrong pointer.
-  lru.get_or_build(0, [&] {
-    x_builds.fetch_add(1);
-    return GoldenCache{};
-  });
+  lru.get_or_build(
+      0,
+      [&] {
+        x_builds.fetch_add(1);
+        return GoldenCache{};
+      },
+      tally);
   EXPECT_EQ(x_builds.load(), 2);
-  EXPECT_EQ(lru.builds(), 3);  // X twice, Y once
+  EXPECT_EQ(tally.builds.load(), 3);  // X twice, Y once
+}
+
+// ---- (g) a run's stats are its own ----
+
+struct NestedRuns {
+  CampaignResult outer;
+  CampaignResult inner;
+};
+
+// Two runs of 6 images x {direct, winograd2} x 2 trials on one runner and
+// one warm tier, under different seeds and, with a `store_dir`, in one
+// store directory. The inner run starts from the outer run's progress
+// callback after its first cell, on a pool participant, so it runs inline
+// and wholly inside the outer run.
+NestedRuns run_nested(const Fixture& f, const std::string& store_dir) {
+  const CampaignRunner runner(f.net, f.data);
+  GoldenLru warm(1);  // each run grows it to its working set
+  CampaignSpec outer;
+  for (const ConvPolicy policy :
+       {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
+    CampaignPoint point;
+    point.fault.ber = 3e-6;
+    point.policy = policy;
+    point.seed = 7;
+    point.trials = 2;
+    outer.points.push_back(point);
+  }
+  outer.threads = 2;
+  outer.warm_goldens = &warm;
+  outer.store.dir = store_dir;
+  CampaignSpec inner = outer;
+  for (CampaignPoint& point : inner.points) point.seed = 8;
+
+  NestedRuns runs;
+  std::once_flag started;
+  outer.on_progress = [&](const CampaignProgress& progress) {
+    if (progress.cells_done == 0) return;
+    std::call_once(started, [&] { runs.inner = runner.run(inner); });
+  };
+  runs.outer = runner.run(outer);
+  return runs;
+}
+
+TEST(Campaign, RunsSharingAWarmTierReportOnlyTheirOwnWork) {
+  const Fixture f = make_fixture(6);
+  const NestedRuns runs = run_nested(f, "");
+  for (const CampaignStats& stats : {runs.outer.stats, runs.inner.stats}) {
+    EXPECT_EQ(stats.golden_hits + stats.golden_builds, 12);  // 6 x 2 cells
+    EXPECT_EQ(stats.golden_evictions, 0);
+  }
+  // One build per image between them: the second run to ask hits.
+  EXPECT_EQ(runs.outer.stats.golden_builds + runs.inner.stats.golden_builds,
+            6);
+}
+
+TEST(Campaign, RunsSharingAStoreReportOnlyTheirOwnWrites) {
+  const Fixture f = make_fixture(6);
+  const std::string dir = ::testing::TempDir() + "winofault_nested_store";
+  std::filesystem::remove_all(dir);
+  const NestedRuns runs = run_nested(f, dir);
+  for (const CampaignStats& stats : {runs.outer.stats, runs.inner.stats}) {
+    EXPECT_EQ(stats.journal_cells_written, 12);
+    EXPECT_EQ(stats.golden_hits + stats.golden_builds + stats.golden_restores,
+              12);
+  }
+  // One shard per image between them: the second run to save finds it.
+  EXPECT_EQ(runs.outer.stats.golden_spills + runs.inner.stats.golden_spills,
+            6);
+  std::filesystem::remove_all(dir);
 }
 
 // ---- (d) destruction short-circuit boundary ----

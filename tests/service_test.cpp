@@ -828,10 +828,22 @@ TEST(Service, TwoConcurrentClientsGetIdenticalCorrectResults) {
     });
   }
   for (std::thread& t : clients) t.join();
+  // Each job's stats are its own, though both share the session's warm
+  // tier: its lookups cover its own 32 cells, and its fresh store gets
+  // every image's shard.
+  const std::int64_t cells = 32;  // 4 points x 8 images
+  std::int64_t builds = 0;
   for (int c = 0; c < 2; ++c) {
     ASSERT_TRUE(outcomes[c].ok) << outcomes[c].error;
     expect_same_results(direct, outcomes[c].result);
+    const CampaignStats& stats = outcomes[c].result.stats;
+    EXPECT_EQ(stats.golden_hits + stats.golden_builds + stats.golden_restores,
+              cells);
+    EXPECT_EQ(stats.journal_cells_written, cells);
+    EXPECT_EQ(stats.golden_spills, 8);
+    builds += stats.golden_builds;
   }
+  EXPECT_EQ(builds, 8);  // one build per image between the two jobs
 }
 
 TEST(Service, StoreSwitchesBesideALongUnstoredJobKeepResultsCorrect) {

@@ -356,7 +356,7 @@ TEST(Store, CorruptShardIsRejectedAndRebuilt) {
     file.put(static_cast<char>(byte ^ 0x40));
   }
   EXPECT_FALSE(store.load(0).has_value());
-  EXPECT_EQ(store.rejects(), 1);
+  EXPECT_EQ(store.quarantines(), 1);
   EXPECT_FALSE(fs::exists(shard));  // deleted so the rebuild respills
 
   // A truncated shard is rejected the same way.
@@ -662,12 +662,10 @@ TEST(Store, ChaosTornJournalAppendIsDroppedOnRecovery) {
   {
     ScopedChaos chaos("3:torn(12)@write:*.journal#2");
     ResultJournal journal(dir, env, ResultJournal::Mode::kAppend);
-    journal.append(JournalCell{1, 0, 1, 1});
-    journal.append(JournalCell{2, 1, 0, 2});  // torn 12 bytes in
+    EXPECT_TRUE(journal.append(JournalCell{1, 0, 1, 1}));
+    EXPECT_FALSE(journal.append(JournalCell{2, 1, 0, 2}));  // torn 12 bytes in
     EXPECT_FALSE(journal.can_append());  // durability honestly renounced
-    EXPECT_EQ(journal.appended_cells(), 1);
-    journal.append(JournalCell{3, 2, 1, 3});  // silently dropped, no crash
-    EXPECT_EQ(journal.appended_cells(), 1);
+    EXPECT_FALSE(journal.append(JournalCell{3, 2, 1, 3}));  // dropped, no crash
   }
   // Recovery truncates the torn record and reopens for appending.
   ResultJournal recovered(dir, env, ResultJournal::Mode::kAppend);

@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include "common/env.h"
 #include "core/service/server.h"
 
 namespace {
@@ -37,8 +38,8 @@ void usage(const char* prog, std::FILE* to) {
       "                       resident (default 4)\n"
       "  --golden-capacity N  initial warm golden-LRU entries per session\n"
       "                       (default: minimal; campaigns grow it)\n"
-      "  --session-ttl MS     evict warm sessions idle this long\n"
-      "                       (default: no TTL)\n"
+      "  --session-ttl MS     evict warm sessions idle this long, at most\n"
+      "                       2147483647 ms (24.8 days) (default: no TTL)\n"
       "  --queue-bound N      per-client queued-job bound; the excess is\n"
       "                       refused as 'overloaded' (default 32, 0 = off)\n"
       "  --history-depth N    telemetry snapshots kept for the `history`\n"
@@ -57,16 +58,18 @@ int main(int argc, char** argv) {
 
   ServerOptions options;
   const char* prog = argc > 0 ? argv[0] : "winofaultd";
-  const auto int_value = [&](int& i) -> long {
+  // parse_int rejects "2x" and any value outside int's range: 4294967298
+  // must not narrow to 2, nor 10000000000 s overflow the sampler's wait.
+  const auto int_value = [&](int& i) -> int {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "%s: %s requires a value\n", prog, argv[i]);
       std::exit(2);
     }
-    char* end = nullptr;
-    const long value = std::strtol(argv[++i], &end, 10);
-    if (end == nullptr || *end != '\0' || value < 0) {
+    int value = -1;
+    if (!winofault::parse_int(argv[++i], &value) || value < 0) {
       std::fprintf(stderr, "%s: bad value '%s' for %s\n", prog, argv[i],
                    argv[i - 1]);
+      usage(prog, stderr);
       std::exit(2);
     }
     return value;
@@ -84,19 +87,19 @@ int main(int argc, char** argv) {
       }
       options.socket_path = argv[++i];
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      options.concurrent_jobs = static_cast<int>(int_value(i));
+      options.concurrent_jobs = int_value(i);
     } else if (std::strcmp(argv[i], "--sessions") == 0) {
       options.max_sessions = static_cast<std::size_t>(int_value(i));
     } else if (std::strcmp(argv[i], "--golden-capacity") == 0) {
       options.golden_capacity = static_cast<std::size_t>(int_value(i));
     } else if (std::strcmp(argv[i], "--session-ttl") == 0) {
-      options.session_idle_ttl_ms = static_cast<std::int64_t>(int_value(i));
+      options.session_idle_ttl_ms = int_value(i);
     } else if (std::strcmp(argv[i], "--queue-bound") == 0) {
       options.max_queued_per_client = static_cast<std::size_t>(int_value(i));
     } else if (std::strcmp(argv[i], "--history-depth") == 0) {
       options.history_depth = static_cast<std::size_t>(int_value(i));
     } else if (std::strcmp(argv[i], "--history-interval") == 0) {
-      options.history_interval_s = static_cast<std::int64_t>(int_value(i));
+      options.history_interval_s = int_value(i);
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", prog, argv[i]);
       usage(prog, stderr);
