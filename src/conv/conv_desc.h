@@ -51,10 +51,15 @@ struct ConvData {
   QuantParams out_quant;   // requantization target for the layer output
 
   // Optional precomputed Winograd filter banks (transform_filters output
-  // for m = 2 / 4). Weights are static per layer, so layers cache these
-  // across forwards; when null the engine transforms on the fly.
+  // for m = 2 / 4). Weights are static per layer, so ConvLayer caches
+  // them across forwards, narrowed to int32 (|U| < 2^31 for both plans:
+  // half the bytes); the int64 ones serve callers holding
+  // transform_filters' own result. The engine uses an int32 bank when set,
+  // else an int64 one, else transforms on the fly.
   const std::vector<std::int64_t>* wg_bank_f2 = nullptr;
   const std::vector<std::int64_t>* wg_bank_f4 = nullptr;
+  const std::vector<std::int32_t>* wg_bank32_f2 = nullptr;
+  const std::vector<std::int32_t>* wg_bank32_f4 = nullptr;
 };
 
 }  // namespace winofault

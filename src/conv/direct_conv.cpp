@@ -1,6 +1,7 @@
 #include "conv/direct_conv.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.h"
@@ -128,20 +129,117 @@ TensorI32 direct_forward_gemm(const ConvDesc& desc, const ConvData& data) {
   return out;
 }
 
-std::int64_t direct_acc_absmax(const ConvDesc& desc, const ConvData& data) {
-  std::vector<std::int64_t> per_oc(static_cast<std::size_t>(desc.out_c), 1);
+std::vector<std::int64_t> direct_forward_acc(const ConvDesc& desc,
+                                             const ConvData& data) {
+  WF_CHECK(data.input && data.weights);
+  WF_CHECK(!desc.has_bias || data.bias);
+  const std::int64_t e_count = desc.out_h() * desc.out_w();
+  std::vector<std::int64_t> acc(
+      static_cast<std::size_t>(desc.out_c * e_count));
   gemm_acc(desc, data,
-           [&](std::int64_t oc, std::int64_t,
+           [&](std::int64_t oc, std::int64_t e0,
                std::span<const std::int64_t> accs) {
-             std::int64_t m = per_oc[static_cast<std::size_t>(oc)];
-             for (const std::int64_t a : accs) {
-               m = std::max(m, a < 0 ? -a : a);
-             }
-             per_oc[static_cast<std::size_t>(oc)] = m;
+             std::copy(accs.begin(), accs.end(),
+                       acc.begin() + oc * e_count + e0);
            });
+  return acc;
+}
+
+std::int64_t direct_acc_absmax(const ConvDesc& desc, const ConvData& data) {
   std::int64_t absmax = 1;
-  for (const std::int64_t m : per_oc) absmax = std::max(absmax, m);
+  for (const std::int64_t a : direct_forward_acc(desc, data)) {
+    absmax = std::max(absmax, a < 0 ? -a : a);
+  }
   return absmax;
+}
+
+std::vector<std::int16_t> transpose_weights_i16(const ConvDesc& desc,
+                                                const TensorI32& weights) {
+  const std::int64_t window = desc.in_c * desc.kh * desc.kw;
+  WF_CHECK(weights.numel() == desc.out_c * window);
+  std::vector<std::int16_t> wt(static_cast<std::size_t>(weights.numel()));
+  const std::int32_t* w = weights.data();
+  for (std::int64_t oc = 0; oc < desc.out_c; ++oc) {
+    for (std::int64_t r = 0; r < window; ++r) {
+      const std::int32_t v = w[oc * window + r];
+      WF_CHECK(v >= INT16_MIN && v <= INT16_MAX);
+      wt[static_cast<std::size_t>(r * desc.out_c + oc)] =
+          static_cast<std::int16_t>(v);
+    }
+  }
+  return wt;
+}
+
+ConvDelta direct_delta_acc(const ConvDesc& desc, const TensorI32& input,
+                           const TensorI32& golden_input,
+                           std::span<const std::int16_t> wt) {
+  WF_CHECK(input.shape() == desc.in_shape());
+  WF_CHECK(golden_input.shape() == desc.in_shape());
+  const std::int64_t hw = desc.in_h * desc.in_w;
+  const std::int64_t taps = desc.kh * desc.kw;
+  WF_CHECK(desc.in_c * taps <= INT32_MAX);
+  WF_CHECK(static_cast<std::int64_t>(wt.size()) ==
+           desc.in_c * taps * desc.out_c);
+  const std::int32_t* x = input.data();
+  const std::int32_t* g = golden_input.data();
+
+  // Changed elements grouped by spatial position p = iy*in_w + ix (CSR,
+  // input channels ascending); a term's row is ic*kh*kw until the gather
+  // adds its tap.
+  std::vector<std::int32_t> start(static_cast<std::size_t>(hw + 1), 0);
+  for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
+    const std::int64_t base = ic * hw;
+    for (std::int64_t p = 0; p < hw; ++p) {
+      start[static_cast<std::size_t>(p + 1)] += x[base + p] != g[base + p];
+    }
+  }
+  for (std::size_t p = 0; p < start.size() - 1; ++p) start[p + 1] += start[p];
+  ConvDelta delta;
+  if (start.back() == 0) return delta;
+  std::vector<DeltaTerm> changed(static_cast<std::size_t>(start.back()));
+  std::vector<std::int32_t> next(start.begin(), start.end() - 1);
+  for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
+    const std::int64_t base = ic * hw;
+    for (std::int64_t p = 0; p < hw; ++p) {
+      if (x[base + p] == g[base + p]) continue;
+      changed[static_cast<std::size_t>(next[static_cast<std::size_t>(p)]++)] =
+          DeltaTerm{static_cast<std::int32_t>(ic * taps),
+                    x[base + p] - g[base + p]};
+    }
+  }
+
+  // Every output position whose window holds a changed element, ascending:
+  // gather its terms, each row completed with its tap, and sum them.
+  const std::int64_t oh = desc.out_h(), ow = desc.out_w();
+  std::vector<DeltaTerm> terms;
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    for (std::int64_t ox = 0; ox < ow; ++ox) {
+      terms.clear();
+      for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
+        const std::int64_t iy = oy * desc.stride - desc.pad + ky;
+        if (iy < 0 || iy >= desc.in_h) continue;
+        for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
+          const std::int64_t ix = ox * desc.stride - desc.pad + kx;
+          if (ix < 0 || ix >= desc.in_w) continue;
+          const std::int64_t p = iy * desc.in_w + ix;
+          const std::int32_t tap =
+              static_cast<std::int32_t>(ky * desc.kw + kx);
+          for (std::int32_t k = start[static_cast<std::size_t>(p)];
+               k < start[static_cast<std::size_t>(p + 1)]; ++k) {
+            const DeltaTerm& c = changed[static_cast<std::size_t>(k)];
+            terms.push_back(DeltaTerm{c.row + tap, c.delta});
+          }
+        }
+      }
+      if (terms.empty()) continue;
+      delta.positions.push_back(oy * ow + ox);
+      delta.acc.resize(delta.acc.size() + static_cast<std::size_t>(desc.out_c));
+      delta_microkernel(delta.acc.data() + delta.acc.size() - desc.out_c,
+                        desc.out_c, terms.data(),
+                        static_cast<std::int64_t>(terms.size()), wt.data());
+    }
+  }
+  return delta;
 }
 
 TensorI32 direct_forward_reference(const ConvDesc& desc,

@@ -9,6 +9,9 @@
 // they are part of the op space.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "conv/conv_desc.h"
 #include "conv/engine.h"
 
@@ -40,6 +43,34 @@ TensorI32 direct_forward_reference(const ConvDesc& desc, const ConvData& data);
 // Max |raw accumulator| over all output elements, computed on the GEMM fast
 // path (calibration support; the accumulator values are engine-independent).
 std::int64_t direct_acc_absmax(const ConvDesc& desc, const ConvData& data);
+
+// The raw int64 accumulators (bias included) that direct_forward_gemm
+// requantizes, [out_c][out_h*out_w], on the same GEMM fast path: a golden's
+// accumulators for delta replay (nn/golden_cache.h).
+std::vector<std::int64_t> direct_forward_acc(const ConvDesc& desc,
+                                             const ConvData& data);
+
+// The weights as the delta kernel reads them: int16, transposed to
+// [window][out_c], wt[r * out_c + oc] == weights[oc][r]. Every weight must
+// fit int16, as int8 and int16 layers' do.
+std::vector<std::int16_t> transpose_weights_i16(const ConvDesc& desc,
+                                                const TensorI32& weights);
+
+// Exact W·(x' - x) of a conv whose input changed from `golden_input` (x) to
+// `input` (x'), for every output position the change reaches. The changed
+// input elements are grouped by spatial position; each reached position
+// gathers the changed elements of its window into DeltaTerms with rows
+// r = (ic*kh + ky)*kw + kx, im2col's index arithmetic, so any stride,
+// padding and kernel size works, and delta_microkernel sums them against
+// `wt` (transpose_weights_i16). Padding taps are zero in both inputs and
+// drop out. Exact at every ISA level.
+struct ConvDelta {
+  std::vector<std::int64_t> positions;  // reached oy*out_w + ox, ascending
+  std::vector<std::int64_t> acc;        // [positions.size()][out_c]
+};
+ConvDelta direct_delta_acc(const ConvDesc& desc, const TensorI32& input,
+                           const TensorI32& golden_input,
+                           std::span<const std::int16_t> wt);
 
 // Accumulator of one output element with every primitive op routed through
 // `hook(kind, global_op_index, value, domain_scale)`. Shared by the golden,

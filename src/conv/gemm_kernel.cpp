@@ -1,5 +1,6 @@
 #include "conv/gemm_kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 
@@ -211,12 +212,135 @@ __attribute__((target("avx512f"))) void kernel_dot_avx512(
 
 #endif  // WINOFAULT_X86_SIMD
 
+// ---- Delta kernels ----
+// acc[oc] = sum_i delta_i * wt[row_i * out_c + oc]. The vector variants
+// block the output channels so a block's accumulators stay in registers
+// across every term; each int16 weight is sign-extended to int64 and
+// multiplied by the broadcast delta with *_mul_epi32, exact because both
+// operands fit int32.
+
+// Channels [oc0, oc1) of the delta product: the scalar kernel and the
+// channel tail of the vector kernels.
+void delta_channels_scalar(std::int64_t* acc, std::int64_t out_c,
+                           std::int64_t oc0, std::int64_t oc1,
+                           const DeltaTerm* terms, std::int64_t n,
+                           const std::int16_t* wt) {
+  std::fill(acc + oc0, acc + oc1, std::int64_t{0});
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t d = terms[i].delta;
+    const std::int16_t* w = wt + std::int64_t{terms[i].row} * out_c;
+    for (std::int64_t oc = oc0; oc < oc1; ++oc) acc[oc] += d * w[oc];
+  }
+}
+
+void kernel_delta_scalar(std::int64_t* acc, std::int64_t out_c,
+                         const DeltaTerm* terms, std::int64_t n,
+                         const std::int16_t* wt) {
+  delta_channels_scalar(acc, out_c, 0, out_c, terms, n, wt);
+}
+
+#if WINOFAULT_X86_SIMD
+
+// kRegs ymm registers of 4 int64 accumulators: channels [oc0, oc0+4*kRegs).
+template <int kRegs>
+__attribute__((target("avx2"))) void delta_block_avx2(
+    std::int64_t* acc, std::int64_t out_c, std::int64_t oc0,
+    const DeltaTerm* terms, std::int64_t n, const std::int16_t* wt) {
+  __m256i a[kRegs];
+  for (int j = 0; j < kRegs; ++j) a[j] = _mm256_setzero_si256();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const __m256i d = _mm256_set1_epi64x(terms[i].delta);
+    const std::int16_t* w = wt + std::int64_t{terms[i].row} * out_c + oc0;
+    for (int j = 0; j < kRegs; ++j) {
+      const __m256i wv = _mm256_cvtepi16_epi64(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w + 4 * j)));
+      a[j] = _mm256_add_epi64(a[j], _mm256_mul_epi32(wv, d));
+    }
+  }
+  for (int j = 0; j < kRegs; ++j) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + oc0 + 4 * j), a[j]);
+  }
+}
+
+__attribute__((target("avx2"))) void kernel_delta_avx2(
+    std::int64_t* acc, std::int64_t out_c, const DeltaTerm* terms,
+    std::int64_t n, const std::int16_t* wt) {
+  std::int64_t oc0 = 0;
+  for (; oc0 + 32 <= out_c; oc0 += 32) {
+    delta_block_avx2<8>(acc, out_c, oc0, terms, n, wt);
+  }
+  // The remaining whole registers in one pass over the terms.
+  const std::int64_t regs = (out_c - oc0) / 4;
+  switch (regs) {
+    case 7: delta_block_avx2<7>(acc, out_c, oc0, terms, n, wt); break;
+    case 6: delta_block_avx2<6>(acc, out_c, oc0, terms, n, wt); break;
+    case 5: delta_block_avx2<5>(acc, out_c, oc0, terms, n, wt); break;
+    case 4: delta_block_avx2<4>(acc, out_c, oc0, terms, n, wt); break;
+    case 3: delta_block_avx2<3>(acc, out_c, oc0, terms, n, wt); break;
+    case 2: delta_block_avx2<2>(acc, out_c, oc0, terms, n, wt); break;
+    case 1: delta_block_avx2<1>(acc, out_c, oc0, terms, n, wt); break;
+    default: break;
+  }
+  oc0 += regs * 4;
+  if (oc0 < out_c) {
+    delta_channels_scalar(acc, out_c, oc0, out_c, terms, n, wt);
+  }
+}
+
+// kRegs zmm registers of 8 int64 accumulators: channels [oc0, oc0+8*kRegs).
+template <int kRegs>
+__attribute__((target("avx512f"))) void delta_block_avx512(
+    std::int64_t* acc, std::int64_t out_c, std::int64_t oc0,
+    const DeltaTerm* terms, std::int64_t n, const std::int16_t* wt) {
+  __m512i a[kRegs];
+  for (int j = 0; j < kRegs; ++j) a[j] = _mm512_setzero_si512();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const __m512i d = _mm512_set1_epi64(terms[i].delta);
+    const std::int16_t* w = wt + std::int64_t{terms[i].row} * out_c + oc0;
+    for (int j = 0; j < kRegs; ++j) {
+      const __m512i wv = _mm512_cvtepi16_epi64(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + 8 * j)));
+      a[j] = _mm512_add_epi64(a[j], _mm512_mul_epi32(wv, d));
+    }
+  }
+  for (int j = 0; j < kRegs; ++j) _mm512_storeu_si512(acc + oc0 + 8 * j, a[j]);
+}
+
+__attribute__((target("avx512f"))) void kernel_delta_avx512(
+    std::int64_t* acc, std::int64_t out_c, const DeltaTerm* terms,
+    std::int64_t n, const std::int16_t* wt) {
+  std::int64_t oc0 = 0;
+  for (; oc0 + 64 <= out_c; oc0 += 64) {
+    delta_block_avx512<8>(acc, out_c, oc0, terms, n, wt);
+  }
+  const std::int64_t regs = (out_c - oc0) / 8;
+  switch (regs) {
+    case 7: delta_block_avx512<7>(acc, out_c, oc0, terms, n, wt); break;
+    case 6: delta_block_avx512<6>(acc, out_c, oc0, terms, n, wt); break;
+    case 5: delta_block_avx512<5>(acc, out_c, oc0, terms, n, wt); break;
+    case 4: delta_block_avx512<4>(acc, out_c, oc0, terms, n, wt); break;
+    case 3: delta_block_avx512<3>(acc, out_c, oc0, terms, n, wt); break;
+    case 2: delta_block_avx512<2>(acc, out_c, oc0, terms, n, wt); break;
+    case 1: delta_block_avx512<1>(acc, out_c, oc0, terms, n, wt); break;
+    default: break;
+  }
+  oc0 += regs * 8;
+  if (oc0 < out_c) {
+    delta_channels_scalar(acc, out_c, oc0, out_c, terms, n, wt);
+  }
+}
+
+#endif  // WINOFAULT_X86_SIMD
+
 using KernelFn = void (*)(std::int64_t*, std::int64_t, int, std::int64_t,
                           const std::int32_t*, std::int64_t,
                           const std::int32_t*, std::int64_t, std::int64_t);
 using DotKernelFn = void (*)(std::int64_t*, std::int64_t, int, std::int64_t,
                              const std::int32_t*, const std::int32_t*,
                              std::int64_t, std::int64_t);
+using DeltaKernelFn = void (*)(std::int64_t*, std::int64_t,
+                               const DeltaTerm*, std::int64_t,
+                               const std::int16_t*);
 
 KernelFn kernel_for(GemmIsa isa) {
 #if WINOFAULT_X86_SIMD
@@ -236,8 +360,18 @@ DotKernelFn dot_kernel_for(GemmIsa isa) {
   return kernel_dot_scalar;
 }
 
+DeltaKernelFn delta_kernel_for(GemmIsa isa) {
+#if WINOFAULT_X86_SIMD
+  if (isa == GemmIsa::kAvx512) return kernel_delta_avx512;
+  if (isa == GemmIsa::kAvx2) return kernel_delta_avx2;
+#endif
+  (void)isa;
+  return kernel_delta_scalar;
+}
+
 std::atomic<KernelFn> g_kernel{nullptr};
 std::atomic<DotKernelFn> g_dot_kernel{nullptr};
+std::atomic<DeltaKernelFn> g_delta_kernel{nullptr};
 std::atomic<int> g_isa{static_cast<int>(GemmIsa::kScalar)};
 
 GemmIsa clamp_to_supported(GemmIsa requested) {
@@ -252,6 +386,7 @@ GemmIsa clamp_to_supported(GemmIsa requested) {
 void install(GemmIsa isa) {
   g_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
   g_dot_kernel.store(dot_kernel_for(isa), std::memory_order_release);
+  g_delta_kernel.store(delta_kernel_for(isa), std::memory_order_release);
   g_kernel.store(kernel_for(isa), std::memory_order_release);
 }
 
@@ -330,6 +465,17 @@ void gemm_microkernel_dot(std::int64_t* acc, std::int64_t acc_stride,
     fn = g_dot_kernel.load(std::memory_order_acquire);
   }
   fn(acc, acc_stride, rows, eb, colT, w, w_stride, window);
+}
+
+void delta_microkernel(std::int64_t* acc, std::int64_t out_c,
+                       const DeltaTerm* terms, std::int64_t n,
+                       const std::int16_t* wt) {
+  DeltaKernelFn fn = g_delta_kernel.load(std::memory_order_acquire);
+  if (fn == nullptr) {
+    resolve_once();
+    fn = g_delta_kernel.load(std::memory_order_acquire);
+  }
+  fn(acc, out_c, terms, n, wt);
 }
 
 }  // namespace winofault

@@ -1,7 +1,8 @@
-// Explicit SIMD microkernel behind the direct engine's blocked int64 GEMM
-// (gemm_acc in direct_conv.cpp). One accumulator-tile kernel per ISA level
-// — scalar, AVX2, AVX-512 — selected once at startup from CPU capability,
-// overridable via WINOFAULT_ISA for CI and via set_gemm_isa() for tests.
+// Explicit SIMD microkernels behind the direct engine's blocked int64 GEMM
+// (gemm_acc in direct_conv.cpp) and its delta replay (direct_delta_acc).
+// One variant of each kernel per ISA level — scalar, AVX2, AVX-512 —
+// selected once at startup from CPU capability, overridable via
+// WINOFAULT_ISA for CI and via set_gemm_isa() for tests.
 //
 // Bit-identity contract: every variant computes, for each (row j, column
 // e), the exact int64 sum  acc[j][e] += sum_r w[j][r] * col[r][e].
@@ -57,5 +58,25 @@ void gemm_microkernel_dot(std::int64_t* acc, std::int64_t acc_stride,
                           int rows, std::int64_t eb, const std::int32_t* colT,
                           const std::int32_t* w, std::int64_t w_stride,
                           std::int64_t window);
+
+// One changed input element of a delta product: row `row` of the
+// transposed weight matrix (a window position r = (ic*kh + ky)*kw + kx) and
+// the input's change there, x' - x (|delta| <= 65535 for int16 operands).
+struct DeltaTerm {
+  std::int32_t row = 0;
+  std::int32_t delta = 0;
+};
+
+// The delta kernel behind delta conv replay (direct_delta_acc in
+// direct_conv.h): sets
+//   acc[oc] = sum_{i<n} terms[i].delta * wt[terms[i].row * out_c + oc]
+// for oc in [0, out_c), exactly in int64, where `wt` is an int16 weight
+// matrix transposed to [window][out_c]. The accumulators of an output-channel
+// block stay in registers across all n terms. Every term is an exact int64
+// product (|delta| <= 65535, |w| <= 32768), so every ISA level gives the
+// same bits.
+void delta_microkernel(std::int64_t* acc, std::int64_t out_c,
+                       const DeltaTerm* terms, std::int64_t n,
+                       const std::int16_t* wt);
 
 }  // namespace winofault

@@ -58,14 +58,18 @@ std::vector<std::int64_t> WinogradConvEngine::transform_filters(
   return u_all;
 }
 
-const std::int64_t* WinogradConvEngine::resolve_filter_bank(
-    const ConvDesc& desc, const ConvData& data,
-    std::vector<std::int64_t>& local) const {
+template <typename Body>
+void WinogradConvEngine::with_filter_bank(const ConvDesc& desc,
+                                          const ConvData& data,
+                                          Body&& body) const {
+  const std::vector<std::int32_t>* bank32 =
+      plan_.m == 2 ? data.wg_bank32_f2 : data.wg_bank32_f4;
+  if (bank32 != nullptr) return body(bank32->data());
   const std::vector<std::int64_t>* bank =
       plan_.m == 2 ? data.wg_bank_f2 : data.wg_bank_f4;
-  if (bank != nullptr) return bank->data();
-  local = transform_filters(desc, data);
-  return local.data();
+  if (bank != nullptr) return body(bank->data());
+  const std::vector<std::int64_t> local = transform_filters(desc, data);
+  body(local.data());
 }
 
 TensorI32 WinogradConvEngine::forward(const ConvDesc& desc,
@@ -74,16 +78,16 @@ TensorI32 WinogradConvEngine::forward(const ConvDesc& desc,
   WF_CHECK(data.input && data.weights);
   WF_CHECK(!desc.has_bias || data.bias);
   const WgLayout layout = WgLayout::make(plan_, desc);
-  std::vector<std::int64_t> u_local;
-  const std::int64_t* u_all = resolve_filter_bank(desc, data, u_local);
   TensorI32 out(desc.out_shape());
   // Tile columns write disjoint output regions and share only the read-only
   // filter bank, so they parallelize freely; nested calls (e.g. under the
   // evaluator's per-image loop) run inline on the caller.
-  parallel_for(layout.tiles, default_thread_count(), [&](std::int64_t t) {
-    FaultHookNone hook;
-    wg_tile_column(plan_, layout, desc, data, u_all,
-                   t / layout.tx_count, t % layout.tx_count, hook, out);
+  with_filter_bank(desc, data, [&](const auto* u_all) {
+    parallel_for(layout.tiles, default_thread_count(), [&](std::int64_t t) {
+      FaultHookNone hook;
+      wg_tile_column(plan_, layout, desc, data, u_all, t / layout.tx_count,
+                     t % layout.tx_count, hook, out);
+    });
   });
   return out;
 }
@@ -144,47 +148,47 @@ void WinogradConvEngine::apply_faults(const ConvDesc& desc,
     return (idx - layout.base_d) / (desc.out_h() * desc.out_w());  // block D
   };
 
-  std::vector<std::int64_t> u_local;
-  const std::int64_t* u_all = resolve_filter_bank(desc, data, u_local);
-  std::size_t i = 0;
-  std::vector<FaultSite> group;
-  std::vector<std::int64_t> v_all(
-      static_cast<std::size_t>(desc.in_c * layout.a2));
-  std::vector<std::int64_t> ocs;
-  while (i < by_tile.size()) {
-    const std::int64_t t = by_tile[i].first;
-    group.clear();
-    for (; i < by_tile.size() && by_tile[i].first == t; ++i)
-      group.push_back(by_tile[i].second);
-    const std::int64_t ty = t / layout.tx_count;
-    const std::int64_t tx = t % layout.tx_count;
-    SiteFilterHook hook(group);
-    // Input-transform faults fan out across every output channel of the
-    // tile, so those groups recompute the whole column. Any other site
-    // touches exactly one channel: transform the tile's inputs once
-    // (fault-free — no block-A site means the hook is identity there) and
-    // recompute only the affected channels, which is ~out_c times cheaper.
-    bool has_input_transform_fault = false;
-    for (const FaultSite& site : group) {
-      has_input_transform_fault |=
-          site.kind == OpKind::kAdd && site.op_index < layout.base_b;
+  with_filter_bank(desc, data, [&](const auto* u_all) {
+    std::size_t i = 0;
+    std::vector<FaultSite> group;
+    std::vector<std::int64_t> v_all(
+        static_cast<std::size_t>(desc.in_c * layout.a2));
+    std::vector<std::int64_t> ocs;
+    while (i < by_tile.size()) {
+      const std::int64_t t = by_tile[i].first;
+      group.clear();
+      for (; i < by_tile.size() && by_tile[i].first == t; ++i)
+        group.push_back(by_tile[i].second);
+      const std::int64_t ty = t / layout.tx_count;
+      const std::int64_t tx = t % layout.tx_count;
+      SiteFilterHook hook(group);
+      // Input-transform faults fan out across every output channel of the
+      // tile, so those groups recompute the whole column. Any other site
+      // touches exactly one channel: transform the tile's inputs once
+      // (fault-free — no block-A site means the hook is identity there) and
+      // recompute only the affected channels, which is ~out_c times cheaper.
+      bool has_input_transform_fault = false;
+      for (const FaultSite& site : group) {
+        has_input_transform_fault |=
+            site.kind == OpKind::kAdd && site.op_index < layout.base_b;
+      }
+      if (has_input_transform_fault) {
+        wg_tile_column(plan_, layout, desc, data, u_all, ty, tx, hook, out);
+        continue;
+      }
+      FaultHookNone none;
+      wg_tile_input_transform(plan_, layout, desc, data, ty, tx, none,
+                              v_all.data());
+      ocs.clear();
+      for (const FaultSite& site : group) ocs.push_back(site_oc(site));
+      std::sort(ocs.begin(), ocs.end());
+      ocs.erase(std::unique(ocs.begin(), ocs.end()), ocs.end());
+      for (const std::int64_t oc : ocs) {
+        wg_tile_one_oc(plan_, layout, desc, data, u_all, v_all.data(), ty, tx,
+                       oc, hook, out);
+      }
     }
-    if (has_input_transform_fault) {
-      wg_tile_column(plan_, layout, desc, data, u_all, ty, tx, hook, out);
-      continue;
-    }
-    FaultHookNone none;
-    wg_tile_input_transform(plan_, layout, desc, data, ty, tx, none,
-                            v_all.data());
-    ocs.clear();
-    for (const FaultSite& site : group) ocs.push_back(site_oc(site));
-    std::sort(ocs.begin(), ocs.end());
-    ocs.erase(std::unique(ocs.begin(), ocs.end()), ocs.end());
-    for (const std::int64_t oc : ocs) {
-      wg_tile_one_oc(plan_, layout, desc, data, u_all, v_all.data(), ty, tx,
-                     oc, hook, out);
-    }
-  }
+  });
 }
 
 }  // namespace winofault

@@ -69,14 +69,14 @@ class WinogradConvEngine final : public ConvEngine {
   std::vector<std::int64_t> transform_filters(const ConvDesc& desc,
                                               const ConvData& data) const;
 
-  // Returns the filter bank to use for this call: the caller-cached bank
-  // from ConvData when present, otherwise a fresh transform stored in
-  // `local` (which must outlive the returned pointer).
-  const std::int64_t* resolve_filter_bank(
-      const ConvDesc& desc, const ConvData& data,
-      std::vector<std::int64_t>& local) const;
-
  private:
+  // Calls `body(u_all)` with the filter bank for this call: the cached
+  // int32 or int64 bank from ConvData when present, otherwise a fresh
+  // transform.
+  template <typename Body>
+  void with_filter_bank(const ConvDesc& desc, const ConvData& data,
+                        Body&& body) const;
+
   const WinogradPlan& plan_;
 };
 
@@ -125,11 +125,12 @@ void wg_tile_input_transform(const WinogradPlan& plan, const WgLayout& layout,
 // Products + channel accumulation, inverse transform, and bias/requantize
 // for ONE output channel of tile (ty, tx), given the tile's transformed
 // inputs `v_all`. The minimal exact replay unit for faults that do not land
-// in the input transform (those fan out across channels).
-template <typename Hook>
+// in the input transform (those fan out across channels). `U` is the filter
+// bank's element type (int32 or int64).
+template <typename Hook, typename U>
 void wg_tile_one_oc(const WinogradPlan& plan, const WgLayout& layout,
                     const ConvDesc& desc, const ConvData& data,
-                    const std::int64_t* u_all, const std::int64_t* v_all,
+                    const U* u_all, const std::int64_t* v_all,
                     std::int64_t ty, std::int64_t tx, std::int64_t oc,
                     Hook&& hook, TensorI32& out) {
   const std::int64_t a2 = layout.a2;
@@ -138,13 +139,12 @@ void wg_tile_one_oc(const WinogradPlan& plan, const WgLayout& layout,
   std::int64_t macc[6 * 6] = {};  // a2 <= 36 (alpha = m + 2 <= 6)
   std::int64_t ys[4 * 4];         // m <= 4
   for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
-    const std::int64_t* u =
-        u_all + static_cast<std::size_t>((oc * desc.in_c + ic) * a2);
+    const U* u = u_all + static_cast<std::size_t>((oc * desc.in_c + ic) * a2);
     const std::int64_t* v = v_all + static_cast<std::size_t>(ic * a2);
     const std::int64_t chan_base =
         ((oc * desc.in_c + ic) * layout.tiles + t) * a2;
     for (std::int64_t pos = 0; pos < a2; ++pos) {
-      std::int64_t prod = u[pos] * v[pos];
+      std::int64_t prod = std::int64_t{u[pos]} * v[pos];
       prod = hook(OpKind::kMul, chan_base + pos, prod, s_scale);
       macc[static_cast<std::size_t>(pos)] += prod;
       macc[static_cast<std::size_t>(pos)] =
@@ -181,11 +181,11 @@ void wg_tile_one_oc(const WinogradPlan& plan, const WgLayout& layout,
 // Computes one tile column (all output channels of tile (ty, tx)) with every
 // primitive op routed through `hook(kind, index, value, domain_scale)`, and
 // writes requantized outputs. `u_all` is the offline-transformed filter bank
-// from WinogradConvEngine::transform_filters.
-template <typename Hook>
+// from WinogradConvEngine::transform_filters, as int64 or narrowed to int32.
+template <typename Hook, typename U>
 void wg_tile_column(const WinogradPlan& plan, const WgLayout& layout,
                     const ConvDesc& desc, const ConvData& data,
-                    const std::int64_t* u_all, std::int64_t ty,
+                    const U* u_all, std::int64_t ty,
                     std::int64_t tx, Hook&& hook, TensorI32& out) {
   std::vector<std::int64_t> v_all(
       static_cast<std::size_t>(desc.in_c * layout.a2));

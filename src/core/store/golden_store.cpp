@@ -140,7 +140,7 @@ std::optional<GoldenCache> GoldenCodec::decode(const std::string& payload) {
   // a huge acts_ allocation (bad_alloc) before the first decode failure.
   constexpr std::uint64_t kMinNodeBytes = 41;
   if (!r.ok || nodes > payload.size() / kMinNodeBytes) return std::nullopt;
-  golden.acts_.resize(static_cast<std::size_t>(nodes));
+  golden.resize(static_cast<std::size_t>(nodes));
   for (NodeOutput& node : golden.acts_) {
     if (!decode_tensor(r, &node.tensor)) return std::nullopt;
     node.quant.scale = r.get<double>();

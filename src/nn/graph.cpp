@@ -24,7 +24,7 @@ OpSpace Layer::op_space(DType, ConvPolicy) const { return {}; }
 TensorI32 Layer::forward_replay(std::span<const NodeOutput* const>,
                                 const QuantParams&, ConvPolicy,
                                 const FaultPlan::LayerFaults&, FaultModelKind,
-                                const TensorI32*) const {
+                                const GoldenNode*) const {
   WF_CHECK(false && "forward_replay is only defined for protectable layers");
   return {};
 }

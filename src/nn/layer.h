@@ -19,6 +19,7 @@
 namespace winofault {
 
 struct FaultOverlay;
+struct GoldenNode;
 class Fnv64;
 
 // A produced activation: quantized values + their scale.
@@ -83,20 +84,23 @@ class Layer {
                             const QuantParams& out_quant, ExecContext& ctx,
                             int prot_index) const = 0;
 
-  // Replay execution of a protectable layer, Network::forward_replay's one
-  // path for conv and linear under every transient model. `faults` are the
-  // layer's sampled faults and `kind` the model's fault kind. Weight faults
-  // recompute the layer over a corrupted weight copy. Otherwise a null
-  // `golden` recomputes the layer densely from `ins` (a dirty input), and a
-  // non-null one must be this layer's fault-free output for these inputs
-  // (a clean input). Op sites are then re-derived in the policy engine's
-  // domain, and neuron and accumulator faults patch the stored output.
+  // Faulted execution of a protectable layer under every transient model:
+  // a scratch forward's and Network::forward_replay's one path for conv and
+  // linear. `faults` are the layer's sampled faults and `kind` the model's
+  // fault kind. With a null `golden` (scratch forward, the replay oracle)
+  // the base output is the dense GEMM over `ins`, on a corrupted weight
+  // copy when weights are faulted. With the node's `golden`, a clean input
+  // and clean weights keep the golden output, and otherwise the base is
+  // delta replay: requantize(acc_g + W·Δx + ΔW·x') at every output whose
+  // accumulator moved, on top of the golden output. Op sites are then
+  // re-derived in the policy engine's domain, and neuron and accumulator
+  // faults patch the stored output.
   virtual TensorI32 forward_replay(std::span<const NodeOutput* const> ins,
                                    const QuantParams& out_quant,
                                    ConvPolicy policy,
                                    const FaultPlan::LayerFaults& faults,
                                    FaultModelKind kind,
-                                   const TensorI32* golden) const;
+                                   const GoldenNode* golden) const;
 };
 
 }  // namespace winofault

@@ -1,6 +1,8 @@
 #include "nn/layers/conv_layer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "accel/systolic.h"
 #include "common/hash.h"
@@ -9,6 +11,7 @@
 #include "conv/winograd_conv.h"
 #include "fault/models/overlay.h"
 #include "nn/fault_session.h"
+#include "nn/golden_cache.h"
 
 namespace winofault {
 namespace {
@@ -50,17 +53,35 @@ Shape ConvLayer::infer_shape(std::span<const Shape> in) const {
   return desc_.out_shape();
 }
 
-const std::vector<std::int64_t>* ConvLayer::wg_bank(int m) const {
+const std::vector<std::int32_t>* ConvLayer::wg_bank(int m) const {
   if (!(desc_.kh == 3 && desc_.kw == 3 && desc_.stride == 1)) return nullptr;
   const int slot = m == 2 ? 0 : 1;
   std::call_once(wg_once_[slot], [&] {
-    ConvData data;
-    data.weights = &weights_q_;
-    wg_bank_[slot] =
-        static_cast<const WinogradConvEngine&>(winograd_engine(m))
-            .transform_filters(desc_, data);
+    // transform_filters' layout, one (oc, ic) filter at a time. |U| <=
+    // 24^2 * 2^15 < 2^31 for F(4,3) and <= 9 * 2^15 for F(2,3), so int32
+    // holds every transformed int16 weight exactly; checked here.
+    const WinogradPlan& plan = winograd_plan(m);
+    const std::int64_t a2 = std::int64_t{plan.alpha} * plan.alpha;
+    std::vector<std::int32_t>& bank = wg_bank_[slot];
+    bank.reserve(static_cast<std::size_t>(desc_.out_c * desc_.in_c * a2));
+    std::int64_t u[6 * 6];  // alpha <= 6
+    for (std::int64_t oc = 0; oc < desc_.out_c; ++oc) {
+      for (std::int64_t ic = 0; ic < desc_.in_c; ++ic) {
+        filter_transform(plan, &weights_q_.at(oc, ic, 0, 0), desc_.kw, u);
+        for (std::int64_t k = 0; k < a2; ++k) {
+          WF_CHECK(u[k] >= INT32_MIN && u[k] <= INT32_MAX);
+          bank.push_back(static_cast<std::int32_t>(u[k]));
+        }
+      }
+    }
   });
   return &wg_bank_[slot];
+}
+
+std::span<const std::int16_t> ConvLayer::transposed_weights() const {
+  std::call_once(wt_once_,
+                 [&] { wt_ = transpose_weights_i16(desc_, weights_q_); });
+  return wt_;
 }
 
 ConvData ConvLayer::make_data(const NodeOutput& in,
@@ -115,7 +136,7 @@ TensorI32 ConvLayer::forward(std::span<const NodeOutput* const> ins,
   WF_CHECK(ins.size() == 1);
   const FaultOverlay& overlay = *ctx.overlay;
   std::vector<std::int64_t> bias_acc;
-  const ConvData data = make_data(*ins[0], out_quant, bias_acc);
+  ConvData data = make_data(*ins[0], out_quant, bias_acc);
   std::span<const CellFault> defects;
   if (static_cast<std::size_t>(prot_index) < overlay.weights.size()) {
     defects = overlay.weights[static_cast<std::size_t>(prot_index)];
@@ -124,8 +145,12 @@ TensorI32 ConvLayer::forward(std::span<const NodeOutput* const> ins,
   if (!overlay.accum_bits.empty()) {
     apply_accum_overlay(overlay, bit_width(dtype_), out);
   }
-  if (!faults.faulted()) return out;
-  return forward_replay(ins, out_quant, ctx.policy, faults, kind, &out);
+  // An overlay model's session draws no transient faults at all
+  // (FaultSession::sample_layer); transient weight faults would need the
+  // defects and the faults in one weight copy.
+  WF_CHECK(faults.weights.empty());
+  apply_layer_faults(data, ctx.policy, faults, kind, out);
+  return out;
 }
 
 TensorI32 ConvLayer::corrupted_weights_gemm(
@@ -141,10 +166,19 @@ TensorI32 ConvLayer::corrupted_weights_gemm(
 void ConvLayer::attach_wg_bank(ConvData& data,
                                const ConvEngine& engine) const {
   if (&engine == &winograd_engine(2)) {
-    data.wg_bank_f2 = wg_bank(2);
+    data.wg_bank32_f2 = wg_bank(2);
   } else if (&engine == &winograd_engine(4)) {
-    data.wg_bank_f4 = wg_bank(4);
+    data.wg_bank32_f4 = wg_bank(4);
   }
+}
+
+void ConvLayer::apply_layer_faults(ConvData& data, ConvPolicy policy,
+                                   const FaultPlan::LayerFaults& faults,
+                                   FaultModelKind kind, TensorI32& out) const {
+  const ConvEngine& engine = select_engine(policy, desc_);
+  attach_wg_bank(data, engine);
+  engine.apply_faults(desc_, data, faults.sites, out);
+  apply_output_faults(faults, kind, bit_width(dtype_), out);
 }
 
 TensorI32 ConvLayer::forward_replay(std::span<const NodeOutput* const> ins,
@@ -152,21 +186,125 @@ TensorI32 ConvLayer::forward_replay(std::span<const NodeOutput* const> ins,
                                     ConvPolicy policy,
                                     const FaultPlan::LayerFaults& faults,
                                     FaultModelKind kind,
-                                    const TensorI32* golden) const {
+                                    const GoldenNode* golden) const {
   WF_CHECK(ins.size() == 1);
   std::vector<std::int64_t> bias_acc;
   ConvData data = make_data(*ins[0], out_quant, bias_acc);
   // The policy engine defines the op space and the fault semantics, but its
-  // fault-free output is bit-identical to the direct GEMM's (the project's
-  // core invariant), so the base always takes the fastest path and
-  // apply_faults re-derives the faulted outputs in the engine's own domain.
-  TensorI32 out = golden == nullptr || !faults.weights.empty()
-                      ? corrupted_weights_gemm(data, kind, faults.weights)
-                      : *golden;
-  const ConvEngine& engine = select_engine(policy, desc_);
-  attach_wg_bank(data, engine);
-  engine.apply_faults(desc_, data, faults.sites, out);
-  apply_output_faults(faults, kind, bit_width(dtype_), out);
+  // fault-free output is bit-identical to the direct engine's accumulators
+  // requantized (the project's core invariant), so the base always comes
+  // from them and apply_faults re-derives the faulted outputs in the
+  // engine's own domain.
+  TensorI32 out;
+  if (golden == nullptr) {
+    out = corrupted_weights_gemm(data, kind, faults.weights);
+  } else if (golden->input_dirty || !faults.weights.empty()) {
+    out = delta_replay(data, *golden, kind, faults.weights);
+  } else {
+    out = golden->output;
+  }
+  apply_layer_faults(data, policy, faults, kind, out);
+  return out;
+}
+
+TensorI32 ConvLayer::delta_replay(
+    const ConvData& data, const GoldenNode& golden, FaultModelKind kind,
+    std::span<const CellFault> weight_faults) const {
+  // golden.output == requantize(acc_g) holds for every golden built without
+  // an overlay, which is every golden that replays: an overlay model's
+  // session draws no transient faults, so its golden variants never get
+  // here. The fill shares this replay's bias and scales, which depend only
+  // on the node's fixed input quantization.
+  const std::span<const std::int64_t> acc_g = golden.accs.get([&] {
+    ConvData clean = data;
+    clean.input = &golden.input.tensor;
+    return direct_forward_acc(desc_, clean);
+  });
+  const std::int64_t ohw = desc_.out_h() * desc_.out_w();
+  const std::int64_t out_c = desc_.out_c;
+  const auto requantize = [&](std::int64_t acc) {
+    return requantize_value(acc, data.acc_scale, data.out_quant);
+  };
+  TensorI32 out = golden.output;
+
+  // W·Δx: only the outputs whose accumulator moved are requantized.
+  ConvDelta delta;
+  if (golden.input_dirty) {
+    delta = direct_delta_acc(desc_, *data.input, golden.input.tensor,
+                             transposed_weights());
+    for (std::size_t s = 0; s < delta.positions.size(); ++s) {
+      const std::int64_t e = delta.positions[s];
+      const std::int64_t* moved =
+          delta.acc.data() + s * static_cast<std::size_t>(out_c);
+      for (std::int64_t oc = 0; oc < out_c; ++oc) {
+        if (moved[oc] == 0) continue;
+        out[oc * ohw + e] = requantize(acc_g[static_cast<std::size_t>(
+                                           oc * ohw + e)] +
+                                       moved[oc]);
+      }
+    }
+  }
+  if (weight_faults.empty()) return out;
+
+  // ΔW·x': the distinct faulted cells, corrupted in draw order (faults on
+  // one cell compose), each moving every output of its channel.
+  std::vector<std::int64_t> cells;
+  for (const CellFault& f : weight_faults) cells.push_back(f.index);
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  std::vector<std::int32_t> corrupted(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    corrupted[i] = weights_q_[cells[i]];
+  }
+  std::vector<CellFault> local(weight_faults.begin(), weight_faults.end());
+  for (CellFault& f : local) {
+    f.index = std::lower_bound(cells.begin(), cells.end(), f.index) -
+              cells.begin();
+  }
+  apply_cell_faults(kind, local, bit_width(dtype_), corrupted);
+
+  std::vector<std::int64_t> slot(static_cast<std::size_t>(ohw), -1);
+  for (std::size_t s = 0; s < delta.positions.size(); ++s) {
+    slot[static_cast<std::size_t>(delta.positions[s])] =
+        static_cast<std::int64_t>(s);
+  }
+  const std::int64_t taps = desc_.kh * desc_.kw;
+  const std::int64_t window = desc_.in_c * taps;
+  const std::int64_t ow = desc_.out_w();
+  const TensorI32& x = *data.input;
+  std::vector<std::int64_t> acc(static_cast<std::size_t>(ohw));
+  for (std::size_t i = 0; i < cells.size();) {
+    const std::int64_t oc = cells[i] / window;
+    for (std::int64_t e = 0; e < ohw; ++e) {
+      const std::int64_t s = slot[static_cast<std::size_t>(e)];
+      acc[static_cast<std::size_t>(e)] =
+          acc_g[static_cast<std::size_t>(oc * ohw + e)] +
+          (s < 0 ? 0
+                 : delta.acc[static_cast<std::size_t>(s * out_c + oc)]);
+    }
+    for (; i < cells.size() && cells[i] / window == oc; ++i) {
+      const std::int64_t dw =
+          std::int64_t{corrupted[i]} - weights_q_[cells[i]];
+      if (dw == 0) continue;
+      const std::int64_t r = cells[i] % window;
+      const std::int64_t ic = r / taps;
+      const std::int64_t ky = r % taps / desc_.kw;
+      const std::int64_t kx = r % desc_.kw;
+      for (std::int64_t oy = 0; oy < desc_.out_h(); ++oy) {
+        const std::int64_t iy = oy * desc_.stride - desc_.pad + ky;
+        if (iy < 0 || iy >= desc_.in_h) continue;
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          const std::int64_t ix = ox * desc_.stride - desc_.pad + kx;
+          if (ix < 0 || ix >= desc_.in_w) continue;
+          acc[static_cast<std::size_t>(oy * ow + ox)] +=
+              dw * x.at(0, ic, iy, ix);
+        }
+      }
+    }
+    for (std::int64_t e = 0; e < ohw; ++e) {
+      out[oc * ohw + e] = requantize(acc[static_cast<std::size_t>(e)]);
+    }
+  }
   return out;
 }
 

@@ -1,11 +1,14 @@
 // Quantized 3x3/1x1/5x5 convolution layer: the protectable unit of the
 // fault study. Holds float master weights quantized at construction; the
 // engine (direct vs Winograd) is chosen per inference by the ConvPolicy.
-// Winograd filter banks (the offline transform of the static weights) are
-// computed once on first use and cached across forwards.
+// Two derived copies of the static weights are built once on first use and
+// cached across forwards: the Winograd filter banks (the offline
+// transform, held as int32) and the int16 weights transposed to
+// [window][out_c] that delta replay reads.
 #pragma once
 
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "conv/conv_desc.h"
@@ -34,7 +37,7 @@ class ConvLayer final : public Layer {
                            const QuantParams& out_quant, ConvPolicy policy,
                            const FaultPlan::LayerFaults& faults,
                            FaultModelKind kind,
-                           const TensorI32* golden) const override;
+                           const GoldenNode* golden) const override;
 
   const ConvDesc& desc() const { return desc_; }
 
@@ -46,17 +49,37 @@ class ConvLayer final : public Layer {
                      std::vector<std::int64_t>& bias_acc) const;
 
   // The direct GEMM over a copy of weights_q_ with `faults` applied under
-  // `kind` (the weights themselves when `faults` is empty). It serves
-  // transient weight faults and permanent overlay defects alike: fault-free
-  // outputs are bit-identical across engines for ANY weights (the core
-  // invariant), and the cached Winograd banks transform the CLEAN weights.
+  // `kind` (the weights themselves when `faults` is empty): golden builds,
+  // scratch forwards and permanent overlay defects. Fault-free outputs are
+  // bit-identical across engines for ANY weights (the core invariant), and
+  // the cached Winograd banks transform the CLEAN weights.
   TensorI32 corrupted_weights_gemm(ConvData data, FaultModelKind kind,
                                    std::span<const CellFault> faults) const;
 
-  // Cached Winograd filter bank for plan m (2 or 4); computed on first use.
-  const std::vector<std::int64_t>* wg_bank(int m) const;
+  // Replay's base output when the input (x' in `data`) or the weights
+  // changed: accumulation is linear, so every output whose accumulator
+  // moved becomes requantize(acc_g + W·Δx + ΔW·x'), and the others keep
+  // `golden.output`. acc_g are the golden's accumulators, Δx = x' minus the
+  // golden input, and ΔW the weight change that `weight_faults` make under
+  // `kind`, one MAC per output position per faulted cell.
+  TensorI32 delta_replay(const ConvData& data, const GoldenNode& golden,
+                         FaultModelKind kind,
+                         std::span<const CellFault> weight_faults) const;
+
+  // Op sites in the policy engine's domain, then neuron and accumulator
+  // faults, on top of the base output `out`.
+  void apply_layer_faults(ConvData& data, ConvPolicy policy,
+                          const FaultPlan::LayerFaults& faults,
+                          FaultModelKind kind, TensorI32& out) const;
+
+  // Cached Winograd filter bank for plan m (2 or 4), narrowed to int32;
+  // computed on first use.
+  const std::vector<std::int32_t>* wg_bank(int m) const;
   // Points `data` at the cached bank when `engine` is a Winograd engine.
   void attach_wg_bank(ConvData& data, const ConvEngine& engine) const;
+  // The clean weights as delta replay reads them (transpose_weights_i16);
+  // computed on first use.
+  std::span<const std::int16_t> transposed_weights() const;
 
   ConvDesc desc_;
   TensorI32 weights_q_;
@@ -65,7 +88,9 @@ class ConvLayer final : public Layer {
   DType dtype_;
 
   mutable std::once_flag wg_once_[2];
-  mutable std::vector<std::int64_t> wg_bank_[2];  // [0]: m=2, [1]: m=4
+  mutable std::vector<std::int32_t> wg_bank_[2];  // [0]: m=2, [1]: m=4
+  mutable std::once_flag wt_once_;
+  mutable std::vector<std::int16_t> wt_;  // [window][out_c]
 };
 
 }  // namespace winofault

@@ -30,7 +30,7 @@ class LinearLayer final : public Layer {
                            const QuantParams& out_quant, ConvPolicy policy,
                            const FaultPlan::LayerFaults& faults,
                            FaultModelKind kind,
-                           const TensorI32* golden) const override {
+                           const GoldenNode* golden) const override {
     return impl_->forward_replay(ins, out_quant, policy, faults, kind, golden);
   }
 

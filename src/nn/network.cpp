@@ -277,7 +277,7 @@ GoldenCache Network::make_golden(const TensorF& image, ConvPolicy policy,
   WF_CHECK(calibrated_);
   GoldenCache cache;
   cache.policy_ = policy;
-  cache.acts_.resize(nodes_.size());
+  cache.resize(nodes_.size());
   cache.acts_[0].tensor = quantize_input(image);
   cache.acts_[0].quant = input_quant_;
   ExecContext ctx;
@@ -300,7 +300,8 @@ GoldenCache Network::make_golden(const TensorF& image, ConvPolicy policy,
 }
 
 TensorI32 Network::forward_replay(const GoldenCache& golden, ConvPolicy policy,
-                                  FaultSession& session) const {
+                                  FaultSession& session,
+                                  const ReplayVisitor& visit) const {
   WF_CHECK(calibrated_);
   WF_CHECK(golden.valid());
   WF_CHECK(golden.acts_.size() == nodes_.size());
@@ -340,11 +341,15 @@ TensorI32 Network::forward_replay(const GoldenCache& golden, ConvPolicy policy,
       ctx.policy = policy;
       out = node.layer->forward(ins, node.quant, ctx, -1);
     } else {
-      // Conv or linear: the layer's faults over a dense recompute of a
-      // dirty input, or over the cached golden output of a clean one.
+      // Conv or linear: the layer's faults on top of its golden output,
+      // moved by delta replay where the input or the weights changed.
+      const GoldenNode golden_node{
+          golden.acts_[static_cast<std::size_t>(node.inputs[0])], gold,
+          golden.accs_[id], inputs_dirty};
       out = node.layer->forward_replay(ins, node.quant, policy, *faults, kind,
-                                       inputs_dirty ? nullptr : &gold);
+                                       &golden_node);
     }
+    if (visit) visit(static_cast<int>(id), ins, out);
     // Compare against the golden activation, stopping at the first
     // mismatch; an equal output means every perturbation requantized away.
     // Neuron or accumulator flips on an otherwise-clean node can only

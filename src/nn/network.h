@@ -7,7 +7,9 @@
 // policy and all accuracy differences under faults are pure fault effects.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,11 +89,20 @@ class Network {
   // One injection trial under `policy` against the cache: pre-samples the
   // session's faults (consuming its RNG exactly as a scratch forward would),
   // reuses cached activations upstream of the earliest faulted layer, and
-  // recomputes only the downstream cone. Bit-identical to
-  // forward()/predict() under `policy` with the same session seed. The
-  // session must be fresh (one session per trial).
+  // replays only the downstream cone. A dirty conv or linear node, or one
+  // with weight faults, replays by delta (Layer::forward_replay): its
+  // golden accumulators plus W·Δx plus ΔW·x', requantized where they moved,
+  // so no replay runs a dense conv GEMM; other dirty nodes recompute with
+  // forward. Bit-identical to forward()/predict() under `policy` with the
+  // same session seed. The session must be fresh (one session per trial).
+  // `visit`, when set, sees every node the replay recomputed: its id, the
+  // inputs it read and its output before the comparison with golden.
+  using ReplayVisitor =
+      std::function<void(int node, std::span<const NodeOutput* const> ins,
+                         const TensorI32& out)>;
   TensorI32 forward_replay(const GoldenCache& golden, ConvPolicy policy,
-                           FaultSession& session) const;
+                           FaultSession& session,
+                           const ReplayVisitor& visit = nullptr) const;
   int predict_replay(const GoldenCache& golden, ConvPolicy policy,
                      FaultSession& session) const;
   // Replays under the policy the golden is tagged with.

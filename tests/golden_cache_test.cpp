@@ -5,9 +5,15 @@
 //   (b) cached incremental replay (Network::make_golden + forward_replay)
 //       equals scratch execution for every trial — op-level, neuron-level,
 //       and protected (TMR / fault-free-layer / op-kind) sessions, on both
-//       hand-built and zoo models, under direct and Winograd policies.
+//       hand-built and zoo models, under direct and Winograd policies —
+//       and so does every conv node it replays by delta, also when several
+//       threads replay one fresh golden at once.
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "conv/direct_conv.h"
@@ -291,6 +297,124 @@ TEST(CachedReplay, ZooModelMatchesScratch) {
       // logits.
       EXPECT_GE(faulted, 6) << what;
       EXPECT_GT(reached_logits, 0) << what;
+    }
+  }
+}
+
+// Every conv or linear node a replay recomputes must equal a dense
+// recompute of that node from the same replayed input with the same faults
+// (Layer::forward_replay with no golden, a scratch forward's path). An
+// output the delta replay missed fails here even when it requantizes away
+// before the logits.
+TEST(CachedReplay, EveryReplayedConvMatchesItsDenseRecompute) {
+  ZooConfig config;
+  config.width = 0.125;
+  config.calib_images = 2;
+  struct Model {
+    const char* what;
+    const char* spec;
+    InjectionMode mode;
+    double ber;
+  };
+  const Model models[] = {
+      {"flip@op", "flip@op", InjectionMode::kOpLevel, 1e-8},
+      {"neuron", "flip@op", InjectionMode::kNeuronLevel, 2e-6},
+      {"stuck1@weight", "stuck1@weight", InjectionMode::kOpLevel, 1e-6},
+  };
+  for (const ZooEntry& entry : model_zoo()) {
+    const Network net = entry.build(config);
+    const TensorF image = make_images(net.input_shape(), 1, 3)[0];
+    const GoldenCache golden = net.make_golden(image, ConvPolicy::kDirect);
+    std::vector<int> prot_of_node(static_cast<std::size_t>(net.num_nodes()),
+                                  -1);
+    for (int p = 0; p < net.num_protectable(); ++p) {
+      prot_of_node[static_cast<std::size_t>(net.protectable_node(p))] = p;
+    }
+    for (const Model& m : models) {
+      FaultConfig fault;
+      fault.model = *FaultModelSpec::parse(m.spec);
+      fault.mode = m.mode;
+      fault.ber = m.ber;
+      const std::string what = entry.name + " " + m.what;
+      int delta_nodes = 0;  // replayed because of a dirty input or weights
+      for (const ConvPolicy policy :
+           {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
+        for (int seed = 1; seed <= 3; ++seed) {
+          FaultSession twin(fault, static_cast<std::uint64_t>(seed));
+          const FaultPlan plan = twin.plan(net, policy);
+          FaultSession session(fault, static_cast<std::uint64_t>(seed));
+          net.forward_replay(
+              golden, policy, session,
+              [&](int node, std::span<const NodeOutput* const> ins,
+                  const TensorI32& out) {
+                const int p = prot_of_node[static_cast<std::size_t>(node)];
+                if (p < 0) return;
+                const FaultPlan::LayerFaults& faults =
+                    plan.layers[static_cast<std::size_t>(p)];
+                const TensorI32 dense = net.protectable_layer(p).forward_replay(
+                    ins, golden.node_output(node).quant, policy, faults,
+                    fault.model.kind, nullptr);
+                expect_tensors_equal(dense, out, what.c_str());
+                delta_nodes += !faults.faulted() || !faults.weights.empty();
+              });
+        }
+      }
+      // Not vacuous: some nodes took the delta path.
+      EXPECT_GT(delta_nodes, 0) << what;
+    }
+  }
+}
+
+// Several threads replay one fresh golden at once, so the first replays of
+// each node race to fill its golden accumulators. Every result must match
+// a single-threaded run on a golden of its own.
+TEST(CachedReplay, ConcurrentFirstReplaysOfOneGoldenMatchSerial) {
+  const Network net = replay_net();
+  const TensorF image = make_images(net.input_shape(), 1, 41)[0];
+  FaultConfig config;
+  config.model = FaultModelSpec{};
+  config.ber = 1e-6;
+  constexpr int kSeeds = 12;
+  constexpr int kThreads = 4;
+  const auto policy_of = [](int seed) {
+    return seed % 2 == 0 ? ConvPolicy::kDirect : ConvPolicy::kWinograd2;
+  };
+  std::vector<TensorI32> serial;
+  int changed = 0;
+  {
+    const GoldenCache golden = net.make_golden(image, ConvPolicy::kDirect);
+    for (int seed = 1; seed <= kSeeds; ++seed) {
+      FaultSession session(config, static_cast<std::uint64_t>(seed));
+      serial.push_back(net.forward_replay(golden, policy_of(seed), session));
+      changed += serial.back() != golden.logits();
+    }
+  }
+  ASSERT_GT(changed, 0) << "no trial reached the logits";
+
+  const GoldenCache golden = net.make_golden(image, ConvPolicy::kDirect);
+  std::vector<std::vector<TensorI32>> got(
+      kThreads, std::vector<TensorI32>(kSeeds));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      // Threads start on neighbouring seeds, so they reach the same nodes'
+      // first fills together.
+      for (int k = 0; k < kSeeds; ++k) {
+        const int seed = (k + t) % kSeeds + 1;
+        FaultSession session(config, static_cast<std::uint64_t>(seed));
+        got[static_cast<std::size_t>(t)][static_cast<std::size_t>(seed - 1)] =
+            net.forward_replay(golden, policy_of(seed), session);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kSeeds; ++k) {
+      expect_tensors_equal(
+          got[static_cast<std::size_t>(t)][static_cast<std::size_t>(k)],
+          serial[static_cast<std::size_t>(k)], "concurrent replay");
     }
   }
 }

@@ -1,13 +1,15 @@
-// Exactness matrix for the explicit SIMD GEMM microkernel: every dispatch
+// Exactness matrix for the explicit SIMD microkernels: every dispatch
 // level (scalar / AVX2 / AVX-512, forced via set_gemm_isa) must be
 // bit-identical to the instrumented reference on shapes covering the tile
-// kernel, its e-tails, and the small-extent dot kernel. Plus the
+// kernel, its e-tails, and the small-extent dot kernel, and the delta
+// kernel to a scalar reference on adversarial operands. Plus the
 // work-stealing determinism contract of parallel_for: each index runs
 // exactly once and results never depend on the thread count or steal
 // interleaving.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -85,6 +87,162 @@ TEST(SimdKernel, ForcingAboveCpuCapabilityClampsDown) {
   // full-AVX-512 machines this degenerates to an exact-match check.
   EXPECT_LE(set_gemm_isa(GemmIsa::kAvx512), best);
   EXPECT_EQ(set_gemm_isa(GemmIsa::kScalar), GemmIsa::kScalar);
+}
+
+// ---- Delta kernel ---------------------------------------------------------
+
+// W·(x' - x) of one output element, straight from the conv definition.
+std::int64_t reference_delta(const ConvDesc& desc, const TensorI32& weights,
+                             const TensorI32& input, const TensorI32& golden,
+                             std::int64_t oc, std::int64_t oy,
+                             std::int64_t ox) {
+  std::int64_t acc = 0;
+  for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
+    for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
+      const std::int64_t iy = oy * desc.stride - desc.pad + ky;
+      for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
+        const std::int64_t ix = ox * desc.stride - desc.pad + kx;
+        if (iy < 0 || iy >= desc.in_h || ix < 0 || ix >= desc.in_w) continue;
+        acc += std::int64_t{weights.at(oc, ic, ky, kx)} *
+               (std::int64_t{input.at(0, ic, iy, ix)} -
+                golden.at(0, ic, iy, ix));
+      }
+    }
+  }
+  return acc;
+}
+
+// direct_delta_acc against the reference: every output element's delta,
+// and exactly the positions whose window holds a changed element.
+void expect_delta_matches_reference(const ConvDesc& desc,
+                                    const TensorI32& weights,
+                                    const TensorI32& input,
+                                    const TensorI32& golden,
+                                    const std::string& what) {
+  const std::vector<std::int16_t> wt = transpose_weights_i16(desc, weights);
+  const ConvDelta delta = direct_delta_acc(desc, input, golden, wt);
+  ASSERT_EQ(delta.acc.size(),
+            delta.positions.size() * static_cast<std::size_t>(desc.out_c))
+      << what;
+  const std::int64_t ow = desc.out_w();
+  std::vector<std::int64_t> slot(
+      static_cast<std::size_t>(desc.out_h() * ow), -1);
+  for (std::size_t s = 0; s < delta.positions.size(); ++s) {
+    ASSERT_TRUE(s == 0 || delta.positions[s] > delta.positions[s - 1])
+        << what << ": positions not ascending";
+    slot[static_cast<std::size_t>(delta.positions[s])] =
+        static_cast<std::int64_t>(s);
+  }
+  for (std::int64_t oy = 0; oy < desc.out_h(); ++oy) {
+    for (std::int64_t ox = 0; ox < ow; ++ox) {
+      const std::int64_t s = slot[static_cast<std::size_t>(oy * ow + ox)];
+      bool window_changed = false;
+      for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
+        for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
+          for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
+            const std::int64_t iy = oy * desc.stride - desc.pad + ky;
+            const std::int64_t ix = ox * desc.stride - desc.pad + kx;
+            window_changed |= iy >= 0 && iy < desc.in_h && ix >= 0 &&
+                              ix < desc.in_w &&
+                              input.at(0, ic, iy, ix) !=
+                                  golden.at(0, ic, iy, ix);
+          }
+        }
+      }
+      ASSERT_EQ(s >= 0, window_changed)
+          << what << ": position (" << oy << ", " << ox << ")";
+      for (std::int64_t oc = 0; oc < desc.out_c; ++oc) {
+        const std::int64_t got =
+            s < 0 ? 0
+                  : delta.acc[static_cast<std::size_t>(s * desc.out_c + oc)];
+        ASSERT_EQ(got, reference_delta(desc, weights, input, golden, oc, oy,
+                                       ox))
+            << what << ": oc " << oc << " at (" << oy << ", " << ox << ")";
+      }
+    }
+  }
+}
+
+struct DeltaShape {
+  std::int64_t in_c, hw, out_c, k, stride, pad;
+};
+
+// Every ISA level on adversarial operands: |delta| = 65535 (x' = -32768
+// against a golden 32767 and back) against weights of -32768 and 32767,
+// out_c off the vector widths, changed elements on padded edges, stride 2,
+// 1x1, 5x5 and linear geometries, and an unchanged input.
+TEST(SimdKernel, DeltaKernelMatchesReferenceAtEveryIsa) {
+  IsaGuard guard;
+  const DeltaShape shapes[] = {
+      {3, 6, 6, 3, 1, 1},    // padded edges; out_c below every width
+      {5, 7, 18, 3, 2, 1},   // stride 2; 18 = 2 AVX-512 registers + 2
+      {4, 5, 18, 1, 1, 0},   // 1x1: the zero-copy im2col geometry
+      {3, 9, 6, 1, 2, 0},    // 1x1 stride 2
+      {6, 5, 64, 3, 1, 1},   // whole blocks only: 1 AVX-512, 2 AVX2
+      {2, 9, 70, 3, 2, 0},   // a full 64-channel block + 6
+      {3, 6, 6, 5, 1, 2},    // 5x5, pad 2: every tap crosses an edge
+      {40, 1, 100, 1, 1, 0},  // linear head: 64 + 32 + 4 channels
+  };
+  for (const GemmIsa isa : supported_isas()) {
+    ASSERT_EQ(set_gemm_isa(isa), isa);
+    for (const DeltaShape& sh : shapes) {
+      ConvDesc desc;
+      desc.in_c = sh.in_c;
+      desc.in_h = desc.in_w = sh.hw;
+      desc.out_c = sh.out_c;
+      desc.kh = desc.kw = sh.k;
+      desc.stride = sh.stride;
+      desc.pad = sh.pad;
+      Rng rng(0xDE17A000u + static_cast<std::uint64_t>(
+                                sh.in_c * 1000 + sh.out_c * 10 + sh.k));
+      TensorI32 weights(desc.weight_shape());
+      std::int64_t w_index = 0;
+      for (std::int32_t& w : weights.flat()) {
+        // Alternate the two extremes with random weights.
+        const std::int64_t pick = w_index++ % 3;
+        w = pick == 0   ? -32768
+            : pick == 1 ? 32767
+                        : static_cast<std::int32_t>(
+                              static_cast<std::int64_t>(rng.next_below(65536)) -
+                              32768);
+      }
+      TensorI32 golden(desc.in_shape());
+      for (std::int32_t& v : golden.flat()) {
+        v = rng.bernoulli(0.5) ? 32767 : -32768;
+      }
+      const std::string what = std::string("isa=") + gemm_isa_name(isa) +
+                               " in_c=" + std::to_string(sh.in_c) +
+                               " hw=" + std::to_string(sh.hw) +
+                               " out_c=" + std::to_string(sh.out_c) +
+                               " k=" + std::to_string(sh.k) +
+                               " s=" + std::to_string(sh.stride);
+      // Unchanged input: no position is reached.
+      expect_delta_matches_reference(desc, weights, golden, golden,
+                                     what + " (no change)");
+      // Every element flipped to the other extreme: delta = -/+65535
+      // everywhere, the largest sums the kernel can see.
+      TensorI32 flipped = golden;
+      for (std::int32_t& v : flipped.flat()) v = v == 32767 ? -32768 : 32767;
+      expect_delta_matches_reference(desc, weights, flipped, golden,
+                                     what + " (all flipped)");
+      // A sparse change: a few extremes, the corner elements (padding
+      // neighbours) among them, and a few small deltas.
+      TensorI32 sparse = golden;
+      const std::int64_t hw = sh.hw * sh.hw;
+      for (std::int64_t ic = 0; ic < desc.in_c; ic += 2) {
+        sparse[ic * hw] = -sparse[ic * hw] - 1;  // 32767 <-> -32768
+        sparse[ic * hw + hw - 1] = -sparse[ic * hw + hw - 1] - 1;
+      }
+      for (int k = 0; k < 3; ++k) {
+        const std::int64_t i =
+            static_cast<std::int64_t>(rng.next_below(
+                static_cast<std::uint64_t>(sparse.numel())));
+        sparse[i] += sparse[i] > 0 ? -7 : 7;
+      }
+      expect_delta_matches_reference(desc, weights, sparse, golden,
+                                     what + " (sparse)");
+    }
+  }
 }
 
 // ---- Work-stealing determinism -------------------------------------------

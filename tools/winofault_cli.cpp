@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/json.h"
 #include "core/service/client.h"
 
@@ -210,11 +211,13 @@ bool top_frame(ServiceClient& client, const std::string& socket_path,
   return true;
 }
 
-long positive_arg(const char* prog, const char* flag, const char* value) {
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == nullptr || *end != '\0' || parsed < 1) {
+// parse_int rejects "2x" and any value outside int's range: 4294967297
+// must not narrow to a 1 s refresh, nor a saturated value sleep for years.
+int positive_arg(const char* prog, const char* flag, const char* value) {
+  int parsed = 0;
+  if (!winofault::parse_int(value, &parsed) || parsed < 1) {
     std::fprintf(stderr, "%s: bad value '%s' for %s\n", prog, value, flag);
+    usage(prog, stderr);
     std::exit(2);
   }
   return parsed;
@@ -228,7 +231,7 @@ int main(int argc, char** argv) {
   std::string job;
   bool raw = false;
   bool once = false;
-  long interval_s = 2;  // top refresh cadence
+  int interval_s = 2;  // top refresh cadence
   const char* prog = argc > 0 ? argv[0] : "winofault-cli";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 ||
