@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const CliOptions cli = parse_cli(argc, argv);
   reject_dist_cli(cli, argv[0],
                   "tile-size ablation does not wire worker shards");
-  const BenchEnv env = bench_env();
+  const BenchEnv env = bench_env(argv[0]);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, env);
 
   // Op-count structure.

@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
                     "throughput A/B must execute every mode from scratch");
   reject_dist_cli(cli, argv[0],
                   "throughput A/B must execute every mode from scratch");
-  const BenchEnv env = bench_env();
+  const BenchEnv env = bench_env(argv[0]);
   const int trials = env_int("WINOFAULT_TRIALS", 100);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, env);
   const std::vector<double> bers = log_ber_grid(1e-9, 1e-7, 3);

@@ -71,7 +71,7 @@ bool same_results(const CampaignResult& a, const CampaignResult& b) {
 
 int main(int argc, char** argv) {
   CliOptions cli = parse_cli(argc, argv);
-  const BenchEnv env = bench_env();
+  const BenchEnv env = bench_env(argv[0]);
   const int trials = env_int("WINOFAULT_TRIALS", 10);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, env);
 

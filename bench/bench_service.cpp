@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                   "the service benchmark hosts its own daemon");
   note_store_unused(cli, "bench_service manages its own scratch store");
 
-  const BenchEnv env = bench_env();
+  const BenchEnv env = bench_env(argv[0]);
   const int trials = env_int("WINOFAULT_TRIALS", 1);
   const std::string scratch =
       std::filesystem::temp_directory_path() /

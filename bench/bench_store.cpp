@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   const CliOptions cli = parse_cli(argc, argv);
   note_store_unused(cli, "bench_store times its own scratch store");
   reject_dist_cli(cli, argv[0], "bench_store times its own scratch store");
-  const BenchEnv env = bench_env();
+  const BenchEnv env = bench_env(argv[0]);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, env);
   const std::vector<double> bers = log_ber_grid(1e-9, 1e-7, 3);
   const std::vector<CampaignPoint> points = grid_points(bers, env.seed);

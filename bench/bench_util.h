@@ -4,10 +4,12 @@
 // thin client of this header plus the core CampaignSpec builders.
 //
 // Knobs (environment variables):
-//   WINOFAULT_IMAGES  evaluation images per point   (default 10, full 40)
+//   WINOFAULT_IMAGES  evaluation images per point, >= 1 (default 10,
+//                     full 40)
 //   WINOFAULT_FULL=1  paper-scale sweeps (denser grids, more images)
-//   WINOFAULT_WIDTH   override model channel width multiplier
-//   WINOFAULT_SEED    master experiment seed        (default 2024)
+//   WINOFAULT_WIDTH   model channel width multiplier in [0, 1] (default
+//                     0: the model's own)
+//   WINOFAULT_SEED    master experiment seed, an int (default 2024)
 //   WINOFAULT_STORE   persistent campaign store directory (see
 //                     core/store); also --store-dir
 //   WINOFAULT_CELL_BUDGET  execute at most N pending cells, then defer the
@@ -433,12 +435,40 @@ struct BenchEnv {
   double width_override = 0.0;  // 0 => per-model default
 };
 
-inline BenchEnv bench_env() {
+// Reads the run-size knobs strictly, as parse_cli reads
+// WINOFAULT_FAULT_MODEL: a set value that is not an integer >= 1
+// (WINOFAULT_IMAGES, the wire's env.images bound), an int (WINOFAULT_SEED)
+// or a finite number in [0, 1] (WINOFAULT_WIDTH, 0 = the model's default,
+// the daemon's env.width bound) exits 2 with the usage text instead of
+// silently running the default. An unset or empty variable keeps it.
+inline BenchEnv bench_env(const char* prog) {
   BenchEnv env;
   env.full = full_run_requested();
-  env.images = env_int("WINOFAULT_IMAGES", env.full ? 40 : 10);
-  env.seed = static_cast<std::uint64_t>(env_int("WINOFAULT_SEED", 2024));
-  env.width_override = env_double("WINOFAULT_WIDTH", 0.0);
+  env.images = env.full ? 40 : 10;
+  const auto knob = [&](const char* name, const char* expects,
+                        auto&& parse) {
+    const char* value = std::getenv(name);
+    if (value == nullptr || *value == '\0' || parse(value)) return;
+    std::fprintf(stderr, "%s: %s expects %s, got '%s'\n", prog, name,
+                 expects, value);
+    print_usage(prog, stderr);
+    std::exit(2);
+  };
+  knob("WINOFAULT_IMAGES", "an integer >= 1", [&](const char* value) {
+    return parse_int(value, &env.images) && env.images >= 1;
+  });
+  int seed = 2024;
+  knob("WINOFAULT_SEED", "an int", [&](const char* value) {
+    return parse_int(value, &seed);
+  });
+  env.seed = static_cast<std::uint64_t>(seed);
+  knob("WINOFAULT_WIDTH", "a number in [0, 1] (0: the model's default)",
+       [&](const char* value) {
+         char* end = nullptr;
+         env.width_override = std::strtod(value, &end);
+         return *end == '\0' && env.width_override >= 0.0 &&
+                env.width_override <= 1.0;
+       });
   return env;
 }
 
@@ -641,8 +671,9 @@ struct FigureCtx {
 // single-process against the merged store.
 inline FigureCtx figure_ctx(int figure, int argc, char** argv) {
   CliOptions cli = parse_cli(argc, argv);
+  const BenchEnv env = bench_env(argv[0]);
   run_local_coordinator(cli);
-  FigureCtx ctx{bench_env(), figure, cli.store_dir, dist_options(cli),
+  FigureCtx ctx{env, figure, cli.store_dir, dist_options(cli),
                 cli.daemon_socket};
   ctx.fault_models = resolve_fault_models(cli);
   if (!ctx.daemon_socket.empty()) {

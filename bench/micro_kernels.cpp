@@ -22,6 +22,7 @@
 #include "conv/direct_conv.h"
 #include "conv/engine.h"
 #include "conv/gemm_kernel.h"
+#include "conv/instrumented_ref.h"
 #include "fault/site_sampler.h"
 #include "nn/evaluator.h"
 #include "tensor/quantize.h"
@@ -68,7 +69,8 @@ Problem make_problem(std::int64_t c, std::int64_t hw, std::int64_t k) {
 void BM_DirectConvRef(benchmark::State& state) {
   const Problem p = make_problem(state.range(0), state.range(1), 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(direct_forward_reference(p.desc, p.data()));
+    benchmark::DoNotOptimize(
+        direct_forward_instrumented(p.desc, p.data(), {}));
   }
   state.SetItemsProcessed(state.iterations() * p.desc.macs());
 }
@@ -233,7 +235,8 @@ bool write_bench_kernels_json() {
 
   // GEMM dispatch levels on the VGG-ish shape (64c 16x16 3x3).
   const Problem p = make_problem(64, 16, 3);
-  const TensorI32 reference = direct_forward_reference(p.desc, p.data());
+  const TensorI32 reference =
+      direct_forward_instrumented(p.desc, p.data(), {});
   const double gmacs_scale =
       static_cast<double>(p.desc.macs()) / 1e9;
   const GemmIsa isas[] = {GemmIsa::kScalar, GemmIsa::kAvx2,

@@ -242,25 +242,6 @@ ConvDelta direct_delta_acc(const ConvDesc& desc, const TensorI32& input,
   return delta;
 }
 
-TensorI32 direct_forward_reference(const ConvDesc& desc,
-                                   const ConvData& data) {
-  WF_CHECK(data.input && data.weights);
-  WF_CHECK(!desc.has_bias || data.bias);
-  TensorI32 out(desc.out_shape());
-  FaultHookNone hook;
-  for (std::int64_t oc = 0; oc < desc.out_c; ++oc) {
-    for (std::int64_t oy = 0; oy < desc.out_h(); ++oy) {
-      for (std::int64_t ox = 0; ox < desc.out_w(); ++ox) {
-        const std::int64_t acc =
-            direct_output_acc(desc, data, oc, oy, ox, hook);
-        out.at(0, oc, oy, ox) =
-            requantize_value(acc, data.acc_scale, data.out_quant);
-      }
-    }
-  }
-  return out;
-}
-
 OpSpace DirectConvEngine::op_space(const ConvDesc& desc, DType dtype) const {
   const std::int64_t outputs = desc.out_c * desc.out_h() * desc.out_w();
   const std::int64_t window = desc.in_c * desc.kh * desc.kw;

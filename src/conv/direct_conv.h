@@ -33,12 +33,9 @@ class DirectConvEngine final : public ConvEngine {
 // the instrumented reference loop for every shape (validated in
 // golden_cache_test). DirectConvEngine::forward routes here; the
 // instrumented direct_output_acc below stays the fault-replay and
-// exactness reference.
+// exactness reference (direct_forward_instrumented with no sites runs it
+// over every output, conv/instrumented_ref.h).
 TensorI32 direct_forward_gemm(const ConvDesc& desc, const ConvData& data);
-
-// The pre-GEMM reference loop (one direct_output_acc per output element);
-// kept for exactness tests and as a micro-benchmark baseline.
-TensorI32 direct_forward_reference(const ConvDesc& desc, const ConvData& data);
 
 // Max |raw accumulator| over all output elements, computed on the GEMM fast
 // path (calibration support; the accumulator values are engine-independent).

@@ -69,4 +69,31 @@ FaultOverlay build_fault_overlay(const Network& network,
   return overlay;
 }
 
+FaultPlan overlay_fault_plan(const Network& network,
+                             const FaultOverlay& overlay) {
+  const SystolicConfig config{};
+  WF_CHECK(overlay.accum_bits.empty() ||
+           static_cast<int>(overlay.accum_bits.size()) ==
+               accumulator_registers(config));
+  FaultPlan plan;
+  plan.layers.resize(static_cast<std::size_t>(network.num_protectable()));
+  for (int p = 0; p < network.num_protectable(); ++p) {
+    FaultPlan::LayerFaults& faults = plan.layers[static_cast<std::size_t>(p)];
+    if (static_cast<std::size_t>(p) < overlay.weights.size()) {
+      faults.weights = overlay.weights[static_cast<std::size_t>(p)];
+    }
+    if (!overlay.accum_bits.empty()) {
+      const std::int64_t outputs = network.protectable_shape(p).numel();
+      for (std::int64_t j = 0; j < outputs; ++j) {
+        for (const int bit : overlay.accum_bits[static_cast<std::size_t>(
+                 accum_register_for_output(config, j))]) {
+          faults.accums.push_back(CellFault{j, bit});
+        }
+      }
+    }
+    if (plan.first_faulted < 0 && faults.faulted()) plan.first_faulted = p;
+  }
+  return plan;
+}
+
 }  // namespace winofault

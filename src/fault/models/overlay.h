@@ -3,11 +3,12 @@
 // (image, trial), a permanent model is ONE deterministic set of defective
 // cells — stuck or inverted weight-memory bits, or stuck accumulator-
 // register bits in the systolic array — sampled once per point and applied
-// to every forward. Protectable layers consume it via ExecContext::overlay;
-// the campaign keys the resulting faulted-weights goldens into GoldenLru /
-// store shards by `digest`, so overlay goldens never collide with clean
-// ones and replay stays bit-identical across resume, dist workers, and
-// warm daemon sessions.
+// to every forward. The Network applies it as the faults of a pass
+// (overlay_fault_plan) in make_golden and in a scratch forward whose
+// ExecContext::overlay is set; the campaign keys the resulting
+// faulted-weights goldens into GoldenLru / store shards by `digest`, so
+// overlay goldens never collide with clean ones and replay stays
+// bit-identical across resume, dist workers, and warm daemon sessions.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,7 @@ namespace winofault {
 
 class Network;
 struct FaultConfig;
+struct FaultPlan;
 
 struct FaultOverlay {
   FaultModelKind kind = FaultModelKind::kFlip;
@@ -47,5 +49,16 @@ struct FaultOverlay {
 FaultOverlay build_fault_overlay(const Network& network,
                                  const FaultConfig& config,
                                  std::uint64_t seed);
+
+// The overlay as the faults of one pass over `network`, applied under
+// `overlay.kind`: each protectable layer's defective weight cells become
+// its `weights` faults, and each defective bit of an accumulator register
+// becomes an `accums` fault on every output element that register
+// produces, one element's bits in overlay order. ConvLayer::forward_replay
+// applies them in the silicon's order: the defective weight copy, the
+// GEMM, then the register bits. Register defects land on every
+// protectable layer; only @weight honors fault_free_layer.
+FaultPlan overlay_fault_plan(const Network& network,
+                             const FaultOverlay& overlay);
 
 }  // namespace winofault

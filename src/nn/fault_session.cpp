@@ -5,7 +5,7 @@
 namespace winofault {
 
 FaultPlan::LayerFaults FaultSession::sample_layer(int prot_index,
-                                                  const Layer& layer,
+                                                  const ConvLayer& layer,
                                                   ConvPolicy policy,
                                                   DType dtype,
                                                   std::int64_t outputs) {

@@ -20,7 +20,7 @@
 
 namespace winofault {
 
-class Layer;
+class ConvLayer;
 class Network;
 
 enum class InjectionMode { kOpLevel, kNeuronLevel };
@@ -49,17 +49,18 @@ struct FaultConfig {
   FaultModelSpec model = FaultModelSpec::process_default();
 };
 
-// The faults of one trial, sampled per protectable layer in execution order
-// by FaultSession::sample_layer, the one draw that scratch forwards and
-// replay plans share. The incremental replay path (Network::forward_replay)
-// uses `first_faulted` to skip everything upstream of the earliest
-// perturbed layer.
+// The faults of one Network pass, per protectable layer: a trial's, drawn
+// by FaultSession::plan, which scratch forwards and replay share, or a
+// permanent overlay's defects (overlay_fault_plan, fault/models/overlay.h).
+// The incremental replay path (Network::forward_replay) uses
+// `first_faulted` to skip everything upstream of the earliest perturbed
+// layer.
 struct FaultPlan {
   struct LayerFaults {
     std::vector<FaultSite> sites;    // operation-level injection
     std::vector<CellFault> neurons;  // neuron-level injection
-    std::vector<CellFault> weights;  // transient weight-memory faults
-    std::vector<CellFault> accums;   // transient accumulator faults
+    std::vector<CellFault> weights;  // weight-memory faults
+    std::vector<CellFault> accums;   // accumulator faults
     bool faulted() const {
       return !sites.empty() || !neurons.empty() || !weights.empty() ||
              !accums.empty();
@@ -74,23 +75,23 @@ class FaultSession {
   FaultSession(const FaultConfig& config, std::uint64_t seed)
       : config_(config), rng_(seed), sampler_(FaultModel{config.ber}) {}
 
-  // Samples this trial's faults for protectable layer `prot_index`:
-  // `layer`, run under `policy` at `dtype`, with `outputs` output elements.
-  // A scratch forward calls it from each protectable layer and plan() calls
-  // it for every layer, so both consume the session RNG identically as long
-  // as layers are sampled once each, in ordinal order.
-  FaultPlan::LayerFaults sample_layer(int prot_index, const Layer& layer,
-                                      ConvPolicy policy, DType dtype,
-                                      std::int64_t outputs);
-
-  // Samples every protectable layer of `network` under `policy`. A session
-  // backs ONE trial: use either a scratch forward or plan(), never both.
+  // Samples this trial's faults for every protectable layer of `network`
+  // under `policy`, in ordinal order. The one draw: a scratch forward
+  // (Network::forward) and replay (Network::forward_replay) both plan
+  // through it, so a session with the same seed draws the same faults for
+  // either. A session backs ONE trial: plan it once.
   FaultPlan plan(const Network& network, ConvPolicy policy);
 
   std::int64_t total_flips() const { return total_flips_; }
   const FaultConfig& config() const { return config_; }
 
  private:
+  // Samples protectable layer `prot_index`: `layer`, run under `policy` at
+  // `dtype`, with `outputs` output elements.
+  FaultPlan::LayerFaults sample_layer(int prot_index, const ConvLayer& layer,
+                                      ConvPolicy policy, DType dtype,
+                                      std::int64_t outputs);
+
   FaultConfig config_;
   Rng rng_;
   SiteSampler sampler_;

@@ -9,13 +9,8 @@ Shape ReluLayer::infer_shape(std::span<const Shape> in) const {
   return in[0];
 }
 
-QuantParams ReluLayer::derive_quant(std::span<const QuantParams> in_quants,
-                                    DType) const {
-  return in_quants[0];
-}
-
 TensorI32 ReluLayer::forward(std::span<const NodeOutput* const> ins,
-                             const QuantParams&, ExecContext&, int) const {
+                             const QuantParams&) const {
   TensorI32 out = ins[0]->tensor;
   for (auto& v : out.flat()) v = v > 0 ? v : 0;
   return out;
@@ -26,13 +21,8 @@ Shape FlattenLayer::infer_shape(std::span<const Shape> in) const {
   return Shape{1, in[0].numel(), 1, 1};
 }
 
-QuantParams FlattenLayer::derive_quant(std::span<const QuantParams> in_quants,
-                                       DType) const {
-  return in_quants[0];
-}
-
 TensorI32 FlattenLayer::forward(std::span<const NodeOutput* const> ins,
-                                const QuantParams&, ExecContext&, int) const {
+                                const QuantParams&) const {
   const TensorI32& in = ins[0]->tensor;
   TensorI32 out(Shape{1, in.numel(), 1, 1},
                 std::vector<std::int32_t>(in.flat().begin(), in.flat().end()));

@@ -1,5 +1,5 @@
 // Elementwise / reshape layers: ReLU and Flatten. Both preserve the input
-// quantization scale.
+// quantization scale (Layer::derive_quant's default).
 #pragma once
 
 #include "nn/layer.h"
@@ -10,22 +10,16 @@ class ReluLayer final : public Layer {
  public:
   const char* kind() const override { return "relu"; }
   Shape infer_shape(std::span<const Shape> in) const override;
-  QuantParams derive_quant(std::span<const QuantParams> in_quants,
-                           DType dtype) const override;
   TensorI32 forward(std::span<const NodeOutput* const> ins,
-                    const QuantParams& out_quant, ExecContext& ctx,
-                    int prot_index) const override;
+                    const QuantParams& out_quant) const override;
 };
 
 class FlattenLayer final : public Layer {
  public:
   const char* kind() const override { return "flatten"; }
   Shape infer_shape(std::span<const Shape> in) const override;
-  QuantParams derive_quant(std::span<const QuantParams> in_quants,
-                           DType dtype) const override;
   TensorI32 forward(std::span<const NodeOutput* const> ins,
-                    const QuantParams& out_quant, ExecContext& ctx,
-                    int prot_index) const override;
+                    const QuantParams& out_quant) const override;
 };
 
 }  // namespace winofault

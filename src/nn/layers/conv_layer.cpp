@@ -4,42 +4,18 @@
 #include <cmath>
 #include <cstdint>
 
-#include "accel/systolic.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "conv/direct_conv.h"
 #include "conv/winograd_conv.h"
-#include "fault/models/overlay.h"
 #include "nn/fault_session.h"
 #include "nn/golden_cache.h"
 
 namespace winofault {
-namespace {
-
-// Permanent accumulator-register defects: every output element takes the
-// stuck/toggled bits of the PE register it accumulated in (accel/systolic
-// output-stationary mapping).
-void apply_accum_overlay(const FaultOverlay& overlay, int width,
-                         TensorI32& out) {
-  const SystolicConfig config{};
-  WF_CHECK(static_cast<int>(overlay.accum_bits.size()) ==
-           accumulator_registers(config));
-  for (std::int64_t j = 0; j < out.numel(); ++j) {
-    const std::vector<int>& bits =
-        overlay.accum_bits[static_cast<std::size_t>(
-            accum_register_for_output(config, j))];
-    for (const int bit : bits) {
-      out[j] = static_cast<std::int32_t>(
-          apply_fault_kind(overlay.kind, out[j], bit, width));
-    }
-  }
-}
-
-}  // namespace
 
 ConvLayer::ConvLayer(ConvDesc desc, const TensorF& weights,
-                     std::vector<float> bias, DType dtype)
-    : desc_(desc), bias_real_(std::move(bias)), dtype_(dtype) {
+                     std::vector<float> bias, DType dtype, const char* kind)
+    : desc_(desc), kind_(kind), bias_real_(std::move(bias)), dtype_(dtype) {
   WF_CHECK(weights.shape() == desc_.weight_shape());
   WF_CHECK(!desc_.has_bias ||
            static_cast<std::int64_t>(bias_real_.size()) == desc_.out_c);
@@ -118,39 +94,10 @@ OpSpace ConvLayer::op_space(DType dtype, ConvPolicy policy) const {
 }
 
 TensorI32 ConvLayer::forward(std::span<const NodeOutput* const> ins,
-                             const QuantParams& out_quant, ExecContext& ctx,
-                             int prot_index) const {
-  FaultPlan::LayerFaults faults;
-  FaultModelKind kind = FaultModelKind::kFlip;
-  if (ctx.session != nullptr) {
-    faults = ctx.session->sample_layer(prot_index, *this, ctx.policy, dtype_,
-                                       desc_.out_shape().numel());
-    kind = ctx.session->config().model.kind;
-  }
-  if (ctx.overlay == nullptr || prot_index < 0) {
-    return forward_replay(ins, out_quant, ctx.policy, faults, kind, nullptr);
-  }
-  // Permanent defects: the overlay's weight cells and accumulator bits give
-  // the fault-free output of the defective silicon, and transient faults
-  // land on it as on a golden.
+                             const QuantParams& out_quant) const {
   WF_CHECK(ins.size() == 1);
-  const FaultOverlay& overlay = *ctx.overlay;
   std::vector<std::int64_t> bias_acc;
-  ConvData data = make_data(*ins[0], out_quant, bias_acc);
-  std::span<const CellFault> defects;
-  if (static_cast<std::size_t>(prot_index) < overlay.weights.size()) {
-    defects = overlay.weights[static_cast<std::size_t>(prot_index)];
-  }
-  TensorI32 out = corrupted_weights_gemm(data, overlay.kind, defects);
-  if (!overlay.accum_bits.empty()) {
-    apply_accum_overlay(overlay, bit_width(dtype_), out);
-  }
-  // An overlay model's session draws no transient faults at all
-  // (FaultSession::sample_layer); transient weight faults would need the
-  // defects and the faults in one weight copy.
-  WF_CHECK(faults.weights.empty());
-  apply_layer_faults(data, ctx.policy, faults, kind, out);
-  return out;
+  return direct_forward_gemm(desc_, make_data(*ins[0], out_quant, bias_acc));
 }
 
 TensorI32 ConvLayer::corrupted_weights_gemm(

@@ -29,8 +29,7 @@ QuantParams AddLayer::derive_quant(std::span<const QuantParams> in_quants,
 }
 
 TensorI32 AddLayer::forward(std::span<const NodeOutput* const> ins,
-                            const QuantParams& out_quant, ExecContext&,
-                            int) const {
+                            const QuantParams& out_quant) const {
   const NodeOutput& a = *ins[0];
   const NodeOutput& b = *ins[1];
   const double ra = a.quant.scale / out_quant.scale;
@@ -65,8 +64,7 @@ QuantParams ConcatLayer::derive_quant(std::span<const QuantParams> in_quants,
 }
 
 TensorI32 ConcatLayer::forward(std::span<const NodeOutput* const> ins,
-                               const QuantParams& out_quant, ExecContext&,
-                               int) const {
+                               const QuantParams& out_quant) const {
   std::vector<Shape> shapes;
   shapes.reserve(ins.size());
   for (const NodeOutput* in : ins) shapes.push_back(in->tensor.shape());

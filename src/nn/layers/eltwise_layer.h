@@ -15,8 +15,7 @@ class AddLayer final : public Layer {
   QuantParams derive_quant(std::span<const QuantParams> in_quants,
                            DType dtype) const override;
   TensorI32 forward(std::span<const NodeOutput* const> ins,
-                    const QuantParams& out_quant, ExecContext& ctx,
-                    int prot_index) const override;
+                    const QuantParams& out_quant) const override;
 };
 
 class ConcatLayer final : public Layer {
@@ -27,8 +26,7 @@ class ConcatLayer final : public Layer {
   QuantParams derive_quant(std::span<const QuantParams> in_quants,
                            DType dtype) const override;
   TensorI32 forward(std::span<const NodeOutput* const> ins,
-                    const QuantParams& out_quant, ExecContext& ctx,
-                    int prot_index) const override;
+                    const QuantParams& out_quant) const override;
 };
 
 }  // namespace winofault

@@ -18,11 +18,6 @@ Shape PoolLayer::infer_shape(std::span<const Shape> in) const {
                conv_out_dim(in[0].w, kernel_, stride_, pad_)};
 }
 
-QuantParams PoolLayer::derive_quant(std::span<const QuantParams> in_quants,
-                                    DType) const {
-  return in_quants[0];
-}
-
 std::int32_t PoolLayer::pool_window(const TensorI32& in, const Shape& in_shape,
                                     std::int64_t c, std::int64_t oy,
                                     std::int64_t ox) const {
@@ -54,7 +49,7 @@ std::int32_t PoolLayer::pool_window(const TensorI32& in, const Shape& in_shape,
 }
 
 TensorI32 PoolLayer::forward(std::span<const NodeOutput* const> ins,
-                             const QuantParams&, ExecContext&, int) const {
+                             const QuantParams&) const {
   const TensorI32& in = ins[0]->tensor;
   const Shape in_shape = in.shape();
   Shape out_shape = infer_shape({&in_shape, 1});
@@ -74,14 +69,8 @@ Shape GlobalAvgPoolLayer::infer_shape(std::span<const Shape> in) const {
   return Shape{1, in[0].c, 1, 1};
 }
 
-QuantParams GlobalAvgPoolLayer::derive_quant(
-    std::span<const QuantParams> in_quants, DType) const {
-  return in_quants[0];
-}
-
 TensorI32 GlobalAvgPoolLayer::forward(std::span<const NodeOutput* const> ins,
-                                      const QuantParams&, ExecContext&,
-                                      int) const {
+                                      const QuantParams&) const {
   const TensorI32& in = ins[0]->tensor;
   const Shape s = in.shape();
   TensorI32 out(Shape{1, s.c, 1, 1});

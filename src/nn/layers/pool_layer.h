@@ -1,6 +1,6 @@
 // Spatial pooling layers. Max pooling preserves the input scale exactly;
 // average pooling uses integer rounding (sum + n/2) / n, also preserving
-// the scale.
+// the scale (Layer::derive_quant's default).
 #pragma once
 
 #include "nn/layer.h"
@@ -18,11 +18,8 @@ class PoolLayer final : public Layer {
     return mode_ == PoolMode::kMax ? "maxpool" : "avgpool";
   }
   Shape infer_shape(std::span<const Shape> in) const override;
-  QuantParams derive_quant(std::span<const QuantParams> in_quants,
-                           DType dtype) const override;
   TensorI32 forward(std::span<const NodeOutput* const> ins,
-                    const QuantParams& out_quant, ExecContext& ctx,
-                    int prot_index) const override;
+                    const QuantParams& out_quant) const override;
 
   // Window hyperparameters are not derivable from node shapes (different
   // (kernel, pad) pairs can give the same output size); the mode is
@@ -47,11 +44,8 @@ class GlobalAvgPoolLayer final : public Layer {
  public:
   const char* kind() const override { return "gap"; }
   Shape infer_shape(std::span<const Shape> in) const override;
-  QuantParams derive_quant(std::span<const QuantParams> in_quants,
-                           DType dtype) const override;
   TensorI32 forward(std::span<const NodeOutput* const> ins,
-                    const QuantParams& out_quant, ExecContext& ctx,
-                    int prot_index) const override;
+                    const QuantParams& out_quant) const override;
 };
 
 }  // namespace winofault

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "fault/models/overlay.h"
 #include "nn/fault_session.h"
 #include "nn/layers/activation_layer.h"
 #include "nn/layers/conv_layer.h"
 #include "nn/layers/eltwise_layer.h"
-#include "nn/layers/linear_layer.h"
 #include "nn/layers/pool_layer.h"
 
 namespace winofault {
@@ -21,6 +22,14 @@ int argmax_logit(const TensorI32& logits) {
     if (logits[i] > logits[best]) best = static_cast<int>(i);
   }
   return best;
+}
+
+// A pass on pristine silicon with no session: no protectable layer has
+// faults.
+FaultPlan no_faults(const Network& network) {
+  FaultPlan plan;
+  plan.layers.resize(static_cast<std::size_t>(network.num_protectable()));
+  return plan;
 }
 
 }  // namespace
@@ -52,7 +61,7 @@ int Network::add_layer(std::unique_ptr<Layer> layer, std::vector<int> inputs) {
   }
   Node node;
   node.shape = layer->infer_shape(in_shapes);
-  if (layer->protectable()) {
+  if (dynamic_cast<const ConvLayer*>(layer.get()) != nullptr) {
     node.prot_index = static_cast<int>(protectable_.size());
     protectable_.push_back(static_cast<int>(nodes_.size()));
   }
@@ -67,22 +76,11 @@ int Network::add_conv(int input, std::int64_t out_c, std::int64_t k,
                       std::int64_t stride, std::int64_t pad, Rng& rng,
                       bool relu) {
   const Shape in = nodes_[static_cast<std::size_t>(input)].shape;
-  ConvDesc desc;
-  desc.in_c = in.c;
-  desc.in_h = in.h;
-  desc.in_w = in.w;
-  desc.out_c = out_c;
-  desc.kh = k;
-  desc.kw = k;
-  desc.stride = stride;
-  desc.pad = pad;
   const TensorF weights = he_init_conv(out_c, in.c, k, rng);
   std::vector<float> bias(static_cast<std::size_t>(out_c));
   for (auto& b : bias) b = static_cast<float>(rng.next_gaussian() * 0.02);
-  const int conv = add_layer(
-      std::make_unique<ConvLayer>(desc, weights, std::move(bias), dtype_),
-      {input});
-  return relu ? add_relu(conv) : conv;
+  return add_conv(input, out_c, k, stride, pad, weights, std::move(bias),
+                  relu);
 }
 
 int Network::add_conv(int input, std::int64_t out_c, std::int64_t k,
@@ -109,23 +107,33 @@ int Network::add_linear(int input, std::int64_t out_features,
                         const TensorF& weights, std::vector<float> bias) {
   const Shape in = nodes_[static_cast<std::size_t>(input)].shape;
   WF_CHECK(in.h == 1 && in.w == 1);
-  return add_layer(std::make_unique<LinearLayer>(in.c, out_features, weights,
-                                                 std::move(bias), dtype_),
+  // A 1x1 conv over the [1, F, 1, 1] activation; `weights` holds
+  // [out_features, F] in row-major order.
+  ConvDesc desc;
+  desc.in_c = in.c;
+  desc.in_h = 1;
+  desc.in_w = 1;
+  desc.out_c = out_features;
+  desc.kh = 1;
+  desc.kw = 1;
+  desc.pad = 0;
+  const TensorF w4(
+      Shape{out_features, in.c, 1, 1},
+      std::vector<float>(weights.flat().begin(), weights.flat().end()));
+  return add_layer(std::make_unique<ConvLayer>(desc, w4, std::move(bias),
+                                               dtype_, "linear"),
                    {input});
 }
 
 int Network::add_linear(int input, std::int64_t out_features, Rng& rng) {
   const Shape in = nodes_[static_cast<std::size_t>(input)].shape;
-  WF_CHECK(in.h == 1 && in.w == 1);
   TensorF weights(Shape{out_features, in.c, 1, 1});
   const double stddev = std::sqrt(2.0 / static_cast<double>(in.c));
   for (auto& v : weights.flat())
     v = static_cast<float>(rng.next_gaussian() * stddev);
   std::vector<float> bias(static_cast<std::size_t>(out_features));
   for (auto& b : bias) b = static_cast<float>(rng.next_gaussian() * 0.02);
-  return add_layer(std::make_unique<LinearLayer>(in.c, out_features, weights,
-                                                 std::move(bias), dtype_),
-                   {input});
+  return add_linear(input, out_features, weights, std::move(bias));
 }
 
 int Network::add_relu(int input) {
@@ -189,23 +197,24 @@ void Network::calibrate(std::span<const TensorF> images) {
     acts[b][0].quant = input_quant_;
   }
 
-  ExecContext ctx;  // fault-free, direct policy
+  // Layer-major, fault-free: a node's scale is chosen over the whole batch
+  // before the next node runs.
   for (std::size_t id = 1; id < nodes_.size(); ++id) {
     Node& node = nodes_[id];
     std::vector<QuantParams> in_quants;
     for (const int in : node.inputs)
       in_quants.push_back(nodes_[static_cast<std::size_t>(in)].quant);
 
-    if (node.layer->protectable()) {
+    if (node.prot_index >= 0) {
       // Choose the output scale so the widest pre-activation seen across
       // the calibration batch exactly reaches the dtype's max code.
+      const ConvLayer& conv = protectable_layer(node.prot_index);
       double real_absmax = 1e-9;
       for (std::size_t b = 0; b < batch; ++b) {
         std::vector<const NodeOutput*> ins;
         for (const int in : node.inputs)
           ins.push_back(&acts[b][static_cast<std::size_t>(in)]);
-        real_absmax =
-            std::max(real_absmax, node.layer->calib_acc_absmax(ins));
+        real_absmax = std::max(real_absmax, conv.calib_acc_absmax(ins));
       }
       node.quant.dtype = dtype_;
       node.quant.scale = real_absmax / static_cast<double>(dtype_max(dtype_));
@@ -217,8 +226,7 @@ void Network::calibrate(std::span<const TensorF> images) {
       std::vector<const NodeOutput*> ins;
       for (const int in : node.inputs)
         ins.push_back(&acts[b][static_cast<std::size_t>(in)]);
-      acts[b][id].tensor =
-          node.layer->forward(ins, node.quant, ctx, node.prot_index);
+      acts[b][id].tensor = node.layer->forward(ins, node.quant);
       acts[b][id].quant = node.quant;
     }
   }
@@ -241,18 +249,24 @@ void Network::calibrate(std::span<const TensorF> images) {
 
 TensorI32 Network::forward(const TensorF& image, ExecContext& ctx) const {
   WF_CHECK(calibrated_);
-  std::vector<NodeOutput> acts(nodes_.size());
-  acts[0].tensor = quantize_input(image);
-  acts[0].quant = input_quant_;
-  for (std::size_t id = 1; id < nodes_.size(); ++id) {
-    const Node& node = nodes_[id];
-    std::vector<const NodeOutput*> ins;
-    ins.reserve(node.inputs.size());
-    for (const int in : node.inputs)
-      ins.push_back(&acts[static_cast<std::size_t>(in)]);
-    acts[id].tensor = node.layer->forward(ins, node.quant, ctx, node.prot_index);
-    acts[id].quant = node.quant;
+  FaultPlan plan;
+  FaultModelKind kind = FaultModelKind::kFlip;
+  if (ctx.overlay != nullptr) {
+    // The defects are the pass's only faults: an overlay model's session
+    // draws nothing (the campaign's inject path brings both).
+    WF_CHECK(ctx.session == nullptr ||
+             ctx.session->config().model.uses_overlay());
+    plan = overlay_fault_plan(*this, *ctx.overlay);
+    kind = ctx.overlay->kind;
+  } else if (ctx.session != nullptr) {
+    plan = ctx.session->plan(*this, ctx.policy);
+    kind = ctx.session->config().model.kind;
+  } else {
+    plan = no_faults(*this);
   }
+  std::vector<NodeOutput> acts(nodes_.size());
+  acts[0] = NodeOutput{quantize_input(image), input_quant_};
+  run_nodes(acts, ctx.policy, plan, kind, nullptr);
   TensorI32 out = std::move(acts[static_cast<std::size_t>(output_node_)].tensor);
   apply_logit_centering(out);
   return out;
@@ -278,21 +292,12 @@ GoldenCache Network::make_golden(const TensorF& image, ConvPolicy policy,
   GoldenCache cache;
   cache.policy_ = policy;
   cache.resize(nodes_.size());
-  cache.acts_[0].tensor = quantize_input(image);
-  cache.acts_[0].quant = input_quant_;
-  ExecContext ctx;
-  ctx.policy = policy;
-  ctx.overlay = overlay;
-  for (std::size_t id = 1; id < nodes_.size(); ++id) {
-    const Node& node = nodes_[id];
-    std::vector<const NodeOutput*> ins;
-    ins.reserve(node.inputs.size());
-    for (const int in : node.inputs)
-      ins.push_back(&cache.acts_[static_cast<std::size_t>(in)]);
-    cache.acts_[id].tensor =
-        node.layer->forward(ins, node.quant, ctx, node.prot_index);
-    cache.acts_[id].quant = node.quant;
-  }
+  cache.acts_[0] = NodeOutput{quantize_input(image), input_quant_};
+  run_nodes(cache.acts_, policy,
+            overlay != nullptr ? overlay_fault_plan(*this, *overlay)
+                               : no_faults(*this),
+            overlay != nullptr ? overlay->kind : FaultModelKind::kFlip,
+            nullptr);
   cache.logits_ = cache.acts_[static_cast<std::size_t>(output_node_)].tensor;
   apply_logit_centering(cache.logits_);
   cache.prediction_ = argmax_logit(cache.logits_);
@@ -308,12 +313,25 @@ TensorI32 Network::forward_replay(const GoldenCache& golden, ConvPolicy policy,
   const FaultPlan plan = session.plan(*this, policy);
   if (plan.first_faulted < 0) return golden.logits_;
 
-  const FaultModelKind kind = session.config().model.kind;
   std::vector<NodeOutput> replay(nodes_.size());
-  // Nodes whose replayed output differs from their golden activation: a
-  // perturbation that requantizes away leaves its node clean, which prunes
-  // the dirty cone there.
-  std::vector<char> dirty(nodes_.size(), 0);
+  if (!run_nodes(replay, policy, plan, session.config().model.kind, &golden,
+                 visit)) {
+    return golden.logits_;
+  }
+  TensorI32 out =
+      std::move(replay[static_cast<std::size_t>(output_node_)].tensor);
+  apply_logit_centering(out);
+  return out;
+}
+
+bool Network::run_nodes(std::vector<NodeOutput>& acts, ConvPolicy policy,
+                        const FaultPlan& plan, FaultModelKind kind,
+                        const GoldenCache* golden,
+                        const ReplayVisitor& visit) const {
+  // Nodes whose output is in `acts`; a clean node's is the golden's. With
+  // a golden, a perturbation that requantizes away leaves its node clean,
+  // which prunes the dirty cone there.
+  std::vector<char> dirty(nodes_.size(), golden == nullptr ? 1 : 0);
   for (std::size_t id = 1; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
     bool inputs_dirty = false;
@@ -323,56 +341,59 @@ TensorI32 Network::forward_replay(const GoldenCache& golden, ConvPolicy policy,
         node.prot_index >= 0
             ? &plan.layers[static_cast<std::size_t>(node.prot_index)]
             : nullptr;
-    const bool faulted = faults != nullptr && faults->faulted();
     // Clean inputs and no faults here: the cached activation stays valid.
-    if (!inputs_dirty && !faulted) continue;
+    if (golden != nullptr && !inputs_dirty &&
+        (faults == nullptr || !faults->faulted())) {
+      continue;
+    }
 
     std::vector<const NodeOutput*> ins;
     ins.reserve(node.inputs.size());
     for (const int in : node.inputs) {
       const std::size_t i = static_cast<std::size_t>(in);
-      ins.push_back(dirty[i] ? &replay[i] : &golden.acts_[i]);
+      ins.push_back(dirty[i] ? &acts[i] : &golden->acts_[i]);
     }
-    const TensorI32& gold = golden.acts_[id].tensor;
     TensorI32 out;
     if (faults == nullptr) {
       // Relu, pooling, Add, concat, flatten: dense recompute.
-      ExecContext ctx;
-      ctx.policy = policy;
-      out = node.layer->forward(ins, node.quant, ctx, -1);
+      out = node.layer->forward(ins, node.quant);
+    } else if (golden == nullptr) {
+      // Conv or linear: the layer's faults on top of its dense GEMM.
+      out = protectable_layer(node.prot_index)
+                .forward_replay(ins, node.quant, policy, *faults, kind,
+                                nullptr);
     } else {
       // Conv or linear: the layer's faults on top of its golden output,
       // moved by delta replay where the input or the weights changed.
       const GoldenNode golden_node{
-          golden.acts_[static_cast<std::size_t>(node.inputs[0])], gold,
-          golden.accs_[id], inputs_dirty};
-      out = node.layer->forward_replay(ins, node.quant, policy, *faults, kind,
-                                       &golden_node);
+          golden->acts_[static_cast<std::size_t>(node.inputs[0])],
+          golden->acts_[id].tensor, golden->accs_[id], inputs_dirty};
+      out = protectable_layer(node.prot_index)
+                .forward_replay(ins, node.quant, policy, *faults, kind,
+                                &golden_node);
     }
     if (visit) visit(static_cast<int>(id), ins, out);
-    // Compare against the golden activation, stopping at the first
-    // mismatch; an equal output means every perturbation requantized away.
-    // Neuron or accumulator flips on an otherwise-clean node can only
-    // change the flipped indices, so only those are compared.
-    const bool patch_only =
-        !inputs_dirty && faults->sites.empty() && faults->weights.empty();
-    const auto flipped = [&](const CellFault& f) {
-      return out[f.index] != gold[f.index];
-    };
-    const bool differs = patch_only
-                             ? std::ranges::any_of(faults->neurons, flipped) ||
-                                   std::ranges::any_of(faults->accums, flipped)
-                             : out != gold;
-    if (!differs) continue;
-    replay[id] = NodeOutput{std::move(out), node.quant};
+    if (golden != nullptr) {
+      // Compare against the golden activation, stopping at the first
+      // mismatch; an equal output means every perturbation requantized
+      // away. Neuron or accumulator flips on an otherwise-clean node can
+      // only change the flipped indices, so only those are compared.
+      const TensorI32& gold = golden->acts_[id].tensor;
+      const bool patch_only =
+          !inputs_dirty && faults->sites.empty() && faults->weights.empty();
+      const auto flipped = [&](const CellFault& f) {
+        return out[f.index] != gold[f.index];
+      };
+      const bool differs =
+          patch_only ? std::ranges::any_of(faults->neurons, flipped) ||
+                           std::ranges::any_of(faults->accums, flipped)
+                     : out != gold;
+      if (!differs) continue;
+    }
+    acts[id] = NodeOutput{std::move(out), node.quant};
     dirty[id] = 1;
   }
-
-  const std::size_t out_id = static_cast<std::size_t>(output_node_);
-  if (!dirty[out_id]) return golden.logits_;
-  TensorI32 out = std::move(replay[out_id].tensor);
-  apply_logit_centering(out);
-  return out;
+  return dirty[static_cast<std::size_t>(output_node_)] != 0;
 }
 
 int Network::predict_replay(const GoldenCache& golden, ConvPolicy policy,
@@ -380,11 +401,10 @@ int Network::predict_replay(const GoldenCache& golden, ConvPolicy policy,
   return argmax_logit(forward_replay(golden, policy, session));
 }
 
-const Layer& Network::protectable_layer(int prot_index) const {
-  WF_CHECK(prot_index >= 0 && prot_index < num_protectable());
-  return *nodes_[static_cast<std::size_t>(
-                     protectable_[static_cast<std::size_t>(prot_index)])]
-              .layer;
+const ConvLayer& Network::protectable_layer(int prot_index) const {
+  // add_layer makes exactly the ConvLayer nodes protectable.
+  return static_cast<const ConvLayer&>(
+      *nodes_[static_cast<std::size_t>(protectable_node(prot_index))].layer);
 }
 
 int Network::protectable_node(int prot_index) const {
@@ -434,11 +454,9 @@ std::uint64_t Network::fingerprint() const {
 
 std::vector<ConvDesc> Network::conv_descs() const {
   std::vector<ConvDesc> descs;
-  for (const int id : protectable_) {
-    const Layer& layer = *nodes_[static_cast<std::size_t>(id)].layer;
-    if (const auto* conv = dynamic_cast<const ConvLayer*>(&layer)) {
-      descs.push_back(conv->desc());
-    }
+  for (int p = 0; p < num_protectable(); ++p) {
+    const ConvLayer& conv = protectable_layer(p);
+    if (std::strcmp(conv.kind(), "conv") == 0) descs.push_back(conv.desc());
   }
   return descs;
 }

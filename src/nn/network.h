@@ -1,6 +1,9 @@
 // Quantized inference network: a DAG of layers with per-node quantization,
 // built through a small builder API, calibrated on sample images, and
-// executed under any ConvPolicy with optional fault injection.
+// executed under any ConvPolicy with optional fault injection. The Network
+// is the one place that draws and applies faults: a scratch forward, a
+// golden build and replay run one node loop, which hands every protectable
+// node its faults from the pass's FaultPlan.
 //
 // Winograd and direct execution are bit-identical fault-free (guaranteed by
 // the integer Winograd engines), so a single calibration serves every
@@ -16,10 +19,23 @@
 #include "common/rng.h"
 #include "nn/golden_cache.h"
 #include "nn/layer.h"
+#include "nn/layers/conv_layer.h"
 
 namespace winofault {
 
 class FaultSession;
+struct FaultOverlay;
+
+// Per-inference parameters of a scratch forward.
+struct ExecContext {
+  ConvPolicy policy = ConvPolicy::kDirect;
+  FaultSession* session = nullptr;  // null => no transient faults
+  // Permanent-fault overlay (fault/models/overlay.h): the defective
+  // silicon the pass runs on, as make_golden bakes it in. Null => pristine
+  // silicon. Only an overlay model's session, which draws nothing, may
+  // come with it (checked).
+  const FaultOverlay* overlay = nullptr;
+};
 
 class Network {
  public:
@@ -70,6 +86,9 @@ class Network {
   void set_logit_centering(bool enabled) { center_logits_ = enabled; }
 
   // ---- Execution (thread-safe after calibration) ----
+  // Scratch forward: every node recomputed under the faults the session
+  // plans (FaultSession::plan) or the overlay's defects, with no golden and
+  // no pruning — the replay oracle.
   TensorI32 forward(const TensorF& image, ExecContext& ctx) const;
   int predict(const TensorF& image, ExecContext& ctx) const;
 
@@ -79,18 +98,18 @@ class Network {
   // engine-independent, so a golden built under any `policy` serves replay
   // under every policy; `policy` only sets the golden's tag. A non-null
   // `overlay` (fault/models/overlay.h) bakes a permanent-fault model's
-  // defective weight/accumulator cells into every protectable layer,
-  // producing a *faulted-weights golden variant* — "fault-free" then means
-  // "no transient faults on the defective silicon". Callers key variant
-  // goldens by overlay->digest (GoldenLru/store) so they never serve a
-  // clean-silicon replay.
+  // defective weight/accumulator cells into every protectable layer as the
+  // pass's plan faults (overlay_fault_plan), producing a *faulted-weights
+  // golden variant* — "fault-free" then means "no transient faults on the
+  // defective silicon". Callers key variant goldens by overlay->digest
+  // (GoldenLru/store) so they never serve a clean-silicon replay.
   GoldenCache make_golden(const TensorF& image, ConvPolicy policy,
                           const FaultOverlay* overlay = nullptr) const;
   // One injection trial under `policy` against the cache: pre-samples the
   // session's faults (consuming its RNG exactly as a scratch forward would),
   // reuses cached activations upstream of the earliest faulted layer, and
   // replays only the downstream cone. A dirty conv or linear node, or one
-  // with weight faults, replays by delta (Layer::forward_replay): its
+  // with weight faults, replays by delta (ConvLayer::forward_replay): its
   // golden accumulators plus W·Δx plus ΔW·x', requantized where they moved,
   // so no replay runs a dense conv GEMM; other dirty nodes recompute with
   // forward. Bit-identical to forward()/predict() under `policy` with the
@@ -124,14 +143,15 @@ class Network {
   // Protectable (conv/linear) layers in execution order: the index space of
   // FaultConfig::fault_free_layer and FaultConfig::protection.
   int num_protectable() const { return static_cast<int>(protectable_.size()); }
-  const Layer& protectable_layer(int prot_index) const;
+  const ConvLayer& protectable_layer(int prot_index) const;
   // Graph node id and output shape of a protectable layer.
   int protectable_node(int prot_index) const;
   Shape protectable_shape(int prot_index) const;
   OpSpace protectable_op_space(int prot_index, ConvPolicy policy) const;
   // Whole-network op space under a policy.
   OpSpace total_op_space(ConvPolicy policy) const;
-  // All conv descriptors in execution order (performance model input).
+  // All conv descriptors in execution order, linear heads excluded
+  // (performance model input).
   std::vector<ConvDesc> conv_descs() const;
 
  private:
@@ -140,8 +160,23 @@ class Network {
     std::vector<int> inputs;
     Shape shape;
     QuantParams quant;
-    int prot_index = -1;  // ordinal among protectable layers, or -1
+    int prot_index = -1;  // ordinal among protectable layers (ConvLayer)
   };
+
+  // The one node loop behind forward, make_golden and forward_replay. Runs
+  // the nodes after the input in order into `acts`, whose entry 0 holds
+  // the quantized input when there is no golden. A protectable node
+  // computes through ConvLayer::forward_replay with its `plan` faults under
+  // `kind`, every other node through Layer::forward. Without a golden every
+  // node runs. With one, only the dirty cone does: a node with clean inputs
+  // and no faults keeps its golden activation, and so does one whose output
+  // equals it, which prunes the cone. `visit` sees every node that ran.
+  // Returns whether `acts` holds the output node's output (with a golden:
+  // whether it differs from the golden's).
+  bool run_nodes(std::vector<NodeOutput>& acts, ConvPolicy policy,
+                 const FaultPlan& plan, FaultModelKind kind,
+                 const GoldenCache* golden,
+                 const ReplayVisitor& visit = nullptr) const;
 
   TensorI32 quantize_input(const TensorF& image) const;
   // Subtracts the per-class calibration offsets from classifier logits.

@@ -230,9 +230,9 @@ EvalOptions model_options(const char* spec, double ber, ConvPolicy policy,
 }
 
 // (c): every registry model agrees bit-exactly between cached replay and
-// scratch forwards, under both conv policies (the scratch path exercises
-// ExecContext and FaultSession::sample_layer per layer, the replay path
-// plan() + forward_replay over the golden).
+// scratch forwards, under both conv policies (the scratch path runs every
+// node under the session's plan() or the overlay's plan faults, the replay
+// path plan() + forward_replay over the golden).
 TEST(FaultModelCampaignTest, ReplayMatchesScratchForEveryModel) {
   const Fixture f = make_fixture();
   const char* specs[] = {"stuck0@weight", "stuck1@weight", "toggle@weight",

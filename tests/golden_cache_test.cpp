@@ -19,6 +19,7 @@
 #include "conv/direct_conv.h"
 #include "conv/engine.h"
 #include "conv/fault_hook.h"
+#include "conv/instrumented_ref.h"
 #include "nn/evaluator.h"
 #include "nn/models/zoo.h"
 #include "test_util.h"
@@ -66,7 +67,7 @@ TEST_P(GemmFastPath, BitIdenticalToReference) {
   desc.pad = c.pad;
   desc.has_bias = c.bias;
   const ConvProblem p = make_problem(rng, desc, c.dtype);
-  const TensorI32 ref = direct_forward_reference(desc, p.data());
+  const TensorI32 ref = direct_forward_instrumented(desc, p.data(), {});
   const TensorI32 gemm = direct_forward_gemm(desc, p.data());
   expect_tensors_equal(ref, gemm, "gemm vs reference");
   // The engine's public forward routes through the fast path.
@@ -114,7 +115,7 @@ TEST(GemmFastPath, RandomShapeSweep) {
     if (desc.in_h < desc.kh || desc.in_w < desc.kw) continue;
     const DType dtype = rng.bernoulli(0.5) ? DType::kInt8 : DType::kInt16;
     const ConvProblem p = make_problem(rng, desc, dtype);
-    expect_tensors_equal(direct_forward_reference(desc, p.data()),
+    expect_tensors_equal(direct_forward_instrumented(desc, p.data(), {}),
                          direct_forward_gemm(desc, p.data()),
                          "random gemm vs reference");
   }
@@ -303,7 +304,7 @@ TEST(CachedReplay, ZooModelMatchesScratch) {
 
 // Every conv or linear node a replay recomputes must equal a dense
 // recompute of that node from the same replayed input with the same faults
-// (Layer::forward_replay with no golden, a scratch forward's path). An
+// (ConvLayer::forward_replay with no golden, a scratch forward's path). An
 // output the delta replay missed fails here even when it requantizes away
 // before the logits.
 TEST(CachedReplay, EveryReplayedConvMatchesItsDenseRecompute) {

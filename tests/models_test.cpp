@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/systolic.h"
 #include "fault/models/overlay.h"
 #include "nn/dataset.h"
 #include "nn/fault_session.h"
@@ -38,6 +39,62 @@ TEST(Zoo, ScaledChannelsFloorsAndEvens) {
   EXPECT_EQ(scaled_channels(64, 1.0), 64);
   EXPECT_EQ(scaled_channels(3, 0.25), 4);    // floor
   EXPECT_EQ(scaled_channels(100, 0.25), 26); // 25 -> rounded up to even
+}
+
+// An overlay golden against a definition-level reference. VGG19 feeds
+// every protectable node from the node before it, so each node is
+// recomputed from the overlay golden's own input activation: the layer's
+// no-golden path over the overlay's weight defects, then every output's
+// register bits in overlay order (accel/systolic's output-stationary
+// mapping). Replay-vs-scratch checks cannot catch a plan conversion that
+// drops or reorders register bits, because both sides share it.
+TEST(Zoo, OverlayGoldenMatchesDefinitionReference) {
+  const Network net = zoo_entry("vgg19").build(tiny_config());
+  const TensorF image = make_images(net.input_shape(), 1, 2718)[0];
+  const GoldenCache clean = net.make_golden(image, ConvPolicy::kDirect);
+  const int width = bit_width(net.dtype());
+  for (const char* spec : {"toggle@accum#perm", "stuck1(0.01)@weight#perm"}) {
+    FaultConfig config;
+    config.ber = 0.01;
+    config.model = *FaultModelSpec::parse(spec);
+    const FaultOverlay overlay = build_fault_overlay(net, config, 5);
+    ASSERT_FALSE(overlay.empty()) << spec;
+    for (const ConvPolicy policy :
+         {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
+      const std::string what =
+          std::string(spec) + " " + conv_policy_name(policy);
+      const GoldenCache golden = net.make_golden(image, policy, &overlay);
+      int moved = 0;
+      for (int p = 0; p < net.num_protectable(); ++p) {
+        const ConvLayer& layer = net.protectable_layer(p);
+        const int node = net.protectable_node(p);
+        const NodeOutput& in = golden.node_output(node - 1);
+        ASSERT_EQ(in.tensor.shape(), layer.desc().in_shape()) << what;
+        const NodeOutput* ins[] = {&in};
+        FaultPlan::LayerFaults defects;
+        if (static_cast<std::size_t>(p) < overlay.weights.size()) {
+          defects.weights = overlay.weights[static_cast<std::size_t>(p)];
+        }
+        TensorI32 expected =
+            layer.forward_replay(ins, golden.node_output(node).quant, policy,
+                                 defects, overlay.kind, nullptr);
+        for (std::int64_t j = 0;
+             !overlay.accum_bits.empty() && j < expected.numel(); ++j) {
+          for (const int bit : overlay.accum_bits[static_cast<std::size_t>(
+                   accum_register_for_output(SystolicConfig{}, j))]) {
+            expected[j] = static_cast<std::int32_t>(
+                apply_fault_kind(overlay.kind, expected[j], bit, width));
+          }
+        }
+        testing::expect_tensors_equal(expected,
+                                      golden.node_output(node).tensor,
+                                      what.c_str());
+        moved += golden.node_output(node).tensor !=
+                 clean.node_output(node).tensor;
+      }
+      EXPECT_GT(moved, 0) << what;
+    }
+  }
 }
 
 struct ZooCase {

@@ -95,18 +95,17 @@ TEST(PoolLayers, MaxAndAvgSemantics) {
   in.tensor.at(0, 0, 1, 1) = 2;
   in.quant = QuantParams{0.5, DType::kInt16};
   const NodeOutput* ins[] = {&in};
-  ExecContext ctx;
 
   PoolLayer maxpool(PoolMode::kMax, 2, 2);
-  const TensorI32 mx = maxpool.forward({ins, 1}, in.quant, ctx, -1);
+  const TensorI32 mx = maxpool.forward({ins, 1}, in.quant);
   EXPECT_EQ(mx.at(0, 0, 0, 0), 5);
 
   PoolLayer avgpool(PoolMode::kAvg, 2, 2);
-  const TensorI32 av = avgpool.forward({ins, 1}, in.quant, ctx, -1);
+  const TensorI32 av = avgpool.forward({ins, 1}, in.quant);
   EXPECT_EQ(av.at(0, 0, 0, 0), 1);  // (1+5-3+2+2)/4 = 1.25 -> rounds to 1
 
   GlobalAvgPoolLayer gap;
-  const TensorI32 gp = gap.forward({ins, 1}, in.quant, ctx, -1);
+  const TensorI32 gp = gap.forward({ins, 1}, in.quant);
   EXPECT_EQ(gp.at(0, 0, 0, 0), 1);
 }
 
@@ -125,8 +124,7 @@ TEST(AddLayer, RescalesAndSaturates) {
   const QuantParams out_q = add.derive_quant({in_q, 2}, DType::kInt8);
   EXPECT_DOUBLE_EQ(out_q.scale, 3.0);
   const NodeOutput* ins[] = {&a, &b};
-  ExecContext ctx;
-  const TensorI32 out = add.forward({ins, 2}, out_q, ctx, -1);
+  const TensorI32 out = add.forward({ins, 2}, out_q);
   // real 50 at scale 3 -> 16.67 -> 17 (rounding of each term: 3+13=16 or so)
   EXPECT_NEAR(out[0] * 3.0, 50.0, 3.0);
   // real 381 at scale 3 = 127: at the positive rail.
@@ -146,8 +144,7 @@ TEST(ConcatLayer, LaysOutChannelsAndRescales) {
   const QuantParams out_q = concat.derive_quant({in_q, 2}, DType::kInt16);
   EXPECT_DOUBLE_EQ(out_q.scale, 1.0);
   const NodeOutput* ins[] = {&a, &b};
-  ExecContext ctx;
-  const TensorI32 out = concat.forward({ins, 2}, out_q, ctx, -1);
+  const TensorI32 out = concat.forward({ins, 2}, out_q);
   EXPECT_EQ(out.shape(), (Shape{1, 3, 2, 2}));
   EXPECT_EQ(out.at(0, 0, 0, 0), 10);  // scale 1 -> unchanged
   EXPECT_EQ(out.at(0, 1, 0, 0), 4);   // real 4 at scale 1

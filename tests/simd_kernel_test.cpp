@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "conv/direct_conv.h"
 #include "conv/gemm_kernel.h"
+#include "conv/instrumented_ref.h"
 #include "test_util.h"
 
 namespace winofault {
@@ -72,7 +73,8 @@ TEST(SimdKernel, AllIsaLevelsMatchInstrumentedReference) {
       desc.kh = desc.kw = s.k;
       desc.pad = s.k / 2;
       const ConvProblem p = make_problem(rng, desc);
-      const TensorI32 reference = direct_forward_reference(desc, p.data());
+      const TensorI32 reference =
+          direct_forward_instrumented(desc, p.data(), {});
       const TensorI32 gemm = direct_forward_gemm(desc, p.data());
       SCOPED_TRACE(std::string("isa=") + gemm_isa_name(isa));
       expect_tensors_equal(gemm, reference, "gemm vs instrumented ref");
