@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     options.bers = bers;
     options.policy = policy;
     options.seed = env.seed + 9;
-    options.store = store_options(cli.store_dir);
+    options.store = store_options(cli.store_dir, env);
     curves.push_back(accuracy_sweep(m.net, m.data, options));
   }
   for (std::size_t i = 0; i < bers.size(); ++i) {

@@ -104,13 +104,7 @@ double run_per_call(const Network& net, const Dataset& data,
                     const std::vector<CampaignPoint>& points) {
   double checksum = 0.0;
   for (const CampaignPoint& point : points) {
-    EvalOptions options;
-    options.fault = point.fault;
-    options.policy = point.policy;
-    options.seed = point.seed;
-    options.trials = point.trials;
-    options.reuse_golden = point.reuse_golden;
-    checksum += evaluate(net, data, options).accuracy;
+    checksum += evaluate(net, data, point).accuracy;
   }
   return checksum;
 }
@@ -124,7 +118,7 @@ int main(int argc, char** argv) {
   reject_dist_cli(cli, argv[0],
                   "throughput A/B must execute every mode from scratch");
   const BenchEnv env = bench_env(argv[0]);
-  const int trials = env_int("WINOFAULT_TRIALS", 100);
+  const int trials = int_knob(argv[0], "WINOFAULT_TRIALS", 100, 1);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, env);
   const std::vector<double> bers = log_ber_grid(1e-9, 1e-7, 3);
   const auto deep = campaign_points(bers, trials, env.seed, true);

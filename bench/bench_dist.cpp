@@ -43,7 +43,6 @@ CampaignSpec bench_spec(std::uint64_t seed, int trials) {
       point.policy = policy;
       point.seed = seed;
       point.trials = trials;
-      point.tag = "bench-dist";
       spec.points.push_back(std::move(point));
     }
   }
@@ -72,7 +71,7 @@ bool same_results(const CampaignResult& a, const CampaignResult& b) {
 int main(int argc, char** argv) {
   CliOptions cli = parse_cli(argc, argv);
   const BenchEnv env = bench_env(argv[0]);
-  const int trials = env_int("WINOFAULT_TRIALS", 10);
+  const int trials = int_knob(argv[0], "WINOFAULT_TRIALS", 10, 1);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, env);
 
   if (cli.shard_count >= 1) {
@@ -83,8 +82,8 @@ int main(int argc, char** argv) {
     // baseline; treating it as a coordinator would recurse into a fork
     // bomb.
     CampaignSpec spec = bench_spec(env.seed, trials);
-    spec.store = store_options(cli.store_dir);
-    spec.store.dist = dist_options(cli);
+    spec.store = store_options(cli.store_dir, env);
+    spec.store.dist = dist_options(cli, env);
     run_campaign(m.net, m.data, spec);
     return 0;
   }
@@ -119,7 +118,7 @@ int main(int argc, char** argv) {
 
   std::filesystem::remove_all(root + "/single");
   CampaignSpec stored = plain;
-  stored.store = store_options(root + "/single");
+  stored.store = store_options(root + "/single", env);
   const auto t_single = std::chrono::steady_clock::now();
   const CampaignResult single = run_campaign(m.net, m.data, stored);
   const double single_s = seconds_since(t_single);
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
     // Bit-identity + completeness: the merged journal must replay the
     // whole grid without executing a single inference.
     CampaignSpec check = plain;
-    check.store = store_options(dir);
+    check.store = store_options(dir, env);
     const CampaignResult replay = run_campaign(m.net, m.data, check);
     if (replay.stats.inferences != 0 || !same_results(reference, replay)) {
       std::fprintf(stderr,

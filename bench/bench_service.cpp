@@ -50,7 +50,6 @@ CampaignSpec bench_spec(std::uint64_t seed, int trials) {
       point.policy = policy;
       point.seed = seed;
       point.trials = trials;
-      point.tag = "bench-service";
       spec.points.push_back(std::move(point));
     }
   }
@@ -84,7 +83,7 @@ int main(int argc, char** argv) {
   note_store_unused(cli, "bench_service manages its own scratch store");
 
   const BenchEnv env = bench_env(argv[0]);
-  const int trials = env_int("WINOFAULT_TRIALS", 1);
+  const int trials = int_knob(argv[0], "WINOFAULT_TRIALS", 1, 1);
   const std::string scratch =
       std::filesystem::temp_directory_path() /
       ("winofault_bench_service_" + std::to_string(::getpid()));
@@ -160,7 +159,7 @@ int main(int argc, char** argv) {
   // Stored pair: the first journals every cell (goldens still warm), the
   // second replays the journal without executing anything.
   CampaignSpec stored_spec = spec;
-  stored_spec.store = store_options(store_dir);
+  stored_spec.store = store_options(store_dir, env);
   const CampaignResult stored_first =
       submit("stored submit", stored_spec, &stored_cold_s, nullptr);
   const CampaignResult stored_replay =

@@ -19,6 +19,11 @@
 //   WINOFAULT_DIST_DIE_SHARD / WINOFAULT_DIST_DIE_AFTER  CI kill switch:
 //                     worker DIE_SHARD SIGKILLs itself after DIE_AFTER
 //                     cells (crash simulation for the dist smoke)
+//   WINOFAULT_DAEMON_RETRIES / WINOFAULT_DAEMON_BACKOFF_MS  --daemon
+//                     submission retries (default 3) and first backoff
+//                     (default 100 ms)
+// bench_env reads them once, strictly: a set value that does not parse or
+// is out of range exits 2 with the usage text.
 //
 // Command line (shared by every fig/bench binary via parse_cli):
 //   --out-dir DIR     write CSV/JSON outputs under DIR (default: cwd)
@@ -48,6 +53,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -322,35 +328,6 @@ inline std::vector<FaultModelSpec> resolve_fault_models(
   return models;
 }
 
-// StoreOptions from the shared CLI/env surface: the store directory plus
-// the WINOFAULT_CELL_BUDGET checkpoint knob. Every store-enabled driver
-// builds its options here so the knobs behave identically everywhere.
-inline StoreOptions store_options(const std::string& store_dir) {
-  StoreOptions options;
-  options.dir = store_dir;
-  options.cell_budget =
-      static_cast<std::int64_t>(env_int("WINOFAULT_CELL_BUDGET", 0));
-  return options;
-}
-
-// DistOptions from the shared CLI/env surface: the worker's shard identity
-// plus the staleness knob and the CI crash-simulation switch.
-inline DistOptions dist_options(const CliOptions& cli) {
-  DistOptions dist;
-  dist.shard_index = cli.shard_index;
-  dist.shard_count = cli.shard_count;
-  // Set in the environment by the local coordinator before spawning: its
-  // workers split one machine. Hand-started shards (one per host) keep
-  // the whole host's threads.
-  dist.share_host = env_bool("WINOFAULT_DIST_SHARE_HOST", false);
-  dist.claim_stale_ms = env_int("WINOFAULT_CLAIM_STALE_MS", 10000);
-  if (dist.enabled() &&
-      env_int("WINOFAULT_DIST_DIE_SHARD", -1) == dist.shard_index) {
-    dist.die_after_cells = env_int("WINOFAULT_DIST_DIE_AFTER", 0);
-  }
-  return dist;
-}
-
 // Coordinator path (--workers N): fork N workers of this binary over the
 // shared store — each re-executes the driver with `--shard i/N`, claims
 // cost-weighted buckets of every campaign, and journals into its own
@@ -428,48 +405,140 @@ inline void reject_dist_cli(const CliOptions& cli, const char* prog,
   }
 }
 
+// Strict environment knobs: a set, non-empty value that does not parse or
+// is out of range exits 2 with the message and the usage text instead of
+// silently running the default; an unset or empty variable keeps it.
+[[noreturn]] inline void bad_knob(const char* prog, const char* name,
+                                  const std::string& expects,
+                                  const char* value) {
+  std::fprintf(stderr, "%s: %s expects %s, got '%s'\n", prog, name,
+               expects.c_str(), value);
+  print_usage(prog, stderr);
+  std::exit(2);
+}
+
+inline const char* knob_value(const char* name) {
+  const char* value = std::getenv(name);
+  return value != nullptr && *value != '\0' ? value : nullptr;
+}
+
+// An int >= `min` (parse_int: the whole text, inside int's range).
+inline int int_knob(const char* prog, const char* name, int fallback,
+                    int min) {
+  const char* value = knob_value(name);
+  if (value == nullptr) return fallback;
+  int parsed = 0;
+  if (parse_int(value, &parsed) && parsed >= min) return parsed;
+  bad_knob(prog, name,
+           min == std::numeric_limits<int>::min()
+               ? "an int"
+               : "an integer >= " + std::to_string(min),
+           value);
+}
+
+// A number in [lo, hi]; NaN and a bound-crossing infinity are rejected.
+inline double number_knob(const char* prog, const char* name,
+                          double fallback, double lo, double hi,
+                          const char* expects) {
+  const char* value = knob_value(name);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  if (*end == '\0' && parsed >= lo && parsed <= hi) return parsed;
+  bad_knob(prog, name, expects, value);
+}
+
+inline bool bool_knob(const char* prog, const char* name, bool fallback) {
+  const char* value = knob_value(name);
+  if (value == nullptr) return fallback;
+  const std::string v(value);
+  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
+  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
+  bad_knob(prog, name, "1, true, on, yes, 0, false, off or no", value);
+}
+
+// WINOFAULT_BER of the fixed-BER figures (3 and 5).
+inline double ber_knob(const char* prog) {
+  return number_knob(prog, "WINOFAULT_BER", 3e-8, 0.0, 1.0,
+                     "a number in [0, 1]");
+}
+
+// WINOFAULT_VOLT_ANCHOR of the voltage figures (6 and 7): the log10 BER at
+// the voltage model's anchor voltage.
+inline double volt_anchor_knob(const char* prog) {
+  return number_knob(prog, "WINOFAULT_VOLT_ANCHOR", -10.0,
+                     std::numeric_limits<double>::lowest(),
+                     std::numeric_limits<double>::max(), "a finite number");
+}
+
+// The numeric and boolean knobs bench_util.h reads (parse_cli reads the
+// path and spec ones), each read once by bench_env before the driver
+// builds its model.
 struct BenchEnv {
   int images = 10;
   bool full = false;
   std::uint64_t seed = 2024;
   double width_override = 0.0;  // 0 => per-model default
+  std::int64_t cell_budget = 0;  // WINOFAULT_CELL_BUDGET; 0 => none
+  int claim_stale_ms = 10000;    // WINOFAULT_CLAIM_STALE_MS
+  bool dist_share_host = false;  // WINOFAULT_DIST_SHARE_HOST
+  int dist_die_shard = -1;       // WINOFAULT_DIST_DIE_SHARD; -1 => none
+  int dist_die_after = 0;        // WINOFAULT_DIST_DIE_AFTER
+  int daemon_retries = 3;        // WINOFAULT_DAEMON_RETRIES
+  int daemon_backoff_ms = 100;   // WINOFAULT_DAEMON_BACKOFF_MS
 };
 
-// Reads the run-size knobs strictly, as parse_cli reads
-// WINOFAULT_FAULT_MODEL: a set value that is not an integer >= 1
-// (WINOFAULT_IMAGES, the wire's env.images bound), an int (WINOFAULT_SEED)
-// or a finite number in [0, 1] (WINOFAULT_WIDTH, 0 = the model's default,
-// the daemon's env.width bound) exits 2 with the usage text instead of
-// silently running the default. An unset or empty variable keeps it.
+// Reads the shared knobs strictly: WINOFAULT_IMAGES is an integer >= 1
+// (the wire's env.images bound), WINOFAULT_SEED an int, WINOFAULT_WIDTH a
+// number in [0, 1] (0 = the model's default, the daemon's env.width
+// bound), the claim staleness window and the retry count integers >= 1,
+// and the other counts and milliseconds integers >= 0.
 inline BenchEnv bench_env(const char* prog) {
   BenchEnv env;
-  env.full = full_run_requested();
-  env.images = env.full ? 40 : 10;
-  const auto knob = [&](const char* name, const char* expects,
-                        auto&& parse) {
-    const char* value = std::getenv(name);
-    if (value == nullptr || *value == '\0' || parse(value)) return;
-    std::fprintf(stderr, "%s: %s expects %s, got '%s'\n", prog, name,
-                 expects, value);
-    print_usage(prog, stderr);
-    std::exit(2);
-  };
-  knob("WINOFAULT_IMAGES", "an integer >= 1", [&](const char* value) {
-    return parse_int(value, &env.images) && env.images >= 1;
-  });
-  int seed = 2024;
-  knob("WINOFAULT_SEED", "an int", [&](const char* value) {
-    return parse_int(value, &seed);
-  });
-  env.seed = static_cast<std::uint64_t>(seed);
-  knob("WINOFAULT_WIDTH", "a number in [0, 1] (0: the model's default)",
-       [&](const char* value) {
-         char* end = nullptr;
-         env.width_override = std::strtod(value, &end);
-         return *end == '\0' && env.width_override >= 0.0 &&
-                env.width_override <= 1.0;
-       });
+  env.full = bool_knob(prog, "WINOFAULT_FULL", false);
+  env.images = int_knob(prog, "WINOFAULT_IMAGES", env.full ? 40 : 10, 1);
+  env.seed = static_cast<std::uint64_t>(int_knob(
+      prog, "WINOFAULT_SEED", 2024, std::numeric_limits<int>::min()));
+  env.width_override =
+      number_knob(prog, "WINOFAULT_WIDTH", 0.0, 0.0, 1.0,
+                  "a number in [0, 1] (0: the model's default)");
+  env.cell_budget = int_knob(prog, "WINOFAULT_CELL_BUDGET", 0, 0);
+  env.claim_stale_ms = int_knob(prog, "WINOFAULT_CLAIM_STALE_MS", 10000, 1);
+  // Set by the local coordinator before spawning: its workers split one
+  // machine. Hand-started shards (one per host) keep the whole host's
+  // threads.
+  env.dist_share_host = bool_knob(prog, "WINOFAULT_DIST_SHARE_HOST", false);
+  env.dist_die_shard = int_knob(prog, "WINOFAULT_DIST_DIE_SHARD", -1, 0);
+  env.dist_die_after = int_knob(prog, "WINOFAULT_DIST_DIE_AFTER", 0, 0);
+  env.daemon_retries = int_knob(prog, "WINOFAULT_DAEMON_RETRIES", 3, 1);
+  env.daemon_backoff_ms =
+      int_knob(prog, "WINOFAULT_DAEMON_BACKOFF_MS", 100, 0);
   return env;
+}
+
+// StoreOptions from the shared CLI/env surface: the store directory plus
+// the WINOFAULT_CELL_BUDGET checkpoint knob. Every store-enabled driver
+// builds its options here so the knobs behave identically everywhere.
+inline StoreOptions store_options(const std::string& store_dir,
+                                  const BenchEnv& env) {
+  StoreOptions options;
+  options.dir = store_dir;
+  options.cell_budget = env.cell_budget;
+  return options;
+}
+
+// DistOptions from the shared CLI/env surface: the worker's shard identity
+// plus the staleness knob and the CI crash-simulation switch.
+inline DistOptions dist_options(const CliOptions& cli, const BenchEnv& env) {
+  DistOptions dist;
+  dist.shard_index = cli.shard_index;
+  dist.shard_count = cli.shard_count;
+  dist.share_host = env.dist_share_host;
+  dist.claim_stale_ms = env.claim_stale_ms;
+  if (dist.enabled() && env.dist_die_shard == dist.shard_index) {
+    dist.die_after_cells = env.dist_die_after;
+  }
+  return dist;
 }
 
 // ---- Daemon submission (--daemon PATH) -----------------------------------
@@ -579,9 +648,8 @@ inline void enable_daemon_submission(const std::string& socket,
     // dedups identical (env, spec) submissions onto the live job), so a
     // retry can never execute the campaign twice.
     ServiceClient::RetryPolicy policy;
-    policy.attempts =
-        static_cast<int>(env_int("WINOFAULT_DAEMON_RETRIES", 3));
-    policy.backoff_ms = env_int("WINOFAULT_DAEMON_BACKOFF_MS", 100);
+    policy.attempts = state.env.daemon_retries;
+    policy.backoff_ms = state.env.daemon_backoff_ms;
     ServiceClient::SubmitOutcome outcome;
     bool attempted = false;
     if (state.client.connected()) {
@@ -658,7 +726,7 @@ struct FigureCtx {
   // under store_dir (no-op when unset), plus this worker's shard identity
   // — every campaign the driver builds distributes automatically.
   StoreOptions store() const {
-    StoreOptions options = store_options(store_dir);
+    StoreOptions options = store_options(store_dir, env);
     options.dist = dist;
     return options;
   }
@@ -673,7 +741,7 @@ inline FigureCtx figure_ctx(int figure, int argc, char** argv) {
   CliOptions cli = parse_cli(argc, argv);
   const BenchEnv env = bench_env(argv[0]);
   run_local_coordinator(cli);
-  FigureCtx ctx{env, figure, cli.store_dir, dist_options(cli),
+  FigureCtx ctx{env, figure, cli.store_dir, dist_options(cli, env),
                 cli.daemon_socket};
   ctx.fault_models = resolve_fault_models(cli);
   if (!ctx.daemon_socket.empty()) {

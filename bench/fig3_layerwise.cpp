@@ -13,10 +13,11 @@ using namespace winofault;
 using namespace winofault::bench;
 
 int main(int argc, char** argv) {
+  // Scaled analogue of the paper's 3e-10 (see bench_util.h BER note). Read
+  // before figure_ctx forks any --workers.
+  const double ber = ber_knob(argv[0]);
   const FigureCtx ctx = figure_ctx(3, argc, argv);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
-  // Scaled analogue of the paper's 3e-10 (see bench_util.h BER note).
-  const double ber = env_double("WINOFAULT_BER", 3e-8);
 
   for (const FaultModelSpec& model : ctx.fault_models) {
     LayerwiseOptions st;

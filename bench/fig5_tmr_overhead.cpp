@@ -12,9 +12,9 @@ using namespace winofault;
 using namespace winofault::bench;
 
 int main(int argc, char** argv) {
+  const double ber = ber_knob(argv[0]);  // before figure_ctx forks
   const FigureCtx ctx = figure_ctx(5, argc, argv);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
-  const double ber = env_double("WINOFAULT_BER", 3e-8);
   const double clean = m.entry->clean_accuracy;
 
   // Accuracy goals spanning the paper's 45%..70% band (relative to the
@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
     st_opts.step_fraction = ctx.env.full ? 0.05 : 0.15;
     st_opts.initial_protection = &st_warm;
     const TmrPlan st_plan = plan_tmr(m.net, m.data, st_opts);
-    note_partial(st_plan.cells_deferred);
     st_warm = st_plan.protection;
 
     TmrPlanOptions wg_opts = st_opts;
@@ -69,7 +68,6 @@ int main(int argc, char** argv) {
     wg_opts.layer_order = &wg_order;
     wg_opts.initial_protection = &wg_warm;
     const TmrPlan wg_plan = plan_tmr(m.net, m.data, wg_opts);
-    note_partial(wg_plan.cells_deferred);
     wg_warm = wg_plan.protection;
 
     const double st_ovh =

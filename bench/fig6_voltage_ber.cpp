@@ -11,14 +11,14 @@ using namespace winofault;
 using namespace winofault::bench;
 
 int main(int argc, char** argv) {
-  const FigureCtx ctx = figure_ctx(6, argc, argv);
-  ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
-
   VoltageModel volt;
   // The reduced VGG19 executes ~30x fewer ops than the paper's, so its
   // accuracy knee sits at a ~30x higher BER; shift the anchor accordingly
   // (same slope) so the cliff lands inside the plotted voltage window.
-  volt.log10_ber_anchor = env_double("WINOFAULT_VOLT_ANCHOR", -10.0);
+  // Read before figure_ctx forks any --workers.
+  volt.log10_ber_anchor = volt_anchor_knob(argv[0]);
+  const FigureCtx ctx = figure_ctx(6, argc, argv);
+  ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
 
   const auto grid = voltage_grid(0.82, 0.74, ctx.env.full ? 13 : 9);
   // Both policies' curves as one campaign over the whole grid.

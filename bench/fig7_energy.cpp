@@ -13,12 +13,10 @@ using namespace winofault;
 using namespace winofault::bench;
 
 int main(int argc, char** argv) {
+  EnergyModel model;
+  model.voltage.log10_ber_anchor = volt_anchor_knob(argv[0]);  // see fig6
   const FigureCtx ctx = figure_ctx(7, argc, argv);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
-
-  EnergyModel model;
-  model.voltage.log10_ber_anchor =
-      env_double("WINOFAULT_VOLT_ANCHOR", -10.0);  // see fig6 note
 
   ExplorerOptions base;
   base.loss_budgets = {0.01, 0.03, 0.05, 0.10};

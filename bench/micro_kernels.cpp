@@ -24,7 +24,8 @@
 #include "conv/gemm_kernel.h"
 #include "conv/instrumented_ref.h"
 #include "fault/site_sampler.h"
-#include "nn/evaluator.h"
+#include "nn/dataset.h"
+#include "nn/fault_session.h"
 #include "tensor/quantize.h"
 
 namespace winofault {

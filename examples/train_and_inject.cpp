@@ -5,7 +5,7 @@
 // Winograd advantage is not an artifact of random-weight networks.
 #include <cstdio>
 
-#include "nn/evaluator.h"
+#include "core/campaign/campaign.h"
 #include "train/sgd.h"
 
 using namespace winofault;
@@ -44,7 +44,7 @@ int main() {
   quant_test.labels = test_data.labels;
   quant_test.num_classes = config.classes;
 
-  EvalOptions clean;
+  CampaignPoint clean;
   std::printf("quantized int16 test accuracy: %.1f%%\n",
               evaluate(net, quant_test, clean).accuracy * 100);
 
@@ -52,10 +52,10 @@ int main() {
   std::printf("%12s %10s %10s\n", "BER", "ST acc", "WG acc");
   for (const double flips : {3.0, 10.0, 30.0, 100.0}) {
     const double ber = flips / static_cast<double>(ops.total_bits());
-    EvalOptions st;
+    CampaignPoint st;
     st.fault.ber = ber;
     st.seed = 77;
-    EvalOptions wg = st;
+    CampaignPoint wg = st;
     wg.policy = ConvPolicy::kWinograd2;
     std::printf("%12.1e %9.1f%% %9.1f%%\n", ber,
                 evaluate(net, quant_test, st).accuracy * 100,

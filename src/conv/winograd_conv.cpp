@@ -81,7 +81,7 @@ TensorI32 WinogradConvEngine::forward(const ConvDesc& desc,
   TensorI32 out(desc.out_shape());
   // Tile columns write disjoint output regions and share only the read-only
   // filter bank, so they parallelize freely; nested calls (e.g. under the
-  // evaluator's per-image loop) run inline on the caller.
+  // a campaign's per-cell loop) run inline on the caller.
   with_filter_bank(desc, data, [&](const auto* u_all) {
     parallel_for(layout.tiles, default_thread_count(), [&](std::int64_t t) {
       FaultHookNone hook;

@@ -21,7 +21,6 @@ CampaignSpec sweep_campaign(std::span<const SweepOptions> options) {
       point.policy = sweep.policy;
       point.seed = sweep.seed;
       point.trials = sweep.trials;
-      point.tag = "sweep";
       spec.points.push_back(std::move(point));
     }
   }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/campaign/campaign.h"
-#include "nn/evaluator.h"
 
 namespace winofault {
 

@@ -11,15 +11,12 @@ OpTypeResult op_type_sensitivity(const Network& network,
   all.policy = options.policy;
   all.seed = options.seed;
   all.trials = options.trials;
-  all.tag = "optype-all";
 
   CampaignPoint add_only = all;  // muls fault-free
   add_only.fault.only_kind = OpKind::kAdd;
-  add_only.tag = "optype-add-only";
 
   CampaignPoint mul_only = all;  // adds fault-free
   mul_only.fault.only_kind = OpKind::kMul;
-  mul_only.tag = "optype-mul-only";
 
   CampaignSpec spec;
   spec.threads = options.threads;

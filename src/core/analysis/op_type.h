@@ -8,7 +8,6 @@
 #pragma once
 
 #include "core/campaign/campaign.h"
-#include "nn/evaluator.h"
 
 namespace winofault {
 

@@ -54,7 +54,7 @@ CampaignSubmitHook& submit_hook_ref() {
 
 // When the expected op-level flips per inference would reduce the output to
 // noise, the point reports chance accuracy directly instead of simulating
-// hundreds of thousands of replays (see EvalOptions::max_expected_flips).
+// hundreds of thousands of replays (see CampaignPoint::max_expected_flips).
 // Only applies to unrestricted op-level injection.
 std::optional<EvalResult> destruction_short_circuit(
     const Network& network, const Dataset& dataset,
@@ -993,6 +993,14 @@ StoreHandles CampaignRunner::store_handles(
 CampaignResult run_campaign(const Network& network, const Dataset& dataset,
                             const CampaignSpec& spec) {
   return CampaignRunner(network, dataset).run(spec);
+}
+
+EvalResult evaluate(const Network& network, const Dataset& dataset,
+                    const CampaignPoint& point, int threads) {
+  CampaignSpec spec;
+  spec.points = {point};
+  spec.threads = threads;
+  return run_campaign(network, dataset, spec).points.front();
 }
 
 void set_campaign_submit_hook(CampaignSubmitHook hook) {

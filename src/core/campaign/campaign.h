@@ -50,14 +50,18 @@
 
 #include "core/store/journal.h"
 #include "core/store/store.h"
-#include "nn/evaluator.h"
+#include "nn/dataset.h"
+#include "nn/fault_session.h"
+#include "nn/golden_cache.h"
+#include "nn/network.h"
 
 namespace winofault {
 
 class GoldenStore;
 
-// One configuration point of a campaign: EvalOptions minus the execution
-// knobs that are campaign-level (threads) plus an optional tag for builders.
+// One configuration point: an element of CampaignSpec::points and the
+// argument of evaluate(). Thread count is campaign-level
+// (CampaignSpec::threads).
 // NOTE: a new field that can change results must join campaign_point_hash
 // (core/store/hash.cpp), or persisted journals will replay stale cells for
 // points that differ only in that field.
@@ -65,21 +69,29 @@ struct CampaignPoint {
   FaultConfig fault;
   ConvPolicy policy = ConvPolicy::kDirect;
   std::uint64_t seed = 1;
-  int trials = 1;
-  bool reuse_golden = true;
-  double max_expected_flips = 20000.0;  // see EvalOptions
-  std::string tag;                      // builder label, for debugging
 
-  CampaignPoint() = default;
-  // Adopts everything point-scoped from EvalOptions (threads stays with the
-  // campaign spec).
-  explicit CampaignPoint(const EvalOptions& options)
-      : fault(options.fault),
-        policy(options.policy),
-        seed(options.seed),
-        trials(options.trials),
-        reuse_golden(options.reuse_golden),
-        max_expected_flips(options.max_expected_flips) {}
+  // Independent injection trials per image; accuracy and flip statistics
+  // average over images * trials. Trial 0 reproduces the single-trial
+  // fault stream of earlier revisions.
+  int trials = 1;
+
+  // Golden-activation cache + incremental fault replay (identical results,
+  // far fewer recomputed layers). Off = recompute every trial from scratch.
+  bool reuse_golden = true;
+
+  // Destruction short-circuit: when the expected op-level flips per
+  // inference exceed this, the network output is noise and simulating
+  // hundreds of thousands of replays per image is pointless — the
+  // campaign reports chance accuracy (1/classes) directly. Only applies
+  // to unrestricted op-level injection (no protection, no exclusions).
+  double max_expected_flips = 20000.0;
+};
+
+// One point's measurement over the dataset.
+struct EvalResult {
+  double accuracy = 0.0;       // top-1 vs dataset labels
+  double avg_flips = 0.0;      // injected bit flips per inference
+  int images = 0;
 };
 
 class GoldenLru;
@@ -311,6 +323,12 @@ class CampaignRunner {
 // Convenience wrapper over CampaignRunner.
 CampaignResult run_campaign(const Network& network, const Dataset& dataset,
                             const CampaignSpec& spec);
+
+// Accuracy under fault injection at one point: a single-point campaign, so
+// it is bit-identical to the same point inside any larger spec. `threads`
+// as CampaignSpec::threads (0 => hardware concurrency).
+EvalResult evaluate(const Network& network, const Dataset& dataset,
+                    const CampaignPoint& point, int threads = 0);
 
 // Process-wide campaign submission hook (installed by service *clients*,
 // core/service): when set, CampaignRunner::run offers every spec to the

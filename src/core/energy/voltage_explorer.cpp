@@ -17,7 +17,6 @@ CampaignPoint voltage_point(const VoltageModel& model, double voltage,
   point.policy = policy;
   point.seed = seed;
   point.trials = trials;
-  point.tag = "voltage";
   return point;
 }
 
@@ -82,7 +81,6 @@ VoltageCurve measure_voltage_curve(const Network& network,
   // Fault-free trials are bit-identical, so one per image suffices
   // regardless of the curve's trial count.
   clean.trials = 1;
-  clean.tag = "voltage-clean";
   spec.points.push_back(std::move(clean));
   for (const double v : voltages) {
     spec.points.push_back(voltage_point(model, v, policy, seed, trials));

@@ -20,7 +20,6 @@
 
 #include "accel/energy_model.h"
 #include "core/campaign/campaign.h"
-#include "nn/evaluator.h"
 
 namespace winofault {
 

@@ -25,7 +25,6 @@ double evaluate_with_protection(
   point.fault.protection = protection;
   point.policy = policy;
   point.seed = options.seed;
-  point.tag = "tmr-check";
   CampaignSpec spec;
   spec.points.push_back(std::move(point));
   spec.threads = options.threads;

@@ -18,7 +18,6 @@
 #include <unordered_map>
 
 #include "core/analysis/layer_vulnerability.h"
-#include "nn/evaluator.h"
 
 namespace winofault {
 
@@ -55,11 +54,6 @@ struct TmrPlan {
   double achieved_accuracy = 0.0;  // under the analysis policy
   int iterations = 0;
   bool goal_met = false;
-  // Cells deferred by budgeted runs inside planning. Always 0 from
-  // plan_tmr itself (the planner zeroes cell_budget — a PARTIAL accuracy
-  // check would steer the plan, not just under-report it), but the field
-  // keeps the PARTIAL-propagation contract uniform across spec builders.
-  std::int64_t cells_deferred = 0;
 };
 
 TmrPlan plan_tmr(const Network& network, const Dataset& dataset,

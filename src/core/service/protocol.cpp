@@ -190,7 +190,6 @@ Json encode_campaign_spec(const CampaignSpec& spec) {
     p.set("trials", Json::integer(point.trials));
     p.set("reuse_golden", Json::boolean(point.reuse_golden));
     p.set("max_expected_flips", Json::number(point.max_expected_flips));
-    if (!point.tag.empty()) p.set("tag", Json::str(point.tag));
     points.push(std::move(p));
   }
   j.set("points", std::move(points));
@@ -321,7 +320,6 @@ bool decode_campaign_spec(const Json& json, CampaignSpec* spec,
     if (const Json* flips = p.find("max_expected_flips")) {
       point.max_expected_flips = flips->as_double(20000.0);
     }
-    if (const Json* tag = p.find("tag")) point.tag = tag->as_string();
     spec->points.push_back(std::move(point));
   }
   return true;

@@ -57,7 +57,7 @@ ServiceServer::ServiceServer(ServerOptions options)
       sessions_(options_.env_builder != nullptr
                     ? options_.env_builder
                     : default_model_env_builder(),
-                options_.max_sessions, options_.golden_capacity),
+                options_.max_sessions, /*golden_capacity=*/0),
       history_(options_.history_depth, options_.history_interval_s) {
   if (options_.concurrent_jobs < 1) options_.concurrent_jobs = 1;
 }

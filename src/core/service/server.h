@@ -36,10 +36,6 @@ struct ServerOptions {
   // used idle sessions are evicted beyond this.
   std::size_t max_sessions = 4;
 
-  // Initial GoldenLru entries per session (0 => minimal; every campaign
-  // grows its session's tier to that campaign's working set).
-  std::size_t golden_capacity = 0;
-
   // Hard cap on one request line; longer requests are rejected.
   std::size_t max_line_bytes = 4u << 20;
 

@@ -69,7 +69,9 @@ class ServiceSession {
 
 // Session registry with LRU eviction: at most `max_sessions` warm
 // environments; the least recently used idle session is dropped to admit
-// a new one (sessions running a job are never evicted).
+// a new one (sessions running a job are never evicted). `golden_capacity`
+// is each session's initial warm-LRU size (0 => 2); every campaign grows
+// it to its own working set, so the daemon passes 0.
 class SessionCache {
  public:
   SessionCache(ModelEnvBuilder builder, std::size_t max_sessions,

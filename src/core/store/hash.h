@@ -11,9 +11,9 @@
 //     a changed grid re-runs exactly its new/changed points.
 //
 // Fields that provably cannot change a cell's tallies are excluded from the
-// point hash so flipping them never invalidates finished work: `tag` (debug
-// label), `reuse_golden` (replay is bit-identical to scratch, proved in
-// golden_cache_test), and `max_expected_flips` (resolved before any cell is
+// point hash so flipping them never invalidates finished work:
+// `reuse_golden` (replay is bit-identical to scratch, proved in
+// golden_cache_test) and `max_expected_flips` (resolved before any cell is
 // journaled — short-circuited points never reach the journal).
 #pragma once
 

@@ -110,17 +110,6 @@ std::vector<CampaignPoint> mixed_grid() {
   return points;
 }
 
-EvalOptions to_eval_options(const CampaignPoint& point) {
-  EvalOptions options;
-  options.fault = point.fault;
-  options.policy = point.policy;
-  options.seed = point.seed;
-  options.trials = point.trials;
-  options.reuse_golden = point.reuse_golden;
-  options.max_expected_flips = point.max_expected_flips;
-  return options;
-}
-
 TEST(Campaign, MultiPointGridMatchesPointByPointEvaluate) {
   const Fixture f = make_fixture();
   CampaignSpec spec;
@@ -128,8 +117,7 @@ TEST(Campaign, MultiPointGridMatchesPointByPointEvaluate) {
   const CampaignResult campaign = run_campaign(f.net, f.data, spec);
   ASSERT_EQ(campaign.points.size(), spec.points.size());
   for (std::size_t p = 0; p < spec.points.size(); ++p) {
-    const EvalResult single =
-        evaluate(f.net, f.data, to_eval_options(spec.points[p]));
+    const EvalResult single = evaluate(f.net, f.data, spec.points[p]);
     EXPECT_DOUBLE_EQ(campaign.points[p].accuracy, single.accuracy)
         << "point " << p;
     EXPECT_DOUBLE_EQ(campaign.points[p].avg_flips, single.avg_flips)
@@ -335,28 +323,28 @@ TEST(Campaign, DestructionShortCircuitBoundary) {
       FaultModel{ber}.expected_flips(f.net.total_op_space(ConvPolicy::kDirect));
   ASSERT_GT(expected, 0.0);
 
-  EvalOptions options;
-  options.fault.ber = ber;
-  options.seed = 3;
+  CampaignPoint point;
+  point.fault.ber = ber;
+  point.seed = 3;
 
-  // Threshold just below the expected flips: the evaluator must report
+  // Threshold just below the expected flips: evaluate() must report
   // chance accuracy and the analytic flip expectation without simulating.
-  options.max_expected_flips = expected * (1.0 - 1e-9);
-  const EvalResult shorted = evaluate(f.net, f.data, options);
+  point.max_expected_flips = expected * (1.0 - 1e-9);
+  const EvalResult shorted = evaluate(f.net, f.data, point);
   EXPECT_DOUBLE_EQ(shorted.accuracy, 1.0 / f.data.num_classes);
   EXPECT_DOUBLE_EQ(shorted.avg_flips, expected);
 
   // Threshold exactly at the expected flips: expected <= threshold, so the
   // run is simulated (avg_flips is a sampled value, almost surely not the
   // analytic expectation; accuracy comes from real replays).
-  options.max_expected_flips = expected;
-  const EvalResult at = evaluate(f.net, f.data, options);
+  point.max_expected_flips = expected;
+  const EvalResult at = evaluate(f.net, f.data, point);
   // Threshold just above: also simulated, and identical to the
   // effectively-unbounded run.
-  options.max_expected_flips = expected * (1.0 + 1e-9);
-  const EvalResult above = evaluate(f.net, f.data, options);
-  options.max_expected_flips = 1e300;
-  const EvalResult unbounded = evaluate(f.net, f.data, options);
+  point.max_expected_flips = expected * (1.0 + 1e-9);
+  const EvalResult above = evaluate(f.net, f.data, point);
+  point.max_expected_flips = 1e300;
+  const EvalResult unbounded = evaluate(f.net, f.data, point);
   EXPECT_DOUBLE_EQ(at.accuracy, unbounded.accuracy);
   EXPECT_DOUBLE_EQ(at.avg_flips, unbounded.avg_flips);
   EXPECT_DOUBLE_EQ(above.accuracy, unbounded.accuracy);
@@ -390,7 +378,7 @@ TEST(Campaign, TrialsPlumbThroughSweepBuilder) {
   options.trials = 3;
   const auto curve = accuracy_sweep(f.net, f.data, options);
 
-  EvalOptions eval;
+  CampaignPoint eval;
   eval.seed = 17;
   eval.trials = 3;
   for (std::size_t i = 0; i < options.bers.size(); ++i) {
@@ -409,13 +397,13 @@ TEST(Campaign, TrialsPlumbThroughLayerwiseAndExplorerBuilders) {
   lw.trials = 2;
   const LayerwiseResult layerwise = layer_vulnerability(f.net, f.data, lw);
 
-  EvalOptions base;
+  CampaignPoint base;
   base.fault.ber = lw.ber;
   base.seed = lw.seed;
   base.trials = lw.trials;
   EXPECT_DOUBLE_EQ(layerwise.base_accuracy,
                    evaluate(f.net, f.data, base).accuracy);
-  EvalOptions one = base;
+  CampaignPoint one = base;
   one.fault.fault_free_layer = 0;
   EXPECT_DOUBLE_EQ(layerwise.layers[0].accuracy_fault_free,
                    evaluate(f.net, f.data, one).accuracy);
@@ -429,7 +417,7 @@ TEST(Campaign, TrialsPlumbThroughLayerwiseAndExplorerBuilders) {
                                          ConvPolicy::kDirect, grid,
                                          /*seed=*/31, /*threads=*/0,
                                          /*trials=*/2);
-  EvalOptions at_v;
+  CampaignPoint at_v;
   at_v.fault.ber = volt.ber_at(grid[1]);
   at_v.seed = 31;
   at_v.trials = 2;

@@ -135,22 +135,23 @@ TEST(Table, NumberFormatting) {
 }
 
 TEST(Env, ParsesAndFallsBack) {
-  ::setenv("WF_TEST_INT", "42", 1);
-  ::setenv("WF_TEST_BAD", "xyz", 1);
-  ::setenv("WF_TEST_BOOL", "true", 1);
-  ::setenv("WF_TEST_DBL", "2.5", 1);
-  EXPECT_EQ(env_int("WF_TEST_INT", 7), 42);
-  EXPECT_EQ(env_int("WF_TEST_BAD", 7), 7);
-  EXPECT_EQ(env_int("WF_TEST_UNSET_XYZ", 7), 7);
-  // A value outside int's range is unparsable, never narrowed.
-  for (const char* wide : {"4294967298", "-4294967298", "2147483648"}) {
-    ::setenv("WF_TEST_WIDE", wide, 1);
-    EXPECT_EQ(env_int("WF_TEST_WIDE", 7), 7) << wide;
+  int parsed = 7;
+  EXPECT_TRUE(parse_int("42", &parsed));
+  EXPECT_EQ(parsed, 42);
+  EXPECT_TRUE(parse_int("2147483647", &parsed));
+  EXPECT_EQ(parsed, 2147483647);
+  EXPECT_TRUE(parse_int("-2147483648", &parsed));
+  EXPECT_EQ(parsed, -2147483647 - 1);
+  // Empty text, trailing characters and a value outside int's range are
+  // unparsable and leave the output alone: nothing is ever narrowed.
+  for (const char* bad : {"", "xyz", "2x", "4294967298", "-4294967298",
+                          "2147483648"}) {
+    parsed = 7;
+    EXPECT_FALSE(parse_int(bad, &parsed)) << bad;
+    EXPECT_EQ(parsed, 7) << bad;
   }
-  ::setenv("WF_TEST_WIDE", "2147483647", 1);
-  EXPECT_EQ(env_int("WF_TEST_WIDE", 7), 2147483647);
-  EXPECT_TRUE(env_bool("WF_TEST_BOOL", false));
-  EXPECT_DOUBLE_EQ(env_double("WF_TEST_DBL", 0.0), 2.5);
+  ::setenv("WF_TEST_STR", "v", 1);
+  EXPECT_EQ(env_string("WF_TEST_STR", "d"), "v");
   EXPECT_EQ(env_string("WF_TEST_UNSET_XYZ", "d"), "d");
 }
 

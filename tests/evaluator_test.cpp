@@ -1,10 +1,10 @@
-// Evaluator behavior: determinism across thread counts, clean-accuracy
+// evaluate() behavior: determinism across thread counts, clean-accuracy
 // recovery, degradation with BER, and the headline ordering — Winograd
 // accuracy >= direct accuracy under operation-level faults.
 #include <gtest/gtest.h>
 #include <cstdlib>
 
-#include "nn/evaluator.h"
+#include "core/campaign/campaign.h"
 #include "nn/models/zoo.h"
 
 namespace winofault {
@@ -37,9 +37,9 @@ Network eval_net() {
 TEST(Evaluator, CleanRunMatchesDatasetTarget) {
   const Network net = eval_net();
   const Dataset data = make_teacher_dataset(net, 200, 6, 0.85, 7);
-  EvalOptions options;
-  options.fault.ber = 0.0;
-  const EvalResult result = evaluate(net, data, options);
+  CampaignPoint point;
+  point.fault.ber = 0.0;
+  const EvalResult result = evaluate(net, data, point);
   EXPECT_EQ(result.images, 200);
   EXPECT_NEAR(result.accuracy, 0.85, 0.08);
   EXPECT_EQ(result.avg_flips, 0.0);
@@ -48,13 +48,11 @@ TEST(Evaluator, CleanRunMatchesDatasetTarget) {
 TEST(Evaluator, DeterministicAcrossThreadCounts) {
   const Network net = eval_net();
   const Dataset data = make_teacher_dataset(net, 24, 6, 0.9, 8);
-  EvalOptions options;
-  options.fault.ber = 3e-7;
-  options.seed = 5;
-  options.threads = 1;
-  const EvalResult serial = evaluate(net, data, options);
-  options.threads = 4;
-  const EvalResult parallel = evaluate(net, data, options);
+  CampaignPoint point;
+  point.fault.ber = 3e-7;
+  point.seed = 5;
+  const EvalResult serial = evaluate(net, data, point, /*threads=*/1);
+  const EvalResult parallel = evaluate(net, data, point, /*threads=*/4);
   EXPECT_DOUBLE_EQ(serial.accuracy, parallel.accuracy);
   EXPECT_DOUBLE_EQ(serial.avg_flips, parallel.avg_flips);
 }
@@ -62,13 +60,13 @@ TEST(Evaluator, DeterministicAcrossThreadCounts) {
 TEST(Evaluator, AccuracyDegradesWithBer) {
   const Network net = eval_net();
   const Dataset data = make_teacher_dataset(net, 60, 6, 0.95, 9);
-  EvalOptions options;
-  options.seed = 3;
+  CampaignPoint point;
+  point.seed = 3;
   double last_accuracy = 1.0;
   double clean = 0;
   for (const double ber : {0.0, 3e-6, 1e-4}) {
-    options.fault.ber = ber;
-    const EvalResult result = evaluate(net, data, options);
+    point.fault.ber = ber;
+    const EvalResult result = evaluate(net, data, point);
     if (ber == 0.0) {
       clean = result.accuracy;
     } else {
@@ -94,14 +92,14 @@ TEST(Evaluator, WinogradBeatsDirectUnderFaults) {
   net.calibrate(make_images(net.input_shape(), 3, 13));
 
   const Dataset data = make_teacher_dataset(net, 150, 4, 1.0, 10);
-  EvalOptions options;
-  options.seed = 11;
+  CampaignPoint point;
+  point.seed = 11;
   // Pick a BER in the degradation knee: a handful of flips per image.
-  options.fault.ber = 2e-7;
-  options.policy = ConvPolicy::kDirect;
-  const EvalResult st = evaluate(net, data, options);
-  options.policy = ConvPolicy::kWinograd2;
-  const EvalResult wg = evaluate(net, data, options);
+  point.fault.ber = 2e-7;
+  point.policy = ConvPolicy::kDirect;
+  const EvalResult st = evaluate(net, data, point);
+  point.policy = ConvPolicy::kWinograd2;
+  const EvalResult wg = evaluate(net, data, point);
   EXPECT_LT(wg.avg_flips, st.avg_flips);
   EXPECT_GE(wg.accuracy, st.accuracy - 0.02)
       << "Winograd should be at least as robust as direct";

@@ -217,16 +217,16 @@ TEST(FaultModelSpecTest, ApplyFaultKindMatchesScratchReference) {
   EXPECT_GE(apply_fault_kind(FaultModelKind::kStuck0, -5, 15, 16), 0);
 }
 
-EvalOptions model_options(const char* spec, double ber, ConvPolicy policy,
+CampaignPoint model_point(const char* spec, double ber, ConvPolicy policy,
                           bool reuse_golden) {
-  EvalOptions options;
-  options.fault.ber = ber;
-  options.fault.model = *FaultModelSpec::parse(spec);
-  options.policy = policy;
-  options.seed = 17;
-  options.trials = 2;
-  options.reuse_golden = reuse_golden;
-  return options;
+  CampaignPoint point;
+  point.fault.ber = ber;
+  point.fault.model = *FaultModelSpec::parse(spec);
+  point.policy = policy;
+  point.seed = 17;
+  point.trials = 2;
+  point.reuse_golden = reuse_golden;
+  return point;
 }
 
 // (c): every registry model agrees bit-exactly between cached replay and
@@ -243,9 +243,9 @@ TEST(FaultModelCampaignTest, ReplayMatchesScratchForEveryModel) {
     for (const ConvPolicy policy :
          {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
       const EvalResult replay = evaluate(
-          f.net, f.data, model_options(spec, 1e-3, policy, true));
+          f.net, f.data, model_point(spec, 1e-3, policy, true));
       const EvalResult scratch = evaluate(
-          f.net, f.data, model_options(spec, 1e-3, policy, false));
+          f.net, f.data, model_point(spec, 1e-3, policy, false));
       EXPECT_DOUBLE_EQ(replay.accuracy, scratch.accuracy)
           << spec << " " << conv_policy_name(policy);
       EXPECT_DOUBLE_EQ(replay.avg_flips, scratch.avg_flips)
@@ -258,9 +258,9 @@ TEST(FaultModelCampaignTest, ReplayMatchesScratchForEveryModel) {
 // registry cannot perturb seed semantics.
 TEST(FaultModelCampaignTest, ExplicitFlipAtOpMatchesDefault) {
   const Fixture f = make_fixture();
-  EvalOptions with_spec = model_options("flip@op", 1e-6, ConvPolicy::kDirect,
+  CampaignPoint with_spec = model_point("flip@op", 1e-6, ConvPolicy::kDirect,
                                         true);
-  EvalOptions implicit = with_spec;
+  CampaignPoint implicit = with_spec;
   implicit.fault.model = FaultModelSpec{};
   const EvalResult a = evaluate(f.net, f.data, with_spec);
   const EvalResult b = evaluate(f.net, f.data, implicit);
@@ -294,11 +294,11 @@ TEST(FaultModelCampaignTest, PermanentOverlayDeterministicAndPersistent) {
 
   // Persistence across images and trials: avg flips per inference is
   // EXACTLY the overlay site count (no per-trial sampling contributes).
-  EvalOptions options;
-  options.fault = config;
-  options.seed = 17;
-  options.trials = 3;
-  const EvalResult result = evaluate(f.net, f.data, options);
+  CampaignPoint point;
+  point.fault = config;
+  point.seed = 17;
+  point.trials = 3;
+  const EvalResult result = evaluate(f.net, f.data, point);
   EXPECT_DOUBLE_EQ(result.avg_flips, static_cast<double>(a.site_count));
 }
 

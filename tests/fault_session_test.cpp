@@ -9,7 +9,6 @@
 #include "common/hash.h"
 #include "fault/models/overlay.h"
 #include "nn/dataset.h"
-#include "nn/evaluator.h"
 #include "nn/fault_session.h"
 #include "nn/network.h"
 

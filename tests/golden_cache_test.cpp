@@ -20,7 +20,7 @@
 #include "conv/engine.h"
 #include "conv/fault_hook.h"
 #include "conv/instrumented_ref.h"
-#include "nn/evaluator.h"
+#include "core/campaign/campaign.h"
 #include "nn/models/zoo.h"
 #include "test_util.h"
 
@@ -425,16 +425,16 @@ TEST(Evaluator, ReuseGoldenMatchesScratchExactly) {
   const Dataset data = make_teacher_dataset(net, 16, 5, 0.9, 21);
   for (const InjectionMode mode :
        {InjectionMode::kOpLevel, InjectionMode::kNeuronLevel}) {
-    EvalOptions options;
-    options.fault.ber = 4e-6;
-    options.fault.mode = mode;
-    options.seed = 13;
-    options.trials = 4;
-    options.policy = ConvPolicy::kWinograd2;
-    options.reuse_golden = true;
-    const EvalResult cached = evaluate(net, data, options);
-    options.reuse_golden = false;
-    const EvalResult scratch = evaluate(net, data, options);
+    CampaignPoint point;
+    point.fault.ber = 4e-6;
+    point.fault.mode = mode;
+    point.seed = 13;
+    point.trials = 4;
+    point.policy = ConvPolicy::kWinograd2;
+    point.reuse_golden = true;
+    const EvalResult cached = evaluate(net, data, point);
+    point.reuse_golden = false;
+    const EvalResult scratch = evaluate(net, data, point);
     EXPECT_DOUBLE_EQ(cached.accuracy, scratch.accuracy);
     EXPECT_DOUBLE_EQ(cached.avg_flips, scratch.avg_flips);
     EXPECT_EQ(cached.images, scratch.images);
@@ -444,14 +444,12 @@ TEST(Evaluator, ReuseGoldenMatchesScratchExactly) {
 TEST(Evaluator, TrialsAverageAndStayDeterministic) {
   const Network net = replay_net();
   const Dataset data = make_teacher_dataset(net, 10, 5, 0.9, 22);
-  EvalOptions options;
-  options.fault.ber = 2e-6;
-  options.seed = 5;
-  options.trials = 8;
-  options.threads = 1;
-  const EvalResult serial = evaluate(net, data, options);
-  options.threads = 4;
-  const EvalResult parallel = evaluate(net, data, options);
+  CampaignPoint point;
+  point.fault.ber = 2e-6;
+  point.seed = 5;
+  point.trials = 8;
+  const EvalResult serial = evaluate(net, data, point, /*threads=*/1);
+  const EvalResult parallel = evaluate(net, data, point, /*threads=*/4);
   EXPECT_DOUBLE_EQ(serial.accuracy, parallel.accuracy);
   EXPECT_DOUBLE_EQ(serial.avg_flips, parallel.avg_flips);
 }

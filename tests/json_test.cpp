@@ -49,7 +49,7 @@ std::vector<std::string> seed_documents() {
 
   CampaignSpec spec;
   spec.threads = 3;
-  spec.store.dir = "/tmp/store \"quoted\"\n";
+  spec.store.dir = "/tmp/store \"quoted\"\n\tctrl\x01";
   spec.store.cell_budget = 7;
   CampaignPoint point;
   point.fault.ber = 1e-6;
@@ -58,7 +58,6 @@ std::vector<std::string> seed_documents() {
   point.fault.model = *FaultModelSpec::parse("stuck1(0.01)@weight#perm");
   point.seed = 0xfedcba9876543210ULL;
   point.trials = 4;
-  point.tag = "tab\tctrl\x01";
   spec.points.push_back(point);
   point.fault.model = FaultModelSpec{};
   point.policy = ConvPolicy::kWinograd2;

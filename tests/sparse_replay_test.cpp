@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "nn/dataset.h"
-#include "nn/evaluator.h"
 #include "nn/network.h"
 #include "test_util.h"
 

@@ -195,19 +195,10 @@ TEST(Store, ChangedGridReRunsOnlyNewPoints) {
   EXPECT_EQ(result.stats.journal_cells_written, images * 2);
 
   // The re-keyed and new points match fresh point-by-point evaluation.
-  EvalOptions changed;
-  changed.fault = grown.points[1].fault;
-  changed.policy = grown.points[1].policy;
-  changed.seed = grown.points[1].seed;
-  changed.trials = grown.points[1].trials;
-  const EvalResult expect_changed = evaluate(f.net, f.data, changed);
+  const EvalResult expect_changed = evaluate(f.net, f.data, grown.points[1]);
   EXPECT_DOUBLE_EQ(result.points[1].accuracy, expect_changed.accuracy);
 
-  EvalOptions added;
-  added.fault = extra.fault;
-  added.seed = extra.seed;
-  added.trials = extra.trials;
-  const EvalResult expect_added = evaluate(f.net, f.data, added);
+  const EvalResult expect_added = evaluate(f.net, f.data, extra);
   EXPECT_DOUBLE_EQ(result.points.back().accuracy, expect_added.accuracy);
 }
 
@@ -250,11 +241,10 @@ TEST(Store, PointHashCoversResultDeterminingFieldsOnly) {
 
   // Fields that provably cannot change a cell's tallies do not invalidate
   // finished work.
-  CampaignPoint tagged = point;
-  tagged.tag = "label";
-  tagged.reuse_golden = false;
-  tagged.max_expected_flips = 1.0;
-  EXPECT_EQ(campaign_point_hash(tagged), base);
+  CampaignPoint unhashed = point;
+  unhashed.reuse_golden = false;
+  unhashed.max_expected_flips = 1.0;
+  EXPECT_EQ(campaign_point_hash(unhashed), base);
 }
 
 TEST(Store, GarbageJournalFileIsDiscarded) {

@@ -7,7 +7,7 @@
 // before exit. Stored submissions save their goldens as they run.
 //
 //   winofaultd --socket /tmp/winofault.sock [--jobs N] [--sessions N]
-//              [--golden-capacity N] [--session-ttl MS] [--queue-bound N]
+//              [--session-ttl MS] [--queue-bound N]
 //              [--history-depth N] [--history-interval S]
 #include <csignal>
 #include <cstdio>
@@ -30,14 +30,12 @@ void usage(const char* prog, std::FILE* to) {
   std::fprintf(
       to,
       "usage: %s --socket PATH [--jobs N] [--sessions N] "
-      "[--golden-capacity N] [--session-ttl MS] [--queue-bound N]\n"
+      "[--session-ttl MS] [--queue-bound N]\n"
       "       [--history-depth N] [--history-interval S]\n"
       "  --socket PATH        Unix-domain socket to serve (required)\n"
       "  --jobs N             campaigns executed concurrently (default 2)\n"
       "  --sessions N         warm (model, dataset) environments kept\n"
       "                       resident (default 4)\n"
-      "  --golden-capacity N  initial warm golden-LRU entries per session\n"
-      "                       (default: minimal; campaigns grow it)\n"
       "  --session-ttl MS     evict warm sessions idle this long, at most\n"
       "                       2147483647 ms (24.8 days) (default: no TTL)\n"
       "  --queue-bound N      per-client queued-job bound; the excess is\n"
@@ -90,8 +88,6 @@ int main(int argc, char** argv) {
       options.concurrent_jobs = int_value(i);
     } else if (std::strcmp(argv[i], "--sessions") == 0) {
       options.max_sessions = static_cast<std::size_t>(int_value(i));
-    } else if (std::strcmp(argv[i], "--golden-capacity") == 0) {
-      options.golden_capacity = static_cast<std::size_t>(int_value(i));
     } else if (std::strcmp(argv[i], "--session-ttl") == 0) {
       options.session_idle_ttl_ms = int_value(i);
     } else if (std::strcmp(argv[i], "--queue-bound") == 0) {
