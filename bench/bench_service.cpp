@@ -2,7 +2,7 @@
 // warm cross-submission state buy over cold-starting a figure process?
 //
 // The binary hosts an in-process ServiceServer on a scratch socket and
-// submits the same fig1-regime campaign four times:
+// submits the same fig1-regime campaign, serially:
 //
 //   cold_submit_s    first submission: the daemon builds the model +
 //                    teacher dataset and every golden from scratch
@@ -12,17 +12,25 @@
 //   stored_submit_s  identical spec with a fresh store: every cell runs
 //                    on warm goldens and is journaled, and each golden
 //                    it uses is saved as a shard
-//   stored_replay_s  the stored spec again: nothing executes at all
+//   stored_replay_s  the stored spec again, kStoredReplays times: nothing
+//                    executes at all; the median of the repetitions
 //
 // warm_speedup = cold_submit_s / warm_submit_s is the headline (the
 // acceptance bar is >= 2x); every submission is verified bit-identical to
 // a direct in-process CampaignRunner run (exit 1 on any disagreement).
+// queue_latency_p95_ms is the nearest-rank p95 of every submission's exact
+// queue wait, read from the server's last-job gauge after each one; with
+// kStoredReplays + 3 waits it has at least ten samples beyond it.
 //
 // Knobs: WINOFAULT_IMAGES (default 10), WINOFAULT_TRIALS (default 1),
 // WINOFAULT_SEED.
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <numeric>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/parallel.h"
@@ -35,6 +43,10 @@ using namespace winofault;
 using namespace winofault::bench;
 
 namespace {
+
+// Journal-served resubmissions: one takes 0.1-0.5 ms, so a single sample
+// swings with the host; 200 of them take well under 0.1 s.
+constexpr int kStoredReplays = 200;
 
 CampaignSpec bench_spec(std::uint64_t seed, int trials) {
   // Fig1 regime at low BER: replay after the golden build is nearly free
@@ -122,9 +134,19 @@ int main(int argc, char** argv) {
   model_env.width = env.width_override;
   model_env.env_hash = campaign_env_hash(m.net, m.data);
 
+  // The server hosts in this process, so its telemetry is directly
+  // readable. With concurrent_jobs=1 and serial submissions a job's queue
+  // wait is pure dispatch overhead (admission to the queued->running
+  // handoff), and the last-job gauge holds it exactly once the submission
+  // returns.
+  telemetry::Gauge& last_wait_us = telemetry::gauge(
+      "winofault_service_last_queue_latency_us",
+      "queue latency of the most recently started job");
+  std::vector<double> queue_waits_ms;
+  bool identical = true;
   const auto submit = [&](const char* label, const CampaignSpec& s,
-                          double* seconds,
-                          CampaignStats* stats) -> CampaignResult {
+                          double* seconds, CampaignStats* stats,
+                          bool print = true) {
     ServiceClient client;
     if (!client.connect(socket_path, &error)) {
       std::fprintf(stderr, "bench_service: %s\n", error.c_str());
@@ -139,36 +161,43 @@ int main(int argc, char** argv) {
                    label, outcome.error.c_str());
       std::exit(1);
     }
+    queue_waits_ms.push_back(static_cast<double>(last_wait_us.value()) / 1e3);
+    identical = identical && same_results(reference, outcome.result);
     if (stats != nullptr) *stats = outcome.result.stats;
-    std::printf("%s: %.3fs (goldens built %lld, hits %lld, journal "
-                "loaded %lld)\n",
-                label, *seconds,
-                static_cast<long long>(outcome.result.stats.golden_builds),
-                static_cast<long long>(outcome.result.stats.golden_hits),
-                static_cast<long long>(
-                    outcome.result.stats.journal_cells_loaded));
-    return outcome.result;
+    if (print) {
+      std::printf("%s: %.3fs (goldens built %lld, hits %lld, journal "
+                  "loaded %lld)\n",
+                  label, *seconds,
+                  static_cast<long long>(outcome.result.stats.golden_builds),
+                  static_cast<long long>(outcome.result.stats.golden_hits),
+                  static_cast<long long>(
+                      outcome.result.stats.journal_cells_loaded));
+    }
   };
 
-  double cold_s = 0, warm_s = 0, stored_cold_s = 0, stored_warm_s = 0;
+  double cold_s = 0, warm_s = 0, stored_cold_s = 0;
   CampaignStats cold_stats, warm_stats, stored_stats;
-  const CampaignResult cold = submit("cold submit", spec, &cold_s,
-                                     &cold_stats);
-  const CampaignResult warm = submit("warm submit", spec, &warm_s,
-                                     &warm_stats);
-  // Stored pair: the first journals every cell (goldens still warm), the
-  // second replays the journal without executing anything.
+  submit("cold submit", spec, &cold_s, &cold_stats);
+  submit("warm submit", spec, &warm_s, &warm_stats);
+  // Stored: the first submission journals every cell (goldens still
+  // warm), every later one replays the journal without executing anything.
   CampaignSpec stored_spec = spec;
   stored_spec.store = store_options(store_dir, env);
-  const CampaignResult stored_first =
-      submit("stored submit", stored_spec, &stored_cold_s, nullptr);
-  const CampaignResult stored_replay =
-      submit("stored replay", stored_spec, &stored_warm_s, &stored_stats);
-
-  bool identical = true;
-  for (const auto* result : {&cold, &warm, &stored_first, &stored_replay}) {
-    identical = identical && same_results(reference, *result);
+  submit("stored submit", stored_spec, &stored_cold_s, nullptr);
+  std::vector<double> replays_s(kStoredReplays);
+  for (double& replay_s : replays_s) {
+    submit("stored replay", stored_spec, &replay_s, &stored_stats, false);
   }
+  std::sort(replays_s.begin(), replays_s.end());
+  const double stored_warm_s =
+      (replays_s[(kStoredReplays - 1) / 2] + replays_s[kStoredReplays / 2]) /
+      2;
+  std::printf("stored replay: median %.3f ms of %d (%.3f-%.3f ms), journal "
+              "loaded %lld\n",
+              stored_warm_s * 1e3, kStoredReplays, replays_s.front() * 1e3,
+              replays_s.back() * 1e3,
+              static_cast<long long>(stored_stats.journal_cells_loaded));
+
   if (!identical) {
     std::fprintf(stderr,
                  "bench_service: daemon results diverge from the direct "
@@ -177,20 +206,15 @@ int main(int argc, char** argv) {
   }
   std::printf("all submissions bit-identical to the direct run\n");
 
-  // Queue latency across the four submissions: the server hosts in this
-  // process, so its telemetry histogram is directly readable. With
-  // concurrent_jobs=1 and serial submissions this is pure dispatch
-  // overhead — admission to queued->running handoff.
-  telemetry::Histogram& queue_hist = telemetry::histogram(
-      "winofault_service_queue_latency_us",
-      "microseconds jobs spend queued before running");
+  std::sort(queue_waits_ms.begin(), queue_waits_ms.end());
+  const std::size_t waits = queue_waits_ms.size();
   const double queue_latency_ms =
-      queue_hist.count() > 0 ? queue_hist.mean() / 1e3 : 0.0;
-  const double queue_latency_p95_ms =
-      queue_hist.count() > 0 ? queue_hist.quantile(0.95) / 1e3 : 0.0;
-  std::printf("mean queue latency: %.3f ms (p95 %.3f ms) over %lld job(s)\n",
-              queue_latency_ms, queue_latency_p95_ms,
-              static_cast<long long>(queue_hist.count()));
+      std::accumulate(queue_waits_ms.begin(), queue_waits_ms.end(), 0.0) /
+      static_cast<double>(waits);
+  const double queue_latency_p95_ms = queue_waits_ms[static_cast<std::size_t>(
+      std::ceil(0.95 * static_cast<double>(waits))) - 1];
+  std::printf("mean queue latency: %.3f ms (p95 %.3f ms) over %zu job(s)\n",
+              queue_latency_ms, queue_latency_p95_ms, waits);
 
   const double warm_speedup = warm_s > 0 ? cold_s / warm_s : 0.0;
   const double replay_speedup =

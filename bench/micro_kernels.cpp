@@ -8,10 +8,11 @@
 // cached incremental replay trial next to a scratch forward.
 //
 // On top of the google-benchmark table, main() hand-times the SIMD
-// dispatch levels (scalar vs AVX2 vs AVX-512 GEMM) and writes the numbers
-// to BENCH_kernels.json for the CI perf trajectory. Each timed level
-// doubles as a bit-identity oracle — the process exits non-zero if any ISA
-// level diverges from the reference output.
+// dispatch levels (scalar vs AVX2 vs AVX-512 GEMM) and each engine's fault
+// replay per site, and writes the numbers to BENCH_kernels.json for the CI
+// perf trajectory. Each timed row doubles as a bit-identity oracle — the
+// process exits non-zero if any ISA level or replay diverges from the
+// instrumented reference.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -23,6 +24,7 @@
 #include "conv/engine.h"
 #include "conv/gemm_kernel.h"
 #include "conv/instrumented_ref.h"
+#include "conv/winograd_conv.h"
 #include "fault/site_sampler.h"
 #include "nn/dataset.h"
 #include "nn/fault_session.h"
@@ -263,6 +265,60 @@ bool write_bench_kernels_json() {
                                })));
   }
   set_gemm_isa(best);
+
+  // Fault replay on the same shape: one fixed, seeded schedule through each
+  // engine's apply_faults on its golden output, checked against the
+  // instrumented reference. Winograd gets its filter bank narrowed to int32
+  // as ConvLayer caches it. apply_faults overwrites exactly the outputs it
+  // re-derives, so repeating it on one tensor repeats the same work.
+  constexpr int kReplaySites = 64;
+  for (const int m : {0, 2}) {
+    const ConvEngine& engine = m == 0 ? direct_engine() : winograd_engine(m);
+    const std::string label = m == 0 ? "direct" : "winograd2";
+    ConvData data = p.data();
+    std::vector<std::int32_t> bank;
+    if (m != 0) {
+      const std::vector<std::int64_t> wide =
+          static_cast<const WinogradConvEngine&>(engine).transform_filters(
+              p.desc, data);
+      bank.assign(wide.begin(), wide.end());
+      data.wg_bank32_f2 = &bank;
+    }
+    const OpSpace space = engine.op_space(p.desc, DType::kInt16);
+    Rng rng(0xfa17 + static_cast<std::uint64_t>(m));
+    std::vector<FaultSite> sites;
+    for (int s = 0; s < kReplaySites; ++s) {
+      FaultSite site;
+      const bool mul =
+          rng.next_below(static_cast<std::uint64_t>(space.total_ops())) <
+          static_cast<std::uint64_t>(space.n_mul);
+      site.kind = mul ? OpKind::kMul : OpKind::kAdd;
+      site.op_index = static_cast<std::int64_t>(rng.next_below(
+          static_cast<std::uint64_t>(mul ? space.n_mul : space.n_add)));
+      site.bit = static_cast<int>(rng.next_below(
+          static_cast<std::uint64_t>(mul ? space.mul_bits : space.add_bits)));
+      sites.push_back(site);
+    }
+    TensorI32 out = engine.forward(p.desc, data);
+    engine.apply_faults(p.desc, data, sites, out);
+    const TensorI32 faulted =
+        m == 0 ? direct_forward_instrumented(p.desc, data, sites)
+               : winograd_forward_instrumented(m, p.desc, data, sites);
+    if (!(out == faulted)) {
+      std::fprintf(stderr,
+                   "FAIL: %s apply_faults diverges from instrumented "
+                   "reference\n",
+                   label.c_str());
+      ok = false;
+    }
+    json.set("apply_faults_us_per_site_" + label,
+             Json::number(time_per_call([&] {
+                            engine.apply_faults(p.desc, data, sites, out);
+                            benchmark::DoNotOptimize(out.data());
+                            benchmark::ClobberMemory();
+                          }) *
+                          1e6 / kReplaySites));
+  }
 
   json.set("bit_identity_ok", Json::integer(ok ? 1 : 0));
   bench::write_bench_json("BENCH_kernels.json", json);

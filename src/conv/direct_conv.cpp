@@ -6,8 +6,8 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "conv/fault_hook.h"
 #include "conv/gemm_kernel.h"
+#include "fault/bitflip.h"
 #include "fault/fault_model.h"
 
 namespace winofault {
@@ -107,6 +107,25 @@ void gemm_acc(const ConvDesc& desc, const ConvData& data, Sink&& sink) {
       }
     }
   });
+}
+
+// One site of an element's MAC chain: window position k (k == window is
+// the bias add) and the op it strikes there.
+struct MacSite {
+  std::int64_t e = 0;
+  std::int64_t k = 0;
+  OpKind kind = OpKind::kMul;
+  int bit = 0;
+};
+
+// Plain exact dot of one window segment; vectorizes.
+std::int64_t dot_segment(const std::int32_t* a, const std::int32_t* w,
+                         std::int64_t n) {
+  std::int64_t s = 0;
+  for (std::int64_t k = 0; k < n; ++k) {
+    s += std::int64_t{a[k]} * std::int64_t{w[k]};
+  }
+  return s;
 }
 
 }  // namespace
@@ -266,33 +285,79 @@ void DirectConvEngine::apply_faults(const ConvDesc& desc, const ConvData& data,
   const std::int64_t window = desc.in_c * desc.kh * desc.kw;
   const std::int64_t adds_per = window + (desc.has_bias ? 1 : 0);
 
-  // Group sites by affected output element so each element is recomputed
-  // once with all of its flips active (matches the instrumented reference
-  // even when several faults land on one output).
-  std::vector<std::pair<std::int64_t, FaultSite>> by_element;
-  by_element.reserve(sites.size());
+  // Span re-derivation: each faulted element runs its MAC chain as plain
+  // dot segments between its sites and one hooked MAC step at each site.
+  // A skipped hook is the identity and int64 sums of exact products do
+  // not depend on their order, so this equals the per-op hooked chain
+  // (direct_output_acc, the oracle). Sites sort by (element, k, kind): at
+  // one k the mul hook runs before the add hook, and sites on one op keep
+  // their schedule order.
+  std::vector<MacSite> steps;
+  steps.reserve(sites.size());
   for (const FaultSite& site : sites) {
-    const std::int64_t e = site.kind == OpKind::kMul
-                               ? site.op_index / window
-                               : site.op_index / adds_per;
-    by_element.emplace_back(e, site);
+    const std::int64_t per = site.kind == OpKind::kMul ? window : adds_per;
+    steps.push_back(MacSite{site.op_index / per, site.op_index % per,
+                            site.kind, site.bit});
   }
-  std::stable_sort(by_element.begin(), by_element.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::stable_sort(steps.begin(), steps.end(),
+                   [](const MacSite& a, const MacSite& b) {
+                     if (a.e != b.e) return a.e < b.e;
+                     if (a.k != b.k) return a.k < b.k;
+                     return a.kind < b.kind;
+                   });
 
   const std::int64_t ohw = desc.out_h() * desc.out_w();
+  const TensorI32& input = *data.input;
+  std::vector<std::int32_t> a(static_cast<std::size_t>(window));
   std::size_t i = 0;
-  std::vector<FaultSite> group;
-  while (i < by_element.size()) {
-    const std::int64_t e = by_element[i].first;
-    group.clear();
-    for (; i < by_element.size() && by_element[i].first == e; ++i)
-      group.push_back(by_element[i].second);
+  while (i < steps.size()) {
+    const std::int64_t e = steps[i].e;
     const std::int64_t oc = e / ohw;
     const std::int64_t oy = (e % ohw) / desc.out_w();
     const std::int64_t ox = e % desc.out_w();
-    SiteFilterHook hook(group);
-    const std::int64_t acc = direct_output_acc(desc, data, oc, oy, ox, hook);
+    // The element's window, gathered with im2col's index arithmetic;
+    // padding taps are zero operands.
+    const std::int64_t iy0 = oy * desc.stride - desc.pad;
+    const std::int64_t ix0 = ox * desc.stride - desc.pad;
+    std::int32_t* gathered = a.data();
+    for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
+      for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
+        const std::int64_t iy = iy0 + ky;
+        const bool row_inside = iy >= 0 && iy < desc.in_h;
+        for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
+          const std::int64_t ix = ix0 + kx;
+          *gathered++ = row_inside && ix >= 0 && ix < desc.in_w
+                            ? input.at(0, ic, iy, ix)
+                            : 0;
+        }
+      }
+    }
+    const std::int32_t* w = data.weights->data() + oc * window;
+
+    std::int64_t acc = 0;
+    std::int64_t k0 = 0;  // first window position not yet accumulated
+    for (; i < steps.size() && steps[i].e == e && steps[i].k < window;) {
+      const std::int64_t k = steps[i].k;
+      acc += dot_segment(a.data() + k0, w + k0, k - k0);
+      std::int64_t p = std::int64_t{a[static_cast<std::size_t>(k)]} * w[k];
+      for (; i < steps.size() && steps[i].e == e && steps[i].k == k &&
+             steps[i].kind == OpKind::kMul;
+           ++i) {
+        p = apply_op_fault(p, steps[i].bit);
+      }
+      acc += p;
+      for (; i < steps.size() && steps[i].e == e && steps[i].k == k; ++i) {
+        acc = apply_op_fault(acc, steps[i].bit);
+      }
+      k0 = k + 1;
+    }
+    acc += dot_segment(a.data() + k0, w + k0, window - k0);
+    if (desc.has_bias) {
+      acc += (*data.bias)[static_cast<std::size_t>(oc)];
+      for (; i < steps.size() && steps[i].e == e; ++i) {
+        acc = apply_op_fault(acc, steps[i].bit);
+      }
+    }
     out.at(0, oc, oy, ox) =
         requantize_value(acc, data.acc_scale, data.out_quant);
   }

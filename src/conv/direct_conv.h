@@ -32,9 +32,9 @@ class DirectConvEngine final : public ConvEngine {
 // Integer addition is order-independent, so the result is bit-identical to
 // the instrumented reference loop for every shape (validated in
 // golden_cache_test). DirectConvEngine::forward routes here; the
-// instrumented direct_output_acc below stays the fault-replay and
-// exactness reference (direct_forward_instrumented with no sites runs it
-// over every output, conv/instrumented_ref.h).
+// instrumented direct_output_acc below stays the exactness reference
+// (direct_forward_instrumented with no sites runs it over every output,
+// conv/instrumented_ref.h).
 TensorI32 direct_forward_gemm(const ConvDesc& desc, const ConvData& data);
 
 // Max |raw accumulator| over all output elements, computed on the GEMM fast
@@ -70,8 +70,9 @@ ConvDelta direct_delta_acc(const ConvDesc& desc, const TensorI32& input,
                            std::span<const std::int16_t> wt);
 
 // Accumulator of one output element with every primitive op routed through
-// `hook(kind, global_op_index, value, domain_scale)`. Shared by the golden,
-// replay, and instrumented-reference paths.
+// `hook(kind, global_op_index, value, domain_scale)`: the per-op oracle
+// (direct_forward_instrumented) and ABFT's checksum recompute. Replay
+// (DirectConvEngine::apply_faults) re-derives faulted elements without it.
 template <typename Hook>
 std::int64_t direct_output_acc(const ConvDesc& desc, const ConvData& data,
                                std::int64_t oc, std::int64_t oy,

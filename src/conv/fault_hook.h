@@ -1,8 +1,11 @@
-// Operation hooks threaded through the engines' computation templates.
-// The golden path uses FaultHookNone (inlines to nothing); the instrumented
-// and replay paths use SiteFilterHook, which applies every scheduled fault
-// whose (kind, op_index) matches the operation being executed. Because both
-// paths run the *same* templated loops, replay is exact by construction.
+// Operation hooks for the per-op reference loops (direct_output_acc and
+// the instrumented Winograd tile, conv/instrumented_ref.h). FaultHookNone
+// inlines to nothing (ABFT's checksum recompute uses it); SiteFilterHook
+// applies every scheduled fault whose (kind, op_index) matches the
+// operation being executed, and is the oracle replay is checked against.
+// Replay itself (the engines' apply_faults) does not route each op through
+// a hook: it runs plain arithmetic between the scheduled sites and applies
+// a fault only at the ops that carry one.
 #pragma once
 
 #include <cstdint>

@@ -263,7 +263,7 @@ TEST(WorkStealing, EachIndexRunsExactlyOnceUnderUnevenLoad) {
       // finish balanced.
       volatile std::int64_t sink = 0;
       const std::int64_t spin = (i < n / 8) ? 400 : 4;
-      for (std::int64_t s = 0; s < spin; ++s) sink += s;
+      for (std::int64_t s = 0; s < spin; ++s) sink = sink + s;
       runs[static_cast<std::size_t>(i)].fetch_add(1);
     });
     for (std::int64_t i = 0; i < n; ++i) {
