@@ -307,6 +307,8 @@ void DirectConvEngine::apply_faults(const ConvDesc& desc, const ConvData& data,
                    });
 
   const std::int64_t ohw = desc.out_h() * desc.out_w();
+  const std::int64_t taps = desc.kh * desc.kw;
+  const std::int64_t hw = desc.in_h * desc.in_w;
   const TensorI32& input = *data.input;
   std::vector<std::int32_t> a(static_cast<std::size_t>(window));
   std::size_t i = 0;
@@ -315,20 +317,24 @@ void DirectConvEngine::apply_faults(const ConvDesc& desc, const ConvData& data,
     const std::int64_t oc = e / ohw;
     const std::int64_t oy = (e % ohw) / desc.out_w();
     const std::int64_t ox = e % desc.out_w();
-    // The element's window, gathered with im2col's index arithmetic;
-    // padding taps are zero operands.
+    // The element's window a[(ic*kh + ky)*kw + kx], gathered with im2col's
+    // index arithmetic tap by tap: each tap is checked against the padding
+    // once, then copied across the input channels (padding taps are zero
+    // operands).
     const std::int64_t iy0 = oy * desc.stride - desc.pad;
     const std::int64_t ix0 = ox * desc.stride - desc.pad;
-    std::int32_t* gathered = a.data();
-    for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
-      for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
-        const std::int64_t iy = iy0 + ky;
-        const bool row_inside = iy >= 0 && iy < desc.in_h;
-        for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
-          const std::int64_t ix = ix0 + kx;
-          *gathered++ = row_inside && ix >= 0 && ix < desc.in_w
-                            ? input.at(0, ic, iy, ix)
-                            : 0;
+    for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
+      const std::int64_t iy = iy0 + ky;
+      for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
+        const std::int64_t ix = ix0 + kx;
+        std::int32_t* dst = a.data() + ky * desc.kw + kx;
+        if (iy < 0 || iy >= desc.in_h || ix < 0 || ix >= desc.in_w) {
+          for (std::int64_t ic = 0; ic < desc.in_c; ++ic) dst[ic * taps] = 0;
+          continue;
+        }
+        const std::int32_t* src = input.data() + iy * desc.in_w + ix;
+        for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
+          dst[ic * taps] = src[ic * hw];
         }
       }
     }
