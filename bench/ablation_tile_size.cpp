@@ -36,6 +36,8 @@ int main(int argc, char** argv) {
 
   // Fault tolerance across the knee.
   const std::vector<double> bers = log_ber_grid(3e-9, 3e-7, env.full ? 7 : 4);
+  // One runner for the three tile sizes: one golden per image serves all.
+  const CampaignRunner runner(m.net, m.data);
   Table acc({"ber", "st_acc", "wg_f2_acc", "wg_f4_acc"});
   std::vector<std::vector<SweepPoint>> curves;
   for (const ConvPolicy policy :
@@ -45,7 +47,7 @@ int main(int argc, char** argv) {
     options.policy = policy;
     options.seed = env.seed + 9;
     options.store = store_options(cli.store_dir, env);
-    curves.push_back(accuracy_sweep(m.net, m.data, options));
+    curves.push_back(accuracy_sweep(runner, options));
   }
   for (std::size_t i = 0; i < bers.size(); ++i) {
     acc.add_row({Table::fmt_sci(bers[i]),

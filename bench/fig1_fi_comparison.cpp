@@ -19,6 +19,8 @@ using namespace winofault::bench;
 int main(int argc, char** argv) {
   const FigureCtx ctx = figure_ctx(1, argc, argv);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
+  // Every fault model's campaign reuses the runner's goldens.
+  const CampaignRunner runner(m.net, m.data);
 
   const std::vector<double> bers =
       log_ber_grid(1e-9, 1e-6, ctx.env.full ? 9 : 6);
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
       options.store = ctx.store();
       configs.push_back(std::move(options));
     }
-    const SweepResult sweep = accuracy_sweeps(m.net, m.data, configs);
+    const SweepResult sweep = accuracy_sweeps(runner, configs);
     note_partial(sweep.stats.cells_deferred);
     const auto& curves = sweep.curves;
 

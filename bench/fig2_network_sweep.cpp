@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
     for (const ZooEntry& entry : model_zoo()) {
       for (const DType dtype : {DType::kInt8, DType::kInt16}) {
         ModelUnderTest m = make_model(entry.name, dtype, ctx.env);
+        const CampaignRunner runner(m.net, m.data);
         SweepOptions st;
         st.bers = bers;
         st.model = model;
@@ -35,8 +36,7 @@ int main(int argc, char** argv) {
         st.store = ctx.store();
         SweepOptions wg = st;
         wg.policy = ConvPolicy::kWinograd2;
-        const SweepResult sweep =
-            accuracy_sweeps(m.net, m.data, std::vector{st, wg});
+        const SweepResult sweep = accuracy_sweeps(runner, std::vector{st, wg});
         note_partial(sweep.stats.cells_deferred);
         const auto& st_curve = sweep.curves[0];
         const auto& wg_curve = sweep.curves[1];

@@ -18,6 +18,8 @@ int main(int argc, char** argv) {
   const double ber = ber_knob(argv[0]);
   const FigureCtx ctx = figure_ctx(3, argc, argv);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
+  // Both engines' analyses replay the runner's goldens.
+  const CampaignRunner runner(m.net, m.data);
 
   for (const FaultModelSpec& model : ctx.fault_models) {
     LayerwiseOptions st;
@@ -27,8 +29,8 @@ int main(int argc, char** argv) {
     st.store = ctx.store();
     LayerwiseOptions wg = st;
     wg.policy = ConvPolicy::kWinograd2;
-    const LayerwiseResult st_result = layer_vulnerability(m.net, m.data, st);
-    const LayerwiseResult wg_result = layer_vulnerability(m.net, m.data, wg);
+    const LayerwiseResult st_result = layer_vulnerability(runner, st);
+    const LayerwiseResult wg_result = layer_vulnerability(runner, wg);
     note_partial(st_result.cells_deferred + wg_result.cells_deferred);
 
     Table table({"fault_free_layer", "st_acc", "wg_acc", "st_base",

@@ -22,6 +22,8 @@ int main(int argc, char** argv) {
     for (const ZooEntry& entry : model_zoo()) {
       for (const DType dtype : {DType::kInt8, DType::kInt16}) {
         ModelUnderTest m = make_model(entry.name, dtype, ctx.env);
+        // One runner for both engines: one golden per image serves both.
+        const CampaignRunner runner(m.net, m.data);
         // Per-network BER near its knee: scale with total op bits so every
         // model is stressed comparably (the paper likewise picks
         // per-network rates between 1e-11 and 9e-8).
@@ -35,7 +37,7 @@ int main(int argc, char** argv) {
           options.model = model;
           options.seed = ctx.seed();
           options.store = ctx.store();
-          const OpTypeResult r = op_type_sensitivity(m.net, m.data, options);
+          const OpTypeResult r = op_type_sensitivity(runner, options);
           note_partial(r.cells_deferred);
           min_mul_advantage = std::min(
               min_mul_advantage,

@@ -16,6 +16,8 @@ int main(int argc, char** argv) {
   const FigureCtx ctx = figure_ctx(5, argc, argv);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
   const double clean = m.entry->clean_accuracy;
+  // Both rankings and every plan's checks replay one golden per image.
+  const CampaignRunner runner(m.net, m.data);
 
   // Accuracy goals spanning the paper's 45%..70% band (relative to the
   // 72.6% clean accuracy).
@@ -36,11 +38,11 @@ int main(int argc, char** argv) {
   // reason plan_tmr zeroes the budget for its own accuracy checks. Cells
   // still journal, so a killed run resumes regardless.
   st_lw.store.cell_budget = 0;
-  const LayerwiseResult st_analysis = layer_vulnerability(m.net, m.data, st_lw);
+  const LayerwiseResult st_analysis = layer_vulnerability(runner, st_lw);
   const auto st_order = vulnerability_order(st_analysis);
   LayerwiseOptions wg_lw = st_lw;
   wg_lw.policy = ConvPolicy::kWinograd2;
-  const LayerwiseResult wg_analysis = layer_vulnerability(m.net, m.data, wg_lw);
+  const LayerwiseResult wg_analysis = layer_vulnerability(runner, wg_lw);
   const auto wg_order = vulnerability_order(wg_analysis);
   note_partial(st_analysis.cells_deferred + wg_analysis.cells_deferred);
 
@@ -60,14 +62,14 @@ int main(int argc, char** argv) {
     st_opts.layer_order = &st_order;
     st_opts.step_fraction = ctx.env.full ? 0.05 : 0.15;
     st_opts.initial_protection = &st_warm;
-    const TmrPlan st_plan = plan_tmr(m.net, m.data, st_opts);
+    const TmrPlan st_plan = plan_tmr(runner, st_opts);
     st_warm = st_plan.protection;
 
     TmrPlanOptions wg_opts = st_opts;
     wg_opts.analysis_policy = ConvPolicy::kWinograd2;
     wg_opts.layer_order = &wg_order;
     wg_opts.initial_protection = &wg_warm;
-    const TmrPlan wg_plan = plan_tmr(m.net, m.data, wg_opts);
+    const TmrPlan wg_plan = plan_tmr(runner, wg_opts);
     wg_warm = wg_plan.protection;
 
     const double st_ovh =

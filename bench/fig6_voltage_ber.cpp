@@ -19,13 +19,14 @@ int main(int argc, char** argv) {
   volt.log10_ber_anchor = volt_anchor_knob(argv[0]);
   const FigureCtx ctx = figure_ctx(6, argc, argv);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
+  const CampaignRunner runner(m.net, m.data);
 
   const auto grid = voltage_grid(0.82, 0.74, ctx.env.full ? 13 : 9);
   // Both policies' curves as one campaign over the whole grid.
   const ConvPolicy policies[] = {ConvPolicy::kDirect, ConvPolicy::kWinograd2};
   const VoltageSweepResult sweep = accuracy_vs_voltage_multi(
-      m.net, m.data, volt, policies, grid, ctx.seed(), /*threads=*/0,
-      /*trials=*/1, ctx.store());
+      runner, volt, policies, grid, ctx.seed(), /*threads=*/0, /*trials=*/1,
+      ctx.store());
   note_partial(sweep.stats.cells_deferred);
   const auto& st = sweep.curves[0];
   const auto& wg = sweep.curves[1];

@@ -17,6 +17,8 @@ int main(int argc, char** argv) {
   model.voltage.log10_ber_anchor = volt_anchor_knob(argv[0]);  // see fig6
   const FigureCtx ctx = figure_ctx(7, argc, argv);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
+  // One runner for both curves: the second replays the first's goldens.
+  const CampaignRunner runner(m.net, m.data);
 
   ExplorerOptions base;
   base.loss_budgets = {0.01, 0.03, 0.05, 0.10};
@@ -32,10 +34,10 @@ int main(int argc, char** argv) {
   // Each decision curve is measured once (one campaign per policy); ST-Conv
   // and WG-Conv-W/O-AFT share the direct curve.
   const VoltageCurve st_curve = measure_voltage_curve(
-      m.net, m.data, model.voltage, ConvPolicy::kDirect, base.voltage_grid,
+      runner, model.voltage, ConvPolicy::kDirect, base.voltage_grid,
       base.seed, /*threads=*/0, /*trials=*/1, ctx.store());
   const VoltageCurve wg_curve = measure_voltage_curve(
-      m.net, m.data, model.voltage, ConvPolicy::kWinograd2, base.voltage_grid,
+      runner, model.voltage, ConvPolicy::kWinograd2, base.voltage_grid,
       base.seed, /*threads=*/0, /*trials=*/1, ctx.store());
   note_partial(st_curve.cells_deferred + wg_curve.cells_deferred);
   const auto st_points = pick_voltages(m.net, model, st, st_curve);

@@ -33,8 +33,8 @@ int main() {
   st_sweep.trials = 4;
   SweepOptions wg_sweep = st_sweep;
   wg_sweep.policy = ConvPolicy::kWinograd2;
-  const auto sweep =
-      accuracy_sweeps(net, data, std::vector{st_sweep, wg_sweep});
+  const CampaignRunner runner(net, data);
+  const auto sweep = accuracy_sweeps(runner, std::vector{st_sweep, wg_sweep});
   const auto& st_curve = sweep.curves[0];
   const auto& wg_curve = sweep.curves[1];
 

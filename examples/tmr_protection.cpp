@@ -21,11 +21,15 @@ int main() {
   std::printf("VGG19 (reduced), BER %.1e (~30 expected flips/inference)\n",
               ber);
 
+  // Every analysis and plan below runs on one runner, so each image's
+  // golden activations are built once for all of them.
+  const CampaignRunner runner(net, data);
+
   // Vulnerability profile.
   LayerwiseOptions lw;
   lw.ber = ber;
   lw.seed = 31;
-  const LayerwiseResult analysis = layer_vulnerability(net, data, lw);
+  const LayerwiseResult analysis = layer_vulnerability(runner, lw);
   std::printf("baseline accuracy (all faulty): %.1f%%\n",
               analysis.base_accuracy * 100);
   std::printf("%6s %12s %14s %12s\n", "layer", "fault-free", "vulnerability",
@@ -45,11 +49,11 @@ int main() {
   st_opts.accuracy_goal = goal;
   st_opts.seed = 33;
   st_opts.layer_order = &order;
-  const TmrPlan st_plan = plan_tmr(net, data, st_opts);
+  const TmrPlan st_plan = plan_tmr(runner, st_opts);
 
   TmrPlanOptions wg_opts = st_opts;
   wg_opts.analysis_policy = ConvPolicy::kWinograd2;
-  const TmrPlan wg_plan = plan_tmr(net, data, wg_opts);
+  const TmrPlan wg_plan = plan_tmr(runner, wg_opts);
 
   const double st_full = full_tmr_ops(net, ConvPolicy::kDirect);
   std::printf("\naccuracy goal %.0f%%:\n", goal * 100);

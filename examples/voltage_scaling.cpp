@@ -28,6 +28,9 @@ int main() {
   std::printf("systolic runtime: ST %.3f ms, WG %.3f ms (%.2fx speedup)\n",
               t_st * 1e3, t_wg * 1e3, t_st / t_wg);
 
+  // One runner for the three explorations: each image's golden is built
+  // once for all of them.
+  const CampaignRunner runner(net, data);
   ExplorerOptions options;
   options.loss_budgets = {0.05};
   options.voltage_grid = voltage_grid(0.86, 0.72, 8);
@@ -35,13 +38,13 @@ int main() {
 
   options.exec_policy = ConvPolicy::kDirect;
   options.curve_policy = ConvPolicy::kDirect;
-  const auto st = explore_voltage_scaling(net, data, model, options)[0];
+  const auto st = explore_voltage_scaling(runner, model, options)[0];
 
   options.exec_policy = ConvPolicy::kWinograd2;
-  const auto wo = explore_voltage_scaling(net, data, model, options)[0];
+  const auto wo = explore_voltage_scaling(runner, model, options)[0];
 
   options.curve_policy = ConvPolicy::kWinograd2;
-  const auto wa = explore_voltage_scaling(net, data, model, options)[0];
+  const auto wa = explore_voltage_scaling(runner, model, options)[0];
 
   std::printf("5%% accuracy-loss budget:\n");
   std::printf("  ST-Conv:         %.3f V, energy %.3f of nominal baseline\n",

@@ -27,10 +27,9 @@ CampaignSpec sweep_campaign(std::span<const SweepOptions> options) {
   return spec;
 }
 
-SweepResult accuracy_sweeps(const Network& network, const Dataset& dataset,
+SweepResult accuracy_sweeps(const CampaignRunner& runner,
                             std::span<const SweepOptions> options) {
-  const CampaignResult result =
-      run_campaign(network, dataset, sweep_campaign(options));
+  const CampaignResult result = runner.run(sweep_campaign(options));
   SweepResult sweeps;
   sweeps.stats = result.stats;
   sweeps.curves.reserve(options.size());
@@ -47,11 +46,9 @@ SweepResult accuracy_sweeps(const Network& network, const Dataset& dataset,
   return sweeps;
 }
 
-std::vector<SweepPoint> accuracy_sweep(const Network& network,
-                                       const Dataset& dataset,
+std::vector<SweepPoint> accuracy_sweep(const CampaignRunner& runner,
                                        const SweepOptions& options) {
-  return accuracy_sweeps(network, dataset, std::span(&options, 1))
-      .curves.front();
+  return accuracy_sweeps(runner, std::span(&options, 1)).curves.front();
 }
 
 std::vector<double> log_ber_grid(double lo, double hi, int points) {

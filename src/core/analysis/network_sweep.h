@@ -2,7 +2,8 @@
 // accuracy of a network across a bit-error-rate sweep under a given conv
 // policy and injection mode. A sweep is a thin CampaignSpec builder: all
 // BER points (and, with accuracy_sweeps, all policy/mode configurations)
-// run as one campaign sharing one set of golden activations per image.
+// run as one campaign on the caller's runner, sharing one set of golden
+// activations per image with every other call on that runner.
 #pragma once
 
 #include <span>
@@ -33,8 +34,7 @@ struct SweepOptions {
   StoreOptions store;
 };
 
-std::vector<SweepPoint> accuracy_sweep(const Network& network,
-                                       const Dataset& dataset,
+std::vector<SweepPoint> accuracy_sweep(const CampaignRunner& runner,
                                        const SweepOptions& options);
 
 // Curves of a multi-configuration sweep plus the campaign stats they were
@@ -51,7 +51,7 @@ struct SweepResult {
 // ST/WG pair. Goldens are shared across every configuration with the same
 // policy, and the whole grid feeds the pool at once. Campaign-level knobs
 // (threads) come from the first configuration.
-SweepResult accuracy_sweeps(const Network& network, const Dataset& dataset,
+SweepResult accuracy_sweeps(const CampaignRunner& runner,
                             std::span<const SweepOptions> options);
 
 // The CampaignSpec a set of sweep configurations expands to (points ordered

@@ -2,8 +2,7 @@
 
 namespace winofault {
 
-OpTypeResult op_type_sensitivity(const Network& network,
-                                 const Dataset& dataset,
+OpTypeResult op_type_sensitivity(const CampaignRunner& runner,
                                  const OpTypeOptions& options) {
   CampaignPoint all;
   all.fault.ber = options.ber;
@@ -22,7 +21,7 @@ OpTypeResult op_type_sensitivity(const Network& network,
   spec.threads = options.threads;
   spec.store = options.store;
   spec.points = {all, add_only, mul_only};
-  const CampaignResult campaign = run_campaign(network, dataset, spec);
+  const CampaignResult campaign = runner.run(spec);
 
   OpTypeResult result;
   result.cells_deferred = campaign.stats.cells_deferred;

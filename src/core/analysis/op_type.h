@@ -3,8 +3,9 @@
 // accuracy means multiplications are the vulnerable operations and should
 // be protected first — the priority rule of the TMR planner.
 //
-// The three configurations (all faulty, add-only, mul-only) share a policy
-// and therefore run as one campaign over a single set of goldens.
+// The three configurations (all faulty, add-only, mul-only) run as one
+// campaign on the caller's runner, over the goldens every other call on
+// that runner shares.
 #pragma once
 
 #include "core/campaign/campaign.h"
@@ -37,8 +38,7 @@ struct OpTypeResult {
   std::int64_t cells_deferred = 0;
 };
 
-OpTypeResult op_type_sensitivity(const Network& network,
-                                 const Dataset& dataset,
+OpTypeResult op_type_sensitivity(const CampaignRunner& runner,
                                  const OpTypeOptions& options);
 
 }  // namespace winofault

@@ -395,15 +395,15 @@ struct Unit {
 
 // What a campaign derives before it executes a cell, the same for a local
 // run and a dist worker: the points left after the destruction
-// short-circuit, their hashes and overlays, the store handles, the golden
-// LRU, and the pending units. Cells the journal already holds seed the
-// tallies instead of becoming pending: every cell is a pure function of
-// (point, image) within this environment, so resumed totals are
-// bit-identical to an uninterrupted run (proved in store_test).
+// short-circuit, their hashes and overlays, the store handles, the
+// runner's golden LRU grown to this run's capacity, and the pending units.
+// Cells the journal already holds seed the tallies instead of becoming
+// pending: every cell is a pure function of (point, image) within this
+// environment, so resumed totals are bit-identical to an uninterrupted run
+// (proved in store_test).
 struct CellPlan {
-  CellPlan(const CampaignRunner& runner, const Network& network,
-           const Dataset& dataset, const CampaignSpec& spec, bool distributed,
-           CampaignResult& result);
+  CellPlan(const CampaignRunner& runner, GoldenLru& lru,
+           const CampaignSpec& spec, bool distributed, CampaignResult& result);
 
   // The one cell loop: runs pending[begin, end) through parallel_for. Each
   // unit this process has not tallied yet executes, appends to `sink` (a
@@ -421,7 +421,7 @@ struct CellPlan {
       const std::size_t p = active[pending[u].a];
       const JournalCell cell =
           execute_cell(network, dataset, spec.points[p], point_hashes[p],
-                       pending[u].image, *lru, goldens, golden_store.get(),
+                       pending[u].image, lru, goldens, golden_store.get(),
                        overlays[p].get());
       if (sink != nullptr && sink->append(cell)) {
         journaled.fetch_add(1, std::memory_order_relaxed);
@@ -441,7 +441,7 @@ struct CellPlan {
   // Writes the per-point results and this run's stats into `result`.
   void finalize();
 
-  const CampaignRunner& runner;  // owns the store handles
+  const CampaignRunner& runner;  // owns the store handles and `lru`
   const Network& network;
   const Dataset& dataset;
   const CampaignSpec& spec;
@@ -459,8 +459,7 @@ struct CellPlan {
   // the plan holds it for the whole run (null without a golden tier).
   std::shared_ptr<GoldenStore> golden_store;
   std::shared_ptr<ResultJournal> sink;  // where executed cells append
-  std::unique_ptr<GoldenLru> local_lru;  // null when serving a warm tier
-  GoldenLru* lru = nullptr;
+  GoldenLru& lru;
   // Pending units, image-major: a contiguous slice (a pool worker's range,
   // a dist bucket) covers a few images across all their points, so one
   // golden per image serves the whole slice.
@@ -468,7 +467,7 @@ struct CellPlan {
   std::vector<char> tallied;                       // parallel to pending
   std::vector<std::atomic<std::int64_t>> correct;  // parallel to active
   std::vector<std::atomic<std::int64_t>> flips;    // parallel to active
-  // This run's own counts: the LRU, journal and GoldenStore it uses may
+  // This run's own counts: the runner's LRU, journal and GoldenStore may
   // serve other runs at the same time.
   std::atomic<std::int64_t> executed{0};
   std::atomic<std::int64_t> inferences{0};
@@ -476,12 +475,12 @@ struct CellPlan {
   GoldenTally goldens;
 };
 
-CellPlan::CellPlan(const CampaignRunner& runner, const Network& network,
-                   const Dataset& dataset, const CampaignSpec& spec,
-                   bool distributed, CampaignResult& result)
+CellPlan::CellPlan(const CampaignRunner& runner, GoldenLru& lru,
+                   const CampaignSpec& spec, bool distributed,
+                   CampaignResult& result)
     : runner(runner),
-      network(network),
-      dataset(dataset),
+      network(runner.network()),
+      dataset(runner.dataset()),
       spec(spec),
       result(result),
       env(spec.store.enabled() ? runner.env_hash() : 0),
@@ -493,7 +492,8 @@ CellPlan::CellPlan(const CampaignRunner& runner, const Network& network,
               : distributed && spec.store.dist.share_host
                   ? std::max(1, default_thread_count() /
                                     spec.store.dist.shard_count)
-                  : default_thread_count()) {
+                  : default_thread_count()),
+      lru(lru) {
   result.points.resize(spec.points.size());
   point_hashes.reserve(spec.points.size());
   for (const CampaignPoint& point : spec.points) {
@@ -517,26 +517,14 @@ CellPlan::CellPlan(const CampaignRunner& runner, const Network& network,
   if (active.empty()) return;
   overlays = build_point_overlays(network, spec, active);
 
-  // Default LRU capacity: one entry for each of the min(images, threads)
-  // images the pool works on at once, plus one-per-worker slack for a
-  // thief that starts on a fresh image.
-  const std::size_t capacity =
-      spec.golden_capacity > 0
-          ? spec.golden_capacity
-          : static_cast<std::size_t>(std::max<std::int64_t>(
-                std::min<std::int64_t>(images, threads) + threads, 2));
-  if (spec.warm_goldens != nullptr) {
-    // External warm tier (core/service): the caller's cross-campaign LRU
-    // exists to serve the NEXT submission, so it must retain this
-    // campaign's full golden set — `capacity` only covers the images in
-    // flight and would evict everything a resident daemon keeps warm.
-    lru = spec.warm_goldens;
-    lru->ensure_capacity(
-        std::max(capacity, static_cast<std::size_t>(images + threads)));
-  } else {
-    local_lru = std::make_unique<GoldenLru>(capacity);
-    lru = local_lru.get();
-  }
+  // The runner's LRU serves this run and the runner's later ones, so by
+  // default it keeps every image's golden, plus one-per-worker slack for a
+  // thief that starts on a fresh image. Every run visits the images in the
+  // same order: an LRU smaller than the dataset would evict each golden
+  // just before the next run needs it.
+  lru.ensure_capacity(spec.golden_capacity > 0
+                          ? spec.golden_capacity
+                          : static_cast<std::size_t>(images + threads));
 
   correct = std::vector<std::atomic<std::int64_t>>(active.size());
   flips = std::vector<std::atomic<std::int64_t>>(active.size());
@@ -932,7 +920,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
       distributed ? "campaign_run_distributed" : "campaign_run",
       distributed ? "dist" : "campaign");
   CampaignResult result;
-  CellPlan plan(*this, network_, dataset_, spec, distributed, result);
+  CellPlan plan(*this, lru_, spec, distributed, result);
   if (plan.active.empty()) return result;
   if (distributed) {
     run_distributed(plan);

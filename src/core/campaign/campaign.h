@@ -6,11 +6,14 @@
 // campaign engine instead executes the full (image x config x trial)
 // cross-product as a single scheduled unit:
 //
-//   * Golden activations are image-keyed and campaign-scoped: fault-free
-//     execution is bit-identical across BERs, injection modes, protection
-//     sets and ConvPolicies, so one GoldenCache per image serves every
-//     configuration point. A bounded-memory LRU (GoldenLru) lets
-//     arbitrarily large datasets stream.
+//   * Golden activations are image-keyed: fault-free execution is
+//     bit-identical across BERs, injection modes, protection sets and
+//     ConvPolicies, so one GoldenCache per image serves every
+//     configuration point. The CampaignRunner owns one LRU (GoldenLru)
+//     and keeps it between its own runs, so a consumer that runs many
+//     campaigns on one (network, dataset) — a figure, the TMR planner, a
+//     daemon session — builds each golden once. A capacity bound lets a
+//     dataset whose goldens exceed RAM stream.
 //   * Scheduling is campaign-granular: the flattened (image, point) grid is
 //     one parallel_for, so small datasets still saturate the pool when the
 //     grid is wide (images x points units instead of images per call).
@@ -94,8 +97,6 @@ struct EvalResult {
   int images = 0;
 };
 
-class GoldenLru;
-
 // Progress snapshot streamed to CampaignSpec::on_progress as cells finish
 // (local execution path; distributed workers report through the store).
 struct CampaignProgress {
@@ -109,9 +110,10 @@ struct CampaignSpec {
   std::vector<CampaignPoint> points;
   int threads = 0;  // 0 => hardware concurrency
   // Max live GoldenCache entries — one entry is the full activation set of
-  // one image. 0 => auto: the images the pool works on at once
-  // (min(images, threads)), plus one-per-worker slack — enough for the
-  // image-major schedule to hit while large datasets stream.
+  // one image. The run grows its runner's LRU, which never shrinks, to
+  // this; 0 => images + the run's resolved thread count, so every golden
+  // stays for the runner's later runs. A value > 0 bounds a fresh runner's
+  // LRU: that is how a dataset whose goldens exceed RAM streams.
   std::size_t golden_capacity = 0;
   // Persistent campaign store (core/store): result journal for
   // checkpoint/resume + incremental regeneration, and golden shards on
@@ -119,18 +121,10 @@ struct CampaignSpec {
   // bit-identical either way (proved in tests/store_test.cpp).
   StoreOptions store;
 
-  // ---- Resident-service hooks (core/service). None of these fields can
-  // change any result (none joins a hash): they change who executes and
-  // what is observed, never what is computed. `on_progress` and `cancel`
-  // apply to the local execution path only. ----
-
-  // External cross-campaign golden tier: when set, the runner serves
-  // goldens from this shared LRU (growing its capacity to at least this
-  // campaign's working set) instead of a campaign-local one, still saving
-  // each golden it uses to its own store. Image keys are only meaningful
-  // within ONE campaign environment — an owner serving several
-  // environments must keep one LRU per env hash (core/service sessions do).
-  GoldenLru* warm_goldens = nullptr;
+  // ---- Resident-service hooks (core/service). Neither field can change
+  // any result (neither joins a hash): they change what is observed and
+  // when a run stops, never what is computed. Both apply to the local
+  // execution path only. ----
 
   // Invoked as cells finish — from worker threads, possibly concurrently;
   // keep it cheap and thread-safe. Also invoked once before scheduling so
@@ -144,8 +138,8 @@ struct CampaignSpec {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-// What THIS run did, counted by the run itself: runs that share a warm
-// tier, a runner or a store directory never see each other's work.
+// What THIS run did, counted by the run itself: runs that share a runner
+// (and so its goldens) or a store directory never see each other's work.
 struct CampaignStats {
   std::int64_t golden_builds = 0;     // make_golden executions
   std::int64_t golden_hits = 0;       // cache hits (incl. waits on in-flight)
@@ -215,10 +209,8 @@ class GoldenLru {
                    GoldenTally& tally, std::uint64_t variant = 0,
                    GoldenStore* store = nullptr);
 
-  // Grows capacity to at least `capacity` (never shrinks): a shared
-  // cross-campaign tier (CampaignSpec::warm_goldens) must fit the largest
-  // working set among the campaigns it serves or it would thrash on the
-  // largest one.
+  // Grows capacity to at least `capacity`; never shrinks. Each run grows
+  // its runner's LRU to its own working set (CampaignSpec::golden_capacity).
   void ensure_capacity(std::size_t capacity);
 
  private:
@@ -260,10 +252,16 @@ struct StoreHandles {
 
 // Executes campaign specs against one (network, dataset). The runner
 // assumes the network and dataset do not change over its lifetime (it
-// holds references anyway): the campaign environment hash is computed on
+// holds references anyway), so build it only after the network is
+// calibrated or trained. The campaign environment hash is computed on
 // first use and reused, so sequential-adaptive consumers that run many
 // small campaigns through one runner (the TMR planner's accuracy checks,
 // a daemon session's submissions) do not re-hash every image per call.
+//
+// The runner is the one owner of goldens: every run serves them from the
+// runner's GoldenLru and grows it to its own working set, so later runs
+// through the runner hit instead of rebuilding, and a figure, a TMR
+// planning sweep or a daemon session builds each golden once.
 //
 // The runner is also the one owner of open store handles. Opening a
 // journal re-reads every record and opening a GoldenStore re-indexes every
@@ -278,6 +276,9 @@ class CampaignRunner {
       : network_(network), dataset_(dataset) {}
 
   CampaignResult run(const CampaignSpec& spec) const;
+
+  const Network& network() const { return network_; }
+  const Dataset& dataset() const { return dataset_; }
 
   // Cached campaign_env_hash(network, dataset).
   std::uint64_t env_hash() const;
@@ -307,6 +308,7 @@ class CampaignRunner {
 
   const Network& network_;
   const Dataset& dataset_;
+  mutable GoldenLru lru_{1};  // every run's goldens
   // 0 = not yet computed (a true hash of 0 just recomputes — benign).
   mutable std::atomic<std::uint64_t> env_hash_{0};
   mutable std::mutex store_mu_;  // guards the store handles below
@@ -320,13 +322,15 @@ class CampaignRunner {
       goldens_;
 };
 
-// Convenience wrapper over CampaignRunner.
+// One-shot convenience: a fresh CampaignRunner per call, so nothing (no
+// golden, no store handle) is shared with any other call.
 CampaignResult run_campaign(const Network& network, const Dataset& dataset,
                             const CampaignSpec& spec);
 
 // Accuracy under fault injection at one point: a single-point campaign, so
 // it is bit-identical to the same point inside any larger spec. `threads`
-// as CampaignSpec::threads (0 => hardware concurrency).
+// as CampaignSpec::threads (0 => hardware concurrency). Like
+// run_campaign, a fresh runner per call.
 EvalResult evaluate(const Network& network, const Dataset& dataset,
                     const CampaignPoint& point, int threads = 0);
 

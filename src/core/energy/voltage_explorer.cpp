@@ -23,7 +23,7 @@ CampaignPoint voltage_point(const VoltageModel& model, double voltage,
 }  // namespace
 
 VoltageSweepResult accuracy_vs_voltage_multi(
-    const Network& network, const Dataset& dataset, const VoltageModel& model,
+    const CampaignRunner& runner, const VoltageModel& model,
     std::span<const ConvPolicy> policies, std::span<const double> voltages,
     std::uint64_t seed, int threads, int trials, const StoreOptions& store) {
   CampaignSpec spec;
@@ -34,7 +34,7 @@ VoltageSweepResult accuracy_vs_voltage_multi(
       spec.points.push_back(voltage_point(model, v, policy, seed, trials));
     }
   }
-  const CampaignResult campaign = run_campaign(network, dataset, spec);
+  const CampaignResult campaign = runner.run(spec);
 
   VoltageSweepResult result;
   result.stats = campaign.stats;
@@ -53,18 +53,7 @@ VoltageSweepResult accuracy_vs_voltage_multi(
   return result;
 }
 
-std::vector<VoltagePoint> accuracy_vs_voltage(
-    const Network& network, const Dataset& dataset, const VoltageModel& model,
-    ConvPolicy policy, std::span<const double> voltages, std::uint64_t seed,
-    int threads, int trials, const StoreOptions& store) {
-  return accuracy_vs_voltage_multi(network, dataset, model,
-                                   std::span(&policy, 1), voltages, seed,
-                                   threads, trials, store)
-      .curves.front();
-}
-
-VoltageCurve measure_voltage_curve(const Network& network,
-                                   const Dataset& dataset,
+VoltageCurve measure_voltage_curve(const CampaignRunner& runner,
                                    const VoltageModel& model,
                                    ConvPolicy policy,
                                    std::span<const double> voltages,
@@ -85,7 +74,7 @@ VoltageCurve measure_voltage_curve(const Network& network,
   for (const double v : voltages) {
     spec.points.push_back(voltage_point(model, v, policy, seed, trials));
   }
-  const CampaignResult campaign = run_campaign(network, dataset, spec);
+  const CampaignResult campaign = runner.run(spec);
 
   VoltageCurve curve;
   curve.cells_deferred = campaign.stats.cells_deferred;
@@ -139,14 +128,13 @@ std::vector<EnergyPoint> pick_voltages(const Network& network,
 }
 
 std::vector<EnergyPoint> explore_voltage_scaling(
-    const Network& network, const Dataset& dataset, const EnergyModel& model,
+    const CampaignRunner& runner, const EnergyModel& model,
     const ExplorerOptions& options) {
   WF_CHECK(!options.voltage_grid.empty());
   const VoltageCurve curve = measure_voltage_curve(
-      network, dataset, model.voltage, options.curve_policy,
-      options.voltage_grid, options.seed, options.threads, options.trials,
-      options.store);
-  return pick_voltages(network, model, options, curve);
+      runner, model.voltage, options.curve_policy, options.voltage_grid,
+      options.seed, options.threads, options.trials, options.store);
+  return pick_voltages(runner.network(), model, options, curve);
 }
 
 std::vector<double> voltage_grid(double v_hi, double v_lo, int points) {

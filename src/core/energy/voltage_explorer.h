@@ -12,8 +12,9 @@
 // Energy is normalized to direct-conv execution at nominal voltage.
 //
 // The accuracy measurements (the clean reference plus the whole decision
-// curve) share one ConvPolicy, so an exploration is a thin CampaignSpec
-// builder: one campaign, one golden build per image.
+// curve) form one campaign, so an exploration is a thin CampaignSpec
+// builder run on the caller's runner, whose goldens serve every call on
+// it: one golden build per image for all of them.
 #pragma once
 
 #include <vector>
@@ -29,13 +30,6 @@ struct VoltagePoint {
   double accuracy = 0.0;
 };
 
-// Accuracy of the network along a voltage grid (Fig 6 curves), measured as
-// one campaign.
-std::vector<VoltagePoint> accuracy_vs_voltage(
-    const Network& network, const Dataset& dataset, const VoltageModel& model,
-    ConvPolicy policy, std::span<const double> voltages, std::uint64_t seed,
-    int threads = 0, int trials = 1, const StoreOptions& store = {});
-
 // Curves of a multi-policy voltage campaign plus the stats they were
 // measured under — stats.cells_deferred != 0 flags PARTIAL curves from a
 // budgeted run (same contract as SweepResult).
@@ -44,11 +38,12 @@ struct VoltageSweepResult {
   CampaignStats stats;
 };
 
-// Several policies' curves over one grid as a SINGLE campaign (fig6's
-// ST/WG pair): the whole (image x policy x voltage) grid feeds the pool at
-// once. Returns one curve per policy, in order.
+// Accuracy along a voltage grid (Fig 6 curves) for several policies as a
+// SINGLE campaign (fig6's ST/WG pair): the whole (image x policy x
+// voltage) grid feeds the pool at once. Returns one curve per policy, in
+// order.
 VoltageSweepResult accuracy_vs_voltage_multi(
-    const Network& network, const Dataset& dataset, const VoltageModel& model,
+    const CampaignRunner& runner, const VoltageModel& model,
     std::span<const ConvPolicy> policies, std::span<const double> voltages,
     std::uint64_t seed, int threads = 0, int trials = 1,
     const StoreOptions& store = {});
@@ -85,8 +80,7 @@ struct VoltageCurve {
   std::int64_t cells_deferred = 0;
 };
 
-VoltageCurve measure_voltage_curve(const Network& network,
-                                   const Dataset& dataset,
+VoltageCurve measure_voltage_curve(const CampaignRunner& runner,
                                    const VoltageModel& model,
                                    ConvPolicy policy,
                                    std::span<const double> voltages,
@@ -102,10 +96,9 @@ std::vector<EnergyPoint> pick_voltages(const Network& network,
                                        const VoltageCurve& curve);
 
 // measure_voltage_curve + pick_voltages in one call.
-std::vector<EnergyPoint> explore_voltage_scaling(const Network& network,
-                                                 const Dataset& dataset,
-                                                 const EnergyModel& model,
-                                                 const ExplorerOptions& options);
+std::vector<EnergyPoint> explore_voltage_scaling(
+    const CampaignRunner& runner, const EnergyModel& model,
+    const ExplorerOptions& options);
 
 // Uniform descending voltage grid [v_hi, v_lo] with `points` entries.
 std::vector<double> voltage_grid(double v_hi, double v_lo, int points);

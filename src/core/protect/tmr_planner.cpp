@@ -10,12 +10,12 @@ namespace {
 
 // The planner is sequential-adaptive (each iteration's protection depends
 // on the previous accuracy check), so every check is a single-point
-// campaign; golden reuse still amortizes across the point's trials. All
-// checks flow through ONE CampaignRunner: the environment hash is
-// computed once per planning run instead of once per check, and with a
-// store attached the runner keeps its journal and golden store open
-// between checks instead of re-reading them — warm resumes are O(1) per
-// call.
+// campaign. All checks flow through the caller's CampaignRunner: it keeps
+// its goldens between checks, so each image's golden is built once for
+// every check and every plan on that runner; the environment hash is
+// computed once; and with a store attached the runner keeps its journal
+// and golden store open between checks instead of re-reading them — warm
+// resumes are O(1) per call.
 double evaluate_with_protection(
     const CampaignRunner& runner,
     const std::unordered_map<int, ProtectionSet>& protection,
@@ -44,7 +44,7 @@ std::vector<int> vulnerability_order(const LayerwiseResult& analysis) {
   return order;
 }
 
-TmrPlan plan_tmr(const Network& network, const Dataset& dataset,
+TmrPlan plan_tmr(const CampaignRunner& runner,
                  const TmrPlanOptions& options_in) {
   // A budget-truncated campaign reports PARTIAL tallies; in this
   // sequential-adaptive loop a biased-low accuracy check would steer the
@@ -53,9 +53,6 @@ TmrPlan plan_tmr(const Network& network, const Dataset& dataset,
   // journal, so a killed sweep resumes at cell granularity regardless.
   TmrPlanOptions options = options_in;
   options.store.cell_budget = 0;
-  // Hundreds of tiny sequential checks share one runner and the store
-  // handles it keeps open (see evaluate_with_protection).
-  const CampaignRunner runner(network, dataset);
   TmrPlan plan;
 
   // 1. Layer-wise vulnerability ranking under the analysis engine.
@@ -69,7 +66,7 @@ TmrPlan plan_tmr(const Network& network, const Dataset& dataset,
     lw.seed = options.seed;
     lw.threads = options.threads;
     lw.store = options.store;
-    order = vulnerability_order(layer_vulnerability(network, dataset, lw));
+    order = vulnerability_order(layer_vulnerability(runner, lw));
   }
 
   if (options.initial_protection != nullptr) {
@@ -132,14 +129,13 @@ double full_tmr_ops(const Network& network, ConvPolicy policy) {
   return 2.0 * static_cast<double>(space.total_ops());
 }
 
-double plan_accuracy(const Network& network, const Dataset& dataset,
-                     const TmrPlan& plan, ConvPolicy policy, double ber,
-                     std::uint64_t seed, int threads) {
+double plan_accuracy(const CampaignRunner& runner, const TmrPlan& plan,
+                     ConvPolicy policy, double ber, std::uint64_t seed,
+                     int threads) {
   TmrPlanOptions options;
   options.ber = ber;
   options.seed = seed;
   options.threads = threads;
-  const CampaignRunner runner(network, dataset);
   return evaluate_with_protection(runner, plan.protection, policy, options);
 }
 

@@ -56,8 +56,10 @@ struct TmrPlan {
   bool goal_met = false;
 };
 
-TmrPlan plan_tmr(const Network& network, const Dataset& dataset,
-                 const TmrPlanOptions& options);
+// Every vulnerability analysis and accuracy check runs on the caller's
+// runner, so the goldens it holds serve the whole plan, and a caller that
+// plans several goals or policies on one runner builds each golden once.
+TmrPlan plan_tmr(const CampaignRunner& runner, const TmrPlanOptions& options);
 
 // Extra operations the plan costs when executed under `policy`:
 // 2 * (protected muls + protected adds), in ops.
@@ -69,9 +71,10 @@ double plan_overhead_ops(const Network& network, const TmrPlan& plan,
 double full_tmr_ops(const Network& network, ConvPolicy policy);
 
 // Accuracy of executing `plan` under an arbitrary policy (used to verify
-// that W/O-AFT plans still meet the goal when run on Winograd).
-double plan_accuracy(const Network& network, const Dataset& dataset,
-                     const TmrPlan& plan, ConvPolicy policy, double ber,
-                     std::uint64_t seed, int threads = 0);
+// that W/O-AFT plans still meet the goal when run on Winograd), measured
+// on the caller's runner.
+double plan_accuracy(const CampaignRunner& runner, const TmrPlan& plan,
+                     ConvPolicy policy, double ber, std::uint64_t seed,
+                     int threads = 0);
 
 }  // namespace winofault

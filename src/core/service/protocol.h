@@ -45,10 +45,11 @@ Json encode_model_env(const ModelEnv& env);
 bool decode_model_env(const Json& json, ModelEnv* env, std::string* error);
 
 // CampaignSpec codec. Serialized: points (full fault configuration),
-// threads, golden_capacity, and the store options. NOT serialized —
+// threads, golden_capacity (it bounds the session runner's LRU only until
+// a larger campaign grows it), and the store options. NOT serialized —
 // meaningless across the process boundary: dist (daemon campaigns are
-// single-process), warm_goldens / on_progress / cancel (the daemon wires
-// its own). decode leaves those at their defaults.
+// single-process), on_progress / cancel (the daemon wires its own).
+// decode leaves those at their defaults.
 Json encode_campaign_spec(const CampaignSpec& spec);
 bool decode_campaign_spec(const Json& json, CampaignSpec* spec,
                           std::string* error);

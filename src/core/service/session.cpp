@@ -36,22 +36,16 @@ ModelEnvBuilder default_model_env_builder() {
   };
 }
 
-ServiceSession::ServiceSession(ModelEnv env, Network net, Dataset data,
-                               std::size_t golden_capacity)
+ServiceSession::ServiceSession(ModelEnv env, Network net, Dataset data)
     : env_(std::move(env)),
       net_(std::move(net)),
       data_(std::move(data)),
-      runner_(net_, data_),
-      // The campaign runner grows this to each campaign's working set
-      // (GoldenLru::ensure_capacity); the configured value is a floor.
-      warm_(golden_capacity == 0 ? 2 : golden_capacity) {}
+      runner_(net_, data_) {}
 
 CampaignResult ServiceSession::run(ServiceJob& job) {
   CampaignSpec spec = job.spec;
-  // Server-side rewiring. None of this can change results: the warm tier
-  // serves bit-identical goldens, and dist is stripped because a daemon
-  // campaign is one process.
-  spec.warm_goldens = &warm_;
+  // Server-side rewiring. None of this can change results: dist is
+  // stripped because a daemon campaign is one process.
   spec.store.dist = DistOptions{};
   spec.cancel = &job.cancel;
   // The runner reports every finished cell from every worker; publishing
@@ -82,10 +76,9 @@ CampaignResult ServiceSession::run(ServiceJob& job) {
 }
 
 SessionCache::SessionCache(ModelEnvBuilder builder, std::size_t max_sessions,
-                           std::size_t golden_capacity)
+                           std::size_t /*golden_capacity*/)
     : builder_(std::move(builder)),
-      max_sessions_(std::max<std::size_t>(max_sessions, 1)),
-      golden_capacity_(golden_capacity) {}
+      max_sessions_(std::max<std::size_t>(max_sessions, 1)) {}
 
 std::shared_ptr<ServiceSession> SessionCache::get_or_build(
     const ModelEnv& env, std::string* error) {
@@ -124,8 +117,7 @@ std::shared_ptr<ServiceSession> SessionCache::get_or_build(
   Dataset data;
   if (!builder_(env, &net, &data, error)) return nullptr;
   auto session = std::make_shared<ServiceSession>(env, std::move(net),
-                                                  std::move(data),
-                                                  golden_capacity_);
+                                                  std::move(data));
   sessions_[key] = Slot{session, clock_, std::chrono::steady_clock::now()};
   return session;
 }

@@ -1,18 +1,19 @@
 // Warm per-environment state of the resident campaign service. A session
 // owns everything that used to be cold-start cost for every figure
-// process: the built-and-calibrated Network, its teacher Dataset, a
-// CampaignRunner with the env hash cached, and the shared cross-submission
-// GoldenLru (CampaignSpec::warm_goldens). The runner keeps a stored
-// submission's journal and golden store open for the next submission
-// against the same directory (the daemon is their sole mutator, which is
-// exactly the runner's contract). The warm tier holds no store: a stored
-// submission saves each golden it uses to its own store as it runs, so
-// evicting a session or killing the daemon loses only RAM warmth.
+// process: the built-and-calibrated Network, its teacher Dataset and one
+// CampaignRunner, which caches the env hash and keeps its goldens between
+// the session's submissions (the runner's GoldenLru). The runner also
+// keeps a stored submission's journal and golden store open for the next
+// submission against the same directory (the daemon is their sole
+// mutator, which is exactly the runner's contract). The LRU holds no
+// store: a stored submission saves each golden it uses to its own store as
+// it runs, so evicting a session or killing the daemon loses only RAM
+// warmth.
 //
-// Sessions are keyed by model_env_key: the golden tier's image keys are
-// only meaningful within one campaign environment, so the "one warm LRU
-// keyed (image, env)" of the service is realized as one LRU per env, owned
-// by that env's session. One golden per image serves every policy.
+// Sessions are keyed by model_env_key: golden image keys are only
+// meaningful within one campaign environment, so each env's session has
+// its own runner and with it its own LRU. One golden per image serves
+// every policy.
 #pragma once
 
 #include <atomic>
@@ -46,14 +47,13 @@ ModelEnvBuilder default_model_env_builder();
 
 class ServiceSession {
  public:
-  ServiceSession(ModelEnv env, Network net, Dataset data,
-                 std::size_t golden_capacity);
+  ServiceSession(ModelEnv env, Network net, Dataset data);
 
-  // Executes one job's campaign against the warm tier: rewrites the spec
-  // server-side (shared GoldenLru, progress -> job, cancel flag, dist
-  // stripped) and runs it on the session's runner. Safe to
-  // call from several executors concurrently — concurrent campaigns share
-  // the process thread pool via parallel_for.
+  // Executes one job's campaign on the session's runner, whose goldens
+  // earlier submissions left warm: rewrites the spec server-side
+  // (progress -> job, cancel flag, dist stripped). Safe to call from
+  // several executors concurrently — concurrent campaigns share the
+  // runner's goldens and the process thread pool via parallel_for.
   CampaignResult run(ServiceJob& job);
 
   const ModelEnv& env() const { return env_; }
@@ -64,14 +64,14 @@ class ServiceSession {
   Network net_;
   Dataset data_;
   CampaignRunner runner_;
-  GoldenLru warm_;
 };
 
 // Session registry with LRU eviction: at most `max_sessions` warm
 // environments; the least recently used idle session is dropped to admit
 // a new one (sessions running a job are never evicted). `golden_capacity`
-// is each session's initial warm-LRU size (0 => 2); every campaign grows
-// it to its own working set, so the daemon passes 0.
+// is unused: each session's runner grows its LRU to every campaign's own
+// working set. The parameter stays only because the repository benchmark
+// (perfbench's service probe) passes it.
 class SessionCache {
  public:
   SessionCache(ModelEnvBuilder builder, std::size_t max_sessions,
@@ -102,7 +102,6 @@ class SessionCache {
 
   ModelEnvBuilder builder_;
   std::size_t max_sessions_;
-  std::size_t golden_capacity_;
   mutable std::mutex mu_;
   std::uint64_t clock_ = 0;
   std::unordered_map<std::string, Slot> sessions_;

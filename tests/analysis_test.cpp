@@ -52,7 +52,7 @@ TEST(NetworkSweep, LogGridAndMonotoneTrend) {
   SweepOptions options;
   options.bers = {1e-9, 1e-6, 3e-5};
   options.seed = 17;
-  const auto points = accuracy_sweep(f.net, f.data, options);
+  const auto points = accuracy_sweep(CampaignRunner(f.net, f.data), options);
   ASSERT_EQ(points.size(), 3u);
   // Negligible BER: clean accuracy; harsh BER: far below.
   EXPECT_GT(points[0].accuracy, 0.9);
@@ -67,8 +67,9 @@ TEST(NetworkSweep, WinogradShiftsTheKnee) {
   st.seed = 23;
   SweepOptions wg = st;
   wg.policy = ConvPolicy::kWinograd2;
-  const double acc_st = accuracy_sweep(f.net, f.data, st)[0].accuracy;
-  const double acc_wg = accuracy_sweep(f.net, f.data, wg)[0].accuracy;
+  const CampaignRunner runner(f.net, f.data);
+  const double acc_st = accuracy_sweep(runner, st)[0].accuracy;
+  const double acc_wg = accuracy_sweep(runner, wg)[0].accuracy;
   EXPECT_GE(acc_wg, acc_st - 0.05)
       << "Winograd accuracy should not trail direct by more than noise";
 }
@@ -78,7 +79,8 @@ TEST(LayerVulnerability, FactorsAreReportedPerLayer) {
   LayerwiseOptions options;
   options.ber = 3e-6;
   options.seed = 29;
-  const LayerwiseResult result = layer_vulnerability(f.net, f.data, options);
+  const LayerwiseResult result =
+      layer_vulnerability(CampaignRunner(f.net, f.data), options);
   ASSERT_EQ(result.layers.size(), 4u);  // 3 convs + linear
   EXPECT_GT(result.base_accuracy, 0.0);
   for (const LayerSensitivity& layer : result.layers) {
@@ -98,7 +100,8 @@ TEST(LayerVulnerability, ZeroBerGivesZeroVulnerability) {
   LayerwiseOptions options;
   options.ber = 0.0;
   options.seed = 31;
-  const LayerwiseResult result = layer_vulnerability(f.net, f.data, options);
+  const LayerwiseResult result =
+      layer_vulnerability(CampaignRunner(f.net, f.data), options);
   for (const LayerSensitivity& layer : result.layers) {
     EXPECT_DOUBLE_EQ(layer.vulnerability, 0.0);
   }
@@ -109,10 +112,11 @@ TEST(OpType, MulsAreMoreVulnerableThanAdds) {
   OpTypeOptions options;
   options.ber = 2e-6;
   options.seed = 37;
+  const CampaignRunner runner(f.net, f.data);
   for (const ConvPolicy policy :
        {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
     options.policy = policy;
-    const OpTypeResult result = op_type_sensitivity(f.net, f.data, options);
+    const OpTypeResult result = op_type_sensitivity(runner, options);
     // Removing mul faults recovers at least as much accuracy as removing
     // add faults: the paper's Fig 4 ordering.
     EXPECT_GE(result.accuracy_mul_fault_free,

@@ -10,8 +10,9 @@
 //   (e) `trials` plumbs through the sweep/layerwise/explorer spec builders;
 //   (f) telemetry is observation-only: tracing on, off, or toggled
 //       mid-grid never changes a single result bit;
-//   (g) a run's stats count its own work, also while another run shares
-//       its warm tier, runner and store.
+//   (g) runs through one runner share its goldens, and a run's stats
+//       count its own work, also while another run shares its runner
+//       (and so its goldens) and store.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -245,7 +246,49 @@ TEST(GoldenLru, ConcurrentWaitersSurviveEvictionMidBuild) {
   EXPECT_EQ(tally.builds.load(), 3);  // X twice, Y once
 }
 
-// ---- (g) a run's stats are its own ----
+// ---- (g) one runner shares its goldens; a run's stats are its own ----
+
+TEST(Campaign, RunsThroughOneRunnerShareItsGoldens) {
+  const Fixture f = make_fixture(6);
+  CampaignSpec first;
+  for (const ConvPolicy policy :
+       {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
+    for (const double ber : {1e-7, 3e-6}) {
+      CampaignPoint point;
+      point.fault.ber = ber;
+      point.policy = policy;
+      point.seed = 7;
+      point.trials = 2;
+      first.points.push_back(point);
+    }
+  }
+  first.threads = 2;
+  CampaignSpec second = first;
+  for (CampaignPoint& point : second.points) point.seed = 8;
+  const std::int64_t images = static_cast<std::int64_t>(f.data.size());
+  const std::int64_t cells =
+      images * static_cast<std::int64_t>(second.points.size());
+
+  const CampaignRunner runner(f.net, f.data);
+  const CampaignResult a = runner.run(first);
+  EXPECT_EQ(a.stats.golden_builds, images);
+  EXPECT_EQ(a.stats.golden_hits, cells - images);
+  // The runner kept every golden: the second run builds none, and each
+  // of its cells is a hit of its own.
+  const CampaignResult b = runner.run(second);
+  EXPECT_EQ(b.stats.golden_builds, 0);
+  EXPECT_EQ(b.stats.golden_hits, cells);
+  EXPECT_EQ(b.stats.golden_evictions, 0);
+
+  // Nothing is shared across runners: a one-shot run builds again, and
+  // its results equal the shared-golden run's.
+  const CampaignResult fresh = run_campaign(f.net, f.data, second);
+  EXPECT_EQ(fresh.stats.golden_builds, images);
+  for (std::size_t p = 0; p < second.points.size(); ++p) {
+    EXPECT_DOUBLE_EQ(b.points[p].accuracy, fresh.points[p].accuracy);
+    EXPECT_DOUBLE_EQ(b.points[p].avg_flips, fresh.points[p].avg_flips);
+  }
+}
 
 struct NestedRuns {
   CampaignResult outer;
@@ -253,13 +296,12 @@ struct NestedRuns {
 };
 
 // Two runs of 6 images x {direct, winograd2} x 2 trials on one runner and
-// one warm tier, under different seeds and, with a `store_dir`, in one
+// so on its goldens, under different seeds and, with a `store_dir`, in one
 // store directory. The inner run starts from the outer run's progress
 // callback after its first cell, on a pool participant, so it runs inline
 // and wholly inside the outer run.
 NestedRuns run_nested(const Fixture& f, const std::string& store_dir) {
   const CampaignRunner runner(f.net, f.data);
-  GoldenLru warm(1);  // each run grows it to its working set
   CampaignSpec outer;
   for (const ConvPolicy policy :
        {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
@@ -271,7 +313,6 @@ NestedRuns run_nested(const Fixture& f, const std::string& store_dir) {
     outer.points.push_back(point);
   }
   outer.threads = 2;
-  outer.warm_goldens = &warm;
   outer.store.dir = store_dir;
   CampaignSpec inner = outer;
   for (CampaignPoint& point : inner.points) point.seed = 8;
@@ -376,7 +417,7 @@ TEST(Campaign, TrialsPlumbThroughSweepBuilder) {
   options.bers = {1e-6, 1e-5};
   options.seed = 17;
   options.trials = 3;
-  const auto curve = accuracy_sweep(f.net, f.data, options);
+  const auto curve = accuracy_sweep(CampaignRunner(f.net, f.data), options);
 
   CampaignPoint eval;
   eval.seed = 17;
@@ -395,7 +436,8 @@ TEST(Campaign, TrialsPlumbThroughLayerwiseAndExplorerBuilders) {
   lw.ber = 3e-6;
   lw.seed = 29;
   lw.trials = 2;
-  const LayerwiseResult layerwise = layer_vulnerability(f.net, f.data, lw);
+  const CampaignRunner runner(f.net, f.data);
+  const LayerwiseResult layerwise = layer_vulnerability(runner, lw);
 
   CampaignPoint base;
   base.fault.ber = lw.ber;
@@ -413,10 +455,11 @@ TEST(Campaign, TrialsPlumbThroughLayerwiseAndExplorerBuilders) {
   VoltageModel volt;
   volt.log10_ber_anchor = -7.0;
   const std::vector<double> grid = {0.80, 0.78};
-  const auto curve = accuracy_vs_voltage(f.net, f.data, volt,
-                                         ConvPolicy::kDirect, grid,
-                                         /*seed=*/31, /*threads=*/0,
-                                         /*trials=*/2);
+  const ConvPolicy direct[] = {ConvPolicy::kDirect};
+  const auto curve = accuracy_vs_voltage_multi(runner, volt, direct, grid,
+                                               /*seed=*/31, /*threads=*/0,
+                                               /*trials=*/2)
+                         .curves.front();
   CampaignPoint at_v;
   at_v.fault.ber = volt.ber_at(grid[1]);
   at_v.seed = 31;

@@ -542,14 +542,13 @@ TEST(Store, SweepReportsDeferredCellsFromBudgetedRuns) {
   options.seed = 7;
   options.store.dir = fresh_dir("sweep_partial");
   options.store.cell_budget = 3;
-  const SweepResult partial =
-      accuracy_sweeps(f.net, f.data, std::span(&options, 1));
+  const CampaignRunner runner(f.net, f.data);
+  const SweepResult partial = accuracy_sweeps(runner, std::span(&options, 1));
   EXPECT_GT(partial.stats.cells_deferred, 0)
       << "budgeted sweep must flag its curves as PARTIAL";
 
   options.store.cell_budget = 0;
-  const SweepResult finished =
-      accuracy_sweeps(f.net, f.data, std::span(&options, 1));
+  const SweepResult finished = accuracy_sweeps(runner, std::span(&options, 1));
   EXPECT_EQ(finished.stats.cells_deferred, 0);
 }
 

@@ -1,9 +1,11 @@
 // Tests for the fine-grained TMR planner: goal satisfaction, overhead
-// monotonicity in the accuracy goal, and the three-configuration ordering
-// of Fig 5 (ST >= W/O-AFT >= W/AFT overhead).
+// monotonicity in the accuracy goal, the three-configuration ordering of
+// Fig 5 (ST >= W/O-AFT >= W/AFT overhead), and one golden build per image
+// for every check on one runner.
 #include <gtest/gtest.h>
 #include <cstdlib>
 
+#include "common/telemetry/telemetry.h"
 #include "core/protect/tmr_planner.h"
 #include "nn/models/zoo.h"
 
@@ -52,14 +54,15 @@ TEST(TmrPlanner, FullProtectionRecoversCleanAccuracy) {
   options.accuracy_goal = 1.01;  // unreachable: forces full protection
   options.step_fraction = 0.5;
   options.seed = 3;
-  const TmrPlan plan = plan_tmr(f.net, f.data, options);
+  const CampaignRunner runner(f.net, f.data);
+  const TmrPlan plan = plan_tmr(runner, options);
   EXPECT_FALSE(plan.goal_met);
   // Everything protected => overhead equals full TMR.
   EXPECT_NEAR(plan_overhead_ops(f.net, plan, ConvPolicy::kDirect),
               full_tmr_ops(f.net, ConvPolicy::kDirect), 1.0);
   // And the accuracy equals the clean accuracy.
   const double clean =
-      plan_accuracy(f.net, f.data, plan, ConvPolicy::kDirect, 0.0, 3);
+      plan_accuracy(runner, plan, ConvPolicy::kDirect, 0.0, 3);
   EXPECT_NEAR(plan.achieved_accuracy, clean, 1e-9);
 }
 
@@ -69,7 +72,7 @@ TEST(TmrPlanner, TrivialGoalNeedsNoProtection) {
   options.ber = kBer;
   options.accuracy_goal = 0.01;
   options.seed = 5;
-  const TmrPlan plan = plan_tmr(f.net, f.data, options);
+  const TmrPlan plan = plan_tmr(CampaignRunner(f.net, f.data), options);
   EXPECT_TRUE(plan.goal_met);
   EXPECT_EQ(plan.iterations, 0);
   EXPECT_DOUBLE_EQ(plan_overhead_ops(f.net, plan, ConvPolicy::kDirect), 0.0);
@@ -77,12 +80,13 @@ TEST(TmrPlanner, TrivialGoalNeedsNoProtection) {
 
 TEST(TmrPlanner, OverheadGrowsWithGoal) {
   const Fixture f = make_fixture();
+  const CampaignRunner runner(f.net, f.data);
   double previous = -1.0;
   // Share one vulnerability ranking, as the Fig 5 bench does.
   LayerwiseOptions lw;
   lw.ber = kBer;
   lw.seed = 7;
-  const auto order = vulnerability_order(layer_vulnerability(f.net, f.data, lw));
+  const auto order = vulnerability_order(layer_vulnerability(runner, lw));
   for (const double goal : {0.5, 0.7, 0.9}) {
     TmrPlanOptions options;
     options.ber = kBer;
@@ -90,7 +94,7 @@ TEST(TmrPlanner, OverheadGrowsWithGoal) {
     options.step_fraction = 0.25;
     options.seed = 7;
     options.layer_order = &order;
-    const TmrPlan plan = plan_tmr(f.net, f.data, options);
+    const TmrPlan plan = plan_tmr(runner, options);
     const double overhead = plan_overhead_ops(f.net, plan, ConvPolicy::kDirect);
     EXPECT_GE(overhead, previous) << "goal " << goal;
     previous = overhead;
@@ -104,7 +108,7 @@ TEST(TmrPlanner, GoalIsMetWhenReachable) {
   options.accuracy_goal = 0.85;
   options.step_fraction = 0.25;
   options.seed = 9;
-  const TmrPlan plan = plan_tmr(f.net, f.data, options);
+  const TmrPlan plan = plan_tmr(CampaignRunner(f.net, f.data), options);
   EXPECT_TRUE(plan.goal_met);
   EXPECT_GE(plan.achieved_accuracy, 0.85);
   EXPECT_GT(plan.iterations, 0);
@@ -124,7 +128,8 @@ TEST(TmrPlanner, WinogradPlansAreCheaperToExecute) {
   full.accuracy_goal = 1.01;  // unreachable: forces full protection
   full.step_fraction = 0.5;
   full.seed = 11;
-  const TmrPlan plan = plan_tmr(f.net, f.data, full);
+  const CampaignRunner runner(f.net, f.data);
+  const TmrPlan plan = plan_tmr(runner, full);
   const double on_st = plan_overhead_ops(f.net, plan, ConvPolicy::kDirect);
   const double on_wg = plan_overhead_ops(f.net, plan, ConvPolicy::kWinograd2);
   EXPECT_LT(on_wg, on_st);
@@ -133,10 +138,39 @@ TEST(TmrPlanner, WinogradPlansAreCheaperToExecute) {
   // 2. Executing the ST plan on Winograd loses no accuracy (W/O-AFT is
   // safe): full protection recovers clean accuracy on both engines.
   const double st_acc =
-      plan_accuracy(f.net, f.data, plan, ConvPolicy::kDirect, kBer, 13);
+      plan_accuracy(runner, plan, ConvPolicy::kDirect, kBer, 13);
   const double wg_acc =
-      plan_accuracy(f.net, f.data, plan, ConvPolicy::kWinograd2, kBer, 13);
+      plan_accuracy(runner, plan, ConvPolicy::kWinograd2, kBer, 13);
   EXPECT_DOUBLE_EQ(st_acc, wg_acc);
+}
+
+// Goldens built in this process so far, summed over golden variants.
+std::int64_t golden_builds_total() {
+  std::int64_t total = 0;
+  for (const telemetry::SeriesSample& s : telemetry::snapshot()) {
+    if (s.name == "winofault_golden_builds_total") total += s.value;
+  }
+  return total;
+}
+
+TEST(TmrPlanner, OneRunnerBuildsEachGoldenOnce) {
+  // The planner's ranking, its accuracy checks and the plan's accuracy
+  // under both engines all run on one runner, which keeps its goldens
+  // between them: one build per image in total, not one per check.
+  const Fixture f = make_fixture();
+  const CampaignRunner runner(f.net, f.data);
+  const std::int64_t before = golden_builds_total();
+  TmrPlanOptions options;
+  options.ber = kBer;
+  options.accuracy_goal = 0.85;
+  options.step_fraction = 0.25;
+  options.seed = 9;
+  const TmrPlan plan = plan_tmr(runner, options);
+  ASSERT_GT(plan.iterations, 0);
+  plan_accuracy(runner, plan, ConvPolicy::kDirect, kBer, 13);
+  plan_accuracy(runner, plan, ConvPolicy::kWinograd2, kBer, 13);
+  EXPECT_EQ(golden_builds_total() - before,
+            static_cast<std::int64_t>(f.data.images.size()));
 }
 
 }  // namespace

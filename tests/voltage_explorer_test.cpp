@@ -49,8 +49,11 @@ TEST(AccuracyVsVoltage, DegradesAsVoltageDrops) {
   const Fixture f = make_fixture();
   const VoltageModel model = test_voltage_model();
   const auto grid = voltage_grid(0.86, 0.74, 7);
-  const auto curve = accuracy_vs_voltage(f.net, f.data, model,
-                                         ConvPolicy::kDirect, grid, 31);
+  const ConvPolicy direct[] = {ConvPolicy::kDirect};
+  const auto curve =
+      accuracy_vs_voltage_multi(CampaignRunner(f.net, f.data), model, direct,
+                                grid, 31)
+          .curves.front();
   ASSERT_EQ(curve.size(), grid.size());
   EXPECT_GT(curve.front().accuracy, 0.9);       // safe at high voltage
   EXPECT_LT(curve.back().accuracy,
@@ -66,7 +69,8 @@ TEST(Explorer, LargerBudgetNeverCostsMoreEnergy) {
   options.loss_budgets = {0.01, 0.05, 0.20};
   options.voltage_grid = voltage_grid(0.88, 0.72, 9);
   options.seed = 37;
-  const auto points = explore_voltage_scaling(f.net, f.data, model, options);
+  const auto points =
+      explore_voltage_scaling(CampaignRunner(f.net, f.data), model, options);
   ASSERT_EQ(points.size(), 3u);
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_LE(points[i].energy_norm, points[i - 1].energy_norm + 1e-9);
@@ -94,12 +98,12 @@ TEST(Explorer, WinogradExecutionSavesEnergy) {
   ExplorerOptions w_aft = wo_aft;  // Winograd-aware decisions
   w_aft.curve_policy = ConvPolicy::kWinograd2;
 
-  const double e_st =
-      explore_voltage_scaling(f.net, f.data, model, st)[0].energy_norm;
+  const CampaignRunner runner(f.net, f.data);
+  const double e_st = explore_voltage_scaling(runner, model, st)[0].energy_norm;
   const double e_wo =
-      explore_voltage_scaling(f.net, f.data, model, wo_aft)[0].energy_norm;
+      explore_voltage_scaling(runner, model, wo_aft)[0].energy_norm;
   const double e_w =
-      explore_voltage_scaling(f.net, f.data, model, w_aft)[0].energy_norm;
+      explore_voltage_scaling(runner, model, w_aft)[0].energy_norm;
   EXPECT_LT(e_wo, e_st);           // Winograd runtime alone saves energy
   EXPECT_LE(e_w, e_wo + 1e-9);     // awareness can only scale deeper
 }
