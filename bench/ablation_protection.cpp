@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   note_store_unused(cli, "single-layer kernel study, no campaign to persist");
   reject_dist_cli(cli, argv[0],
                   "single-layer kernel study, no campaign to distribute");
+  require_builtin_fault_model(cli, argv[0]);
   const BenchEnv env = bench_env(argv[0]);
   // A mid-network VGG19 layer (64->64 at 8x8 under default width 0.25...
   // use the real shape scaled): 32 channels, 16x16.

@@ -148,13 +148,8 @@ int main(int argc, char** argv) {
   };
   std::unique_ptr<ServiceServer> server;
 
-  ModelEnv model_env;
-  model_env.model = model;
-  model_env.dtype = DType::kInt16;
-  model_env.images = env.images;
-  model_env.seed = env.seed;
-  model_env.width = env.width_override;
-  model_env.env_hash = campaign_env_hash(m.net, m.data);
+  ModelEnv submit_env = model_env(model, DType::kInt16, env.images, env);
+  submit_env.env_hash = campaign_env_hash(m.net, m.data);
 
   // The server hosts in this process, so its telemetry is directly
   // readable. With concurrent_jobs=1 and serial submissions a job's queue
@@ -176,7 +171,7 @@ int main(int argc, char** argv) {
     }
     const auto start = std::chrono::steady_clock::now();
     const auto outcome =
-        client.submit_and_wait("bench_service", model_env, s);
+        client.submit_and_wait("bench_service", submit_env, s);
     *seconds = seconds_since(start);
     if (!outcome.ok) {
       std::fprintf(stderr, "bench_service: %s submission failed: %s\n",

@@ -54,7 +54,6 @@
 #include <filesystem>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -70,6 +69,7 @@
 #include "core/dist/worker_pool.h"
 #include "core/service/client.h"
 #include "core/service/protocol.h"
+#include "core/service/session.h"
 #include "core/store/hash.h"
 #include "core/store/store.h"
 #include "fault/models/model_spec.h"
@@ -328,6 +328,23 @@ inline std::vector<FaultModelSpec> resolve_fault_models(
   return models;
 }
 
+// For drivers with no fault-model axis (Figs. 5-7 and the ablations):
+// their points always run the builtin flip@op, so any other resolved model
+// (--fault-model or WINOFAULT_FAULT_MODEL) would either be ignored or
+// change the numbers under the builtin's CSV name. Exits 2 with the usage
+// text before anything forks or builds a model.
+inline void require_builtin_fault_model(const CliOptions& cli,
+                                        const char* prog) {
+  const std::vector<FaultModelSpec> models = resolve_fault_models(cli);
+  if (models.size() == 1 && models.front().is_default()) return;
+  std::fprintf(stderr,
+               "%s: this driver runs only the builtin fault model flip@op; "
+               "drop --fault-model and WINOFAULT_FAULT_MODEL\n",
+               prog);
+  print_usage(prog, stderr);
+  std::exit(2);
+}
+
 // Coordinator path (--workers N): fork N workers of this binary over the
 // shared store — each re-executes the driver with `--shard i/N`, claims
 // cost-weighted buckets of every campaign, and journals into its own
@@ -544,15 +561,31 @@ inline DistOptions dist_options(const CliOptions& cli, const BenchEnv& env) {
 // ---- Daemon submission (--daemon PATH) -----------------------------------
 //
 // Routes every campaign of this process to a resident winofaultd instead
-// of executing inline, via the campaign submit hook: the daemon rebuilds
-// this driver's (model, dataset) from a ModelEnv descriptor, runs the
-// identical spec against its warm cross-submission state, and streams the
-// result back — bit-identical to inline execution (the client-computed
+// of executing inline, via the campaign submit hook, which receives the
+// submitting CampaignRunner: the daemon rebuilds this driver's (model,
+// dataset) from a ModelEnv descriptor (model_env), runs the identical spec
+// against its warm cross-submission state, and streams the result back —
+// bit-identical to inline execution (the runner's cached
 // campaign_env_hash rides along and the daemon refuses to run on a
-// mismatching build). Campaigns over environments the daemon cannot
-// rebuild (non-zoo networks), or any daemon/protocol failure, fall back
-// to inline execution with a warning — a dead daemon can never change
-// results, only latency.
+// mismatching build; a figure keeps one runner per environment, so its
+// dataset is hashed once, not per submission). Campaigns over
+// environments the daemon cannot rebuild (non-zoo networks), or any
+// daemon/protocol failure, fall back to inline execution with a warning —
+// a dead daemon can never change results, only latency.
+
+// The rebuild recipe of a zoo model with its teacher dataset: what
+// make_model builds here and what the daemon's default_model_env_builder
+// builds there (the same function, so both hash identically).
+inline ModelEnv model_env(const std::string& name, DType dtype, int images,
+                          const BenchEnv& env) {
+  ModelEnv model;
+  model.model = name;
+  model.dtype = dtype;
+  model.images = images;
+  model.seed = env.seed;
+  model.width = env.width_override;
+  return model;
+}
 
 struct DaemonModeState {
   std::string socket;
@@ -570,26 +603,6 @@ inline DaemonModeState& daemon_state_ref() {
   return state;
 }
 
-// campaign_env_hash per ModelEnv identity. Keyed by the rebuild recipe —
-// NOT by Network/Dataset pointers: drivers that loop over models (fig2,
-// fig4) rebuild each ModelUnderTest in the same stack slot, so a pointer
-// key would serve model A's hash for model B. The recipe key is sound
-// because both sides of the hop build (network, dataset) as the same
-// deterministic function of it (make_model here, the daemon's env builder
-// there); sequential-adaptive consumers (the TMR planner, hundreds of
-// campaigns over one pair) hash the dataset bytes once, not per
-// submission.
-inline std::uint64_t daemon_env_hash(const ModelEnv& env, const Network& net,
-                                     const Dataset& data) {
-  static std::map<std::string, std::uint64_t> cache;
-  const std::string key = model_env_key(env);
-  const auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  const std::uint64_t hash = campaign_env_hash(net, data);
-  cache.emplace(key, hash);
-  return hash;
-}
-
 inline void enable_daemon_submission(const std::string& socket,
                                      const BenchEnv& env,
                                      const std::string& client_name) {
@@ -597,10 +610,11 @@ inline void enable_daemon_submission(const std::string& socket,
   state.socket = socket;
   state.env = env;
   state.client_name = client_name;
-  set_campaign_submit_hook([](const Network& net, const Dataset& data,
+  set_campaign_submit_hook([](const CampaignRunner& runner,
                               const CampaignSpec& spec)
                                -> std::optional<CampaignResult> {
     DaemonModeState& state = daemon_state_ref();
+    const Network& net = runner.network();
     // Only environments the daemon can rebuild: zoo models carry their zoo
     // name, and the teacher dataset is derived from (model, env). Anything
     // else executes inline.
@@ -611,14 +625,11 @@ inline void enable_daemon_submission(const std::string& socket,
         break;
       }
     }
-    if (!known_model || data.images.empty()) return std::nullopt;
-    ModelEnv env;
-    env.model = net.name();
-    env.dtype = net.dtype();
-    env.images = static_cast<int>(data.images.size());
-    env.seed = state.env.seed;
-    env.width = state.env.width_override;
-    env.env_hash = daemon_env_hash(env, net, data);
+    if (!known_model || runner.dataset().images.empty()) return std::nullopt;
+    ModelEnv env = model_env(
+        net.name(), net.dtype(),
+        static_cast<int>(runner.dataset().images.size()), state.env);
+    env.env_hash = runner.env_hash();
 
     CampaignSpec to_send = spec;
     if (!to_send.store.dir.empty()) {
@@ -709,9 +720,11 @@ struct FigureCtx {
   std::string daemon_socket;  // "" => inline execution (no daemon)
   // Silicon fault models to sweep (resolve_fault_models): always at least
   // one entry; exactly {builtin flip@op} unless --fault-model or
-  // WINOFAULT_FAULT_MODEL says otherwise. Drivers loop their figure body
+  // WINOFAULT_FAULT_MODEL says otherwise. Figs. 1-4 loop their figure body
   // per model; non-default models suffix their CSV names with the model
   // slug so the default outputs keep their historical names and bytes.
+  // Figs. 5-7 have no fault-model axis and accept only the builtin
+  // (require_builtin_fault_model).
   std::vector<FaultModelSpec> fault_models = {FaultModelSpec{}};
 
   std::uint64_t seed(int stream = 0) const {
@@ -736,10 +749,12 @@ struct FigureCtx {
 // --out-dir/--store-dir and the unknown-flag rejection would silently not
 // apply to it. A --workers coordinator forks its workers HERE — before the
 // driver builds models or spawns the thread pool — then continues
-// single-process against the merged store.
+// single-process against the merged store. Figs. 5-7 first reject any
+// fault model but the builtin (require_builtin_fault_model).
 inline FigureCtx figure_ctx(int figure, int argc, char** argv) {
   CliOptions cli = parse_cli(argc, argv);
   const BenchEnv env = bench_env(argv[0]);
+  if (figure >= 5) require_builtin_fault_model(cli, argv[0]);
   run_local_coordinator(cli);
   FigureCtx ctx{env, figure, cli.store_dir, dist_options(cli, env),
                 cli.daemon_socket};
@@ -755,7 +770,9 @@ inline FigureCtx figure_ctx(int figure, int argc, char** argv) {
   return ctx;
 }
 
-// Builds a zoo model plus its teacher-labeled dataset sized for this run.
+// Builds a zoo model plus its teacher-labeled dataset sized for this run,
+// through the daemon's own builder (default_model_env_builder), so a
+// daemon session rebuilds exactly this environment.
 struct ModelUnderTest {
   Network net;
   Dataset data;
@@ -764,16 +781,12 @@ struct ModelUnderTest {
 
 inline ModelUnderTest make_model(const std::string& name, DType dtype,
                                  const BenchEnv& env) {
-  const ZooEntry& entry = zoo_entry(name);
-  ZooConfig config;
-  config.dtype = dtype;
-  config.width =
-      env.width_override > 0 ? env.width_override : entry.default_width;
-  config.seed = env.seed;
-  Network net = entry.build(config);
-  Dataset data = make_teacher_dataset(net, env.images, entry.num_classes,
-                                      entry.clean_accuracy, env.seed ^ 0xd5);
-  return ModelUnderTest{std::move(net), std::move(data), &entry};
+  // zoo_entry aborts on an unknown name, so the build below cannot fail.
+  ModelUnderTest m{Network(name, dtype), Dataset{}, &zoo_entry(name)};
+  const bool built = default_model_env_builder()(
+      model_env(name, dtype, env.images, env), &m.net, &m.data, nullptr);
+  WF_CHECK(built);
+  return m;
 }
 
 inline void emit(const Table& table, const std::string& title,

@@ -22,15 +22,16 @@ int main(int argc, char** argv) {
   const CampaignRunner runner(m.net, m.data);
 
   for (const FaultModelSpec& model : ctx.fault_models) {
-    LayerwiseOptions st;
-    st.ber = ber;
-    st.model = model;
+    CampaignPoint st;
+    st.fault.ber = ber;
+    st.fault.model = model;
     st.seed = ctx.seed();
-    st.store = ctx.store();
-    LayerwiseOptions wg = st;
+    CampaignPoint wg = st;
     wg.policy = ConvPolicy::kWinograd2;
-    const LayerwiseResult st_result = layer_vulnerability(runner, st);
-    const LayerwiseResult wg_result = layer_vulnerability(runner, wg);
+    const LayerwiseResult st_result =
+        layer_vulnerability(runner, st, ctx.store());
+    const LayerwiseResult wg_result =
+        layer_vulnerability(runner, wg, ctx.store());
     note_partial(st_result.cells_deferred + wg_result.cells_deferred);
 
     Table table({"fault_free_layer", "st_acc", "wg_acc", "st_base",

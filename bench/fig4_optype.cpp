@@ -31,13 +31,12 @@ int main(int argc, char** argv) {
         const double ber = 20.0 / static_cast<double>(space.total_bits());
         for (const ConvPolicy policy :
              {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
-          OpTypeOptions options;
-          options.ber = ber;
-          options.policy = policy;
-          options.model = model;
-          options.seed = ctx.seed();
-          options.store = ctx.store();
-          const OpTypeResult r = op_type_sensitivity(runner, options);
+          CampaignPoint base;
+          base.fault.ber = ber;
+          base.fault.model = model;
+          base.policy = policy;
+          base.seed = ctx.seed();
+          const OpTypeResult r = op_type_sensitivity(runner, base, ctx.store());
           note_partial(r.cells_deferred);
           min_mul_advantage = std::min(
               min_mul_advantage,

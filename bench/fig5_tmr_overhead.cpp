@@ -29,20 +29,22 @@ int main(int argc, char** argv) {
 
   // Shared vulnerability rankings (measured once per analysis engine; each
   // analysis is one campaign across the N+1 layer configurations).
-  LayerwiseOptions st_lw;
-  st_lw.ber = ber;
-  st_lw.seed = ctx.seed(0);
-  st_lw.store = ctx.store();
+  CampaignPoint st_point;
+  st_point.fault.ber = ber;
+  st_point.seed = ctx.seed(0);
+  CampaignPoint wg_point = st_point;
+  wg_point.policy = ConvPolicy::kWinograd2;
   // This analysis steers the planner (vulnerability_order below), so a
   // budget-truncated PARTIAL ranking would corrupt every plan — the same
   // reason plan_tmr zeroes the budget for its own accuracy checks. Cells
   // still journal, so a killed run resumes regardless.
-  st_lw.store.cell_budget = 0;
-  const LayerwiseResult st_analysis = layer_vulnerability(runner, st_lw);
+  StoreOptions ranking_store = ctx.store();
+  ranking_store.cell_budget = 0;
+  const LayerwiseResult st_analysis =
+      layer_vulnerability(runner, st_point, ranking_store);
   const auto st_order = vulnerability_order(st_analysis);
-  LayerwiseOptions wg_lw = st_lw;
-  wg_lw.policy = ConvPolicy::kWinograd2;
-  const LayerwiseResult wg_analysis = layer_vulnerability(runner, wg_lw);
+  const LayerwiseResult wg_analysis =
+      layer_vulnerability(runner, wg_point, ranking_store);
   const auto wg_order = vulnerability_order(wg_analysis);
   note_partial(st_analysis.cells_deferred + wg_analysis.cells_deferred);
 
@@ -55,9 +57,9 @@ int main(int argc, char** argv) {
   std::unordered_map<int, ProtectionSet> st_warm, wg_warm;
   for (const double goal : goals) {
     TmrPlanOptions st_opts;
-    st_opts.ber = ber;
+    st_opts.check.fault.ber = ber;
+    st_opts.check.seed = ctx.seed(1);
     st_opts.accuracy_goal = goal;
-    st_opts.seed = ctx.seed(1);
     st_opts.store = ctx.store();
     st_opts.layer_order = &st_order;
     st_opts.step_fraction = ctx.env.full ? 0.05 : 0.15;
@@ -66,7 +68,7 @@ int main(int argc, char** argv) {
     st_warm = st_plan.protection;
 
     TmrPlanOptions wg_opts = st_opts;
-    wg_opts.analysis_policy = ConvPolicy::kWinograd2;
+    wg_opts.check.policy = ConvPolicy::kWinograd2;
     wg_opts.layer_order = &wg_order;
     wg_opts.initial_protection = &wg_warm;
     const TmrPlan wg_plan = plan_tmr(runner, wg_opts);

@@ -24,12 +24,13 @@ int main(int argc, char** argv) {
   const auto grid = voltage_grid(0.82, 0.74, ctx.env.full ? 13 : 9);
   // Both policies' curves as one campaign over the whole grid.
   const ConvPolicy policies[] = {ConvPolicy::kDirect, ConvPolicy::kWinograd2};
-  const VoltageSweepResult sweep = accuracy_vs_voltage_multi(
-      runner, volt, policies, grid, ctx.seed(), /*threads=*/0, /*trials=*/1,
-      ctx.store());
+  CampaignPoint base;
+  base.seed = ctx.seed();
+  const VoltageSweepResult sweep =
+      measure_voltage_curves(runner, volt, base, policies, grid, ctx.store());
   note_partial(sweep.stats.cells_deferred);
-  const auto& st = sweep.curves[0];
-  const auto& wg = sweep.curves[1];
+  const auto& st = sweep.curves[0].points;
+  const auto& wg = sweep.curves[1].points;
 
   Table table({"voltage_v", "ber", "st_acc", "wg_acc"});
   for (std::size_t i = 0; i < grid.size(); ++i) {

@@ -17,32 +17,28 @@ int main(int argc, char** argv) {
   model.voltage.log10_ber_anchor = volt_anchor_knob(argv[0]);  // see fig6
   const FigureCtx ctx = figure_ctx(7, argc, argv);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, ctx.env);
-  // One runner for both curves: the second replays the first's goldens.
   const CampaignRunner runner(m.net, m.data);
 
-  ExplorerOptions base;
-  base.loss_budgets = {0.01, 0.03, 0.05, 0.10};
-  base.voltage_grid = voltage_grid(0.86, 0.72, ctx.env.full ? 15 : 8);
+  const double budgets[] = {0.01, 0.03, 0.05, 0.10};
+  const auto grid = voltage_grid(0.86, 0.72, ctx.env.full ? 15 : 8);
+  // Both decision curves as one campaign; ST-Conv and WG-Conv-W/O-AFT
+  // share the direct curve.
+  const ConvPolicy policies[] = {ConvPolicy::kDirect, ConvPolicy::kWinograd2};
+  CampaignPoint base;
   base.seed = ctx.seed();
-
-  ExplorerOptions st = base;  // direct decisions, direct execution
-  ExplorerOptions wo = base;  // direct decisions, Winograd execution
-  wo.exec_policy = ConvPolicy::kWinograd2;
-  ExplorerOptions wa = wo;    // Winograd decisions, Winograd execution
-  wa.curve_policy = ConvPolicy::kWinograd2;
-
-  // Each decision curve is measured once (one campaign per policy); ST-Conv
-  // and WG-Conv-W/O-AFT share the direct curve.
-  const VoltageCurve st_curve = measure_voltage_curve(
-      runner, model.voltage, ConvPolicy::kDirect, base.voltage_grid,
-      base.seed, /*threads=*/0, /*trials=*/1, ctx.store());
-  const VoltageCurve wg_curve = measure_voltage_curve(
-      runner, model.voltage, ConvPolicy::kWinograd2, base.voltage_grid,
-      base.seed, /*threads=*/0, /*trials=*/1, ctx.store());
-  note_partial(st_curve.cells_deferred + wg_curve.cells_deferred);
-  const auto st_points = pick_voltages(m.net, model, st, st_curve);
-  const auto wo_points = pick_voltages(m.net, model, wo, st_curve);
-  const auto wa_points = pick_voltages(m.net, model, wa, wg_curve);
+  const VoltageSweepResult sweep = measure_voltage_curves(
+      runner, model.voltage, base, policies, grid, ctx.store());
+  note_partial(sweep.stats.cells_deferred);
+  const VoltageCurve& st_curve = sweep.curves[0];
+  const VoltageCurve& wg_curve = sweep.curves[1];
+  // ST-Conv: direct decisions, direct execution. WG-Conv-W/O-AFT: direct
+  // decisions, Winograd execution. WG-Conv-W/AFT: Winograd both.
+  const auto st_points =
+      pick_voltages(m.net, model, budgets, ConvPolicy::kDirect, st_curve);
+  const auto wo_points =
+      pick_voltages(m.net, model, budgets, ConvPolicy::kWinograd2, st_curve);
+  const auto wa_points =
+      pick_voltages(m.net, model, budgets, ConvPolicy::kWinograd2, wg_curve);
 
   Table table({"loss_budget", "st_energy", "st_volt", "wo_aft_energy",
                "wo_aft_volt", "w_aft_energy", "w_aft_volt"});

@@ -26,10 +26,10 @@ int main() {
   const CampaignRunner runner(net, data);
 
   // Vulnerability profile.
-  LayerwiseOptions lw;
-  lw.ber = ber;
-  lw.seed = 31;
-  const LayerwiseResult analysis = layer_vulnerability(runner, lw);
+  CampaignPoint point;
+  point.fault.ber = ber;
+  point.seed = 31;
+  const LayerwiseResult analysis = layer_vulnerability(runner, point);
   std::printf("baseline accuracy (all faulty): %.1f%%\n",
               analysis.base_accuracy * 100);
   std::printf("%6s %12s %14s %12s\n", "layer", "fault-free", "vulnerability",
@@ -45,14 +45,14 @@ int main() {
   const auto order = vulnerability_order(analysis);
 
   TmrPlanOptions st_opts;
-  st_opts.ber = ber;
+  st_opts.check.fault.ber = ber;
+  st_opts.check.seed = 33;
   st_opts.accuracy_goal = goal;
-  st_opts.seed = 33;
   st_opts.layer_order = &order;
   const TmrPlan st_plan = plan_tmr(runner, st_opts);
 
   TmrPlanOptions wg_opts = st_opts;
-  wg_opts.analysis_policy = ConvPolicy::kWinograd2;
+  wg_opts.check.policy = ConvPolicy::kWinograd2;
   const TmrPlan wg_plan = plan_tmr(runner, wg_opts);
 
   const double st_full = full_tmr_ops(net, ConvPolicy::kDirect);

@@ -28,23 +28,22 @@ int main() {
   std::printf("systolic runtime: ST %.3f ms, WG %.3f ms (%.2fx speedup)\n",
               t_st * 1e3, t_wg * 1e3, t_st / t_wg);
 
-  // One runner for the three explorations: each image's golden is built
-  // once for all of them.
+  // Both decision curves as one campaign, then a voltage per configuration:
+  // ST-Conv and WG-Conv-W/O-AFT decide on the direct curve.
   const CampaignRunner runner(net, data);
-  ExplorerOptions options;
-  options.loss_budgets = {0.05};
-  options.voltage_grid = voltage_grid(0.86, 0.72, 8);
-  options.seed = 43;
-
-  options.exec_policy = ConvPolicy::kDirect;
-  options.curve_policy = ConvPolicy::kDirect;
-  const auto st = explore_voltage_scaling(runner, model, options)[0];
-
-  options.exec_policy = ConvPolicy::kWinograd2;
-  const auto wo = explore_voltage_scaling(runner, model, options)[0];
-
-  options.curve_policy = ConvPolicy::kWinograd2;
-  const auto wa = explore_voltage_scaling(runner, model, options)[0];
+  CampaignPoint base;
+  base.seed = 43;
+  const ConvPolicy policies[] = {ConvPolicy::kDirect, ConvPolicy::kWinograd2};
+  const VoltageSweepResult curves =
+      measure_voltage_curves(runner, model.voltage, base, policies,
+                             voltage_grid(0.86, 0.72, 8));
+  const double budget[] = {0.05};
+  const auto st = pick_voltages(net, model, budget, ConvPolicy::kDirect,
+                                curves.curves[0])[0];
+  const auto wo = pick_voltages(net, model, budget, ConvPolicy::kWinograd2,
+                                curves.curves[0])[0];
+  const auto wa = pick_voltages(net, model, budget, ConvPolicy::kWinograd2,
+                                curves.curves[1])[0];
 
   std::printf("5%% accuracy-loss budget:\n");
   std::printf("  ST-Conv:         %.3f V, energy %.3f of nominal baseline\n",

@@ -3,7 +3,11 @@
 // policy and injection mode. A sweep is a thin CampaignSpec builder: all
 // BER points (and, with accuracy_sweeps, all policy/mode configurations)
 // run as one campaign on the caller's runner, sharing one set of golden
-// activations per image with every other call on that runner.
+// activations per image with every other call on that runner. Its axis is
+// fault.ber, one point per entry of `bers`. Unlike the other figure
+// builders, which take a base CampaignPoint, a sweep takes the point's
+// other fields flat in SweepOptions (plus the campaign's `threads`): the
+// repository benchmark builds its campaigns through it.
 #pragma once
 
 #include <span>

@@ -3,24 +3,19 @@
 namespace winofault {
 
 OpTypeResult op_type_sensitivity(const CampaignRunner& runner,
-                                 const OpTypeOptions& options) {
-  CampaignPoint all;
-  all.fault.ber = options.ber;
-  all.fault.model = options.model;
-  all.policy = options.policy;
-  all.seed = options.seed;
-  all.trials = options.trials;
-
-  CampaignPoint add_only = all;  // muls fault-free
-  add_only.fault.only_kind = OpKind::kAdd;
-
-  CampaignPoint mul_only = all;  // adds fault-free
-  mul_only.fault.only_kind = OpKind::kMul;
-
+                                 const CampaignPoint& base,
+                                 const StoreOptions& store) {
   CampaignSpec spec;
-  spec.threads = options.threads;
-  spec.store = options.store;
-  spec.points = {all, add_only, mul_only};
+  spec.store = store;
+  // All faulty, then faults only in adds (muls fault-free), then only in
+  // muls (adds fault-free).
+  const std::optional<OpKind> kinds[] = {std::nullopt, OpKind::kAdd,
+                                         OpKind::kMul};
+  for (const std::optional<OpKind>& kind : kinds) {
+    CampaignPoint point = base;
+    point.fault.only_kind = kind;
+    spec.points.push_back(std::move(point));
+  }
   const CampaignResult campaign = runner.run(spec);
 
   OpTypeResult result;

@@ -12,20 +12,6 @@
 
 namespace winofault {
 
-struct OpTypeOptions {
-  double ber = 0.0;
-  ConvPolicy policy = ConvPolicy::kDirect;
-  // Fault model (fault/models): defaults to WINOFAULT_FAULT_MODEL when
-  // set, else the builtin flip@op. only_kind applies to op-datapath
-  // models; weight/accum-target models ignore it (their cells are storage,
-  // not mul/add ops).
-  FaultModelSpec model = FaultModelSpec::process_default();
-  std::uint64_t seed = 1;
-  int threads = 0;
-  int trials = 1;  // injection trials per (image, configuration) point
-  StoreOptions store;  // persistent campaign store (campaign-level)
-};
-
 struct OpTypeResult {
   double accuracy_all_faulty = 0.0;
   // Faults only in adds => multiplications fault-free ("X-Conv-Mul" curves).
@@ -38,7 +24,12 @@ struct OpTypeResult {
   std::int64_t cells_deferred = 0;
 };
 
+// Runs copies of `base` that differ only in fault.only_kind, the axis this
+// analysis owns: unset (all faulty), add, mul. Everything else is the
+// caller's. only_kind applies to op-datapath models; weight/accum-target
+// models ignore it (their cells are storage, not mul/add ops).
 OpTypeResult op_type_sensitivity(const CampaignRunner& runner,
-                                 const OpTypeOptions& options);
+                                 const CampaignPoint& base,
+                                 const StoreOptions& store = {});
 
 }  // namespace winofault

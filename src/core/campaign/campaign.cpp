@@ -902,7 +902,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
   // bit-identical either way (the daemon executes this same function
   // against an identically-built environment — tests/service_test.cpp).
   if (const CampaignSubmitHook& hook = submit_hook_ref()) {
-    if (std::optional<CampaignResult> remote = hook(network_, dataset_, spec)) {
+    if (std::optional<CampaignResult> remote = hook(*this, spec)) {
       return *std::move(remote);
     }
   }

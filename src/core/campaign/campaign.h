@@ -335,7 +335,8 @@ EvalResult evaluate(const Network& network, const Dataset& dataset,
                     const CampaignPoint& point, int threads = 0);
 
 // Process-wide campaign submission hook (installed by service *clients*,
-// core/service): when set, CampaignRunner::run offers every spec to the
+// core/service): when set, CampaignRunner::run offers every spec, with
+// the runner itself (its network, dataset and cached env hash), to the
 // hook first; a non-nullopt return is used as the campaign result —
 // executed elsewhere, e.g. by a resident winofaultd daemon — and nullopt
 // falls through to ordinary local execution (unknown environment, daemon
@@ -343,7 +344,7 @@ EvalResult evaluate(const Network& network, const Dataset& dataset,
 // campaigns always execute locally. Install before spawning campaigns;
 // installation is not synchronized against concurrent run() calls.
 using CampaignSubmitHook = std::function<std::optional<CampaignResult>(
-    const Network&, const Dataset&, const CampaignSpec&)>;
+    const CampaignRunner&, const CampaignSpec&)>;
 void set_campaign_submit_hook(CampaignSubmitHook hook);
 
 // Fault-stream seed of trial `trial` on image `image` under a point seeded

@@ -11,12 +11,16 @@
 //                    scaling deeper for extra savings.
 // Energy is normalized to direct-conv execution at nominal voltage.
 //
-// The accuracy measurements (the clean reference plus the whole decision
-// curve) form one campaign, so an exploration is a thin CampaignSpec
-// builder run on the caller's runner, whose goldens serve every call on
-// it: one golden build per image for all of them.
+// Each decision curve is the clean reference plus accuracy along the
+// voltage grid. One campaign measures the curves of every policy a figure
+// needs, on the caller's runner, whose goldens serve every call on it: one
+// golden build per image for all of them. Selecting a voltage per budget
+// is then pure accounting over a measured curve, so configurations that
+// share a curve (ST-Conv and WG-Conv-W/O-AFT both decide on the direct
+// one) measure it once.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "accel/energy_model.h"
@@ -30,23 +34,35 @@ struct VoltagePoint {
   double accuracy = 0.0;
 };
 
+// A measured decision curve: the clean (fault-free) loss reference plus
+// accuracy along the voltage grid.
+struct VoltageCurve {
+  double clean_accuracy = 0.0;
+  std::vector<VoltagePoint> points;  // along the grid, in grid order
+};
+
 // Curves of a multi-policy voltage campaign plus the stats they were
 // measured under — stats.cells_deferred != 0 flags PARTIAL curves from a
-// budgeted run (same contract as SweepResult).
+// budgeted run: mark downstream output and fail the exit code instead of
+// presenting them as finished (same contract as SweepResult).
 struct VoltageSweepResult {
-  std::vector<std::vector<VoltagePoint>> curves;  // one per policy
+  std::vector<VoltageCurve> curves;  // one per policy, in order
   CampaignStats stats;
 };
 
-// Accuracy along a voltage grid (Fig 6 curves) for several policies as a
-// SINGLE campaign (fig6's ST/WG pair): the whole (image x policy x
-// voltage) grid feeds the pool at once. Returns one curve per policy, in
-// order.
-VoltageSweepResult accuracy_vs_voltage_multi(
-    const CampaignRunner& runner, const VoltageModel& model,
-    std::span<const ConvPolicy> policies, std::span<const double> voltages,
-    std::uint64_t seed, int threads = 0, int trials = 1,
-    const StoreOptions& store = {});
+// Measures one curve per policy as a SINGLE campaign, so the whole (image
+// x policy x voltage) grid feeds the pool at once. Per policy the campaign
+// holds a copy of `base` for the clean reference (BER 0, one trial: its
+// fault-free trials are bit-identical) and one copy per voltage at
+// `model.ber_at(v)`. The function owns policy, fault.ber and the clean
+// point's trials; everything else — seed, trials, fault model — is the
+// caller's.
+VoltageSweepResult measure_voltage_curves(const CampaignRunner& runner,
+                                          const VoltageModel& model,
+                                          const CampaignPoint& base,
+                                          std::span<const ConvPolicy> policies,
+                                          std::span<const double> voltages,
+                                          const StoreOptions& store = {});
 
 struct EnergyPoint {
   double loss_budget = 0.0;      // allowed accuracy drop (absolute)
@@ -55,50 +71,15 @@ struct EnergyPoint {
   double energy_norm = 0.0;      // vs ST-Conv at nominal voltage
 };
 
-struct ExplorerOptions {
-  std::vector<double> loss_budgets;   // e.g. {0.01, 0.03, 0.05, 0.10}
-  std::vector<double> voltage_grid;   // descending search grid
-  ConvPolicy exec_policy = ConvPolicy::kDirect;    // runtime/energy engine
-  ConvPolicy curve_policy = ConvPolicy::kDirect;   // accuracy-curve engine
-  std::uint64_t seed = 1;
-  int threads = 0;
-  int trials = 1;  // injection trials per (image, voltage) point
-  StoreOptions store;  // persistent campaign store (campaign-level)
-};
-
-// A measured decision curve: the clean (fault-free) loss reference plus
-// accuracy along the voltage grid, all from one campaign. Measuring it
-// once and reusing it across configurations that share a curve_policy
-// (fig7: ST-Conv and WG-Conv-W/O-AFT both decide on the direct curve)
-// halves the evaluation work.
-struct VoltageCurve {
-  double clean_accuracy = 0.0;
-  std::vector<VoltagePoint> points;  // along the decision grid, descending
-  // Non-zero when a budgeted (cell_budget) run deferred cells: the curve
-  // is PARTIAL — mark downstream output and fail the exit code instead of
-  // presenting it as finished.
-  std::int64_t cells_deferred = 0;
-};
-
-VoltageCurve measure_voltage_curve(const CampaignRunner& runner,
-                                   const VoltageModel& model,
-                                   ConvPolicy policy,
-                                   std::span<const double> voltages,
-                                   std::uint64_t seed, int threads = 0,
-                                   int trials = 1,
-                                   const StoreOptions& store = {});
-
-// Budget search over a pre-measured curve: pure selection + energy
-// accounting, no evaluation.
+// Budget search over a measured curve (descending grid): per loss budget
+// (e.g. {0.01, 0.03, 0.05, 0.10}) the lowest voltage whose accuracy stays
+// within the budget, and the energy of executing under `exec_policy` there.
+// Pure selection + energy accounting, no evaluation.
 std::vector<EnergyPoint> pick_voltages(const Network& network,
                                        const EnergyModel& model,
-                                       const ExplorerOptions& options,
+                                       std::span<const double> loss_budgets,
+                                       ConvPolicy exec_policy,
                                        const VoltageCurve& curve);
-
-// measure_voltage_curve + pick_voltages in one call.
-std::vector<EnergyPoint> explore_voltage_scaling(
-    const CampaignRunner& runner, const EnergyModel& model,
-    const ExplorerOptions& options);
 
 // Uniform descending voltage grid [v_hi, v_lo] with `points` entries.
 std::vector<double> voltage_grid(double v_hi, double v_lo, int points);

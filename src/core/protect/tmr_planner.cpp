@@ -17,18 +17,13 @@ namespace {
 // and golden store open between checks instead of re-reading them — warm
 // resumes are O(1) per call.
 double evaluate_with_protection(
-    const CampaignRunner& runner,
+    const CampaignRunner& runner, CampaignPoint point,
     const std::unordered_map<int, ProtectionSet>& protection,
-    ConvPolicy policy, const TmrPlanOptions& options) {
-  CampaignPoint point;
-  point.fault.ber = options.ber;
+    const StoreOptions& store) {
   point.fault.protection = protection;
-  point.policy = policy;
-  point.seed = options.seed;
   CampaignSpec spec;
   spec.points.push_back(std::move(point));
-  spec.threads = options.threads;
-  spec.store = options.store;
+  spec.store = store;
   return runner.run(spec).points.front().accuracy;
 }
 
@@ -60,13 +55,10 @@ TmrPlan plan_tmr(const CampaignRunner& runner,
   if (options.layer_order != nullptr) {
     order = *options.layer_order;
   } else {
-    LayerwiseOptions lw;
-    lw.ber = options.ber;
-    lw.policy = options.analysis_policy;
-    lw.seed = options.seed;
-    lw.threads = options.threads;
-    lw.store = options.store;
-    order = vulnerability_order(layer_vulnerability(runner, lw));
+    CampaignPoint unprotected = options.check;
+    unprotected.fault.protection.clear();
+    order = vulnerability_order(
+        layer_vulnerability(runner, unprotected, options.store));
   }
 
   if (options.initial_protection != nullptr) {
@@ -75,8 +67,8 @@ TmrPlan plan_tmr(const CampaignRunner& runner,
 
   // 2. Iterative protection: muls of the most vulnerable layers first,
   // then adds, a `step_fraction` slice per iteration.
-  double accuracy = evaluate_with_protection(
-      runner, plan.protection, options.analysis_policy, options);
+  double accuracy = evaluate_with_protection(runner, options.check,
+                                             plan.protection, options.store);
   if (accuracy >= options.accuracy_goal) {
     plan.achieved_accuracy = accuracy;
     plan.goal_met = true;
@@ -97,8 +89,8 @@ TmrPlan plan_tmr(const CampaignRunner& runner,
           set.set_add_fraction(next);
         }
         ++plan.iterations;
-        accuracy = evaluate_with_protection(
-            runner, plan.protection, options.analysis_policy, options);
+        accuracy = evaluate_with_protection(runner, options.check,
+                                            plan.protection, options.store);
         if (accuracy >= options.accuracy_goal) {
           plan.achieved_accuracy = accuracy;
           plan.goal_met = true;
@@ -130,13 +122,8 @@ double full_tmr_ops(const Network& network, ConvPolicy policy) {
 }
 
 double plan_accuracy(const CampaignRunner& runner, const TmrPlan& plan,
-                     ConvPolicy policy, double ber, std::uint64_t seed,
-                     int threads) {
-  TmrPlanOptions options;
-  options.ber = ber;
-  options.seed = seed;
-  options.threads = threads;
-  return evaluate_with_protection(runner, plan.protection, policy, options);
+                     const CampaignPoint& point) {
+  return evaluate_with_protection(runner, point, plan.protection, {});
 }
 
 }  // namespace winofault

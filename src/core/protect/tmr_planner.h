@@ -22,15 +22,15 @@
 namespace winofault {
 
 struct TmrPlanOptions {
-  double ber = 0.0;
+  // The point every accuracy check runs: BER, fault model, seed, trials,
+  // and the policy whose fault behavior drives decisions (vulnerability
+  // analysis and accuracy checks) — ST for the W/O-AFT configuration. The
+  // planner owns fault.protection: each check runs a copy with the plan's
+  // protection so far, and its own ranking a copy with none.
+  CampaignPoint check;
   double accuracy_goal = 0.0;
-  // Engine whose fault behavior drives decisions (vulnerability analysis
-  // and accuracy checks) — ST for the W/O-AFT configuration.
-  ConvPolicy analysis_policy = ConvPolicy::kDirect;
   double step_fraction = 0.10;  // ops protected per planner iteration
   int max_iterations = 600;
-  std::uint64_t seed = 1;
-  int threads = 0;
   // Optional precomputed vulnerability ranking (most vulnerable first);
   // when null the planner runs layer_vulnerability itself. Sharing one
   // ranking across accuracy goals matches the paper's protocol (the
@@ -70,11 +70,10 @@ double plan_overhead_ops(const Network& network, const TmrPlan& plan,
 // normalization denominator of Fig 5.
 double full_tmr_ops(const Network& network, ConvPolicy policy);
 
-// Accuracy of executing `plan` under an arbitrary policy (used to verify
-// that W/O-AFT plans still meet the goal when run on Winograd), measured
-// on the caller's runner.
+// Accuracy of `point` with the plan's protection (its fault.protection
+// is replaced), measured on the caller's runner — e.g. to verify that a
+// W/O-AFT plan still meets the goal when run on Winograd.
 double plan_accuracy(const CampaignRunner& runner, const TmrPlan& plan,
-                     ConvPolicy policy, double ber, std::uint64_t seed,
-                     int threads = 0);
+                     const CampaignPoint& point);
 
 }  // namespace winofault

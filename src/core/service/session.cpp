@@ -23,8 +23,9 @@ ModelEnvBuilder default_model_env_builder() {
       if (error != nullptr) *error = "unknown model '" + env.model + "'";
       return false;
     }
-    // The exact recipe of bench make_model: any divergence would change
-    // campaign_env_hash and silently forfeit every warm asset.
+    // Bench make_model builds through this function. Any other copy of
+    // the recipe (perfbench's build_model) must match it exactly, or
+    // campaign_env_hash changes and every warm asset is silently lost.
     ZooConfig config;
     config.dtype = env.dtype;
     config.width = env.width > 0 ? env.width : entry->default_width;

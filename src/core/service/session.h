@@ -41,8 +41,9 @@ using ModelEnvBuilder = std::function<bool(const ModelEnv& env, Network* net,
                                            Dataset* data,
                                            std::string* error)>;
 
-// The production builder: zoo entry + teacher dataset, the exact recipe of
-// the bench drivers' make_model (nn/models/zoo.h).
+// The production builder: zoo entry + teacher dataset (nn/models/zoo.h).
+// The bench drivers' make_model builds through it too, so a client and
+// its daemon build one environment by one recipe.
 ModelEnvBuilder default_model_env_builder();
 
 class ServiceSession {

@@ -76,11 +76,11 @@ TEST(NetworkSweep, WinogradShiftsTheKnee) {
 
 TEST(LayerVulnerability, FactorsAreReportedPerLayer) {
   const Fixture f = make_fixture();
-  LayerwiseOptions options;
-  options.ber = 3e-6;
-  options.seed = 29;
+  CampaignPoint base;
+  base.fault.ber = 3e-6;
+  base.seed = 29;
   const LayerwiseResult result =
-      layer_vulnerability(CampaignRunner(f.net, f.data), options);
+      layer_vulnerability(CampaignRunner(f.net, f.data), base);
   ASSERT_EQ(result.layers.size(), 4u);  // 3 convs + linear
   EXPECT_GT(result.base_accuracy, 0.0);
   for (const LayerSensitivity& layer : result.layers) {
@@ -97,11 +97,11 @@ TEST(LayerVulnerability, FactorsAreReportedPerLayer) {
 
 TEST(LayerVulnerability, ZeroBerGivesZeroVulnerability) {
   const Fixture f = make_fixture();
-  LayerwiseOptions options;
-  options.ber = 0.0;
-  options.seed = 31;
+  CampaignPoint base;
+  base.fault.ber = 0.0;
+  base.seed = 31;
   const LayerwiseResult result =
-      layer_vulnerability(CampaignRunner(f.net, f.data), options);
+      layer_vulnerability(CampaignRunner(f.net, f.data), base);
   for (const LayerSensitivity& layer : result.layers) {
     EXPECT_DOUBLE_EQ(layer.vulnerability, 0.0);
   }
@@ -109,14 +109,14 @@ TEST(LayerVulnerability, ZeroBerGivesZeroVulnerability) {
 
 TEST(OpType, MulsAreMoreVulnerableThanAdds) {
   const Fixture f = make_fixture();
-  OpTypeOptions options;
-  options.ber = 2e-6;
-  options.seed = 37;
+  CampaignPoint base;
+  base.fault.ber = 2e-6;
+  base.seed = 37;
   const CampaignRunner runner(f.net, f.data);
   for (const ConvPolicy policy :
        {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
-    options.policy = policy;
-    const OpTypeResult result = op_type_sensitivity(runner, options);
+    base.policy = policy;
+    const OpTypeResult result = op_type_sensitivity(runner, base);
     // Removing mul faults recovers at least as much accuracy as removing
     // add faults: the paper's Fig 4 ordering.
     EXPECT_GE(result.accuracy_mul_fault_free,

@@ -7,7 +7,8 @@
 //   (c) results are independent of the thread count;
 //   (d) the destruction short-circuit triggers strictly above
 //       max_expected_flips and simulates at or below it;
-//   (e) `trials` plumbs through the sweep/layerwise/explorer spec builders;
+//   (e) `trials` plumbs through the sweep/layerwise/explorer spec builders,
+//       and the figure builders journal exactly their hand-built points;
 //   (f) telemetry is observation-only: tracing on, off, or toggled
 //       mid-grid never changes a single result bit;
 //   (g) runs through one runner share its goldens, and a run's stats
@@ -19,6 +20,7 @@
 #include <fstream>
 #include <future>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <cstdlib>
@@ -26,8 +28,10 @@
 #include "common/telemetry/telemetry.h"
 #include "core/analysis/layer_vulnerability.h"
 #include "core/analysis/network_sweep.h"
+#include "core/analysis/op_type.h"
 #include "core/campaign/campaign.h"
 #include "core/energy/voltage_explorer.h"
+#include "core/protect/tmr_planner.h"
 #include "core/service/protocol.h"
 #include "core/store/hash.h"
 #include "fault/fault_model.h"
@@ -432,17 +436,13 @@ TEST(Campaign, TrialsPlumbThroughSweepBuilder) {
 
 TEST(Campaign, TrialsPlumbThroughLayerwiseAndExplorerBuilders) {
   const Fixture f = make_fixture(6);
-  LayerwiseOptions lw;
-  lw.ber = 3e-6;
-  lw.seed = 29;
-  lw.trials = 2;
-  const CampaignRunner runner(f.net, f.data);
-  const LayerwiseResult layerwise = layer_vulnerability(runner, lw);
-
   CampaignPoint base;
-  base.fault.ber = lw.ber;
-  base.seed = lw.seed;
-  base.trials = lw.trials;
+  base.fault.ber = 3e-6;
+  base.seed = 29;
+  base.trials = 2;
+  const CampaignRunner runner(f.net, f.data);
+  const LayerwiseResult layerwise = layer_vulnerability(runner, base);
+
   EXPECT_DOUBLE_EQ(layerwise.base_accuracy,
                    evaluate(f.net, f.data, base).accuracy);
   CampaignPoint one = base;
@@ -456,15 +456,109 @@ TEST(Campaign, TrialsPlumbThroughLayerwiseAndExplorerBuilders) {
   volt.log10_ber_anchor = -7.0;
   const std::vector<double> grid = {0.80, 0.78};
   const ConvPolicy direct[] = {ConvPolicy::kDirect};
-  const auto curve = accuracy_vs_voltage_multi(runner, volt, direct, grid,
-                                               /*seed=*/31, /*threads=*/0,
-                                               /*trials=*/2)
-                         .curves.front();
+  CampaignPoint curve_base;
+  curve_base.seed = 31;
+  curve_base.trials = 2;
+  const auto curve =
+      measure_voltage_curves(runner, volt, curve_base, direct, grid)
+          .curves.front()
+          .points;
   CampaignPoint at_v;
   at_v.fault.ber = volt.ber_at(grid[1]);
   at_v.seed = 31;
   at_v.trials = 2;
   EXPECT_DOUBLE_EQ(curve[1].accuracy, evaluate(f.net, f.data, at_v).accuracy);
+}
+
+// Each figure builder runs copies of the caller's point that differ only
+// in the builder's own axis field, so it journals exactly the cells of the
+// points hand-built field by field below, and no others. Existing journals
+// are keyed by these points' hashes, so the builders must not move them.
+TEST(Campaign, FigureBuildersJournalExactlyTheirPoints) {
+  const Fixture f = make_fixture(3);
+  const std::string dir = ::testing::TempDir() + "winofault_builder_points";
+  std::filesystem::remove_all(dir);
+  StoreOptions store;
+  store.dir = dir;
+  const CampaignRunner runner(f.net, f.data);
+
+  CampaignPoint base;
+  base.fault.ber = 3e-6;
+  base.policy = ConvPolicy::kWinograd2;
+  base.seed = 41;
+  layer_vulnerability(runner, base, store);
+  op_type_sensitivity(runner, base, store);
+
+  // Three checks: no protection, then layer 1's muls at 0.5 and at 1.0.
+  TmrPlanOptions tmr;
+  tmr.check = base;
+  tmr.accuracy_goal = 1.01;  // unreachable
+  tmr.step_fraction = 0.5;
+  tmr.max_iterations = 2;
+  const std::vector<int> order = {1, 0, 2, 3};
+  tmr.layer_order = &order;
+  tmr.store = store;
+  plan_tmr(runner, tmr);
+
+  VoltageModel volt;
+  volt.log10_ber_anchor = -7.0;
+  const std::vector<double> grid = {0.80, 0.78};
+  const ConvPolicy policies[] = {ConvPolicy::kDirect, ConvPolicy::kWinograd2};
+  CampaignPoint curve_base;
+  curve_base.seed = 43;
+  curve_base.trials = 2;
+  measure_voltage_curves(runner, volt, curve_base, policies, grid, store);
+
+  const auto point = [](double ber, ConvPolicy policy, std::uint64_t seed,
+                        int trials) {
+    CampaignPoint p;
+    p.fault.ber = ber;
+    p.policy = policy;
+    p.seed = seed;
+    p.trials = trials;
+    return p;
+  };
+  // The all-faulty point is also the first TMR check.
+  const CampaignPoint faulty = point(3e-6, ConvPolicy::kWinograd2, 41, 1);
+  std::vector<CampaignPoint> expected = {faulty};
+  for (int layer = 0; layer < f.net.num_protectable(); ++layer) {
+    CampaignPoint p = faulty;
+    p.fault.fault_free_layer = layer;
+    expected.push_back(p);
+  }
+  for (const OpKind kind : {OpKind::kAdd, OpKind::kMul}) {
+    CampaignPoint p = faulty;
+    p.fault.only_kind = kind;
+    expected.push_back(p);
+  }
+  for (const double fraction : {0.5, 1.0}) {
+    CampaignPoint p = faulty;
+    p.fault.protection[1].set_mul_fraction(fraction);
+    expected.push_back(p);
+  }
+  for (const ConvPolicy policy : policies) {
+    expected.push_back(point(0.0, policy, 43, 1));  // the clean reference
+    for (const double v : grid) {
+      expected.push_back(point(volt.ber_at(v), policy, 43, 2));
+    }
+  }
+
+  std::set<std::pair<std::uint64_t, std::int64_t>> want, got;
+  for (const CampaignPoint& p : expected) {
+    for (std::size_t image = 0; image < f.data.images.size(); ++image) {
+      want.emplace(campaign_point_hash(p), image);
+    }
+  }
+  std::vector<JournalCell> cells;
+  ASSERT_TRUE(ResultJournal::read_cells(
+      ResultJournal::journal_path(dir, runner.env_hash()), runner.env_hash(),
+      &cells));
+  for (const JournalCell& cell : cells) {
+    got.emplace(cell.point_hash, cell.image);
+  }
+  EXPECT_EQ(cells.size(), got.size());  // no cell journaled twice
+  EXPECT_EQ(got, want);
+  std::filesystem::remove_all(dir);
 }
 
 // The fault model is a campaign axis: the same (ber, policy, seed, trials)

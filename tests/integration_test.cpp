@@ -69,31 +69,31 @@ TEST_F(PipelineTest, Fig2Shape_WinogradAtLeastAsAccurate) {
 }
 
 TEST_F(PipelineTest, Fig4Shape_MulsDominateVulnerability) {
-  OpTypeOptions options;
-  options.ber = knee_ber_;
-  options.seed = 103;
-  const OpTypeResult result = op_type_sensitivity(*runner_, options);
+  CampaignPoint base;
+  base.fault.ber = knee_ber_;
+  base.seed = 103;
+  const OpTypeResult result = op_type_sensitivity(*runner_, base);
   EXPECT_GE(result.accuracy_mul_fault_free, result.accuracy_add_fault_free);
 }
 
 TEST_F(PipelineTest, Fig5Shape_AwarePlanningCutsOverhead) {
-  LayerwiseOptions lw;
-  lw.ber = knee_ber_;
+  CampaignPoint lw;
+  lw.fault.ber = knee_ber_;
   lw.seed = 105;
   const auto st_order = vulnerability_order(layer_vulnerability(*runner_, lw));
   lw.policy = ConvPolicy::kWinograd2;
   const auto wg_order = vulnerability_order(layer_vulnerability(*runner_, lw));
 
   TmrPlanOptions st_opts;
-  st_opts.ber = knee_ber_;
+  st_opts.check.fault.ber = knee_ber_;
+  st_opts.check.seed = 107;
   st_opts.accuracy_goal = 0.8;
   st_opts.step_fraction = 0.25;
-  st_opts.seed = 107;
   st_opts.layer_order = &st_order;
   const TmrPlan st_plan = plan_tmr(*runner_, st_opts);
 
   TmrPlanOptions wg_opts = st_opts;
-  wg_opts.analysis_policy = ConvPolicy::kWinograd2;
+  wg_opts.check.policy = ConvPolicy::kWinograd2;
   wg_opts.layer_order = &wg_order;
   const TmrPlan wg_plan = plan_tmr(*runner_, wg_opts);
 
@@ -110,8 +110,9 @@ TEST_F(PipelineTest, Fig5Shape_AwarePlanningCutsOverhead) {
   EXPECT_LE(wa_ovh, wo_ovh * 1.6);
   // The W/O-AFT plan still meets the goal when executed on Winograd
   // (Winograd is at least as fault-tolerant as direct).
-  const double wo_acc = plan_accuracy(*runner_, st_plan,
-                                      ConvPolicy::kWinograd2, knee_ber_, 107);
+  CampaignPoint on_wg = st_opts.check;
+  on_wg.policy = ConvPolicy::kWinograd2;
+  const double wo_acc = plan_accuracy(*runner_, st_plan, on_wg);
   EXPECT_GE(wo_acc, 0.8 - 0.08);
 }
 
@@ -121,18 +122,23 @@ TEST_F(PipelineTest, Fig7Shape_EnergyOrdering) {
   // array for this small model's channel counts.
   model.voltage.log10_ber_anchor = std::log10(knee_ber_) + 1.0;
   model.accel.rows = model.accel.cols = 8;
-  ExplorerOptions options;
-  options.loss_budgets = {0.05};
-  options.voltage_grid = voltage_grid(0.86, 0.74, 7);
-  options.seed = 109;
-  const double e_st =
-      explore_voltage_scaling(*runner_, model, options)[0].energy_norm;
-  options.exec_policy = ConvPolicy::kWinograd2;
-  const double e_wo =
-      explore_voltage_scaling(*runner_, model, options)[0].energy_norm;
-  options.curve_policy = ConvPolicy::kWinograd2;
-  const double e_wa =
-      explore_voltage_scaling(*runner_, model, options)[0].energy_norm;
+  // Each curve measured once; ST-Conv and W/O-AFT share the direct one.
+  const double budget[] = {0.05};
+  const ConvPolicy policies[] = {ConvPolicy::kDirect, ConvPolicy::kWinograd2};
+  CampaignPoint base;
+  base.seed = 109;
+  const VoltageSweepResult curves =
+      measure_voltage_curves(*runner_, model.voltage, base, policies,
+                             voltage_grid(0.86, 0.74, 7));
+  const double e_st = pick_voltages(*net_, model, budget, ConvPolicy::kDirect,
+                                    curves.curves[0])[0]
+                          .energy_norm;
+  const double e_wo = pick_voltages(*net_, model, budget,
+                                    ConvPolicy::kWinograd2, curves.curves[0])[0]
+                          .energy_norm;
+  const double e_wa = pick_voltages(*net_, model, budget,
+                                    ConvPolicy::kWinograd2, curves.curves[1])[0]
+                          .energy_norm;
   EXPECT_LT(e_wo, e_st);
   EXPECT_LE(e_wa, e_wo + 1e-9);
   EXPECT_LE(e_st, 1.0 + 1e-9);

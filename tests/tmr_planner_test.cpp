@@ -50,10 +50,10 @@ constexpr double kBer = 1e-4;
 TEST(TmrPlanner, FullProtectionRecoversCleanAccuracy) {
   const Fixture f = make_fixture();
   TmrPlanOptions options;
-  options.ber = kBer;
+  options.check.fault.ber = kBer;
   options.accuracy_goal = 1.01;  // unreachable: forces full protection
   options.step_fraction = 0.5;
-  options.seed = 3;
+  options.check.seed = 3;
   const CampaignRunner runner(f.net, f.data);
   const TmrPlan plan = plan_tmr(runner, options);
   EXPECT_FALSE(plan.goal_met);
@@ -61,17 +61,18 @@ TEST(TmrPlanner, FullProtectionRecoversCleanAccuracy) {
   EXPECT_NEAR(plan_overhead_ops(f.net, plan, ConvPolicy::kDirect),
               full_tmr_ops(f.net, ConvPolicy::kDirect), 1.0);
   // And the accuracy equals the clean accuracy.
-  const double clean =
-      plan_accuracy(runner, plan, ConvPolicy::kDirect, 0.0, 3);
+  CampaignPoint clean_point;
+  clean_point.seed = 3;
+  const double clean = plan_accuracy(runner, plan, clean_point);
   EXPECT_NEAR(plan.achieved_accuracy, clean, 1e-9);
 }
 
 TEST(TmrPlanner, TrivialGoalNeedsNoProtection) {
   const Fixture f = make_fixture();
   TmrPlanOptions options;
-  options.ber = kBer;
+  options.check.fault.ber = kBer;
   options.accuracy_goal = 0.01;
-  options.seed = 5;
+  options.check.seed = 5;
   const TmrPlan plan = plan_tmr(CampaignRunner(f.net, f.data), options);
   EXPECT_TRUE(plan.goal_met);
   EXPECT_EQ(plan.iterations, 0);
@@ -83,16 +84,16 @@ TEST(TmrPlanner, OverheadGrowsWithGoal) {
   const CampaignRunner runner(f.net, f.data);
   double previous = -1.0;
   // Share one vulnerability ranking, as the Fig 5 bench does.
-  LayerwiseOptions lw;
-  lw.ber = kBer;
-  lw.seed = 7;
-  const auto order = vulnerability_order(layer_vulnerability(runner, lw));
+  CampaignPoint base;
+  base.fault.ber = kBer;
+  base.seed = 7;
+  const auto order = vulnerability_order(layer_vulnerability(runner, base));
   for (const double goal : {0.5, 0.7, 0.9}) {
     TmrPlanOptions options;
-    options.ber = kBer;
+    options.check.fault.ber = kBer;
     options.accuracy_goal = goal;
     options.step_fraction = 0.25;
-    options.seed = 7;
+    options.check.seed = 7;
     options.layer_order = &order;
     const TmrPlan plan = plan_tmr(runner, options);
     const double overhead = plan_overhead_ops(f.net, plan, ConvPolicy::kDirect);
@@ -104,10 +105,10 @@ TEST(TmrPlanner, OverheadGrowsWithGoal) {
 TEST(TmrPlanner, GoalIsMetWhenReachable) {
   const Fixture f = make_fixture();
   TmrPlanOptions options;
-  options.ber = kBer;
+  options.check.fault.ber = kBer;
   options.accuracy_goal = 0.85;
   options.step_fraction = 0.25;
-  options.seed = 9;
+  options.check.seed = 9;
   const TmrPlan plan = plan_tmr(CampaignRunner(f.net, f.data), options);
   EXPECT_TRUE(plan.goal_met);
   EXPECT_GE(plan.achieved_accuracy, 0.85);
@@ -124,10 +125,10 @@ TEST(TmrPlanner, WinogradPlansAreCheaperToExecute) {
   // 1. Any given plan costs less to execute on Winograd than on direct
   // conv, because every layer has fewer operations to triplicate.
   TmrPlanOptions full;
-  full.ber = kBer;
+  full.check.fault.ber = kBer;
   full.accuracy_goal = 1.01;  // unreachable: forces full protection
   full.step_fraction = 0.5;
-  full.seed = 11;
+  full.check.seed = 11;
   const CampaignRunner runner(f.net, f.data);
   const TmrPlan plan = plan_tmr(runner, full);
   const double on_st = plan_overhead_ops(f.net, plan, ConvPolicy::kDirect);
@@ -137,10 +138,12 @@ TEST(TmrPlanner, WinogradPlansAreCheaperToExecute) {
 
   // 2. Executing the ST plan on Winograd loses no accuracy (W/O-AFT is
   // safe): full protection recovers clean accuracy on both engines.
-  const double st_acc =
-      plan_accuracy(runner, plan, ConvPolicy::kDirect, kBer, 13);
-  const double wg_acc =
-      plan_accuracy(runner, plan, ConvPolicy::kWinograd2, kBer, 13);
+  CampaignPoint point;
+  point.fault.ber = kBer;
+  point.seed = 13;
+  const double st_acc = plan_accuracy(runner, plan, point);
+  point.policy = ConvPolicy::kWinograd2;
+  const double wg_acc = plan_accuracy(runner, plan, point);
   EXPECT_DOUBLE_EQ(st_acc, wg_acc);
 }
 
@@ -161,14 +164,18 @@ TEST(TmrPlanner, OneRunnerBuildsEachGoldenOnce) {
   const CampaignRunner runner(f.net, f.data);
   const std::int64_t before = golden_builds_total();
   TmrPlanOptions options;
-  options.ber = kBer;
+  options.check.fault.ber = kBer;
   options.accuracy_goal = 0.85;
   options.step_fraction = 0.25;
-  options.seed = 9;
+  options.check.seed = 9;
   const TmrPlan plan = plan_tmr(runner, options);
   ASSERT_GT(plan.iterations, 0);
-  plan_accuracy(runner, plan, ConvPolicy::kDirect, kBer, 13);
-  plan_accuracy(runner, plan, ConvPolicy::kWinograd2, kBer, 13);
+  CampaignPoint point;
+  point.fault.ber = kBer;
+  point.seed = 13;
+  plan_accuracy(runner, plan, point);
+  point.policy = ConvPolicy::kWinograd2;
+  plan_accuracy(runner, plan, point);
   EXPECT_EQ(golden_builds_total() - before,
             static_cast<std::int64_t>(f.data.images.size()));
 }

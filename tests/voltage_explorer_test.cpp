@@ -50,10 +50,13 @@ TEST(AccuracyVsVoltage, DegradesAsVoltageDrops) {
   const VoltageModel model = test_voltage_model();
   const auto grid = voltage_grid(0.86, 0.74, 7);
   const ConvPolicy direct[] = {ConvPolicy::kDirect};
+  CampaignPoint base;
+  base.seed = 31;
   const auto curve =
-      accuracy_vs_voltage_multi(CampaignRunner(f.net, f.data), model, direct,
-                                grid, 31)
-          .curves.front();
+      measure_voltage_curves(CampaignRunner(f.net, f.data), model, base,
+                             direct, grid)
+          .curves.front()
+          .points;
   ASSERT_EQ(curve.size(), grid.size());
   EXPECT_GT(curve.front().accuracy, 0.9);       // safe at high voltage
   EXPECT_LT(curve.back().accuracy,
@@ -65,12 +68,16 @@ TEST(Explorer, LargerBudgetNeverCostsMoreEnergy) {
   const Fixture f = make_fixture();
   EnergyModel model;
   model.voltage = test_voltage_model();
-  ExplorerOptions options;
-  options.loss_budgets = {0.01, 0.05, 0.20};
-  options.voltage_grid = voltage_grid(0.88, 0.72, 9);
-  options.seed = 37;
+  const double budgets[] = {0.01, 0.05, 0.20};
+  const ConvPolicy direct[] = {ConvPolicy::kDirect};
+  CampaignPoint base;
+  base.seed = 37;
+  const VoltageCurve curve =
+      measure_voltage_curves(CampaignRunner(f.net, f.data), model.voltage,
+                             base, direct, voltage_grid(0.88, 0.72, 9))
+          .curves.front();
   const auto points =
-      explore_voltage_scaling(CampaignRunner(f.net, f.data), model, options);
+      pick_voltages(f.net, model, budgets, ConvPolicy::kDirect, curve);
   ASSERT_EQ(points.size(), 3u);
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_LE(points[i].energy_norm, points[i - 1].energy_norm + 1e-9);
@@ -86,24 +93,24 @@ TEST(Explorer, WinogradExecutionSavesEnergy) {
   model.voltage = test_voltage_model();
   // Array sized for this fixture's 10-channel layers.
   model.accel.rows = model.accel.cols = 8;
-  ExplorerOptions st;
-  st.loss_budgets = {0.05};
-  st.voltage_grid = voltage_grid(0.88, 0.72, 9);
-  st.seed = 41;
-
-  ExplorerOptions wo_aft = st;  // Winograd runtime, direct decision curve
-  wo_aft.exec_policy = ConvPolicy::kWinograd2;
-  wo_aft.curve_policy = ConvPolicy::kDirect;
-
-  ExplorerOptions w_aft = wo_aft;  // Winograd-aware decisions
-  w_aft.curve_policy = ConvPolicy::kWinograd2;
-
-  const CampaignRunner runner(f.net, f.data);
-  const double e_st = explore_voltage_scaling(runner, model, st)[0].energy_norm;
-  const double e_wo =
-      explore_voltage_scaling(runner, model, wo_aft)[0].energy_norm;
-  const double e_w =
-      explore_voltage_scaling(runner, model, w_aft)[0].energy_norm;
+  // Each curve measured once: ST-Conv and WG-Conv-W/O-AFT (Winograd
+  // runtime) decide on the direct curve, W/AFT on Winograd's own.
+  const double budget[] = {0.05};
+  const ConvPolicy policies[] = {ConvPolicy::kDirect, ConvPolicy::kWinograd2};
+  CampaignPoint base;
+  base.seed = 41;
+  const VoltageSweepResult curves =
+      measure_voltage_curves(CampaignRunner(f.net, f.data), model.voltage,
+                             base, policies, voltage_grid(0.88, 0.72, 9));
+  const double e_st = pick_voltages(f.net, model, budget, ConvPolicy::kDirect,
+                                    curves.curves[0])[0]
+                          .energy_norm;
+  const double e_wo = pick_voltages(f.net, model, budget,
+                                    ConvPolicy::kWinograd2, curves.curves[0])[0]
+                          .energy_norm;
+  const double e_w = pick_voltages(f.net, model, budget,
+                                   ConvPolicy::kWinograd2, curves.curves[1])[0]
+                         .energy_norm;
   EXPECT_LT(e_wo, e_st);           // Winograd runtime alone saves energy
   EXPECT_LE(e_w, e_wo + 1e-9);     // awareness can only scale deeper
 }
