@@ -113,6 +113,7 @@ double run_per_call(const Network& net, const Dataset& data,
 
 int main(int argc, char** argv) {
   const CliOptions cli = parse_cli(argc, argv);
+  require_builtin_fault_model(cli, argv[0]);
   note_store_unused(cli,
                     "throughput A/B must execute every mode from scratch");
   reject_dist_cli(cli, argv[0],

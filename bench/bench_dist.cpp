@@ -70,6 +70,7 @@ bool same_results(const CampaignResult& a, const CampaignResult& b) {
 
 int main(int argc, char** argv) {
   CliOptions cli = parse_cli(argc, argv);
+  require_builtin_fault_model(cli, argv[0]);
   const BenchEnv env = bench_env(argv[0]);
   const int trials = int_knob(argv[0], "WINOFAULT_TRIALS", 10, 1);
   ModelUnderTest m = make_model("vgg19", DType::kInt16, env);

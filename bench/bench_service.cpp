@@ -107,6 +107,7 @@ bool same_results(const CampaignResult& a, const CampaignResult& b) {
 
 int main(int argc, char** argv) {
   CliOptions cli = parse_cli(argc, argv);
+  require_builtin_fault_model(cli, argv[0]);
   reject_dist_cli(cli, "bench_service",
                   "the service benchmark hosts its own daemon");
   note_store_unused(cli, "bench_service manages its own scratch store");

@@ -62,6 +62,7 @@ std::vector<CampaignPoint> grid_points(const std::vector<double>& bers,
 
 int main(int argc, char** argv) {
   const CliOptions cli = parse_cli(argc, argv);
+  require_builtin_fault_model(cli, argv[0]);
   note_store_unused(cli, "bench_store times its own scratch store");
   reject_dist_cli(cli, argv[0], "bench_store times its own scratch store");
   const BenchEnv env = bench_env(argv[0]);

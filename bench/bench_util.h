@@ -328,8 +328,10 @@ inline std::vector<FaultModelSpec> resolve_fault_models(
   return models;
 }
 
-// For drivers with no fault-model axis (Figs. 5-7 and the ablations):
-// their points always run the builtin flip@op, so any other resolved model
+// For programs with no fault-model axis (Figs. 5-7, the ablations, and
+// bench_campaign, bench_store, bench_dist and bench_service): their points
+// always run the builtin flip@op (bench_campaign's registry regimes name
+// their models in code), so any other resolved model
 // (--fault-model or WINOFAULT_FAULT_MODEL) would either be ignored or
 // change the numbers under the builtin's CSV name. Exits 2 with the usage
 // text before anything forks or builds a model.

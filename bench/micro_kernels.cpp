@@ -8,11 +8,12 @@
 // cached incremental replay trial next to a scratch forward.
 //
 // On top of the google-benchmark table, main() hand-times the SIMD
-// dispatch levels (scalar vs AVX2 vs AVX-512 GEMM) and each engine's fault
-// replay per site, and writes the numbers to BENCH_kernels.json for the CI
-// perf trajectory. Each timed row doubles as a bit-identity oracle — the
-// process exits non-zero if any ISA level or replay diverges from the
-// instrumented reference.
+// dispatch levels (scalar vs AVX2 vs AVX-512 GEMM, delta kernel and span
+// requantize) and each engine's fault replay per site, and writes the
+// numbers to BENCH_kernels.json for the CI perf trajectory. Each timed row
+// doubles as a bit-identity oracle — the process exits non-zero if any ISA
+// level or replay diverges from the instrumented reference or the scalar
+// level.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -226,8 +227,8 @@ double time_per_call(Fn&& fn, double min_s = 0.2) {
   }
 }
 
-// Per-ISA GEMM GMAC/s, with every compared output checked bit-identical
-// to the reference. Returns false
+// Per-ISA GEMM and delta GMAC/s and requantize ns per element, with every
+// compared output checked bit-identical to the reference. Returns false
 // (and the process exits 1) on any divergence — the perf file must never
 // report throughput of a kernel that computes different bits.
 bool write_bench_kernels_json() {
@@ -319,6 +320,108 @@ bool write_bench_kernels_json() {
                           }) *
                           1e6 / kReplaySites));
   }
+
+  // The delta kernel on VGG19's block-4 geometry (128 -> 128 channels, 4x4,
+  // 3x3): every input element changed by 1..3, as a dense narrow delta
+  // between ReLU outputs, through direct_delta_acc at each level, checked
+  // bit for bit against the scalar level. MACs are the terms the reached
+  // positions gather times out_c.
+  {
+    ConvDesc desc;
+    desc.in_c = desc.out_c = 128;
+    desc.in_h = desc.in_w = 4;
+    desc.kh = desc.kw = 3;
+    desc.pad = 1;
+    Rng rng(0xde17a);
+    TensorI32 weights(desc.weight_shape());
+    for (auto& v : weights.flat())
+      v = static_cast<std::int32_t>(rng.next_below(65536)) - 32768;
+    TensorI32 golden(desc.in_shape());
+    for (auto& v : golden.flat())
+      v = static_cast<std::int32_t>(rng.next_below(32765));
+    TensorI32 input = golden;
+    for (auto& v : input.flat())
+      v += 1 + static_cast<std::int32_t>(rng.next_below(3));
+    const std::vector<std::int16_t> wt = transpose_weights_i16(desc, weights);
+    std::int64_t taps = 0;
+    for (std::int64_t oy = 0; oy < desc.out_h(); ++oy) {
+      for (std::int64_t ox = 0; ox < desc.out_w(); ++ox) {
+        for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
+          for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
+            const std::int64_t iy = oy - desc.pad + ky;
+            const std::int64_t ix = ox - desc.pad + kx;
+            taps += iy >= 0 && iy < desc.in_h && ix >= 0 && ix < desc.in_w;
+          }
+        }
+      }
+    }
+    const double delta_gmacs =
+        static_cast<double>(taps * desc.in_c * desc.out_c) / 1e9;
+    set_gemm_isa(GemmIsa::kScalar);
+    const ConvDelta reference = direct_delta_acc(desc, input, golden, wt);
+    for (const GemmIsa isa : isas) {
+      const std::string key = std::string("delta_gmacs_") + gemm_isa_name(isa);
+      if (isa > best) {
+        json.set(key, Json::number(0.0));
+        continue;
+      }
+      set_gemm_isa(isa);
+      const ConvDelta delta = direct_delta_acc(desc, input, golden, wt);
+      if (delta.positions != reference.positions ||
+          delta.acc != reference.acc) {
+        std::fprintf(stderr,
+                     "FAIL: %s delta kernel diverges from the scalar level\n",
+                     gemm_isa_name(isa));
+        ok = false;
+      }
+      json.set(key, Json::number(delta_gmacs / time_per_call([&] {
+                                   benchmark::DoNotOptimize(
+                                       direct_delta_acc(desc, input, golden,
+                                                        wt));
+                                 })));
+    }
+  }
+
+  // The span requantize on 4096 accumulators that mostly land inside the
+  // int16 range, checked bit for bit against the scalar level.
+  {
+    constexpr std::int64_t kSpan = 4096;
+    Rng rng(0x5ca1e);
+    std::vector<std::int64_t> accs(kSpan);
+    for (auto& a : accs)
+      a = static_cast<std::int64_t>(rng.next_below(1u << 25)) - (1 << 24);
+    const QuantParams quant{0.25, DType::kInt16};
+    const double acc_scale = 1.0 / 4096;
+    std::vector<std::int32_t> reference(kSpan), out(kSpan);
+    set_gemm_isa(GemmIsa::kScalar);
+    requantize_span(accs.data(), kSpan, acc_scale, quant, reference.data());
+    for (const GemmIsa isa : isas) {
+      const std::string key =
+          std::string("requantize_ns_per_elem_") + gemm_isa_name(isa);
+      if (isa > best) {
+        json.set(key, Json::number(0.0));
+        continue;
+      }
+      set_gemm_isa(isa);
+      requantize_span(accs.data(), kSpan, acc_scale, quant, out.data());
+      if (out != reference) {
+        std::fprintf(stderr,
+                     "FAIL: %s requantize_span diverges from the scalar "
+                     "level\n",
+                     gemm_isa_name(isa));
+        ok = false;
+      }
+      json.set(key, Json::number(time_per_call([&] {
+                                   requantize_span(accs.data(), kSpan,
+                                                   acc_scale, quant,
+                                                   out.data());
+                                   benchmark::DoNotOptimize(out.data());
+                                   benchmark::ClobberMemory();
+                                 }) *
+                                 1e9 / kSpan));
+    }
+  }
+  set_gemm_isa(best);
 
   json.set("bit_identity_ok", Json::integer(ok ? 1 : 0));
   bench::write_bench_json("BENCH_kernels.json", json);

@@ -139,11 +139,10 @@ TensorI32 direct_forward_gemm(const ConvDesc& desc, const ConvData& data) {
   gemm_acc(desc, data,
            [&](std::int64_t oc, std::int64_t e0,
                std::span<const std::int64_t> accs) {
-             std::int32_t* dst = o + oc * e_count + e0;
-             for (std::size_t e = 0; e < accs.size(); ++e) {
-               dst[e] = requantize_value(accs[e], data.acc_scale,
-                                         data.out_quant);
-             }
+             requantize_span(accs.data(),
+                             static_cast<std::int64_t>(accs.size()),
+                             data.acc_scale, data.out_quant,
+                             o + oc * e_count + e0);
            });
   return out;
 }

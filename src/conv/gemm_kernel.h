@@ -1,8 +1,9 @@
 // Explicit SIMD microkernels behind the direct engine's blocked int64 GEMM
-// (gemm_acc in direct_conv.cpp) and its delta replay (direct_delta_acc).
-// One variant of each kernel per ISA level — scalar, AVX2, AVX-512 —
-// selected once at startup from CPU capability, overridable via
-// WINOFAULT_ISA for CI and via set_gemm_isa() for tests.
+// (gemm_acc in direct_conv.cpp), its delta replay (direct_delta_acc) and
+// the requantization of their accumulators. One variant of each kernel per
+// ISA level — scalar, AVX2, AVX-512 — selected once at startup from CPU
+// capability, overridable via WINOFAULT_ISA for CI and via set_gemm_isa()
+// for tests.
 //
 // Bit-identity contract: every variant computes, for each (row j, column
 // e), the exact int64 sum  acc[j][e] += sum_r w[j][r] * col[r][e].
@@ -17,13 +18,16 @@
 #include <cstdint>
 #include <string>
 
+#include "tensor/quantize.h"
+
 namespace winofault {
 
 enum class GemmIsa { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 const char* gemm_isa_name(GemmIsa isa);
 
-// Highest ISA level this CPU can execute.
+// Highest ISA level this CPU can execute. The avx512 level needs AVX-512
+// F, BW and DQ; a CPU with F alone runs avx2.
 GemmIsa best_supported_gemm_isa();
 
 // The dispatch level in effect: resolved once on first use to the best
@@ -61,7 +65,8 @@ void gemm_microkernel_dot(std::int64_t* acc, std::int64_t acc_stride,
 
 // One changed input element of a delta product: row `row` of the
 // transposed weight matrix (a window position r = (ic*kh + ky)*kw + kx) and
-// the input's change there, x' - x (|delta| <= 65535 for int16 operands).
+// the input's change there, x' - x (nonzero; |delta| <= 65535 for int16
+// operands, and <= 32767 when both are ReLU or pool outputs in [0, 32767]).
 struct DeltaTerm {
   std::int32_t row = 0;
   std::int32_t delta = 0;
@@ -71,12 +76,23 @@ struct DeltaTerm {
 // direct_conv.h): sets
 //   acc[oc] = sum_{i<n} terms[i].delta * wt[terms[i].row * out_c + oc]
 // for oc in [0, out_c), exactly in int64, where `wt` is an int16 weight
-// matrix transposed to [window][out_c]. The accumulators of an output-channel
-// block stay in registers across all n terms. Every term is an exact int64
-// product (|delta| <= 65535, |w| <= 32768), so every ISA level gives the
-// same bits.
+// matrix transposed to [window][out_c]. Every ISA level gives the same
+// bits. The vector levels multiply int16 pairs of terms into int32 lanes
+// and widen them to int64 at the end of each run of pairs whose sum of
+// |delta| stays <= 65535, which keeps every lane exact (|w| <= 32768); a
+// call that holds a term with |delta| > 32767, which does not fit int16,
+// runs the scalar kernel.
 void delta_microkernel(std::int64_t* acc, std::int64_t out_c,
                        const DeltaTerm* terms, std::int64_t n,
                        const std::int16_t* wt);
+
+// Requantizes n accumulators: out[i] = requantize_value(acc[i], acc_scale,
+// out_quant), bit for bit at every ISA level. The AVX-512 kernel converts
+// eight accumulators at a time with the same correctly rounded int64 to
+// double conversion, multiply and divide as the scalar code, rounds half
+// away from zero exactly and clamps; the AVX2 level runs the scalar kernel.
+void requantize_span(const std::int64_t* acc, std::int64_t n,
+                     double acc_scale, const QuantParams& out_quant,
+                     std::int32_t* out);
 
 }  // namespace winofault

@@ -7,6 +7,7 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "conv/direct_conv.h"
+#include "conv/gemm_kernel.h"
 #include "conv/winograd_conv.h"
 #include "nn/fault_session.h"
 #include "nn/golden_cache.h"
@@ -169,25 +170,33 @@ TensorI32 ConvLayer::delta_replay(
   });
   const std::int64_t ohw = desc_.out_h() * desc_.out_w();
   const std::int64_t out_c = desc_.out_c;
-  const auto requantize = [&](std::int64_t acc) {
-    return requantize_value(acc, data.acc_scale, data.out_quant);
-  };
   TensorI32 out = golden.output;
 
-  // W·Δx: only the outputs whose accumulator moved are requantized.
+  // W·Δx: every output at a position the input change reaches becomes
+  // requantize(acc_g + W·Δx), all of them in one span. A channel whose
+  // delta is 0 requantizes to its golden output, since golden.output ==
+  // requantize(acc_g). delta.acc then holds the moved accumulators.
   ConvDelta delta;
   if (golden.input_dirty) {
     delta = direct_delta_acc(desc_, *data.input, golden.input.tensor,
                              transposed_weights());
-    for (std::size_t s = 0; s < delta.positions.size(); ++s) {
-      const std::int64_t e = delta.positions[s];
-      const std::int64_t* moved =
-          delta.acc.data() + s * static_cast<std::size_t>(out_c);
+    const std::size_t positions = delta.positions.size();
+    const std::size_t row = static_cast<std::size_t>(out_c);
+    for (std::size_t s = 0; s < positions; ++s) {
+      std::int64_t* moved = delta.acc.data() + s * row;
       for (std::int64_t oc = 0; oc < out_c; ++oc) {
-        if (moved[oc] == 0) continue;
-        out[oc * ohw + e] = requantize(acc_g[static_cast<std::size_t>(
-                                           oc * ohw + e)] +
-                                       moved[oc]);
+        moved[oc] += acc_g[static_cast<std::size_t>(
+            oc * ohw + delta.positions[s])];
+      }
+    }
+    std::vector<std::int32_t> requantized(delta.acc.size());
+    requantize_span(delta.acc.data(),
+                    static_cast<std::int64_t>(delta.acc.size()),
+                    data.acc_scale, data.out_quant, requantized.data());
+    for (std::size_t s = 0; s < positions; ++s) {
+      const std::int32_t* q = requantized.data() + s * row;
+      for (std::int64_t oc = 0; oc < out_c; ++oc) {
+        out[oc * ohw + delta.positions[s]] = q[oc];
       }
     }
   }
@@ -225,9 +234,8 @@ TensorI32 ConvLayer::delta_replay(
     for (std::int64_t e = 0; e < ohw; ++e) {
       const std::int64_t s = slot[static_cast<std::size_t>(e)];
       acc[static_cast<std::size_t>(e)] =
-          acc_g[static_cast<std::size_t>(oc * ohw + e)] +
-          (s < 0 ? 0
-                 : delta.acc[static_cast<std::size_t>(s * out_c + oc)]);
+          s < 0 ? acc_g[static_cast<std::size_t>(oc * ohw + e)]
+                : delta.acc[static_cast<std::size_t>(s * out_c + oc)];
     }
     for (; i < cells.size() && cells[i] / window == oc; ++i) {
       const std::int64_t dw =
@@ -248,9 +256,8 @@ TensorI32 ConvLayer::delta_replay(
         }
       }
     }
-    for (std::int64_t e = 0; e < ohw; ++e) {
-      out[oc * ohw + e] = requantize(acc[static_cast<std::size_t>(e)]);
-    }
+    requantize_span(acc.data(), ohw, data.acc_scale, data.out_quant,
+                    out.data() + oc * ohw);
   }
   return out;
 }

@@ -67,13 +67,15 @@ class ConvLayer final : public Layer {
 
   const ConvDesc& desc() const { return desc_; }
 
-  void hash_params(Fnv64& h) const override;
-
- private:
-  // Assembles the engine-facing view for a given input activation.
+  // The engine-facing view of this layer over input activation `in`: its
+  // weights, the accumulator scale and the bias in accumulator units
+  // (written to `bias_acc`, which must outlive the view).
   ConvData make_data(const NodeOutput& in, const QuantParams& out_quant,
                      std::vector<std::int64_t>& bias_acc) const;
 
+  void hash_params(Fnv64& h) const override;
+
+ private:
   // The direct GEMM over a copy of weights_q_ with `faults` applied under
   // `kind` (the weights themselves when `faults` is empty): golden builds,
   // scratch forwards and permanent weight defects. Fault-free outputs are

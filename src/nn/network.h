@@ -140,6 +140,10 @@ class Network {
   std::uint64_t fingerprint() const;
   Shape input_shape() const { return input_shape_; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  // The graph nodes a node reads, in input order.
+  std::span<const int> node_inputs(int node) const {
+    return nodes_[static_cast<std::size_t>(node)].inputs;
+  }
   // Protectable (conv/linear) layers in execution order: the index space of
   // FaultConfig::fault_free_layer and FaultConfig::protection.
   int num_protectable() const { return static_cast<int>(protectable_.size()); }

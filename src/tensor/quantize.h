@@ -32,8 +32,9 @@ TensorF dequantize(const TensorI32& stored, const QuantParams& params);
 // real-value scale of the accumulator (product of input scales for a conv).
 // Implemented as double multiply + round + clamp; deterministic across
 // engines, which is what makes direct and Winograd outputs bit-identical.
-// Defined inline: it sits on the requantization edge of every GEMM sink,
-// called once per output element.
+// Defined inline for per-element callers (fault sites, the instrumented
+// reference); contiguous spans of accumulators go through the dispatched
+// requantize_span (conv/gemm_kernel.h), which returns these exact bits.
 inline std::int32_t requantize_value(std::int64_t acc, double acc_scale,
                                      const QuantParams& out_params) {
   const double real = static_cast<double>(acc) * acc_scale;

@@ -7,7 +7,9 @@
 //       and protected (TMR / fault-free-layer / op-kind) sessions, on both
 //       hand-built and zoo models, under direct and Winograd policies —
 //       and so does every conv node it replays by delta, also when several
-//       threads replay one fresh golden at once.
+//       threads replay one fresh golden at once; every golden conv output
+//       is the requantization of its accumulators, which delta replay
+//       rests on.
 #include <gtest/gtest.h>
 
 #include <latch>
@@ -19,6 +21,7 @@
 #include "conv/direct_conv.h"
 #include "conv/engine.h"
 #include "conv/fault_hook.h"
+#include "conv/gemm_kernel.h"
 #include "conv/instrumented_ref.h"
 #include "core/campaign/campaign.h"
 #include "nn/models/zoo.h"
@@ -362,6 +365,45 @@ TEST(CachedReplay, EveryReplayedConvMatchesItsDenseRecompute) {
       }
       // Not vacuous: some nodes took the delta path.
       EXPECT_GT(delta_nodes, 0) << what;
+    }
+  }
+}
+
+// Delta replay requantizes every channel at a position its input change
+// reaches, also a channel whose accumulator did not move, so it rests on
+// golden.output == requantize(acc_g): at every conv and linear node of
+// every zoo model, at int8 and int16, the golden's accumulators (as delta
+// replay fills them) must requantize through requantize_span to exactly
+// the golden output.
+TEST(CachedReplay, GoldenOutputIsItsRequantizedAccumulators) {
+  ZooConfig config;
+  config.width = 0.125;
+  config.calib_images = 2;
+  for (const DType dtype : {DType::kInt8, DType::kInt16}) {
+    config.dtype = dtype;
+    for (const ZooEntry& entry : model_zoo()) {
+      const Network net = entry.build(config);
+      const TensorF image = make_images(net.input_shape(), 1, 3)[0];
+      const GoldenCache golden = net.make_golden(image, ConvPolicy::kDirect);
+      for (int p = 0; p < net.num_protectable(); ++p) {
+        const ConvLayer& layer = net.protectable_layer(p);
+        const int node = net.protectable_node(p);
+        const NodeOutput& out = golden.node_output(node);
+        std::vector<std::int64_t> bias_acc;
+        const ConvData data = layer.make_data(
+            golden.node_output(net.node_inputs(node)[0]), out.quant,
+            bias_acc);
+        const std::vector<std::int64_t> acc =
+            direct_forward_acc(layer.desc(), data);
+        TensorI32 requantized(out.tensor.shape());
+        ASSERT_EQ(static_cast<std::int64_t>(acc.size()),
+                  requantized.numel());
+        requantize_span(acc.data(), requantized.numel(), data.acc_scale,
+                        data.out_quant, requantized.data());
+        const std::string what = entry.name + " " + dtype_name(dtype) +
+                                 " protectable " + std::to_string(p);
+        expect_tensors_equal(out.tensor, requantized, what.c_str());
+      }
     }
   }
 }

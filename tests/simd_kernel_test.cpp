@@ -1,14 +1,18 @@
 // Exactness matrix for the explicit SIMD microkernels: every dispatch
 // level (scalar / AVX2 / AVX-512, forced via set_gemm_isa) must be
 // bit-identical to the instrumented reference on shapes covering the tile
-// kernel, its e-tails, and the small-extent dot kernel, and the delta
-// kernel to a scalar reference on adversarial operands. Plus the
+// kernel, its e-tails, and the small-extent dot kernel, the delta kernel
+// to a scalar reference on adversarial operands and at its run
+// boundaries, and the span requantize to requantize_value. Plus the
 // work-stealing determinism contract of parallel_for: each index runs
 // exactly once and results never depend on the thread count or steal
 // interleaving.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -169,6 +173,54 @@ struct DeltaShape {
   std::int64_t in_c, hw, out_c, k, stride, pad;
 };
 
+// delta_microkernel on hand-made terms against the plain int64 sum.
+void expect_kernel_matches_sum(const std::vector<DeltaTerm>& terms,
+                               const std::vector<std::int16_t>& wt,
+                               std::int64_t out_c, const std::string& what) {
+  std::vector<std::int64_t> acc(static_cast<std::size_t>(out_c), -1);
+  delta_microkernel(acc.data(), out_c, terms.data(),
+                    static_cast<std::int64_t>(terms.size()), wt.data());
+  for (std::int64_t oc = 0; oc < out_c; ++oc) {
+    std::int64_t sum = 0;
+    for (const DeltaTerm& t : terms) {
+      sum += std::int64_t{t.delta} *
+             wt[static_cast<std::size_t>(t.row * out_c + oc)];
+    }
+    ASSERT_EQ(acc[static_cast<std::size_t>(oc)], sum)
+        << what << ": oc " << oc;
+  }
+}
+
+// A random conv problem whose golden inputs lie in [0, 32767], as ReLU and
+// pool outputs do, and whose changes are at most `max_delta` <= 32767, so
+// every delta fits int16 and the pair kernels run. `change` is the chance
+// that an input element differs from golden.
+struct NarrowDelta {
+  ConvDesc desc;
+  TensorI32 weights, golden, input;
+};
+
+NarrowDelta narrow_delta(Rng& rng, const ConvDesc& desc, double change,
+                         std::int32_t max_delta) {
+  NarrowDelta p{desc, TensorI32(desc.weight_shape()),
+                TensorI32(desc.in_shape()), TensorI32()};
+  for (std::int32_t& w : p.weights.flat()) {
+    w = static_cast<std::int32_t>(rng.next_below(65536)) - 32768;
+  }
+  for (std::int32_t& v : p.golden.flat()) {
+    v = static_cast<std::int32_t>(rng.next_below(32768));
+  }
+  p.input = p.golden;
+  for (std::int32_t& v : p.input.flat()) {
+    if (!rng.bernoulli(change)) continue;
+    const std::int32_t d =
+        1 + static_cast<std::int32_t>(rng.next_below(
+                static_cast<std::uint64_t>(max_delta)));
+    v = v + d <= 32767 ? v + d : v - d;
+  }
+  return p;
+}
+
 // Every ISA level on adversarial operands: |delta| = 65535 (x' = -32768
 // against a golden 32767 and back) against weights of -32768 and 32767,
 // out_c off the vector widths, changed elements on padded edges, stride 2,
@@ -243,6 +295,192 @@ TEST(SimdKernel, DeltaKernelMatchesReferenceAtEveryIsa) {
       }
       expect_delta_matches_reference(desc, weights, sparse, golden,
                                      what + " (sparse)");
+    }
+
+    // Narrow deltas run the pair kernels: every channel count around the
+    // group widths (16 per ymm, 32 per zmm, 128 per AVX-512 pass, 64 per
+    // AVX2 pass), dense and sparse, with odd term counts (in_c 5), and long
+    // runs of small deltas.
+    const std::string level = std::string("isa=") + gemm_isa_name(isa);
+    for (const std::int64_t out_c :
+         {1, 15, 16, 17, 31, 32, 33, 48, 100, 128, 129}) {
+      ConvDesc desc;
+      desc.in_c = 5;
+      desc.in_h = desc.in_w = 5;
+      desc.out_c = out_c;
+      desc.kh = desc.kw = 3;
+      desc.pad = 1;
+      Rng rng(0xDE17B000u + static_cast<std::uint64_t>(out_c));
+      for (const double change : {1.0, 0.1}) {
+        const NarrowDelta p = narrow_delta(rng, desc, change, 32767);
+        expect_delta_matches_reference(
+            desc, p.weights, p.input, p.golden,
+            level + " narrow out_c=" + std::to_string(out_c) +
+                " change=" + std::to_string(change));
+      }
+    }
+    {
+      ConvDesc desc;
+      desc.in_c = 256;
+      desc.in_h = desc.in_w = 4;
+      desc.out_c = 33;
+      desc.kh = desc.kw = 3;
+      desc.pad = 1;
+      Rng rng(0xDE17C000u);
+      const NarrowDelta p = narrow_delta(rng, desc, 0.9, 3);
+      expect_delta_matches_reference(desc, p.weights, p.input, p.golden,
+                                     level + " long runs of small deltas");
+    }
+    // One wide delta (32767 -> -32768, so -65535) among narrow ones: the
+    // positions it reaches take the scalar route, the others the pair
+    // kernels.
+    {
+      ConvDesc desc;
+      desc.in_c = 6;
+      desc.in_h = desc.in_w = 5;
+      desc.out_c = 48;
+      desc.kh = desc.kw = 3;
+      desc.pad = 1;
+      Rng rng(0xDE17D000u);
+      NarrowDelta p = narrow_delta(rng, desc, 0.5, 100);
+      p.golden.at(0, 3, 2, 2) = 32767;
+      p.input.at(0, 3, 2, 2) = -32768;
+      expect_delta_matches_reference(desc, p.weights, p.input, p.golden,
+                                     level + " one wide delta");
+    }
+
+    // The kernel itself at its run boundaries, for every channel count. A
+    // weight of -32768 + oc % 7 and negative deltas give products of one
+    // sign, so a run whose sum of |delta| passed 65535 would wrap int32 in
+    // the channels where oc % 7 == 0.
+    for (const std::int64_t out_c :
+         {1, 15, 16, 17, 31, 32, 33, 48, 100, 128, 129}) {
+      constexpr std::int64_t kRows = 40;
+      std::vector<std::int16_t> extreme(
+          static_cast<std::size_t>(kRows * out_c));
+      std::vector<std::int16_t> random(extreme.size());
+      Rng rng(0xDE17E000u + static_cast<std::uint64_t>(out_c));
+      for (std::int64_t r = 0; r < kRows; ++r) {
+        for (std::int64_t oc = 0; oc < out_c; ++oc) {
+          const std::size_t i = static_cast<std::size_t>(r * out_c + oc);
+          extreme[i] = static_cast<std::int16_t>(-32768 + oc % 7);
+          random[i] = static_cast<std::int16_t>(
+              static_cast<std::int32_t>(rng.next_below(65536)) - 32768);
+        }
+      }
+      const auto terms_of = [](std::initializer_list<std::int32_t> deltas) {
+        std::vector<DeltaTerm> terms;
+        for (const std::int32_t d : deltas) {
+          terms.push_back(DeltaTerm{
+              static_cast<std::int32_t>(terms.size() % kRows), d});
+        }
+        return terms;
+      };
+      const std::string what = level + " out_c=" + std::to_string(out_c);
+      // Every |delta| 32767: each run holds exactly one pair.
+      expect_kernel_matches_sum(
+          terms_of({-32767, -32767, -32767, -32767, -32767, -32767, -32767}),
+          extreme, out_c, what + " one pair per run");
+      // Running sums of |delta| that land exactly on 65535 (one run), and
+      // on 65536 (the second pair opens a new run).
+      expect_kernel_matches_sum(terms_of({-32767, -32766, -1, -1, -5, -3}),
+                                extreme, out_c, what + " sum 65535");
+      expect_kernel_matches_sum(terms_of({-32767, -32767, -1, -1}), extreme,
+                                out_c, what + " sum 65536");
+      // ±32767 against weights of both extremes, mixed signs.
+      std::vector<std::int16_t> mixed = extreme;
+      for (std::size_t i = 0; i < mixed.size(); i += 2) mixed[i] = 32767;
+      expect_kernel_matches_sum(
+          terms_of({32767, -32767, 32767, 32767, -32767, -32767}), mixed,
+          out_c, what + " mixed extremes");
+      // Odd term counts, and one term that does not fit int16 (the scalar
+      // route), at the edges -32768 and ±65535.
+      for (const std::int64_t n : {1, 3, 7, 33}) {
+        std::vector<DeltaTerm> terms;
+        for (std::int64_t i = 0; i < n; ++i) {
+          terms.push_back(DeltaTerm{
+              static_cast<std::int32_t>(rng.next_below(kRows)),
+              static_cast<std::int32_t>(rng.next_below(65535)) - 32767});
+        }
+        expect_kernel_matches_sum(terms, random, out_c,
+                                  what + " n=" + std::to_string(n));
+        for (const std::int32_t wide : {-32768, 65535, -65535}) {
+          std::vector<DeltaTerm> with_wide = terms;
+          with_wide[static_cast<std::size_t>(n / 2)].delta = wide;
+          expect_kernel_matches_sum(with_wide, random, out_c,
+                                    what + " wide " + std::to_string(wide));
+        }
+      }
+    }
+  }
+}
+
+// ---- Span requantize -------------------------------------------------------
+
+// requantize_span at every level against requantize_value, element by
+// element: accumulators over the whole int64 range and at its ends, near
+// ±2^53, exact .5 ties, the largest double below 0.5 (which adding 0.5
+// before truncating rounds up), both dtype clamps, a scale ratio far above
+// 1 that takes |x| past 2^63 (where x86 llround returns INT64_MIN), and
+// every span length from 0 to 17.
+TEST(SimdKernel, RequantizeSpanMatchesScalarAtEveryIsa) {
+  IsaGuard guard;
+  Rng rng(0x5EC0A47u);
+  std::vector<std::int64_t> accs = {std::numeric_limits<std::int64_t>::min(),
+                                    std::numeric_limits<std::int64_t>::max(),
+                                    0, 1, -1};
+  for (int i = 0; i < 200; ++i) {
+    accs.push_back(static_cast<std::int64_t>(rng.next()));
+  }
+  for (std::int64_t k = -4; k <= 4; ++k) {
+    accs.push_back((std::int64_t{1} << 53) + k);
+    accs.push_back(-(std::int64_t{1} << 53) + k);
+  }
+  for (std::int64_t v = -300; v <= 300; ++v) accs.push_back(v);
+  for (int i = 0; i < 200; ++i) {
+    accs.push_back(static_cast<std::int64_t>(rng.next_below(1u << 24)) -
+                   (1 << 23));
+  }
+  struct Scales {
+    double acc_scale, out_scale;
+  };
+  const Scales scales[] = {
+      {2.0, 0.5},   {0.25, 0.5},        {0.5, 2.0},   {0.5, 1.0},
+      {1.0, 3.0},   {1.0 / 4096, 0.25}, {3e-5, 7e-3}, {1e-3, 1e-3},
+      {1e10, 1e-10}, {1e300, 1e-300}, {std::nextafter(0.5, 0.0), 1.0},
+  };
+  for (const GemmIsa isa : supported_isas()) {
+    ASSERT_EQ(set_gemm_isa(isa), isa);
+    for (const DType dtype : {DType::kInt8, DType::kInt16}) {
+      for (const Scales& sc : scales) {
+        const QuantParams quant{sc.out_scale, dtype};
+        const std::string what =
+            std::string("isa=") + gemm_isa_name(isa) + " " +
+            dtype_name(dtype) + " scales " + std::to_string(sc.acc_scale) +
+            "/" + std::to_string(sc.out_scale);
+        std::vector<std::int32_t> got(accs.size());
+        requantize_span(accs.data(), static_cast<std::int64_t>(accs.size()),
+                        sc.acc_scale, quant, got.data());
+        for (std::size_t i = 0; i < accs.size(); ++i) {
+          ASSERT_EQ(got[i], requantize_value(accs[i], sc.acc_scale, quant))
+              << what << ": acc " << accs[i];
+        }
+        // Every span length up to two vectors and a tail, at an odd
+        // offset; nothing past the span is written.
+        for (std::int64_t n = 0; n <= 17; ++n) {
+          std::vector<std::int32_t> span(static_cast<std::size_t>(n) + 1,
+                                         12345);
+          requantize_span(accs.data() + 3, n, sc.acc_scale, quant,
+                          span.data());
+          for (std::int64_t i = 0; i < n; ++i) {
+            ASSERT_EQ(span[static_cast<std::size_t>(i)],
+                      requantize_value(accs[static_cast<std::size_t>(3 + i)],
+                                       sc.acc_scale, quant))
+                << what << ": span length " << n;
+          }
+          ASSERT_EQ(span.back(), 12345) << what << ": span length " << n;
+        }
+      }
     }
   }
 }
