@@ -16,8 +16,10 @@
 // level.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -206,31 +208,44 @@ BENCHMARK(BM_TrialCachedReplay);
 
 // ---- BENCH_kernels.json: hand-timed perf trajectory ----------------------
 
-// Seconds per call of `fn`, amortized: repeats until >= `min_s` of wall
-// time so fast kernels aren't quantized to the clock resolution.
+// Seconds per call of `fn`: the median of kTimings timings, each of one
+// batch of calls long enough (>= `min_s` of wall time) that fast kernels
+// aren't quantized to the clock resolution. On a shared host a median of
+// repeated timings is steadier than one timing, which swung by up to ~60%
+// between runs.
 template <typename Fn>
-double time_per_call(Fn&& fn, double min_s = 0.2) {
+double time_per_call(Fn&& fn, double min_s = 0.05) {
+  constexpr int kTimings = 5;
   fn();  // warm caches, resolve dispatch
-  std::int64_t reps = 1;
-  for (;;) {
+  const auto batch = [&](std::int64_t reps) {
     const auto t0 = std::chrono::steady_clock::now();
     for (std::int64_t r = 0; r < reps; ++r) fn();
-    const double s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    if (s >= min_s) return s / static_cast<double>(reps);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  std::int64_t reps = 1;
+  for (double s = batch(reps); s < min_s; s = batch(reps)) {
     reps = s > 0 ? std::max<std::int64_t>(
                        reps * 2,
                        static_cast<std::int64_t>(
                            static_cast<double>(reps) * min_s / s * 1.2))
                  : reps * 16;
   }
+  std::vector<double> timings;
+  for (int t = 0; t < kTimings; ++t) {
+    timings.push_back(batch(reps) / static_cast<double>(reps));
+  }
+  std::nth_element(timings.begin(), timings.begin() + kTimings / 2,
+                   timings.end());
+  return timings[kTimings / 2];
 }
 
-// Per-ISA GEMM and delta GMAC/s and requantize ns per element, with every
-// compared output checked bit-identical to the reference. Returns false
-// (and the process exits 1) on any divergence — the perf file must never
-// report throughput of a kernel that computes different bits.
+// Per-ISA GEMM and delta GMAC/s (a dense and a sparse delta) and requantize
+// ns per element, with every compared output checked bit-identical to the
+// reference. Returns false (and the process exits 1) on any divergence —
+// the perf file must never report throughput of a kernel that computes
+// different bits.
 bool write_bench_kernels_json() {
   bool ok = true;
   Json json = Json::object();
@@ -322,10 +337,13 @@ bool write_bench_kernels_json() {
   }
 
   // The delta kernel on VGG19's block-4 geometry (128 -> 128 channels, 4x4,
-  // 3x3): every input element changed by 1..3, as a dense narrow delta
-  // between ReLU outputs, through direct_delta_acc at each level, checked
-  // bit for bit against the scalar level. MACs are the terms the reached
-  // positions gather times out_c.
+  // 3x3), through direct_delta_acc at each level, checked bit for bit
+  // against the scalar level: a dense narrow delta between ReLU outputs
+  // (every input element changed by 1..3; `delta_gmacs_<isa>`), and the
+  // same with 22% of the input elements changed, the share that differs
+  // from golden at a dirty conv on deep_replay, where the scan and the
+  // segment walk show (`delta_gmacs_sparse_<isa>`). MACs are the terms the
+  // reached positions sum times out_c.
   {
     ConvDesc desc;
     desc.in_c = desc.out_c = 128;
@@ -339,46 +357,59 @@ bool write_bench_kernels_json() {
     TensorI32 golden(desc.in_shape());
     for (auto& v : golden.flat())
       v = static_cast<std::int32_t>(rng.next_below(32765));
-    TensorI32 input = golden;
-    for (auto& v : input.flat())
+    TensorI32 dense = golden;
+    for (auto& v : dense.flat())
       v += 1 + static_cast<std::int32_t>(rng.next_below(3));
+    TensorI32 sparse = golden;
+    for (std::int64_t i = 0; i < sparse.numel(); ++i) {
+      if (rng.bernoulli(0.22)) sparse[i] = dense[i];
+    }
     const std::vector<std::int16_t> wt = transpose_weights_i16(desc, weights);
-    std::int64_t taps = 0;
-    for (std::int64_t oy = 0; oy < desc.out_h(); ++oy) {
-      for (std::int64_t ox = 0; ox < desc.out_w(); ++ox) {
-        for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
-          for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
-            const std::int64_t iy = oy - desc.pad + ky;
-            const std::int64_t ix = ox - desc.pad + kx;
-            taps += iy >= 0 && iy < desc.in_h && ix >= 0 && ix < desc.in_w;
+    for (const bool is_sparse : {false, true}) {
+      const TensorI32& input = is_sparse ? sparse : dense;
+      std::int64_t terms = 0;
+      for (std::int64_t oy = 0; oy < desc.out_h(); ++oy) {
+        for (std::int64_t ox = 0; ox < desc.out_w(); ++ox) {
+          for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
+            for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
+              for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
+                const std::int64_t iy = oy - desc.pad + ky;
+                const std::int64_t ix = ox - desc.pad + kx;
+                terms += iy >= 0 && iy < desc.in_h && ix >= 0 &&
+                         ix < desc.in_w &&
+                         input.at(0, ic, iy, ix) != golden.at(0, ic, iy, ix);
+              }
+            }
           }
         }
       }
-    }
-    const double delta_gmacs =
-        static_cast<double>(taps * desc.in_c * desc.out_c) / 1e9;
-    set_gemm_isa(GemmIsa::kScalar);
-    const ConvDelta reference = direct_delta_acc(desc, input, golden, wt);
-    for (const GemmIsa isa : isas) {
-      const std::string key = std::string("delta_gmacs_") + gemm_isa_name(isa);
-      if (isa > best) {
-        json.set(key, Json::number(0.0));
-        continue;
+      const double delta_gmacs =
+          static_cast<double>(terms * desc.out_c) / 1e9;
+      const std::string row = is_sparse ? "delta_gmacs_sparse_" : "delta_gmacs_";
+      set_gemm_isa(GemmIsa::kScalar);
+      const ConvDelta reference = direct_delta_acc(desc, input, golden, wt);
+      for (const GemmIsa isa : isas) {
+        const std::string key = row + gemm_isa_name(isa);
+        if (isa > best) {
+          json.set(key, Json::number(0.0));
+          continue;
+        }
+        set_gemm_isa(isa);
+        const ConvDelta delta = direct_delta_acc(desc, input, golden, wt);
+        if (delta.positions != reference.positions ||
+            delta.acc != reference.acc) {
+          std::fprintf(stderr,
+                       "FAIL: %s delta kernel diverges from the scalar level "
+                       "(%s)\n",
+                       gemm_isa_name(isa), is_sparse ? "sparse" : "dense");
+          ok = false;
+        }
+        json.set(key, Json::number(delta_gmacs / time_per_call([&] {
+                                     benchmark::DoNotOptimize(
+                                         direct_delta_acc(desc, input, golden,
+                                                          wt));
+                                   })));
       }
-      set_gemm_isa(isa);
-      const ConvDelta delta = direct_delta_acc(desc, input, golden, wt);
-      if (delta.positions != reference.positions ||
-          delta.acc != reference.acc) {
-        std::fprintf(stderr,
-                     "FAIL: %s delta kernel diverges from the scalar level\n",
-                     gemm_isa_name(isa));
-        ok = false;
-      }
-      json.set(key, Json::number(delta_gmacs / time_per_call([&] {
-                                   benchmark::DoNotOptimize(
-                                       direct_delta_acc(desc, input, golden,
-                                                        wt));
-                                 })));
     }
   }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -195,67 +197,98 @@ ConvDelta direct_delta_acc(const ConvDesc& desc, const TensorI32& input,
   WF_CHECK(golden_input.shape() == desc.in_shape());
   const std::int64_t hw = desc.in_h * desc.in_w;
   const std::int64_t taps = desc.kh * desc.kw;
+  const std::int64_t elements = desc.in_c * hw;
   WF_CHECK(desc.in_c * taps <= INT32_MAX);
+  WF_CHECK(elements <= INT32_MAX);
   WF_CHECK(static_cast<std::int64_t>(wt.size()) ==
            desc.in_c * taps * desc.out_c);
   const std::int32_t* x = input.data();
   const std::int32_t* g = golden_input.data();
 
   // Changed elements grouped by spatial position p = iy*in_w + ix (CSR,
-  // input channels ascending); a term's row is ic*kh*kw until the gather
-  // adds its tap.
-  std::vector<std::int32_t> start(static_cast<std::size_t>(hw + 1), 0);
-  for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
-    const std::int64_t base = ic * hw;
-    for (std::int64_t p = 0; p < hw; ++p) {
-      start[static_cast<std::size_t>(p + 1)] += x[base + p] != g[base + p];
+  // input channels ascending), in one branchless pass: every element's
+  // term is written at the list's end, and the end moves past it only if
+  // the element changed. No write lands past the element's own index, so
+  // the list holds `elements` terms. A term's row is ic*kh*kw; the segment
+  // that reads it adds the tap.
+  const std::unique_ptr<DeltaTerm[]> changed =
+      std::make_unique_for_overwrite<DeltaTerm[]>(
+          static_cast<std::size_t>(elements));
+  std::vector<std::int32_t> start(static_cast<std::size_t>(hw + 1));
+  std::int32_t end = 0;
+  for (std::int64_t p = 0; p < hw; ++p) {
+    start[static_cast<std::size_t>(p)] = end;
+    std::int32_t row = 0;
+    for (std::int64_t i = p; i < elements; i += hw) {
+      const std::int32_t d = x[i] - g[i];
+      changed[static_cast<std::size_t>(end)] = DeltaTerm{row, d};
+      end += d != 0;
+      row += static_cast<std::int32_t>(taps);
     }
   }
-  for (std::size_t p = 0; p < start.size() - 1; ++p) start[p + 1] += start[p];
+  start[static_cast<std::size_t>(hw)] = end;
   ConvDelta delta;
-  if (start.back() == 0) return delta;
-  std::vector<DeltaTerm> changed(static_cast<std::size_t>(start.back()));
-  std::vector<std::int32_t> next(start.begin(), start.end() - 1);
-  for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
-    const std::int64_t base = ic * hw;
-    for (std::int64_t p = 0; p < hw; ++p) {
-      if (x[base + p] == g[base + p]) continue;
-      changed[static_cast<std::size_t>(next[static_cast<std::size_t>(p)]++)] =
-          DeltaTerm{static_cast<std::int32_t>(ic * taps),
-                    x[base + p] - g[base + p]};
+  if (end == 0) return delta;
+  // One range check for the whole call: every position runs the pair
+  // kernels, or every position the scalar kernel.
+  const bool narrow = deltas_fit_int16(changed.get(), end);
+
+  // The output positions the change reaches, ascending: every input
+  // position holding a changed element marks the outputs whose window
+  // holds it, the rows oy with oy*stride - pad <= iy < oy*stride - pad + kh
+  // and the columns likewise.
+  const std::int64_t oh = desc.out_h(), ow = desc.out_w();
+  const auto outputs_over = [&](std::int64_t i, std::int64_t k,
+                                std::int64_t out) {
+    const std::int64_t first = i + desc.pad - k + 1;
+    return std::pair<std::int64_t, std::int64_t>{
+        first <= 0 ? 0 : (first + desc.stride - 1) / desc.stride,
+        std::min(out, (i + desc.pad) / desc.stride + 1)};
+  };
+  std::vector<std::uint8_t> reached(static_cast<std::size_t>(oh * ow), 0);
+  for (std::int64_t iy = 0; iy < desc.in_h; ++iy) {
+    const auto [oy0, oy1] = outputs_over(iy, desc.kh, oh);
+    for (std::int64_t ix = 0; ix < desc.in_w; ++ix) {
+      const std::size_t p = static_cast<std::size_t>(iy * desc.in_w + ix);
+      if (start[p + 1] == start[p]) continue;
+      const auto [ox0, ox1] = outputs_over(ix, desc.kw, ow);
+      for (std::int64_t oy = oy0; oy < oy1; ++oy) {
+        for (std::int64_t ox = ox0; ox < ox1; ++ox) {
+          reached[static_cast<std::size_t>(oy * ow + ox)] = 1;
+        }
+      }
+    }
+  }
+  for (std::int64_t e = 0; e < oh * ow; ++e) {
+    if (reached[static_cast<std::size_t>(e)] != 0) {
+      delta.positions.push_back(e);
     }
   }
 
-  // Every output position whose window holds a changed element, ascending:
-  // gather its terms, each row completed with its tap, and sum them.
-  const std::int64_t oh = desc.out_h(), ow = desc.out_w();
-  std::vector<DeltaTerm> terms;
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    for (std::int64_t ox = 0; ox < ow; ++ox) {
-      terms.clear();
-      for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
-        const std::int64_t iy = oy * desc.stride - desc.pad + ky;
-        if (iy < 0 || iy >= desc.in_h) continue;
-        for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
-          const std::int64_t ix = ox * desc.stride - desc.pad + kx;
-          if (ix < 0 || ix >= desc.in_w) continue;
-          const std::int64_t p = iy * desc.in_w + ix;
-          const std::int32_t tap =
-              static_cast<std::int32_t>(ky * desc.kw + kx);
-          for (std::int32_t k = start[static_cast<std::size_t>(p)];
-               k < start[static_cast<std::size_t>(p + 1)]; ++k) {
-            const DeltaTerm& c = changed[static_cast<std::size_t>(k)];
-            terms.push_back(DeltaTerm{c.row + tap, c.delta});
-          }
-        }
+  // Each reached position hands delta_microkernel the nonempty CSR spans
+  // of its window, one segment per tap, read in place.
+  const std::int64_t out_c = desc.out_c;
+  delta.acc.resize(delta.positions.size() * static_cast<std::size_t>(out_c));
+  std::vector<DeltaSegment> segments(static_cast<std::size_t>(taps));
+  for (std::size_t s = 0; s < delta.positions.size(); ++s) {
+    const std::int64_t iy0 = delta.positions[s] / ow * desc.stride - desc.pad;
+    const std::int64_t ix0 = delta.positions[s] % ow * desc.stride - desc.pad;
+    std::int64_t count = 0;
+    for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
+      const std::int64_t iy = iy0 + ky;
+      if (iy < 0 || iy >= desc.in_h) continue;
+      for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
+        const std::int64_t ix = ix0 + kx;
+        if (ix < 0 || ix >= desc.in_w) continue;
+        const std::size_t p = static_cast<std::size_t>(iy * desc.in_w + ix);
+        segments[static_cast<std::size_t>(count)] = DeltaSegment{
+            changed.get() + start[p], start[p + 1] - start[p],
+            static_cast<std::int32_t>(ky * desc.kw + kx)};
+        count += start[p + 1] > start[p];
       }
-      if (terms.empty()) continue;
-      delta.positions.push_back(oy * ow + ox);
-      delta.acc.resize(delta.acc.size() + static_cast<std::size_t>(desc.out_c));
-      delta_microkernel(delta.acc.data() + delta.acc.size() - desc.out_c,
-                        desc.out_c, terms.data(),
-                        static_cast<std::int64_t>(terms.size()), wt.data());
     }
+    delta_microkernel(delta.acc.data() + s * static_cast<std::size_t>(out_c),
+                      out_c, segments.data(), count, wt.data(), narrow);
   }
   return delta;
 }

@@ -54,13 +54,18 @@ std::vector<std::int16_t> transpose_weights_i16(const ConvDesc& desc,
                                                 const TensorI32& weights);
 
 // Exact W·(x' - x) of a conv whose input changed from `golden_input` (x) to
-// `input` (x'), for every output position the change reaches. The changed
-// input elements are grouped by spatial position; each reached position
-// gathers the changed elements of its window into DeltaTerms with rows
-// r = (ic*kh + ky)*kw + kx, im2col's index arithmetic, so any stride,
-// padding and kernel size works, and delta_microkernel sums them against
-// `wt` (transpose_weights_i16). Padding taps are zero in both inputs and
-// drop out. Exact at every ISA level.
+// `input` (x'), for every output position the change reaches. One
+// branchless pass lists the changed input elements by spatial position
+// (CSR, rows ic*kh*kw), and each input position that holds one marks the
+// output positions whose window holds it. Each reached position hands
+// delta_microkernel the nonempty lists of its window in place, one
+// DeltaSegment per tap ky*kw + kx, which completes each row to r =
+// (ic*kh + ky)*kw + kx, im2col's index arithmetic, so any stride, padding
+// and kernel size works; the kernel sums them against `wt`
+// (transpose_weights_i16). Padding taps are zero in both inputs and drop
+// out. Whether every delta fits int16 is checked once per call, and the
+// answer sends every position to the pair kernels or to the scalar
+// kernel. Exact at every ISA level.
 struct ConvDelta {
   std::vector<std::int64_t> positions;  // reached oy*out_w + ox, ascending
   std::vector<std::int64_t> acc;        // [positions.size()][out_c]

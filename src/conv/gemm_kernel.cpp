@@ -214,55 +214,54 @@ __attribute__((target("avx512f"))) void kernel_dot_avx512(
 #endif  // WINOFAULT_X86_SIMD
 
 // ---- Delta kernels ----
-// acc[oc] = sum_i delta_i * wt[row_i * out_c + oc].
+// acc[oc] = sum over segments s, i < s.n of
+//           s.terms[i].delta * wt[(s.terms[i].row + s.tap) * out_c + oc].
 
 // Channels [oc0, oc1) of the delta product in plain int64: the scalar
 // kernel (the reference) and the channel tail of the vector kernels.
 void delta_channels_scalar(std::int64_t* acc, std::int64_t out_c,
                            std::int64_t oc0, std::int64_t oc1,
-                           const DeltaTerm* terms, std::int64_t n,
+                           const DeltaSegment* segments, std::int64_t count,
                            const std::int16_t* wt) {
   std::fill(acc + oc0, acc + oc1, std::int64_t{0});
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t d = terms[i].delta;
-    const std::int16_t* w = wt + std::int64_t{terms[i].row} * out_c;
-    for (std::int64_t oc = oc0; oc < oc1; ++oc) acc[oc] += d * w[oc];
+  for (std::int64_t s = 0; s < count; ++s) {
+    const DeltaTerm* terms = segments[s].terms;
+    const std::int16_t* wt_tap = wt + std::int64_t{segments[s].tap} * out_c;
+    for (std::int64_t i = 0; i < segments[s].n; ++i) {
+      const std::int64_t d = terms[i].delta;
+      const std::int16_t* w = wt_tap + std::int64_t{terms[i].row} * out_c;
+      for (std::int64_t oc = oc0; oc < oc1; ++oc) acc[oc] += d * w[oc];
+    }
   }
 }
 
 void kernel_delta_scalar(std::int64_t* acc, std::int64_t out_c,
-                         const DeltaTerm* terms, std::int64_t n,
+                         const DeltaSegment* segments, std::int64_t count,
                          const std::int16_t* wt) {
-  delta_channels_scalar(acc, out_c, 0, out_c, terms, n, wt);
+  delta_channels_scalar(acc, out_c, 0, out_c, segments, count, wt);
 }
+
+// The widest |delta| the pair kernels' int16 lanes hold.
+constexpr std::int32_t kNarrowDelta = 32767;
 
 #if WINOFAULT_X86_SIMD
 
-// The pair kernels take the terms two at a time. The two weight rows are
-// interleaved with unpacklo/unpackhi_epi16 and multiplied by the broadcast
-// int16 pair (delta_a, delta_b) with madd_epi16, which sums each pair of
-// products exactly into an int32 lane: |delta| <= 32767, so the one case
-// that wraps, (-32768)^2 twice, cannot occur. A run is a sequence of
-// consecutive pairs whose sum of |delta| is at most kRunBudget. Every
-// |w| <= 32768, so each int32 lane of a run stays within 65535 * 32768 <
-// 2^31 and accumulates exactly; at the end of a run the lanes are widened
-// and added into the int64 accumulators, whose sums do not depend on
-// order. One pair adds at most 2 * 32767, so every run holds a pair. An odd
-// last term pairs with a zero delta on its own row.
-constexpr std::int32_t kNarrowDelta = 32767;
+// The pair kernels take the terms of a segment two at a time. The two
+// weight rows are interleaved with unpacklo/unpackhi_epi16 and multiplied
+// by the broadcast int16 pair (delta_a, delta_b) with madd_epi16, which
+// sums each pair of products exactly into an int32 lane: |delta| <= 32767
+// (the caller's precondition), so the one case that wraps, (-32768)^2
+// twice, cannot occur. A run is a sequence of consecutive pairs, across
+// the segments, whose sum of |delta| is at most kRunBudget. Every |w| <=
+// 32768, so each int32 lane of a run stays within 65535 * 32768 < 2^31
+// and accumulates exactly; at the end of a run the lanes are widened and
+// added into the int64 accumulators, whose sums do not depend on order.
+// One pair adds at most 2 * 32767, so every run holds a pair. An odd
+// segment's last term pairs with a zero delta on its own row, which adds
+// exactly 0.
 constexpr std::int32_t kRunBudget = 65535;
 
-// Whether every delta fits the pair kernels' int16 lanes; a call with a
-// wider one runs the scalar kernel.
-bool deltas_fit_int16(const DeltaTerm* terms, std::int64_t n) {
-  bool fit = true;
-  for (std::int64_t i = 0; i < n; ++i) {
-    fit &= terms[i].delta >= -kNarrowDelta && terms[i].delta <= kNarrowDelta;
-  }
-  return fit;
-}
-
-// The terms at i and i + 1 as one pair.
+// The terms at i and i + 1 of a segment as one pair.
 struct DeltaPair {
   std::int64_t row_a = 0, row_b = 0;
   std::int32_t deltas = 0;     // delta_a in the low int16, delta_b high
@@ -305,60 +304,64 @@ __attribute__((target("avx2"))) inline void end_run_avx2(
   }
 }
 
-// One pass over the terms for channels [oc0, oc0 + 16 * kGroups), added
-// into acc.
+// One pass over the segments for channels [oc0, oc0 + 16 * kGroups),
+// added into acc.
 template <int kGroups>
 __attribute__((target("avx2"))) void delta_pass_avx2(
     std::int64_t* acc, std::int64_t out_c, std::int64_t oc0,
-    const DeltaTerm* terms, std::int64_t n, const std::int16_t* wt) {
+    const DeltaSegment* segments, std::int64_t count,
+    const std::int16_t* wt) {
   __m256i lo[kGroups], hi[kGroups];
   for (int g = 0; g < kGroups; ++g) lo[g] = hi[g] = _mm256_setzero_si256();
   std::int32_t run = 0;  // sum of |delta| over the open run
-  for (std::int64_t i = 0; i < n; i += 2) {
-    const DeltaPair p = delta_pair(terms, n, i);
-    if (run + p.magnitude > kRunBudget) {
-      end_run_avx2(acc + oc0, lo, hi);
-      run = 0;
-    }
-    run += p.magnitude;
-    const __m256i d = _mm256_set1_epi32(p.deltas);
-    const std::int16_t* wa = wt + p.row_a * out_c + oc0;
-    const std::int16_t* wb = wt + p.row_b * out_c + oc0;
-    for (int g = 0; g < kGroups; ++g) {
-      const __m256i va = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(wa + 16 * g));
-      const __m256i vb = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(wb + 16 * g));
-      lo[g] = _mm256_add_epi32(
-          lo[g], _mm256_madd_epi16(_mm256_unpacklo_epi16(va, vb), d));
-      hi[g] = _mm256_add_epi32(
-          hi[g], _mm256_madd_epi16(_mm256_unpackhi_epi16(va, vb), d));
+  for (std::int64_t s = 0; s < count; ++s) {
+    const DeltaTerm* terms = segments[s].terms;
+    const std::int64_t n = segments[s].n;
+    const std::int16_t* w =
+        wt + std::int64_t{segments[s].tap} * out_c + oc0;
+    for (std::int64_t i = 0; i < n; i += 2) {
+      const DeltaPair p = delta_pair(terms, n, i);
+      if (run + p.magnitude > kRunBudget) {
+        end_run_avx2(acc + oc0, lo, hi);
+        run = 0;
+      }
+      run += p.magnitude;
+      const __m256i d = _mm256_set1_epi32(p.deltas);
+      const std::int16_t* wa = w + p.row_a * out_c;
+      const std::int16_t* wb = w + p.row_b * out_c;
+      for (int g = 0; g < kGroups; ++g) {
+        const __m256i va = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(wa + 16 * g));
+        const __m256i vb = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(wb + 16 * g));
+        lo[g] = _mm256_add_epi32(
+            lo[g], _mm256_madd_epi16(_mm256_unpacklo_epi16(va, vb), d));
+        hi[g] = _mm256_add_epi32(
+            hi[g], _mm256_madd_epi16(_mm256_unpackhi_epi16(va, vb), d));
+      }
     }
   }
   end_run_avx2(acc + oc0, lo, hi);
 }
 
-// 64 channels (4 ymm groups) per pass over the terms, then the remaining
-// whole groups in one pass; fewer than 16 leftover channels run scalar.
+// 64 channels (4 ymm groups) per pass over the segments, then the
+// remaining whole groups in one pass; fewer than 16 leftover channels run
+// scalar.
 __attribute__((target("avx2"))) void kernel_delta_avx2(
-    std::int64_t* acc, std::int64_t out_c, const DeltaTerm* terms,
-    std::int64_t n, const std::int16_t* wt) {
-  if (!deltas_fit_int16(terms, n)) {
-    kernel_delta_scalar(acc, out_c, terms, n, wt);
-    return;
-  }
+    std::int64_t* acc, std::int64_t out_c, const DeltaSegment* segments,
+    std::int64_t count, const std::int16_t* wt) {
   std::fill(acc, acc + out_c, std::int64_t{0});
   std::int64_t oc0 = 0;
   for (; oc0 + 64 <= out_c; oc0 += 64) {
-    delta_pass_avx2<4>(acc, out_c, oc0, terms, n, wt);
+    delta_pass_avx2<4>(acc, out_c, oc0, segments, count, wt);
   }
   const std::int64_t groups = (out_c - oc0) / 16;
-  if (groups == 3) delta_pass_avx2<3>(acc, out_c, oc0, terms, n, wt);
-  if (groups == 2) delta_pass_avx2<2>(acc, out_c, oc0, terms, n, wt);
-  if (groups == 1) delta_pass_avx2<1>(acc, out_c, oc0, terms, n, wt);
+  if (groups == 3) delta_pass_avx2<3>(acc, out_c, oc0, segments, count, wt);
+  if (groups == 2) delta_pass_avx2<2>(acc, out_c, oc0, segments, count, wt);
+  if (groups == 1) delta_pass_avx2<1>(acc, out_c, oc0, segments, count, wt);
   oc0 += groups * 16;
   if (oc0 < out_c) {
-    delta_channels_scalar(acc, out_c, oc0, out_c, terms, n, wt);
+    delta_channels_scalar(acc, out_c, oc0, out_c, segments, count, wt);
   }
 }
 
@@ -390,63 +393,66 @@ __attribute__((target("avx512f"))) inline void end_run_avx512(
   }
 }
 
-// One pass over the terms for channels [oc0, oc0 + 32 * kGroups), added
-// into acc.
+// One pass over the segments for channels [oc0, oc0 + 32 * kGroups),
+// added into acc.
 template <int kGroups>
 __attribute__((target("avx512f,avx512bw"))) void delta_pass_avx512(
     std::int64_t* acc, std::int64_t out_c, std::int64_t oc0,
-    const DeltaTerm* terms, std::int64_t n, const std::int16_t* wt) {
+    const DeltaSegment* segments, std::int64_t count,
+    const std::int16_t* wt) {
   __m512i lo[kGroups], hi[kGroups];
   for (int g = 0; g < kGroups; ++g) lo[g] = hi[g] = _mm512_setzero_si512();
   std::int32_t run = 0;  // sum of |delta| over the open run
-  for (std::int64_t i = 0; i < n; i += 2) {
-    const DeltaPair p = delta_pair(terms, n, i);
-    if (run + p.magnitude > kRunBudget) {
-      end_run_avx512(acc + oc0, lo, hi);
-      run = 0;
-    }
-    run += p.magnitude;
-    const __m512i d = _mm512_set1_epi32(p.deltas);
-    const std::int16_t* wa = wt + p.row_a * out_c + oc0;
-    const std::int16_t* wb = wt + p.row_b * out_c + oc0;
-    for (int g = 0; g < kGroups; ++g) {
-      const __m512i va = _mm512_loadu_si512(wa + 32 * g);
-      const __m512i vb = _mm512_loadu_si512(wb + 32 * g);
-      lo[g] = _mm512_add_epi32(
-          lo[g], _mm512_madd_epi16(_mm512_unpacklo_epi16(va, vb), d));
-      hi[g] = _mm512_add_epi32(
-          hi[g], _mm512_madd_epi16(_mm512_unpackhi_epi16(va, vb), d));
+  for (std::int64_t s = 0; s < count; ++s) {
+    const DeltaTerm* terms = segments[s].terms;
+    const std::int64_t n = segments[s].n;
+    const std::int16_t* w =
+        wt + std::int64_t{segments[s].tap} * out_c + oc0;
+    for (std::int64_t i = 0; i < n; i += 2) {
+      const DeltaPair p = delta_pair(terms, n, i);
+      if (run + p.magnitude > kRunBudget) {
+        end_run_avx512(acc + oc0, lo, hi);
+        run = 0;
+      }
+      run += p.magnitude;
+      const __m512i d = _mm512_set1_epi32(p.deltas);
+      const std::int16_t* wa = w + p.row_a * out_c;
+      const std::int16_t* wb = w + p.row_b * out_c;
+      for (int g = 0; g < kGroups; ++g) {
+        const __m512i va = _mm512_loadu_si512(wa + 32 * g);
+        const __m512i vb = _mm512_loadu_si512(wb + 32 * g);
+        lo[g] = _mm512_add_epi32(
+            lo[g], _mm512_madd_epi16(_mm512_unpacklo_epi16(va, vb), d));
+        hi[g] = _mm512_add_epi32(
+            hi[g], _mm512_madd_epi16(_mm512_unpackhi_epi16(va, vb), d));
+      }
     }
   }
   end_run_avx512(acc + oc0, lo, hi);
 }
 
-// 128 channels (4 zmm groups) per pass over the terms, then the remaining
-// whole zmm groups in one pass and a 16-channel ymm group; fewer than 16
-// leftover channels run scalar.
+// 128 channels (4 zmm groups) per pass over the segments, then the
+// remaining whole zmm groups in one pass and a 16-channel ymm group; fewer
+// than 16 leftover channels run scalar.
 __attribute__((target("avx512f,avx512bw"))) void kernel_delta_avx512(
-    std::int64_t* acc, std::int64_t out_c, const DeltaTerm* terms,
-    std::int64_t n, const std::int16_t* wt) {
-  if (!deltas_fit_int16(terms, n)) {
-    kernel_delta_scalar(acc, out_c, terms, n, wt);
-    return;
-  }
+    std::int64_t* acc, std::int64_t out_c, const DeltaSegment* segments,
+    std::int64_t count, const std::int16_t* wt) {
   std::fill(acc, acc + out_c, std::int64_t{0});
   std::int64_t oc0 = 0;
   for (; oc0 + 128 <= out_c; oc0 += 128) {
-    delta_pass_avx512<4>(acc, out_c, oc0, terms, n, wt);
+    delta_pass_avx512<4>(acc, out_c, oc0, segments, count, wt);
   }
   const std::int64_t groups = (out_c - oc0) / 32;
-  if (groups == 3) delta_pass_avx512<3>(acc, out_c, oc0, terms, n, wt);
-  if (groups == 2) delta_pass_avx512<2>(acc, out_c, oc0, terms, n, wt);
-  if (groups == 1) delta_pass_avx512<1>(acc, out_c, oc0, terms, n, wt);
+  if (groups == 3) delta_pass_avx512<3>(acc, out_c, oc0, segments, count, wt);
+  if (groups == 2) delta_pass_avx512<2>(acc, out_c, oc0, segments, count, wt);
+  if (groups == 1) delta_pass_avx512<1>(acc, out_c, oc0, segments, count, wt);
   oc0 += groups * 32;
   if (oc0 + 16 <= out_c) {
-    delta_pass_avx2<1>(acc, out_c, oc0, terms, n, wt);
+    delta_pass_avx2<1>(acc, out_c, oc0, segments, count, wt);
     oc0 += 16;
   }
   if (oc0 < out_c) {
-    delta_channels_scalar(acc, out_c, oc0, out_c, terms, n, wt);
+    delta_channels_scalar(acc, out_c, oc0, out_c, segments, count, wt);
   }
 }
 
@@ -520,7 +526,7 @@ using DotKernelFn = void (*)(std::int64_t*, std::int64_t, int, std::int64_t,
                              const std::int32_t*, const std::int32_t*,
                              std::int64_t, std::int64_t);
 using DeltaKernelFn = void (*)(std::int64_t*, std::int64_t,
-                               const DeltaTerm*, std::int64_t,
+                               const DeltaSegment*, std::int64_t,
                                const std::int16_t*);
 using RequantizeFn = void (*)(const std::int64_t*, std::int64_t, double,
                               const QuantParams&, std::int32_t*);
@@ -664,15 +670,26 @@ void gemm_microkernel_dot(std::int64_t* acc, std::int64_t acc_stride,
   fn(acc, acc_stride, rows, eb, colT, w, w_stride, window);
 }
 
-void delta_microkernel(std::int64_t* acc, std::int64_t out_c,
-                       const DeltaTerm* terms, std::int64_t n,
-                       const std::int16_t* wt) {
-  DeltaKernelFn fn = g_delta_kernel.load(std::memory_order_acquire);
-  if (fn == nullptr) {
-    resolve_once();
-    fn = g_delta_kernel.load(std::memory_order_acquire);
+bool deltas_fit_int16(const DeltaTerm* terms, std::int64_t n) {
+  bool fit = true;
+  for (std::int64_t i = 0; i < n; ++i) {
+    fit &= terms[i].delta >= -kNarrowDelta && terms[i].delta <= kNarrowDelta;
   }
-  fn(acc, out_c, terms, n, wt);
+  return fit;
+}
+
+void delta_microkernel(std::int64_t* acc, std::int64_t out_c,
+                       const DeltaSegment* segments, std::int64_t count,
+                       const std::int16_t* wt, bool narrow) {
+  DeltaKernelFn fn = kernel_delta_scalar;
+  if (narrow) {
+    fn = g_delta_kernel.load(std::memory_order_acquire);
+    if (fn == nullptr) {
+      resolve_once();
+      fn = g_delta_kernel.load(std::memory_order_acquire);
+    }
+  }
+  fn(acc, out_c, segments, count, wt);
 }
 
 void requantize_span(const std::int64_t* acc, std::int64_t n,

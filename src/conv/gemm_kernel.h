@@ -63,28 +63,49 @@ void gemm_microkernel_dot(std::int64_t* acc, std::int64_t acc_stride,
                           const std::int32_t* w, std::int64_t w_stride,
                           std::int64_t window);
 
-// One changed input element of a delta product: row `row` of the
-// transposed weight matrix (a window position r = (ic*kh + ky)*kw + kx) and
-// the input's change there, x' - x (nonzero; |delta| <= 65535 for int16
-// operands, and <= 32767 when both are ReLU or pool outputs in [0, 32767]).
+// One changed input element of a delta product: the first row ic*kh*kw of
+// its input channel in the transposed weight matrix, and the input's change
+// there, x' - x (|delta| <= 65535 for int16 operands, and <= 32767 when
+// both are ReLU or pool outputs in [0, 32767]). No member initializers:
+// direct_delta_acc allocates its term list uninitialized and reads only
+// the terms its scan wrote.
 struct DeltaTerm {
-  std::int32_t row = 0;
-  std::int32_t delta = 0;
+  std::int32_t row;
+  std::int32_t delta;
 };
+
+// The changed elements an output position sees at one tap (ky, kx) of its
+// window: terms[0, n), read in place from direct_delta_acc's per-position
+// list. A term's weight row is terms[i].row + tap, where tap = ky*kw + kx,
+// so the row is the window position r = (ic*kh + ky)*kw + kx.
+struct DeltaSegment {
+  const DeltaTerm* terms = nullptr;
+  std::int64_t n = 0;
+  std::int32_t tap = 0;
+};
+
+// Whether every delta of terms[0, n) fits int16, |delta| <= 32767: the
+// precondition of delta_microkernel's pair kernels.
+bool deltas_fit_int16(const DeltaTerm* terms, std::int64_t n);
 
 // The delta kernel behind delta conv replay (direct_delta_acc in
 // direct_conv.h): sets
-//   acc[oc] = sum_{i<n} terms[i].delta * wt[terms[i].row * out_c + oc]
+//   acc[oc] = sum over segments s, i < s.n of
+//             s.terms[i].delta * wt[(s.terms[i].row + s.tap) * out_c + oc]
 // for oc in [0, out_c), exactly in int64, where `wt` is an int16 weight
 // matrix transposed to [window][out_c]. Every ISA level gives the same
-// bits. The vector levels multiply int16 pairs of terms into int32 lanes
-// and widen them to int64 at the end of each run of pairs whose sum of
-// |delta| stays <= 65535, which keeps every lane exact (|w| <= 32768); a
-// call that holds a term with |delta| > 32767, which does not fit int16,
-// runs the scalar kernel.
+// bits. The vector levels multiply int16 pairs of terms (formed inside a
+// segment; an odd segment's last term pairs with a zero delta) into int32
+// lanes and widen them to int64 at the end of each run of pairs whose sum
+// of |delta| stays <= 65535, which keeps every lane exact (|w| <= 32768);
+// a run carries across the segments.
+//
+// Precondition: `narrow` is true only if every delta of every segment fits
+// int16 (deltas_fit_int16); a wider one would wrap the pair kernels'
+// lanes. A call with `narrow` false runs the scalar kernel at every level.
 void delta_microkernel(std::int64_t* acc, std::int64_t out_c,
-                       const DeltaTerm* terms, std::int64_t n,
-                       const std::int16_t* wt);
+                       const DeltaSegment* segments, std::int64_t count,
+                       const std::int16_t* wt, bool narrow);
 
 // Requantizes n accumulators: out[i] = requantize_value(acc[i], acc_scale,
 // out_quant), bit for bit at every ISA level. The AVX-512 kernel converts

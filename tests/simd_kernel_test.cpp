@@ -2,8 +2,9 @@
 // level (scalar / AVX2 / AVX-512, forced via set_gemm_isa) must be
 // bit-identical to the instrumented reference on shapes covering the tile
 // kernel, its e-tails, and the small-extent dot kernel, the delta kernel
-// to a scalar reference on adversarial operands and at its run
-// boundaries, and the span requantize to requantize_value. Plus the
+// to a scalar reference on adversarial operands, at its run and segment
+// boundaries and over a seeded sweep of random conv geometries, and the
+// span requantize to requantize_value. Plus the
 // work-stealing determinism contract of parallel_for: each index runs
 // exactly once and results never depend on the thread count or steal
 // interleaving.
@@ -97,94 +98,109 @@ TEST(SimdKernel, ForcingAboveCpuCapabilityClampsDown) {
 
 // ---- Delta kernel ---------------------------------------------------------
 
-// W·(x' - x) of one output element, straight from the conv definition.
-std::int64_t reference_delta(const ConvDesc& desc, const TensorI32& weights,
-                             const TensorI32& input, const TensorI32& golden,
-                             std::int64_t oc, std::int64_t oy,
-                             std::int64_t ox) {
-  std::int64_t acc = 0;
-  for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
-    for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
-      const std::int64_t iy = oy * desc.stride - desc.pad + ky;
-      for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
-        const std::int64_t ix = ox * desc.stride - desc.pad + kx;
-        if (iy < 0 || iy >= desc.in_h || ix < 0 || ix >= desc.in_w) continue;
-        acc += std::int64_t{weights.at(oc, ic, ky, kx)} *
-               (std::int64_t{input.at(0, ic, iy, ix)} -
-                golden.at(0, ic, iy, ix));
+// W·(x' - x) straight from the conv definition: the delta of every output
+// element, [position][out_c], and whether each position's window holds a
+// changed element.
+struct ReferenceDelta {
+  std::vector<std::int64_t> acc;
+  std::vector<bool> reached;
+};
+
+ReferenceDelta reference_delta(const ConvDesc& desc, const TensorI32& weights,
+                               const TensorI32& input,
+                               const TensorI32& golden) {
+  const std::int64_t ow = desc.out_w();
+  const std::int64_t positions = desc.out_h() * ow;
+  ReferenceDelta ref{std::vector<std::int64_t>(
+                         static_cast<std::size_t>(positions * desc.out_c)),
+                     std::vector<bool>(static_cast<std::size_t>(positions))};
+  for (std::int64_t e = 0; e < positions; ++e) {
+    const std::int64_t oy = e / ow, ox = e % ow;
+    for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
+      for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
+        const std::int64_t iy = oy * desc.stride - desc.pad + ky;
+        for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
+          const std::int64_t ix = ox * desc.stride - desc.pad + kx;
+          if (iy < 0 || iy >= desc.in_h || ix < 0 || ix >= desc.in_w) continue;
+          const std::int64_t d =
+              std::int64_t{input.at(0, ic, iy, ix)} - golden.at(0, ic, iy, ix);
+          if (d == 0) continue;
+          ref.reached[static_cast<std::size_t>(e)] = true;
+          for (std::int64_t oc = 0; oc < desc.out_c; ++oc) {
+            ref.acc[static_cast<std::size_t>(e * desc.out_c + oc)] +=
+                d * weights.at(oc, ic, ky, kx);
+          }
+        }
       }
     }
   }
-  return acc;
+  return ref;
 }
 
-// direct_delta_acc against the reference: every output element's delta,
-// and exactly the positions whose window holds a changed element.
+// A direct_delta_acc result against the reference: exactly the reached
+// positions, ascending, each with every channel's delta.
+void expect_delta_equals(const ReferenceDelta& ref, const ConvDelta& delta,
+                         std::int64_t out_c, const std::string& what) {
+  const std::size_t row = static_cast<std::size_t>(out_c);
+  ASSERT_EQ(delta.acc.size(), delta.positions.size() * row) << what;
+  std::size_t s = 0;
+  for (std::size_t e = 0; e < ref.reached.size(); ++e) {
+    if (!ref.reached[e]) continue;
+    ASSERT_LT(s, delta.positions.size())
+        << what << ": position " << e << " not reached";
+    ASSERT_EQ(delta.positions[s], static_cast<std::int64_t>(e))
+        << what << ": reached positions differ";
+    for (std::size_t oc = 0; oc < row; ++oc) {
+      ASSERT_EQ(delta.acc[s * row + oc], ref.acc[e * row + oc])
+          << what << ": oc " << oc << " at position " << e;
+    }
+    ++s;
+  }
+  ASSERT_EQ(s, delta.positions.size()) << what << ": unchanged positions";
+}
+
 void expect_delta_matches_reference(const ConvDesc& desc,
                                     const TensorI32& weights,
                                     const TensorI32& input,
                                     const TensorI32& golden,
                                     const std::string& what) {
-  const std::vector<std::int16_t> wt = transpose_weights_i16(desc, weights);
-  const ConvDelta delta = direct_delta_acc(desc, input, golden, wt);
-  ASSERT_EQ(delta.acc.size(),
-            delta.positions.size() * static_cast<std::size_t>(desc.out_c))
-      << what;
-  const std::int64_t ow = desc.out_w();
-  std::vector<std::int64_t> slot(
-      static_cast<std::size_t>(desc.out_h() * ow), -1);
-  for (std::size_t s = 0; s < delta.positions.size(); ++s) {
-    ASSERT_TRUE(s == 0 || delta.positions[s] > delta.positions[s - 1])
-        << what << ": positions not ascending";
-    slot[static_cast<std::size_t>(delta.positions[s])] =
-        static_cast<std::int64_t>(s);
-  }
-  for (std::int64_t oy = 0; oy < desc.out_h(); ++oy) {
-    for (std::int64_t ox = 0; ox < ow; ++ox) {
-      const std::int64_t s = slot[static_cast<std::size_t>(oy * ow + ox)];
-      bool window_changed = false;
-      for (std::int64_t ic = 0; ic < desc.in_c; ++ic) {
-        for (std::int64_t ky = 0; ky < desc.kh; ++ky) {
-          for (std::int64_t kx = 0; kx < desc.kw; ++kx) {
-            const std::int64_t iy = oy * desc.stride - desc.pad + ky;
-            const std::int64_t ix = ox * desc.stride - desc.pad + kx;
-            window_changed |= iy >= 0 && iy < desc.in_h && ix >= 0 &&
-                              ix < desc.in_w &&
-                              input.at(0, ic, iy, ix) !=
-                                  golden.at(0, ic, iy, ix);
-          }
-        }
-      }
-      ASSERT_EQ(s >= 0, window_changed)
-          << what << ": position (" << oy << ", " << ox << ")";
-      for (std::int64_t oc = 0; oc < desc.out_c; ++oc) {
-        const std::int64_t got =
-            s < 0 ? 0
-                  : delta.acc[static_cast<std::size_t>(s * desc.out_c + oc)];
-        ASSERT_EQ(got, reference_delta(desc, weights, input, golden, oc, oy,
-                                       ox))
-            << what << ": oc " << oc << " at (" << oy << ", " << ox << ")";
-      }
-    }
-  }
+  expect_delta_equals(
+      reference_delta(desc, weights, input, golden),
+      direct_delta_acc(desc, input, golden,
+                       transpose_weights_i16(desc, weights)),
+      desc.out_c, what);
 }
 
 struct DeltaShape {
   std::int64_t in_c, hw, out_c, k, stride, pad;
 };
 
-// delta_microkernel on hand-made terms against the plain int64 sum.
-void expect_kernel_matches_sum(const std::vector<DeltaTerm>& terms,
+// delta_microkernel on hand-made segments, lists[s] at tap taps[s], against
+// the plain int64 sum. The range check covers every segment, as
+// direct_delta_acc's covers the whole call.
+void expect_kernel_matches_sum(const std::vector<std::vector<DeltaTerm>>& lists,
+                               const std::vector<std::int32_t>& taps,
                                const std::vector<std::int16_t>& wt,
                                std::int64_t out_c, const std::string& what) {
+  ASSERT_EQ(lists.size(), taps.size()) << what;
+  std::vector<DeltaSegment> segments;
+  bool narrow = true;
+  for (std::size_t s = 0; s < lists.size(); ++s) {
+    const std::int64_t n = static_cast<std::int64_t>(lists[s].size());
+    segments.push_back(DeltaSegment{lists[s].data(), n, taps[s]});
+    narrow &= deltas_fit_int16(lists[s].data(), n);
+  }
   std::vector<std::int64_t> acc(static_cast<std::size_t>(out_c), -1);
-  delta_microkernel(acc.data(), out_c, terms.data(),
-                    static_cast<std::int64_t>(terms.size()), wt.data());
+  delta_microkernel(acc.data(), out_c, segments.data(),
+                    static_cast<std::int64_t>(segments.size()), wt.data(),
+                    narrow);
   for (std::int64_t oc = 0; oc < out_c; ++oc) {
     std::int64_t sum = 0;
-    for (const DeltaTerm& t : terms) {
-      sum += std::int64_t{t.delta} *
-             wt[static_cast<std::size_t>(t.row * out_c + oc)];
+    for (std::size_t s = 0; s < lists.size(); ++s) {
+      for (const DeltaTerm& t : lists[s]) {
+        sum += std::int64_t{t.delta} *
+               wt[static_cast<std::size_t>((t.row + taps[s]) * out_c + oc)];
+      }
     }
     ASSERT_EQ(acc[static_cast<std::size_t>(oc)], sum)
         << what << ": oc " << oc;
@@ -299,7 +315,7 @@ TEST(SimdKernel, DeltaKernelMatchesReferenceAtEveryIsa) {
 
     // Narrow deltas run the pair kernels: every channel count around the
     // group widths (16 per ymm, 32 per zmm, 128 per AVX-512 pass, 64 per
-    // AVX2 pass), dense and sparse, with odd term counts (in_c 5), and long
+    // AVX2 pass), dense and sparse, with odd segments (in_c 5), and long
     // runs of small deltas.
     const std::string level = std::string("isa=") + gemm_isa_name(isa);
     for (const std::int64_t out_c :
@@ -331,9 +347,9 @@ TEST(SimdKernel, DeltaKernelMatchesReferenceAtEveryIsa) {
       expect_delta_matches_reference(desc, p.weights, p.input, p.golden,
                                      level + " long runs of small deltas");
     }
-    // One wide delta (32767 -> -32768, so -65535) among narrow ones: the
-    // positions it reaches take the scalar route, the others the pair
-    // kernels.
+    // One wide delta (32767 -> -32768, so -65535) among narrow ones, away
+    // from the first changed position: the call's one range check fails,
+    // so every position takes the scalar route.
     {
       ConvDesc desc;
       desc.in_c = 6;
@@ -376,41 +392,153 @@ TEST(SimdKernel, DeltaKernelMatchesReferenceAtEveryIsa) {
         }
         return terms;
       };
+      // n random terms on rows [0, 30), every |delta| <= 32767.
+      const auto random_terms = [&](std::int64_t n) {
+        std::vector<DeltaTerm> terms;
+        for (std::int64_t i = 0; i < n; ++i) {
+          terms.push_back(DeltaTerm{
+              static_cast<std::int32_t>(rng.next_below(30)),
+              static_cast<std::int32_t>(rng.next_below(65535)) - 32767});
+        }
+        return terms;
+      };
       const std::string what = level + " out_c=" + std::to_string(out_c);
       // Every |delta| 32767: each run holds exactly one pair.
       expect_kernel_matches_sum(
-          terms_of({-32767, -32767, -32767, -32767, -32767, -32767, -32767}),
-          extreme, out_c, what + " one pair per run");
+          {terms_of({-32767, -32767, -32767, -32767, -32767, -32767, -32767})},
+          {0}, extreme, out_c, what + " one pair per run");
       // Running sums of |delta| that land exactly on 65535 (one run), and
       // on 65536 (the second pair opens a new run).
-      expect_kernel_matches_sum(terms_of({-32767, -32766, -1, -1, -5, -3}),
-                                extreme, out_c, what + " sum 65535");
-      expect_kernel_matches_sum(terms_of({-32767, -32767, -1, -1}), extreme,
-                                out_c, what + " sum 65536");
+      expect_kernel_matches_sum({terms_of({-32767, -32766, -1, -1, -5, -3})},
+                                {0}, extreme, out_c, what + " sum 65535");
+      expect_kernel_matches_sum({terms_of({-32767, -32767, -1, -1})}, {0},
+                                extreme, out_c, what + " sum 65536");
+      // A run carries across segments: the second segment's first pair
+      // takes the run past 65535 and must open a new run, and so must a
+      // pair that follows an odd segment's zero-padded last pair.
+      expect_kernel_matches_sum(
+          {terms_of({-32767, -32767}), terms_of({-32767, -32767})}, {0, 1},
+          extreme, out_c, what + " run crosses a segment boundary");
+      expect_kernel_matches_sum(
+          {terms_of({-32767, -32766, -1}), terms_of({-1, -1, -3})}, {2, 0},
+          extreme, out_c, what + " run crosses after an odd segment");
+      // Several short segments of one run, summing to exactly 65535.
+      expect_kernel_matches_sum(
+          {terms_of({-30000}), terms_of({-2767, -16383}),
+           terms_of({-16384, -1})},
+          {4, 0, 7}, extreme, out_c, what + " one run over three segments");
       // ±32767 against weights of both extremes, mixed signs.
       std::vector<std::int16_t> mixed = extreme;
       for (std::size_t i = 0; i < mixed.size(); i += 2) mixed[i] = 32767;
       expect_kernel_matches_sum(
-          terms_of({32767, -32767, 32767, 32767, -32767, -32767}), mixed,
-          out_c, what + " mixed extremes");
-      // Odd term counts, and one term that does not fit int16 (the scalar
-      // route), at the edges -32768 and ±65535.
+          {terms_of({32767, -32767, 32767, 32767, -32767, -32767})}, {0},
+          mixed, out_c, what + " mixed extremes");
+      // Odd segment lengths, one segment and several, each of whose last
+      // term pairs with a zero delta.
       for (const std::int64_t n : {1, 3, 7, 33}) {
-        std::vector<DeltaTerm> terms;
-        for (std::int64_t i = 0; i < n; ++i) {
-          terms.push_back(DeltaTerm{
-              static_cast<std::int32_t>(rng.next_below(kRows)),
-              static_cast<std::int32_t>(rng.next_below(65535)) - 32767});
-        }
-        expect_kernel_matches_sum(terms, random, out_c,
+        expect_kernel_matches_sum({random_terms(n)}, {0}, random, out_c,
                                   what + " n=" + std::to_string(n));
-        for (const std::int32_t wide : {-32768, 65535, -65535}) {
-          std::vector<DeltaTerm> with_wide = terms;
-          with_wide[static_cast<std::size_t>(n / 2)].delta = wide;
-          expect_kernel_matches_sum(with_wide, random, out_c,
-                                    what + " wide " + std::to_string(wide));
-        }
       }
+      expect_kernel_matches_sum(
+          {random_terms(1), random_terms(3), random_terms(2), random_terms(5),
+           random_terms(1)},
+          {3, 0, 9, 1, 3}, random, out_c, what + " odd segments");
+      // Nine segments with taps 0..8 over one row set, rows ic*9 of three
+      // input channels, as a 3x3 window of one position has.
+      {
+        std::vector<std::vector<DeltaTerm>> lists;
+        std::vector<std::int32_t> taps;
+        for (std::int32_t tap = 0; tap < 9; ++tap) {
+          lists.push_back({});
+          for (const std::int32_t row : {0, 9, 18}) {
+            lists.back().push_back(DeltaTerm{
+                row, static_cast<std::int32_t>(rng.next_below(65535)) -
+                         32767});
+          }
+          taps.push_back(tap);
+        }
+        expect_kernel_matches_sum(lists, taps, random, out_c,
+                                  what + " nine taps");
+      }
+      // A call whose range check fails on a later segment, at the edges
+      // -32768 and ±65535: every segment runs the scalar kernel.
+      for (const std::int32_t wide : {-32768, 65535, -65535}) {
+        std::vector<std::vector<DeltaTerm>> lists = {
+            random_terms(4), random_terms(3), random_terms(6)};
+        lists[2][3].delta = wide;
+        expect_kernel_matches_sum(lists, {0, 5, 2}, random, out_c,
+                                  what + " wide " + std::to_string(wide));
+      }
+    }
+  }
+}
+
+// A seeded sweep of random geometries through direct_delta_acc at every
+// level against the definition: k 1, 3 or 5, stride 1-2, pad 0-2, in_c
+// 1-300, out_c 1-200, 1% to 100% of the input changed, by narrow deltas
+// (the pair kernels) or by deltas up to 65535 (a call holding one wider
+// than int16 runs the scalar kernel).
+TEST(SimdKernel, DeltaRandomShapeSweep) {
+  IsaGuard guard;
+  Rng rng(0xDE17F000u);
+  for (int trial = 0; trial < 160; ++trial) {
+    ConvDesc desc;
+    desc.kh = desc.kw = 1 + 2 * static_cast<std::int64_t>(rng.next_below(3));
+    desc.stride = 1 + static_cast<std::int64_t>(rng.next_below(2));
+    desc.pad = static_cast<std::int64_t>(rng.next_below(3));
+    desc.in_c = 1 + static_cast<std::int64_t>(rng.next_below(300));
+    desc.out_c = 1 + static_cast<std::int64_t>(rng.next_below(200));
+    // Spatial extents from the smallest the padded kernel fits to 6.
+    const std::int64_t min_hw =
+        std::max<std::int64_t>(1, desc.kh - 2 * desc.pad);
+    desc.in_h = min_hw + static_cast<std::int64_t>(rng.next_below(
+                             static_cast<std::uint64_t>(7 - min_hw)));
+    desc.in_w = min_hw + static_cast<std::int64_t>(rng.next_below(
+                             static_cast<std::uint64_t>(7 - min_hw)));
+    const double change = std::pow(10.0, -2.0 * rng.next_double());
+    const bool wide = rng.bernoulli(0.3);
+    const std::int32_t max_delta =
+        wide ? 65535 : std::int32_t{1} << (1 + rng.next_below(15));
+    const std::string what =
+        "trial " + std::to_string(trial) + " in_c=" +
+        std::to_string(desc.in_c) + " " + std::to_string(desc.in_h) + "x" +
+        std::to_string(desc.in_w) + " out_c=" + std::to_string(desc.out_c) +
+        " k=" + std::to_string(desc.kh) + " s=" +
+        std::to_string(desc.stride) + " p=" + std::to_string(desc.pad) +
+        " change=" + std::to_string(change) +
+        " max_delta=" + std::to_string(max_delta);
+    // Narrow: golden in [0, 32767] and every |delta| <= 32767. Wide: any
+    // int16 golden and any other int16 value where it changes.
+    TensorI32 weights(desc.weight_shape());
+    for (std::int32_t& w : weights.flat()) {
+      w = static_cast<std::int32_t>(rng.next_below(65536)) - 32768;
+    }
+    TensorI32 golden(desc.in_shape());
+    for (std::int32_t& v : golden.flat()) {
+      v = static_cast<std::int32_t>(rng.next_below(wide ? 65536 : 32768)) -
+          (wide ? 32768 : 0);
+    }
+    TensorI32 input = golden;
+    for (std::int32_t& v : input.flat()) {
+      if (!rng.bernoulli(change)) continue;
+      const std::int32_t d = 1 + static_cast<std::int32_t>(rng.next_below(
+                                     static_cast<std::uint64_t>(
+                                         std::min(max_delta, 32767))));
+      if (wide) {
+        v = (v + 32768 + d + static_cast<std::int32_t>(rng.next_below(
+                                 32768))) % 65536 - 32768;
+      } else {
+        v = v + d <= 32767 ? v + d : v - d;
+      }
+    }
+    const ReferenceDelta ref = reference_delta(desc, weights, input, golden);
+    const std::vector<std::int16_t> wt = transpose_weights_i16(desc, weights);
+    for (const GemmIsa isa : supported_isas()) {
+      ASSERT_EQ(set_gemm_isa(isa), isa);
+      expect_delta_equals(ref, direct_delta_acc(desc, input, golden, wt),
+                          desc.out_c,
+                          std::string("isa=") + gemm_isa_name(isa) + " " +
+                              what);
     }
   }
 }
